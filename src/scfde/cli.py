@@ -8,15 +8,13 @@ Subcommands:
   selftest   fast invariant battery
 
 Configuration is a flat JSON file mirroring the sweep config keys;
-positional key=value arguments override the file, and the file overrides
-the SCFDE_PARALLEL_WIDTH environment default. Exit codes: 0 success,
+positional key=value arguments override the file. Exit codes: 0 success,
 2 bad arguments or config, 3 gap target outside the measured range.
 """
 
 import argparse
 import json
 import logging
-import os
 import sys
 
 from . import analytics, simulator
@@ -46,9 +44,6 @@ def _parse_overrides(pairs):
 
 def _load_config(args) -> simulator.SweepConfig:
     data = {}
-    env_width = os.environ.get("SCFDE_PARALLEL_WIDTH")
-    if env_width:
-        data["parallel_width"] = int(env_width)
     if args.config:
         with open(args.config) as fh:
             data.update(json.load(fh))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, modem
 from .numerics import cosine_transform, dft, idft, levinson_complex, levinson_real
 
 __all__ = [
@@ -31,14 +31,6 @@ __all__ = [
     "ReceiverSpec",
     "EqualizerFilters",
     "SingularChannelError",
-    "mmse_le_conventional",
-    "zf_le_conventional",
-    "mmse_dfe_conventional",
-    "zf_dfe_conventional",
-    "wl_mmse_le",
-    "wl_zf_le",
-    "wl_mmse_dfe",
-    "wl_zf_dfe",
     "synthesize",
     "equalize_le",
     "equalize_dfe",
@@ -114,6 +106,22 @@ class ReceiverSpec:
         criterion, structure = key.removeprefix("wl-").rsplit("-", 1)
         return cls(family, criterion, structure, fbf_length, mode, zf_epsilon)
 
+    def check_fbf_length(self, m: int):
+        """Reject a DFE whose feedback filter does not fit an M-point block.
+
+        The limit is L <= M-1 for conventional receivers and L <= M/2 for
+        widely linear ones, whose prediction problem lives on the even
+        half of the spectrum. Linear equalizers have no feedback filter.
+        """
+        if self.structure != "dfe":
+            return
+        limit, what = ((m // 2, "M/2") if self.family == "widely-linear"
+                       else (m - 1, "M-1"))
+        if not 1 <= self.fbf_length <= limit:
+            raise ValueError(
+                f"fbf_length must satisfy 1 <= L <= {what}, got {self.fbf_length}"
+            )
+
 
 @dataclass(frozen=True)
 class EqualizerFilters:
@@ -150,13 +158,26 @@ def _one_plus_b(taps, m) -> np.ndarray:
     return dft(poly)
 
 
-def _check_fbf_length(fbf_length, limit, what):
-    if not 1 <= fbf_length <= limit:
-        raise ValueError(f"fbf_length must satisfy 1 <= L <= {what}, got {fbf_length}")
+def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilters:
+    """Filters of the receiver `spec` for one channel realization.
 
-
-def _build(ch, sigma_x_sq, reg, sigma_n_sq, criterion, structure, fbf_length,
-           widely_linear):
+    MMSE receivers regularize by sigma_n^2/sigma_x^2: w(k) = h^H(k) /
+    (||h(k)||^2 + sigma_n^2/sigma_x^2) conventional, w(k) = h*(k) /
+    (S(k) + sigma_n^2/sigma_x^2) widely linear. ZF receivers invert the
+    channel with spec.zf_epsilon as the only guard, and sigma_n_sq then
+    only prices the residual-noise MSE. DFEs put an order-L
+    prediction-error FBF behind that front end, real-tap for the widely
+    linear family.
+    """
+    if spec.criterion == "mmse":
+        if sigma_n_sq <= 0:
+            raise ValueError("MMSE synthesis needs sigma_n_sq > 0; use the ZF variant")
+        reg = sigma_n_sq / sigma_x_sq
+    else:
+        reg = spec.zf_epsilon
+    spec.check_fbf_length(ch.m)
+    widely_linear = spec.family == "widely-linear"
+    fbf_length = spec.fbf_length
     gains = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
     if widely_linear:
         rev = _reversal_index(ch.m)
@@ -169,7 +190,7 @@ def _build(ch, sigma_x_sq, reg, sigma_n_sq, criterion, structure, fbf_length,
         raise SingularChannelError(
             f"subcarrier {k} has zero channel energy and zf_epsilon=0"
         )
-    if structure == "dfe":
+    if spec.structure == "dfe":
         if widely_linear:
             taps, _ = levinson_real(cosine_transform(1.0 / denom)[: fbf_length + 1],
                                     fbf_length)
@@ -188,9 +209,9 @@ def _build(ch, sigma_x_sq, reg, sigma_n_sq, criterion, structure, fbf_length,
     mse = sigma_n_sq * float(np.mean(np.abs(one_plus_b) ** 2 / denom))
     bias = float(np.real(np.mean(one_plus_b * signal / denom)))
     return EqualizerFilters(
-        family="widely-linear" if widely_linear else "conventional",
-        criterion=criterion,
-        structure=structure,
+        family=spec.family,
+        criterion=spec.criterion,
+        structure=spec.structure,
         fff=fff,
         fbf_taps=taps,
         predicted_mse=mse,
@@ -199,82 +220,6 @@ def _build(ch, sigma_x_sq, reg, sigma_n_sq, criterion, structure, fbf_length,
         m=ch.m,
         n_r=ch.n_r,
     )
-
-
-def _require_noise(sigma_n_sq):
-    if sigma_n_sq <= 0:
-        raise ValueError("MMSE synthesis needs sigma_n_sq > 0; use the ZF variant")
-
-
-def mmse_le_conventional(ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilters:
-    """w(k) = h^H(k) / (||h(k)||^2 + sigma_n^2/sigma_x^2)."""
-    _require_noise(sigma_n_sq)
-    return _build(ch, sigma_x_sq, sigma_n_sq / sigma_x_sq, sigma_n_sq,
-                  "mmse", "le", 0, False)
-
-
-def zf_le_conventional(ch, sigma_x_sq, zf_epsilon=1e-12,
-                       sigma_n_sq=0.0) -> EqualizerFilters:
-    """Channel inversion; sigma_n_sq only prices the residual-noise MSE."""
-    return _build(ch, sigma_x_sq, zf_epsilon, sigma_n_sq, "zf", "le", 0, False)
-
-
-def mmse_dfe_conventional(ch, sigma_x_sq, sigma_n_sq, fbf_length) -> EqualizerFilters:
-    """MMSE-LE front end with an order-L prediction-error FBF behind it."""
-    _require_noise(sigma_n_sq)
-    _check_fbf_length(fbf_length, ch.m - 1, "M-1")
-    return _build(ch, sigma_x_sq, sigma_n_sq / sigma_x_sq, sigma_n_sq,
-                  "mmse", "dfe", fbf_length, False)
-
-
-def zf_dfe_conventional(ch, sigma_x_sq, fbf_length, zf_epsilon=1e-12,
-                        sigma_n_sq=0.0) -> EqualizerFilters:
-    _check_fbf_length(fbf_length, ch.m - 1, "M-1")
-    return _build(ch, sigma_x_sq, zf_epsilon, sigma_n_sq, "zf", "dfe",
-                  fbf_length, False)
-
-
-def wl_mmse_le(ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilters:
-    """w(k) = h*(k) / (S(k) + sigma_n^2/sigma_x^2), S(k) = ||h(k)||^2 + ||h(M-k)||^2."""
-    _require_noise(sigma_n_sq)
-    return _build(ch, sigma_x_sq, sigma_n_sq / sigma_x_sq, sigma_n_sq,
-                  "mmse", "le", 0, True)
-
-
-def wl_zf_le(ch, sigma_x_sq, zf_epsilon=1e-12, sigma_n_sq=0.0) -> EqualizerFilters:
-    return _build(ch, sigma_x_sq, zf_epsilon, sigma_n_sq, "zf", "le", 0, True)
-
-
-def wl_mmse_dfe(ch, sigma_x_sq, sigma_n_sq, fbf_length) -> EqualizerFilters:
-    """WL front end plus a real-tap FBF from the even error spectrum."""
-    _require_noise(sigma_n_sq)
-    _check_fbf_length(fbf_length, ch.m // 2, "M/2")
-    return _build(ch, sigma_x_sq, sigma_n_sq / sigma_x_sq, sigma_n_sq,
-                  "mmse", "dfe", fbf_length, True)
-
-
-def wl_zf_dfe(ch, sigma_x_sq, fbf_length, zf_epsilon=1e-12,
-              sigma_n_sq=0.0) -> EqualizerFilters:
-    _check_fbf_length(fbf_length, ch.m // 2, "M/2")
-    return _build(ch, sigma_x_sq, zf_epsilon, sigma_n_sq, "zf", "dfe",
-                  fbf_length, True)
-
-
-def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilters:
-    """Route a ReceiverSpec to the matching synthesis function."""
-    wl = spec.family == "widely-linear"
-    if spec.criterion == "mmse":
-        if spec.structure == "le":
-            fn = wl_mmse_le if wl else mmse_le_conventional
-            return fn(ch, sigma_x_sq, sigma_n_sq)
-        fn = wl_mmse_dfe if wl else mmse_dfe_conventional
-        return fn(ch, sigma_x_sq, sigma_n_sq, spec.fbf_length)
-    if spec.structure == "le":
-        fn = wl_zf_le if wl else zf_le_conventional
-        return fn(ch, sigma_x_sq, zf_epsilon=spec.zf_epsilon, sigma_n_sq=sigma_n_sq)
-    fn = wl_zf_dfe if wl else zf_dfe_conventional
-    return fn(ch, sigma_x_sq, spec.fbf_length, zf_epsilon=spec.zf_epsilon,
-              sigma_n_sq=sigma_n_sq)
 
 
 def _filtered_spectrum(filters: EqualizerFilters, received_freq) -> np.ndarray:
@@ -322,13 +267,9 @@ def equalize_dfe(filters: EqualizerFilters, received_freq, spec: ReceiverSpec,
         x = np.asarray(genie_symbols, dtype=complex)
         isi = idft((one_plus_b - 1.0) * dft(x))
         z_hat = z_t - isi
-        from .modem import demod_hard
-
-        decided, _ = demod_hard(z_hat, c)
+        decided, _ = modem.demod_hard(z_hat, c)
     else:
-        from .modem import demod_hard
-
-        init, _ = demod_hard(idft(z_f / one_plus_b), c)
+        init, _ = modem.demod_hard(idft(z_f / one_plus_b), c)
         tail = init[filters.m - len(taps):]
         z_hat, decided, _ = kernels.dd_feedback(
             z_t.astype(np.complex128),

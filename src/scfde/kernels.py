@@ -2,30 +2,21 @@
 
 The two loops that cannot be vectorized are the Levinson-Durbin recursion
 (order-recursive) and the decision-directed feedback pass of the DFE
-(each decision feeds the next). Both are compiled with numba unless the
-environment variable SCFDE_DISABLE_NUMBA is set to 1/true/yes, in which
-case the identical Python source runs uncompiled. fastmath stays off so
-the two paths execute the same IEEE operations in the same order.
+(each decision feeds the next). Both are compiled with numba when numba
+imports; otherwise the identical Python source runs uncompiled (numba's
+own NUMBA_DISABLE_JIT=1 does the same where numba is installed).
+fastmath stays off so the two paths execute the same IEEE operations in
+the same order.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("SCFDE_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
+try:
+    import numba
 
-HAVE_NUMBA = False
-if not _DISABLE:
-    try:
-        import numba
-
-        HAVE_NUMBA = True
-    except ImportError:  # numba is optional; the plain-Python source runs
-        pass
+    HAVE_NUMBA = True
+except ImportError:  # numba is optional; the plain-Python source runs
+    HAVE_NUMBA = False
 
 
 def backend():

@@ -4,7 +4,7 @@ Conventions used throughout the package: the forward transform is
 X(k) = sum_l x(l) exp(-j2πkl/M) and the inverse carries the 1/M, so a
 white time-domain sequence of variance s has frequency-domain variance
 M s. All solvers are pure functions; RngStream is the only stateful
-handle and every parallel task owns its own.
+handle and every trial builds its own.
 """
 
 from dataclasses import dataclass

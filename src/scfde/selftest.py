@@ -36,6 +36,11 @@ def _random_channel(gen, n_r=1, v=8, m=256):
     return channel.draw_channel(gen, n_r, v, m)
 
 
+def _synth(name, ch, sigma_n_sq, fbf_length=20):
+    spec = equalizer.ReceiverSpec.from_name(name, fbf_length=fbf_length)
+    return equalizer.synthesize(spec, ch, 1.0, sigma_n_sq)
+
+
 def _suite_dft_roundtrip():
     gen = _rng(1)
     for m in (64, 257, 512):
@@ -83,7 +88,7 @@ def _suite_levinson_vs_dense():
 def _suite_fbf_whitening():
     gen = _rng(3)
     ch = _random_channel(gen, n_r=1, v=8, m=256)
-    filt = equalizer.mmse_dfe_conventional(ch, 1.0, 0.05, fbf_length=20)
+    filt = _synth("mmse-dfe", ch, 0.05, fbf_length=20)
     denom = np.abs(ch.freq_response[0]) ** 2 + 0.05
     spectrum = np.abs(equalizer._one_plus_b(filt.fbf_taps, ch.m)) ** 2 / denom
     lags = numerics.idft(spectrum)
@@ -97,8 +102,7 @@ def _suite_predicted_mse_monotone():
     ch = _random_channel(gen, n_r=1, v=8, m=128)
     last = None
     for length in (1, 2, 4, 8, 16, 32):
-        filt = equalizer.mmse_dfe_conventional(ch, 1.0, 0.1,
-                                                  fbf_length=length)
+        filt = _synth("mmse-dfe", ch, 0.1, fbf_length=length)
         if last is not None:
             assert filt.predicted_mse <= last + 1e-12, (
                 f"mse rose from {last:.6e} to {filt.predicted_mse:.6e} "
@@ -116,10 +120,10 @@ def _suite_wl_reality():
     block = precode(map_bits(bits, c))
     y = channel.apply_channel_freq(block.precoded, ch, 0.05, gen)
     worst = 0.0
-    filt = equalizer.wl_mmse_le(ch, 1.0, 0.05)
+    filt = _synth("wl-mmse-le", ch, 0.05)
     worst = max(worst, float(np.max(np.abs(
         equalizer.equalize_le(filt, y).imag))))
-    dfilt = equalizer.wl_mmse_dfe(ch, 1.0, 0.05, fbf_length=12)
+    dfilt = _synth("wl-mmse-dfe", ch, 0.05, fbf_length=12)
     spec = equalizer.ReceiverSpec("widely-linear", "mmse", "dfe",
                                   fbf_length=12)
     z, _ = equalizer.equalize_dfe(dfilt, y, spec,
@@ -137,8 +141,8 @@ def _suite_zf_exactness():
     block = precode(map_bits(bits, c))
     y = channel.apply_channel_freq(block.precoded, ch, 0.0, gen)
     worst = 0.0
-    for synth in (equalizer.zf_le_conventional, equalizer.wl_zf_le):
-        filt = synth(ch, 1.0)
+    for name in ("zf-le", "wl-zf-le"):
+        filt = _synth(name, ch, 0.0)
         z = equalizer.equalize_le(filt, y)
         worst = max(worst, float(np.max(np.abs(z - block.time_symbols))))
     assert worst < 1e-9, f"noiseless ZF residual {worst:.3e}"
@@ -148,8 +152,8 @@ def _suite_zf_exactness():
 def _suite_mmse_zf_limit():
     gen = _rng(7)
     ch = _random_channel(gen, n_r=2, v=6, m=128)
-    zf = equalizer.zf_le_conventional(ch, 1.0)
-    mmse = equalizer.mmse_le_conventional(ch, 1.0, 1e-10)
+    zf = _synth("zf-le", ch, 0.0)
+    mmse = _synth("mmse-le", ch, 1e-10)
     err = float(np.max(np.abs(zf.fff - mmse.fff)))
     assert err < 1e-4, f"MMSE at sigma_n^2=1e-10 differs from ZF by {err:.3e}"
     return f"filters agree to {err:.1e} at sigma_n^2=1e-10"

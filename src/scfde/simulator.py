@@ -3,16 +3,15 @@
 One trial = one block: draw bits, map, precode, draw an independent
 channel realization, apply it in the frequency domain, synthesize the
 receiver for that realization, equalize, slice, count bit errors. Every
-trial is a pure function of (master_seed, trial_index); trial indices
-are composed as cell_hash | ordinal << 8 | redraw so that any
-(receiver, SNR) cell can be reproduced in isolation and a singular
-channel can be redrawn with the literally next stream index.
+trial is a pure function of (master_seed, trial_index); a trial index
+packs a hash of the (receiver, SNR) cell into bits 40 and up, the block
+ordinal into bits 8-39 and a redraw counter into bits 0-7, so that any
+cell can be reproduced in isolation and a singular channel can be
+redrawn with the literally next stream index.
 
-Parallel execution is speculative: workers compute blocks in chunks of
-parallel_width, but results are committed strictly in ordinal order and
-the stopping rule is re-evaluated after every committed block, so the
-set of counted blocks (and hence every output byte) is identical for
-any width.
+Blocks of a cell run one after another in ordinal order, and the
+stopping rule is evaluated after every block, so a rerun of the same
+config reproduces every output byte.
 
 Post-SNR is always measured on the ideal-feedback path (decision errors
 would corrupt the error statistic); decision-directed runs report their
@@ -23,7 +22,6 @@ import hashlib
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -79,8 +77,20 @@ def _parse_snr_grid(value):
     return tuple(float(p) for p in np.atleast_1d(value))
 
 
+# trial index fields, see the module docstring
+_MAX_ORDINALS = 1 << 32
+_MAX_REDRAWS = 255
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """One BER sweep: the alphabet, receivers, channel and SNR grid.
+
+    Each (receiver, SNR) cell stops at min_bit_errors bit errors or
+    max_blocks blocks. parallel_width is validated (>= 1) and recorded,
+    but blocks always run sequentially and it does not affect the run.
+    """
+
     constellation: str = "bpsk"
     receivers: tuple = ("mmse-dfe",)
     feedback: str = "genie"
@@ -127,13 +137,15 @@ class SweepConfig:
             )
         if self.min_bit_errors < 100:
             raise ValueError("min_bit_errors below 100 gives meaningless BER points")
-        if self.max_blocks < 1:
-            raise ValueError("max_blocks must be >= 1")
+        if not 1 <= self.max_blocks <= _MAX_ORDINALS:
+            raise ValueError(f"max_blocks must satisfy 1 <= max_blocks <= 2**32, "
+                             f"got {self.max_blocks}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
         if self.parallel_width < 1:
             raise ValueError("parallel_width must be >= 1")
-        self.receiver_specs()  # validates fbf_len / zf_epsilon combinations
+        for spec in self.receiver_specs():  # validates fbf_len and zf_epsilon
+            spec.check_fbf_length(self.block_size)
 
     def receiver_specs(self):
         return tuple(
@@ -249,6 +261,9 @@ def run_block_with_retry(trial_index: int, config: SweepConfig,
 
     Returns (bit_errors, bits, mse, redraws).
     """
+    if not 0 <= max_redraws <= _MAX_REDRAWS:
+        raise ValueError(f"max_redraws must be in [0, {_MAX_REDRAWS}]: redraws "
+                         "share the low 8 bits of the trial index")
     for redraw in range(max_redraws + 1):
         try:
             errors, bits, mse = run_block(trial_index + redraw, config, receiver,
@@ -276,41 +291,32 @@ def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
     return float(10.0 * np.log10(value))
 
 
-def _committed_blocks(config: SweepConfig, spec: ReceiverSpec, snr_db: float,
-                      pool, stop):
-    """Run trials in ordinal order, committing until stop(errors, blocks).
+def _cell_blocks(cell: str, snr_db: float, run, max_blocks: int,
+                      min_errors=math.inf):
+    """Yield run(trial_index) for the blocks of one cell, in ordinal order.
 
-    Yields per-block tuples; speculative tail results of the final chunk
-    are discarded so any parallel_width commits the same prefix.
+    The first entry of each result is its bit error count; the cell stops
+    at min_errors bit errors or max_blocks blocks, whichever comes first.
     """
-    base = _cell_base(spec.name, snr_db)
-
-    def task(ordinal):
-        return run_block_with_retry(base | (ordinal << 8), config, spec, snr_db)
-
+    assert max_blocks <= _MAX_ORDINALS, "ordinal would overwrite the cell hash"
+    base = _cell_base(cell, snr_db)
     errors = blocks = 0
-    next_ordinal = 0
-    while not stop(errors, blocks):
-        batch = range(next_ordinal, next_ordinal + config.parallel_width)
-        outs = list(pool.map(task, batch)) if pool else [task(t) for t in batch]
-        for out in outs:
-            errors += out[0]
-            blocks += 1
-            yield out
-            if stop(errors, blocks):
-                return
-        next_ordinal = batch[-1] + 1
+    while errors < min_errors and blocks < max_blocks:
+        out = run(base | blocks << 8)
+        errors += out[0]
+        blocks += 1
+        yield out
 
 
-def _run_cell(config: SweepConfig, spec: ReceiverSpec, snr_db: float,
-              pool) -> SweepCell:
+def _run_cell(config: SweepConfig, spec: ReceiverSpec, snr_db: float) -> SweepCell:
     errors = bits = blocks = redraws = 0
     mses = []
 
-    def stop(err, blk):
-        return err >= config.min_bit_errors or blk >= config.max_blocks
+    def run(trial_index):
+        return run_block_with_retry(trial_index, config, spec, snr_db)
 
-    for e, b, mse, rd in _committed_blocks(config, spec, snr_db, pool, stop):
+    for e, b, mse, rd in _cell_blocks(spec.name, snr_db, run, config.max_blocks,
+                                      config.min_bit_errors):
         errors += e
         bits += b
         blocks += 1
@@ -335,22 +341,16 @@ def _run_cell(config: SweepConfig, spec: ReceiverSpec, snr_db: float,
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """BER/post-SNR over the full (receiver, snr) grid of the config."""
-    pool = (ThreadPoolExecutor(max_workers=config.parallel_width)
-            if config.parallel_width > 1 else None)
-    try:
-        rows = []
-        for spec in config.receiver_specs():
-            for snr_db in config.snr_db:
-                cell = _run_cell(config, spec, snr_db, pool)
-                log.info(
-                    "%s @ %g dB: ber=%.4g errors=%d blocks=%d%s",
-                    cell.receiver, snr_db, cell.ber, cell.errors, cell.blocks,
-                    " (max_blocks hit)" if cell.hit_max_blocks else "",
-                )
-                rows.append(cell)
-    finally:
-        if pool:
-            pool.shutdown()
+    rows = []
+    for spec in config.receiver_specs():
+        for snr_db in config.snr_db:
+            cell = _run_cell(config, spec, snr_db)
+            log.info(
+                "%s @ %g dB: ber=%.4g errors=%d blocks=%d%s",
+                cell.receiver, snr_db, cell.ber, cell.errors, cell.blocks,
+                " (max_blocks hit)" if cell.hit_max_blocks else "",
+            )
+            rows.append(cell)
     return SweepResult(config=config, rows=tuple(rows))
 
 
@@ -361,40 +361,32 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
     Aggregation is sigma_x^2 / mean(mse), minus one for MMSE receivers,
     compared against the closed-form limit where one exists.
     """
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
-    pool = (ThreadPoolExecutor(max_workers=config.parallel_width)
-            if config.parallel_width > 1 else None)
+    if not 1 <= realizations <= _MAX_ORDINALS:
+        raise ValueError("realizations must satisfy 1 <= realizations <= 2**32")
     rows = []
-    try:
-        for spec in config.receiver_specs():
-            genie = replace(spec, feedback_mode="ideal_genie")
+    for spec in config.receiver_specs():
+        genie = replace(spec, feedback_mode="ideal_genie")
 
-            def stop(err, blk):
-                return blk >= realizations
+        def run(trial_index):
+            return run_block_with_retry(trial_index, config, genie, snr_db)
 
-            mses = [
-                out[2]
-                for out in _committed_blocks(config, genie, snr_db, pool, stop)
-            ]
-            post = 1.0 / (math.fsum(mses) / len(mses))
-            if spec.criterion == "mmse":
-                post -= 1.0
-            post_db = float(10.0 * np.log10(post)) if post > 0 else float("nan")
-            analytic = _analytic_db(spec, config, snr_db)
-            rows.append(
-                PostSnrRow(
-                    receiver=spec.name,
-                    snr_db=float(snr_db),
-                    realizations=len(mses),
-                    post_snr_db=post_db,
-                    analytic_db=analytic,
-                    delta_db=None if analytic is None else post_db - analytic,
-                )
+        mses = [out[2] for out in _cell_blocks(genie.name, snr_db, run,
+                                               realizations)]
+        post = 1.0 / (math.fsum(mses) / len(mses))
+        if spec.criterion == "mmse":
+            post -= 1.0
+        post_db = float(10.0 * np.log10(post)) if post > 0 else float("nan")
+        analytic = _analytic_db(spec, config, snr_db)
+        rows.append(
+            PostSnrRow(
+                receiver=spec.name,
+                snr_db=float(snr_db),
+                realizations=len(mses),
+                post_snr_db=post_db,
+                analytic_db=analytic,
+                delta_db=None if analytic is None else post_db - analytic,
             )
-    finally:
-        if pool:
-            pool.shutdown()
+        )
     return tuple(rows)
 
 
@@ -402,10 +394,9 @@ def _simulated_mfb_point(config: SweepConfig, snr_db: float) -> float:
     """Matched-filter receiver: ISI-free AWGN at each realization's MFB SNR."""
     c = constellation(config.constellation)
     sigma_n_sq = 10.0 ** (-snr_db / 10.0)
-    base = _cell_base("mfb", snr_db)
-    errors = bits = blocks = 0
-    while errors < config.min_bit_errors and blocks < config.max_blocks:
-        gen = RngStream(config.master_seed, base | (blocks << 8)).generator()
+
+    def run(trial_index):
+        gen = RngStream(config.master_seed, trial_index).generator()
         tx_bits = gen.integers(0, 2, config.block_size * c.bits_per_symbol)
         x_t = map_bits(tx_bits, c)
         ch = draw_channel(gen, config.antennas, config.taps, config.block_size)
@@ -414,10 +405,11 @@ def _simulated_mfb_point(config: SweepConfig, snr_db: float) -> float:
         noise = scale * (gen.standard_normal(x_t.size)
                          + 1j * gen.standard_normal(x_t.size))
         _, rx_bits = demod_hard(x_t + noise, c)
-        errors += count_bit_errors(tx_bits, rx_bits)
-        bits += tx_bits.size
-        blocks += 1
-    return errors / bits
+        return count_bit_errors(tx_bits, rx_bits), tx_bits.size
+
+    outs = list(_cell_blocks("mfb", snr_db, run, config.max_blocks,
+                             config.min_bit_errors))
+    return sum(e for e, _ in outs) / sum(b for _, b in outs)
 
 
 def mfb_reference_curve(config: SweepConfig, snr_grid_db=None,

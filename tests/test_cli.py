@@ -97,16 +97,19 @@ class TestBerSweep:
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["receiver"] == "mmse-le"
 
-    def test_env_sets_default_width(self, small_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCFDE_PARALLEL_WIDTH", "3")
-        out_path = tmp_path / "w.json"
-        assert main(["ber-sweep", "--config", str(small_config),
-                     "--format", "json", "--output", str(out_path)]) == 0
-        assert json.loads(out_path.read_text())["config"]["parallel_width"] == 3
-        assert main(["ber-sweep", "--config", str(small_config),
-                     "--format", "json", "--output", str(out_path),
-                     "parallel_width=1"]) == 0
-        assert json.loads(out_path.read_text())["config"]["parallel_width"] == 1
+    @pytest.mark.parametrize("override, key", [
+        (["receivers=zf-le,mmse-dfe", "fbf_len=600"], "fbf_length"),
+        (["max_blocks=1099511627776"], "max_blocks"),
+    ])
+    def test_bad_config_exits_2_before_any_block(self, small_config, override,
+                                                  key, monkeypatch, capsys):
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block ran before the config was rejected")
+
+        monkeypatch.setattr("scfde.simulator.run_block", no_blocks)
+        code = main(["ber-sweep", "--config", str(small_config), *override])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_gnuplot_script_needs_output(self, small_config, tmp_path, capsys):
         script = tmp_path / "plot.gp"

@@ -39,6 +39,13 @@ def dense_fbf(q, L):
     return np.linalg.solve(A, -q[1 : L + 1])
 
 
+def synth(name, ch, sigma_x_sq, sigma_n_sq=0.0, fbf_length=20, zf_epsilon=1e-12):
+    """eq.synthesize for the receiver called `name`."""
+    spec = eq.ReceiverSpec.from_name(name, fbf_length=fbf_length,
+                                     zf_epsilon=zf_epsilon)
+    return eq.synthesize(spec, ch, sigma_x_sq, sigma_n_sq)
+
+
 def bpsk_block(m, seed):
     rng = np.random.default_rng(seed)
     x_t = map_bits(rng.integers(0, 2, m), constellation("bpsk"))
@@ -92,7 +99,7 @@ class TestConventionalLe:
     def test_flat_wiener(self):
         # h=1, sigma_n^2/sigma_x^2 = 1: scalar Wiener filter w = 1/2
         ch = flat_channel(32)
-        f = eq.mmse_le_conventional(ch, 1.0, 1.0)
+        f = synth("mmse-le", ch, 1.0, 1.0)
         np.testing.assert_allclose(f.fff, 0.5)
         assert f.predicted_mse == pytest.approx(0.5)
         assert f.bias_factor == pytest.approx(0.5)
@@ -100,7 +107,7 @@ class TestConventionalLe:
 
     def test_zf_flat_inversion(self):
         ch = flat_channel(32, gain=2.0 + 0j)
-        f = eq.zf_le_conventional(ch, 1.0, zf_epsilon=0.0)
+        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0)
         np.testing.assert_allclose(f.fff, 0.5)
         block = bpsk_block(32, 0)
         z = eq.equalize_le(f, apply_channel_freq(block.precoded, ch, 0.0, None))
@@ -110,7 +117,7 @@ class TestConventionalLe:
         ch = draw_channel(RngStream(21, 0), 2, 20, 128)
         block = bpsk_block(128, 1)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
-        f = eq.zf_le_conventional(ch, 1.0, zf_epsilon=0.0)
+        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0)
         z = eq.equalize_le(f, y)
         err = np.linalg.norm(z - block.time_symbols) / np.linalg.norm(
             block.time_symbols
@@ -119,44 +126,44 @@ class TestConventionalLe:
 
     def test_mmse_combined_response_in_unit_interval(self):
         ch = draw_channel(RngStream(22, 0), 2, 20, 128)
-        f = eq.mmse_le_conventional(ch, 1.0, 0.3)
+        f = synth("mmse-le", ch, 1.0, 0.3)
         combined = np.einsum("kr,rk->k", f.fff, ch.freq_response)
         assert np.all(np.abs(combined.imag) < 1e-12)
         assert np.all(combined.real > 0) and np.all(combined.real < 1)
 
     def test_mmse_approaches_zf(self):
         ch = draw_channel(RngStream(23, 0), 1, 20, 64)
-        fm = eq.mmse_le_conventional(ch, 1.0, 1e-10)
-        fz = eq.zf_le_conventional(ch, 1.0, zf_epsilon=0.0)
+        fm = synth("mmse-le", ch, 1.0, 1e-10)
+        fz = synth("zf-le", ch, 1.0, zf_epsilon=0.0)
         assert np.max(np.abs(fm.fff - fz.fff) / np.abs(fz.fff)) < 1e-4
 
     def test_mmse_rejects_zero_noise(self):
         with pytest.raises(ValueError):
-            eq.mmse_le_conventional(flat_channel(16), 1.0, 0.0)
+            synth("mmse-le", flat_channel(16), 1.0, 0.0)
 
     def test_singular_channel(self):
         # two-tap [1, -1] has an exact null at k=0
         taps = np.array([[1.0 + 0j, -1.0 + 0j]])
         ch = ChannelRealization(taps, np.fft.fft(taps, n=16, axis=1), 1, 2, 16)
         with pytest.raises(eq.SingularChannelError):
-            eq.zf_le_conventional(ch, 1.0, zf_epsilon=0.0)
-        eq.zf_le_conventional(ch, 1.0, zf_epsilon=1e-6)  # regularized is fine
+            synth("zf-le", ch, 1.0, zf_epsilon=0.0)
+        synth("zf-le", ch, 1.0, zf_epsilon=1e-6)  # regularized is fine
 
 
 class TestConventionalDfe:
     def test_flat_reduces_to_le(self):
         ch = flat_channel(64)
-        fd = eq.mmse_dfe_conventional(ch, 1.0, 0.5, 8)
-        fl = eq.mmse_le_conventional(ch, 1.0, 0.5)
+        fd = synth("mmse-dfe", ch, 1.0, 0.5, 8)
+        fl = synth("mmse-le", ch, 1.0, 0.5)
         np.testing.assert_allclose(fd.fbf_taps, 0, atol=1e-12)
         np.testing.assert_allclose(fd.fff, fl.fff, atol=1e-12)
         assert fd.predicted_mse == pytest.approx(fl.predicted_mse)
 
     def test_mse_monotone_in_length(self):
         ch = draw_channel(RngStream(24, 0), 1, 20, 256)
-        fl = eq.mmse_le_conventional(ch, 1.0, 0.5)
+        fl = synth("mmse-le", ch, 1.0, 0.5)
         mses = [
-            eq.mmse_dfe_conventional(ch, 1.0, 0.5, L).predicted_mse
+            synth("mmse-dfe", ch, 1.0, 0.5, L).predicted_mse
             for L in (1, 2, 4, 8, 16, 19)
         ]
         assert mses[0] <= fl.predicted_mse + 1e-15
@@ -166,14 +173,14 @@ class TestConventionalDfe:
         rng = np.random.default_rng(25)
         for _ in range(30):
             ch = draw_channel(rng, 2, 20, 128)
-            le = eq.mmse_le_conventional(ch, 1.0, 0.25)
-            dfe = eq.mmse_dfe_conventional(ch, 1.0, 0.25, 19)
+            le = synth("mmse-le", ch, 1.0, 0.25)
+            dfe = synth("mmse-dfe", ch, 1.0, 0.25, 19)
             assert eq.unbiased_post_snr(dfe) >= eq.unbiased_post_snr(le) - 1e-12
 
     def test_whitening(self):
         # FBF is the prediction-error filter: residual lags 1..L vanish
         ch = draw_channel(RngStream(26, 0), 1, 20, 512)
-        f = eq.mmse_dfe_conventional(ch, 1.0, 0.1, 20)
+        f = synth("mmse-dfe", ch, 1.0, 0.1, 20)
         denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + 0.1
         poly = np.zeros(512, complex)
         poly[0] = 1.0
@@ -186,7 +193,7 @@ class TestConventionalDfe:
         rng = np.random.default_rng(27)
         for n_r, L in ((1, 4), (2, 8), (1, 19)):
             ch = draw_channel(rng, n_r, 20, 256)
-            f = eq.mmse_dfe_conventional(ch, 1.0, 0.5, L)
+            f = synth("mmse-dfe", ch, 1.0, 0.5, L)
             denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + 0.5
             q = idft(1.0 / denom)
             np.testing.assert_allclose(
@@ -197,7 +204,7 @@ class TestConventionalDfe:
         # posted formula == quadratic-form prediction error, independently
         ch = draw_channel(RngStream(28, 0), 2, 20, 256)
         sn = 0.4
-        f = eq.mmse_dfe_conventional(ch, 1.0, sn, 10)
+        f = synth("mmse-dfe", ch, 1.0, sn, 10)
         denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + sn
         q = sn * idft(1.0 / denom)
         err = q[0].real + np.sum(f.fbf_taps * np.conj(q[1:11])).real
@@ -213,7 +220,7 @@ class TestConventionalDfe:
         block = bpsk_block(128, 2)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
         spec = eq.ReceiverSpec.from_name("zf-dfe", fbf_length=19, zf_epsilon=0.0)
-        f = eq.zf_dfe_conventional(ch, 1.0, 19, zf_epsilon=0.0)
+        f = synth("zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
         z, dec = eq.equalize_dfe(
             f, y, spec, genie_symbols=block.time_symbols,
             c=constellation("bpsk"),
@@ -228,7 +235,7 @@ class TestConventionalDfe:
         ch = draw_channel(RngStream(30, 0), 2, 20, 256)
         block = bpsk_block(256, 3)
         y = apply_channel_freq(block.precoded, ch, 1e-6, RngStream(30, 1))
-        f = eq.mmse_dfe_conventional(ch, 1.0, 1e-6, 20)
+        f = synth("mmse-dfe", ch, 1.0, 1e-6, 20)
         sg = eq.ReceiverSpec.from_name("mmse-dfe", feedback_mode="genie")
         sd = eq.ReceiverSpec.from_name("mmse-dfe", feedback_mode="decision")
         c = constellation("bpsk")
@@ -239,7 +246,7 @@ class TestConventionalDfe:
 
     def test_genie_requires_symbols(self):
         ch = flat_channel(32)
-        f = eq.mmse_dfe_conventional(ch, 1.0, 0.5, 4)
+        f = synth("mmse-dfe", ch, 1.0, 0.5, 4)
         spec = eq.ReceiverSpec.from_name("mmse-dfe")
         with pytest.raises(ValueError, match="genie"):
             eq.equalize_dfe(f, np.ones((1, 32), complex), spec,
@@ -248,40 +255,40 @@ class TestConventionalDfe:
     def test_length_bounds(self):
         ch = flat_channel(16)
         with pytest.raises(ValueError):
-            eq.mmse_dfe_conventional(ch, 1.0, 0.5, 16)
+            synth("mmse-dfe", ch, 1.0, 0.5, 16)
         with pytest.raises(ValueError):
-            eq.mmse_dfe_conventional(ch, 1.0, 0.5, 0)
+            synth("mmse-dfe", ch, 1.0, 0.5, 0)
 
 
 class TestWidelyLinear:
     def test_flat_combined_response(self):
         # S(k) = 2 on a flat unit channel: output scaled by 2/(2 + c)
         ch = flat_channel(64)
-        f = eq.wl_mmse_le(ch, 1.0, 0.5)
+        f = synth("wl-mmse-le", ch, 1.0, 0.5)
         block = bpsk_block(64, 4)
         z = eq.equalize_le(f, apply_channel_freq(block.precoded, ch, 0.0, None))
         np.testing.assert_allclose(z, block.time_symbols * 2 / 2.5, atol=1e-12)
 
     def test_fff_shape_and_pairing(self):
         ch = draw_channel(RngStream(31, 0), 2, 20, 128)
-        f = eq.wl_mmse_dfe(ch, 1.0, 0.5, 8)
+        f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 8)
         assert f.fff.shape == (128, 4)
         rev = (128 - np.arange(128)) % 128
         np.testing.assert_allclose(f.fff[:, 2:], np.conj(f.fff[rev, :2]), atol=1e-14)
 
     def test_fbf_taps_real(self):
         ch = draw_channel(RngStream(32, 0), 1, 20, 256)
-        f = eq.wl_mmse_dfe(ch, 1.0, 0.5, 12)
+        f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 12)
         assert not np.iscomplexobj(f.fbf_taps)
 
     def test_output_real(self):
         ch = draw_channel(RngStream(33, 0), 2, 20, 256)
         block = bpsk_block(256, 5)
         y = apply_channel_freq(block.precoded, ch, 0.3, RngStream(33, 1))
-        for f in (eq.wl_mmse_le(ch, 1.0, 0.3), eq.wl_zf_le(ch, 1.0)):
+        for f in (synth("wl-mmse-le", ch, 1.0, 0.3), synth("wl-zf-le", ch, 1.0)):
             z = eq.equalize_le(f, y)
             assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
-        fd = eq.wl_mmse_dfe(ch, 1.0, 0.3, 20)
+        fd = synth("wl-mmse-dfe", ch, 1.0, 0.3, 20)
         spec = eq.ReceiverSpec.from_name("wl-mmse-dfe")
         z, _ = eq.equalize_dfe(
             fd, y, spec, genie_symbols=block.time_symbols, c=constellation("bpsk")
@@ -292,10 +299,10 @@ class TestWidelyLinear:
         ch = draw_channel(RngStream(34, 0), 1, 20, 128)
         block = bpsk_block(128, 6)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
-        fle = eq.wl_zf_le(ch, 1.0, zf_epsilon=0.0)
+        fle = synth("wl-zf-le", ch, 1.0, zf_epsilon=0.0)
         z = eq.equalize_le(fle, y)
         assert np.linalg.norm(z - block.time_symbols) < 1e-9 * np.linalg.norm(z)
-        fdfe = eq.wl_zf_dfe(ch, 1.0, 19, zf_epsilon=0.0)
+        fdfe = synth("wl-zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
         spec = eq.ReceiverSpec.from_name("wl-zf-dfe", zf_epsilon=0.0)
         zd, _ = eq.equalize_dfe(
             fdfe, y, spec, genie_symbols=block.time_symbols, c=constellation("bpsk")
@@ -304,21 +311,22 @@ class TestWidelyLinear:
 
     def test_mmse_approaches_zf(self):
         ch = draw_channel(RngStream(35, 0), 2, 20, 64)
-        fm = eq.wl_mmse_le(ch, 1.0, 1e-10)
-        fz = eq.wl_zf_le(ch, 1.0, zf_epsilon=0.0)
+        fm = synth("wl-mmse-le", ch, 1.0, 1e-10)
+        fz = synth("wl-zf-le", ch, 1.0, zf_epsilon=0.0)
         assert np.max(np.abs(fm.fff - fz.fff) / np.max(np.abs(fz.fff))) < 1e-4
-        fmd = eq.wl_mmse_dfe(ch, 1.0, 1e-10, 8)
-        fzd = eq.wl_zf_dfe(ch, 1.0, 8, zf_epsilon=0.0)
+        fmd = synth("wl-mmse-dfe", ch, 1.0, 1e-10, 8)
+        fzd = synth("wl-zf-dfe", ch, 1.0, fbf_length=8, zf_epsilon=0.0)
         assert np.max(np.abs(fmd.fbf_taps - fzd.fbf_taps)) < 1e-4
 
     def test_flat_dfe_collapses(self):
         ch = flat_channel(64)
-        f = eq.wl_zf_dfe(ch, 1.0, 6, zf_epsilon=0.0, sigma_n_sq=1.0)
+        f = synth("wl-zf-dfe", ch, 1.0, fbf_length=6, zf_epsilon=0.0,
+                  sigma_n_sq=1.0)
         np.testing.assert_allclose(f.fbf_taps, 0, atol=1e-12)
 
     def test_levinson_matches_dense(self):
         ch = draw_channel(RngStream(36, 0), 1, 20, 256)
-        f = eq.wl_mmse_dfe(ch, 1.0, 0.5, 10)
+        f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 10)
         g = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
         rev = (256 - np.arange(256)) % 256
         p = g + g[rev] + 0.5
@@ -329,13 +337,14 @@ class TestWidelyLinear:
     def test_mse_monotone_in_length(self):
         ch = draw_channel(RngStream(37, 0), 1, 20, 256)
         mses = [
-            eq.wl_mmse_dfe(ch, 1.0, 0.5, L).predicted_mse for L in (1, 4, 8, 16, 19)
+            synth("wl-mmse-dfe", ch, 1.0, 0.5, L).predicted_mse
+            for L in (1, 4, 8, 16, 19)
         ]
         assert all(b <= a + 1e-15 for a, b in zip(mses, mses[1:]))
 
     def test_complex_constellation_rejected(self):
         ch = flat_channel(32)
-        f = eq.wl_mmse_dfe(ch, 1.0, 0.5, 4)
+        f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 4)
         spec = eq.ReceiverSpec.from_name("wl-mmse-dfe", feedback_mode="decision")
         with pytest.raises(ValueError, match="real"):
             eq.equalize_dfe(f, np.ones((1, 32), complex), spec,
@@ -343,7 +352,7 @@ class TestWidelyLinear:
 
     def test_mmse_rejects_zero_noise(self):
         with pytest.raises(ValueError):
-            eq.wl_mmse_dfe(flat_channel(16), 1.0, 0.0, 4)
+            synth("wl-mmse-dfe", flat_channel(16), 1.0, 0.0, 4)
 
 
 class TestDispatcher:
@@ -360,38 +369,46 @@ class TestDispatcher:
             assert f.predicted_mse > 0
 
     def test_matches_direct_call(self):
+        # ZF-DFE built by hand: taps from a dense solve on the guarded
+        # inverse spectrum, w(k) = (1 + b(k)) h*(k) / (|h(k)|^2 + eps)
         ch = draw_channel(RngStream(39, 0), 1, 8, 64)
         spec = eq.ReceiverSpec.from_name("zf-dfe", fbf_length=7, zf_epsilon=1e-9)
         f = eq.synthesize(spec, ch, 1.0, 0.25)
-        g = eq.zf_dfe_conventional(ch, 1.0, 7, zf_epsilon=1e-9, sigma_n_sq=0.25)
-        np.testing.assert_array_equal(f.fff, g.fff)
-        assert f.predicted_mse == g.predicted_mse
+        denom = np.abs(ch.freq_response[0]) ** 2 + 1e-9
+        taps = dense_fbf(idft(1.0 / denom), 7)
+        one_plus_b = dft(np.concatenate([[1.0], taps, np.zeros(64 - 8)]))
+        np.testing.assert_allclose(f.fbf_taps, taps, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(
+            f.fff[:, 0], one_plus_b * np.conj(ch.freq_response[0]) / denom,
+            rtol=1e-8, atol=1e-10)
+        assert f.predicted_mse == pytest.approx(
+            0.25 * np.mean(np.abs(one_plus_b) ** 2 / denom), rel=1e-10)
 
 
 class TestUnbiasedPostSnr:
     def test_mmse_bias_removal(self):
         ch = flat_channel(16)
-        f = eq.mmse_le_conventional(ch, 1.0, 1e9)  # useless receiver, mse -> sx^2
+        f = synth("mmse-le", ch, 1.0, 1e9)  # useless receiver, mse -> sx^2
         assert eq.unbiased_post_snr(f) == pytest.approx(0.0, abs=1e-6)
 
     def test_zf_plain_ratio(self):
         ch = flat_channel(16, gain=np.sqrt(2) + 0j)
-        f = eq.zf_le_conventional(ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0)
+        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0)
         assert eq.unbiased_post_snr(f) == pytest.approx(2.0)
 
     def test_requires_positive_mse(self):
         ch = flat_channel(16)
-        f = eq.zf_le_conventional(ch, 1.0, zf_epsilon=0.0)  # sigma_n_sq 0
+        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0)  # sigma_n_sq 0
         with pytest.raises(ValueError):
             eq.unbiased_post_snr(f)
 
 
-def _ensemble(synth, n_real, n_r, seed, **kwargs):
+def _ensemble(build, n_real, n_r, seed, **kwargs):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_real):
         ch = draw_channel(rng, n_r, 20, 512)
-        out.append(synth(ch, **kwargs))
+        out.append(build(ch, **kwargs))
     return out
 
 
@@ -407,22 +424,24 @@ class TestLimitingAnchors:
 
     def test_conv_zf_dfe_nr1(self):
         fs = _ensemble(
-            lambda ch: eq.zf_dfe_conventional(ch, 1.0, 19, zf_epsilon=0.0,
-                                              sigma_n_sq=1.0),
+            lambda ch: synth("zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0,
+                             sigma_n_sq=1.0),
             500, 1, 41,
         )
         assert abs(db(self.geometric_post(fs) / 0.5616)) < 0.2
 
     def test_wl_zf_dfe_nr1(self):
         fs = _ensemble(
-            lambda ch: eq.wl_zf_dfe(ch, 1.0, 20, zf_epsilon=0.0, sigma_n_sq=1.0),
+            lambda ch: synth("wl-zf-dfe", ch, 1.0, fbf_length=20, zf_epsilon=0.0,
+                             sigma_n_sq=1.0),
             500, 1, 42,
         )
         assert abs(db(self.geometric_post(fs) / 1.5265)) < 0.2
 
     def test_wl_zf_dfe_nr2(self):
         fs = _ensemble(
-            lambda ch: eq.wl_zf_dfe(ch, 1.0, 20, zf_epsilon=0.0, sigma_n_sq=1.0),
+            lambda ch: synth("wl-zf-dfe", ch, 1.0, fbf_length=20, zf_epsilon=0.0,
+                             sigma_n_sq=1.0),
             400, 2, 43,
         )
         assert abs(db(self.geometric_post(fs) / 3.512)) < 0.2
@@ -430,8 +449,7 @@ class TestLimitingAnchors:
     def test_conv_zf_le_nr2(self):
         # E[1/chi2] argument is exact at any v: mean mse = sigma_n^2
         fs = _ensemble(
-            lambda ch: eq.zf_le_conventional(ch, 1.0, zf_epsilon=0.0,
-                                             sigma_n_sq=1.0),
+            lambda ch: synth("zf-le", ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0),
             400, 2, 44,
         )
         mean_mse = np.mean([f.predicted_mse for f in fs])
@@ -442,7 +460,7 @@ class TestLimitingAnchors:
         # costing the single-antenna WL-LE about 0.2-1 dB beyond its 3.01 dB
         # asymptotic gap to the real matched filter bound of 2r
         fs = _ensemble(
-            lambda ch: eq.wl_zf_le(ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0),
+            lambda ch: synth("wl-zf-le", ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0),
             500, 1, 46,
         )
         post = 1.0 / np.mean([f.predicted_mse for f in fs])
@@ -453,7 +471,7 @@ class TestLimitingAnchors:
         x = np.random.default_rng(77).exponential(size=10**6)
         reference = np.expm1(np.mean(np.log1p(r * x)))
         fs = _ensemble(
-            lambda ch: eq.mmse_dfe_conventional(ch, 1.0, 1.0 / r, 19), 400, 1, 45
+            lambda ch: synth("mmse-dfe", ch, 1.0, 1.0 / r, 19), 400, 1, 45
         )
         got = self.geometric_post(fs, unbias=False)
         # compare biased ratios: geometric mean of sx^2/mse vs e^{E ln(1+rX)}

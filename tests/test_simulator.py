@@ -68,6 +68,22 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="duplicate"):
             small_config(receivers=["zf-le", "zf-le"])
 
+    def test_fbf_len_bounded_by_block(self):
+        # L <= M-1 for conventional DFEs and L <= M/2 for widely linear ones,
+        # rejected before any cell runs
+        small_config(receivers=["mmse-dfe"], fbf_len=63)
+        small_config(receivers=["wl-mmse-dfe"], fbf_len=32)
+        small_config(receivers=["mmse-le"], fbf_len=600)  # LE has no FBF
+        for rx, length in (("mmse-dfe", 64), ("zf-dfe", 600), ("wl-zf-dfe", 33)):
+            with pytest.raises(ValueError, match="fbf_length"):
+                small_config(receivers=["zf-le", rx], fbf_len=length)
+
+    def test_max_blocks_fits_the_ordinal_field(self):
+        assert small_config(max_blocks=2**32).max_blocks == 2**32
+        for bad in (0, 2**32 + 1, 2**40):
+            with pytest.raises(ValueError, match="max_blocks"):
+                small_config(max_blocks=bad)
+
     def test_receiver_specs_carry_knobs(self):
         cfg = small_config(receivers=["mmse-dfe"], feedback="decision", fbf_len=3)
         (spec,) = cfg.receiver_specs()
@@ -213,6 +229,32 @@ class TestRunSweep:
         (row,) = sim.run_sweep(cfg).rows
         assert row.analytic_db == pytest.approx(10.0, abs=1e-9)
         assert row.post_snr_db == pytest.approx(10.0, abs=0.5)
+
+
+class TestTrialIndexPacking:
+    def test_redraws_fit_the_low_byte(self):
+        cfg = small_config()
+        spec = ReceiverSpec.from_name("mmse-le")
+        assert sim.run_block_with_retry(0, cfg, spec, 8.0, max_redraws=255)[3] == 0
+        with pytest.raises(ValueError, match="max_redraws"):
+            sim.run_block_with_retry(0, cfg, spec, 8.0, max_redraws=256)
+
+    def test_realizations_fit_the_ordinal_field(self):
+        cfg = small_config()
+        for bad in (0, 2**32 + 1):
+            with pytest.raises(ValueError, match="realizations"):
+                sim.measure_post_snr(cfg, 8.0, bad)
+
+    def test_cell_reproduces_from_its_trial_indices(self):
+        # a cell's blocks are run_block_with_retry at cell_hash | ordinal << 8
+        cfg = small_config(snr_db=[4.0], max_blocks=5)
+        (row,) = sim.run_sweep(cfg).rows
+        spec = cfg.receiver_specs()[0]
+        base = sim._cell_base(spec.name, 4.0)
+        outs = [sim.run_block_with_retry(base | k << 8, cfg, spec, 4.0)
+                for k in range(row.blocks)]
+        assert row.errors == sum(o[0] for o in outs)
+        assert row.bits == sum(o[1] for o in outs)
 
 
 class TestMeasurePostSnr:
