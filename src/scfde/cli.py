@@ -13,6 +13,7 @@ positional key=value arguments override the file. Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -23,13 +24,28 @@ from .selftest import run_selftest
 log = logging.getLogger("scfde.cli")
 
 
-def _setup_logging():
+@contextlib.contextmanager
+def _logging_to_stderr():
+    """Show scfde INFO records on the current sys.stderr for one call.
+
+    The handler leaves with the call, so it never writes to a stream that
+    was closed afterwards; a program that configured the "scfde" logger
+    itself keeps its handlers.
+    """
     root = logging.getLogger("scfde")
-    if not root.handlers:
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-        root.addHandler(handler)
-        root.setLevel(logging.INFO)
+    if root.handlers:
+        yield
+        return
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
 
 
 def _parse_overrides(pairs):
@@ -215,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _logging_to_stderr():
+            return args.func(args)
     except simulator.InsufficientRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

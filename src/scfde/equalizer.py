@@ -271,13 +271,8 @@ def equalize_dfe(filters: EqualizerFilters, received_freq, spec: ReceiverSpec,
     else:
         init, _ = modem.demod_hard(idft(z_f / one_plus_b), c)
         tail = init[filters.m - len(taps):]
-        z_hat, decided, _ = kernels.dd_feedback(
-            z_t.astype(np.complex128),
-            taps.astype(np.complex128),
-            tail.astype(np.complex128),
-            np.asarray(c.points, dtype=np.complex128),
-            bool(c.is_real),
-        )
+        z_hat, decided, _ = kernels.dd_feedback(z_t, taps, tail, c.points,
+                                                c.is_real)
     return z_hat, decided
 
 

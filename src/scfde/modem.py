@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import nearest_index
 from .numerics import dft
 
 
@@ -113,19 +114,12 @@ def precode(x_t) -> SymbolBlock:
 
 
 def demod_hard(z_t, c: Constellation):
-    """Nearest-point decisions; ties resolve to the lower point index.
-
-    Real alphabets are sliced on the real part only, since only real
-    noise moves a real-valued decision across its boundary.
+    """Nearest-point decisions by kernels.nearest_index: ties resolve to
+    the lower point index, real alphabets slice on the real part.
 
     Returns (symbols, bits).
     """
-    z = np.asarray(z_t)
-    if c.is_real:
-        d = np.abs(z.real[:, None] - c.points.real[None, :])
-    else:
-        d = np.abs(z[:, None] - c.points[None, :])
-    idx = np.argmin(d, axis=1)  # first minimum = lowest index
+    idx = nearest_index(z_t, c.points, c.is_real)
     return c.points[idx], c.bit_labels[idx].ravel()
 
 

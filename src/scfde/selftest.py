@@ -245,6 +245,9 @@ def run_selftest():
         except AssertionError as exc:
             detail = str(exc)
             passed = False
+        except Exception as exc:  # a crashing suite is a failed suite
+            detail = f"{type(exc).__name__}: {exc}"
+            passed = False
         results.append(SuiteResult(name, passed, detail,
                                    time.monotonic() - start))
     return results

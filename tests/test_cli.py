@@ -1,6 +1,9 @@
 """Command-line front end: subcommands, exit codes, outputs."""
 
+import io
 import json
+import logging
+import sys
 
 import pytest
 
@@ -188,3 +191,15 @@ class TestPostSnr:
 
     def test_rejects_bad_override(self, capsys):
         assert main(["post-snr", "--snr", "10", "bogus=1"]) == 2
+
+
+def test_log_handler_does_not_outlive_main(monkeypatch, capsys):
+    # main() must not leave a handler bound to a stream that is closed
+    # after the call; a later record would print "--- Logging error ---"
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stream)
+    assert main(["limits", "--nr", "2", "--receiver", "wl-zf-le"]) == 0
+    monkeypatch.undo()
+    stream.close()
+    logging.getLogger("scfde.simulator").warning("record after main")
+    assert "Logging error" not in capsys.readouterr().err

@@ -3,6 +3,8 @@
 import time
 
 import scfde.analytics
+import scfde.kernels
+from scfde.cli import main
 from scfde.selftest import SUITE_NAMES, run_selftest
 
 
@@ -44,3 +46,20 @@ def test_failure_detail_mentions_what_broke(monkeypatch):
     row = results["limit-table"]
     assert not row.passed
     assert row.detail  # carries the mismatch description
+
+
+def test_crashing_kernel_fails_named_suites(monkeypatch, capsys):
+    # a suite that raises something other than AssertionError is reported
+    # as a failed result, and the CLI prints it and exits 1
+    def broken(autocov, order):
+        raise IndexError("tap index out of range")
+
+    monkeypatch.setattr(scfde.kernels, "levinson_recursion", broken)
+    results = {r.name: r for r in run_selftest()}
+    for name in ("levinson-vs-dense", "fbf-whitening", "predicted-mse-monotone"):
+        assert not results[name].passed
+        assert results[name].detail == "IndexError: tap index out of range"
+    assert results["dft-roundtrip"].passed
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL levinson-vs-dense" in out
