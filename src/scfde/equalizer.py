@@ -10,21 +10,25 @@ past symbols through b removes the ISI that (1 + b) re-introduces.
 
 The widely linear variants additionally exploit that a real alphabet
 makes x(M-k) = x*(k): each subcarrier gets a second, conjugated look at
-the frequency-reversed observation, the combined spectrum
-S(k) = ||h(k)||^2 + ||h(M-k)||^2 is even, the prediction problem turns
-real-coefficient, and the equalized time block comes out real.
+the frequency-reversed observation. Their filter is the conventional one
+with the combined spectrum S(k) = ||h(k)||^2 + ||h(M-k)||^2 in the
+denominator, and the second look adds conj(z(M-k)) to each output z(k);
+since idft(z(k) + conj(z(M-k))) = 2 Re(idft(z)), a widely linear block is
+the conventional construction on S plus a real part. S is even, so the
+prediction problem turns real-coefficient and the feedback taps are real.
 
 ZF synthesis runs on the noise-free spectrum (optionally guarded by
 zf_epsilon); sigma_n_sq enters only the predicted-mse bookkeeping so the
 filters themselves stay noise-independent.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, modem
-from .numerics import cosine_transform, dft, idft, levinson_complex, levinson_real
+from .numerics import dft, idft, levinson_complex
 
 __all__ = [
     "RECEIVER_NAMES",
@@ -80,8 +84,10 @@ class ReceiverSpec:
             raise ValueError("dfe needs fbf_length >= 1")
         if self.feedback_mode not in ("ideal_genie", "decision_directed"):
             raise ValueError(f"unknown feedback mode {self.feedback_mode!r}")
-        if self.zf_epsilon < 0:
-            raise ValueError("zf_epsilon must be >= 0")
+        if not 0 <= self.zf_epsilon < math.inf:
+            raise ValueError(
+                f"zf_epsilon must be finite and >= 0, got {self.zf_epsilon!r}"
+            )
 
     @property
     def name(self) -> str:
@@ -127,9 +133,9 @@ class ReceiverSpec:
 class EqualizerFilters:
     """Synthesized filters plus their design-time error statistics.
 
-    fff rows are per-subcarrier: (m, n_r) conventional, (m, 2 n_r) widely
-    linear where columns [n_r:] at index k equal the conjugate of columns
-    [:n_r] at index M-k. fbf_taps holds b_t(1..L), real for the widely
+    fff is (m, n_r), one row per subcarrier, for both families: a
+    conventional receiver outputs idft of the filtered spectrum, a widely
+    linear one 2 Re(idft(...)). fbf_taps holds b_t(1..L), real for the widely
     linear family. predicted_mse is the design MSE at the slicer and
     bias_factor the signal gain there (MMSE filters are biased).
     """
@@ -144,10 +150,6 @@ class EqualizerFilters:
     sigma_x_sq: float
     m: int
     n_r: int
-
-
-def _reversal_index(m: int) -> np.ndarray:
-    return (m - np.arange(m)) % m
 
 
 def _one_plus_b(taps, m) -> np.ndarray:
@@ -179,11 +181,7 @@ def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilte
     widely_linear = spec.family == "widely-linear"
     fbf_length = spec.fbf_length
     gains = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
-    if widely_linear:
-        rev = _reversal_index(ch.m)
-        signal = gains + gains[rev]
-    else:
-        signal = gains
+    signal = gains + gains[-np.arange(ch.m)] if widely_linear else gains  # g(M-k)
     denom = signal + reg
     if denom.min() <= 0:
         k = int(np.argmin(denom))
@@ -191,21 +189,17 @@ def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilte
             f"subcarrier {k} has zero channel energy and zf_epsilon=0"
         )
     if spec.structure == "dfe":
-        if widely_linear:
-            taps, _ = levinson_real(cosine_transform(1.0 / denom)[: fbf_length + 1],
-                                    fbf_length)
+        autocov = idft(1.0 / denom)[: fbf_length + 1]
+        if widely_linear:  # even spectrum: real autocovariance, real taps
+            taps, _ = levinson_complex(autocov.real, fbf_length)
+            taps = taps.real
         else:
-            taps, _ = levinson_complex(idft(1.0 / denom)[: fbf_length + 1],
-                                       fbf_length)
+            taps, _ = levinson_complex(autocov, fbf_length)
         one_plus_b = _one_plus_b(taps, ch.m)
     else:
         taps = np.zeros(0, dtype=float if widely_linear else complex)
         one_plus_b = np.ones(ch.m, dtype=complex)
-    first = one_plus_b[:, None] * np.conj(ch.freq_response.T) / denom[:, None]
-    if widely_linear:
-        fff = np.hstack([first, np.conj(first[rev])])
-    else:
-        fff = first
+    fff = one_plus_b[:, None] * np.conj(ch.freq_response.T) / denom[:, None]
     mse = sigma_n_sq * float(np.mean(np.abs(one_plus_b) ** 2 / denom))
     bias = float(np.real(np.mean(one_plus_b * signal / denom)))
     return EqualizerFilters(
@@ -228,48 +222,47 @@ def _filtered_spectrum(filters: EqualizerFilters, received_freq) -> np.ndarray:
         raise ValueError(
             f"received block must have shape {(filters.n_r, filters.m)}, got {y.shape}"
         )
-    n_r = filters.n_r
-    z = np.einsum("kr,rk->k", filters.fff[:, :n_r], y)
-    if filters.family == "widely-linear":
-        rev = _reversal_index(filters.m)
-        z = z + np.einsum("kr,rk->k", filters.fff[:, n_r:], np.conj(y[:, rev]))
-    return z
+    return np.einsum("kr,rk->k", filters.fff, y)
+
+
+def _time_block(filters: EqualizerFilters, spectrum) -> np.ndarray:
+    """Time-domain block of a filtered spectrum: idft, and for the widely
+    linear family 2 Re(idft), which adds the conjugate mirrored look."""
+    z = idft(spectrum)
+    return 2.0 * z.real if filters.family == "widely-linear" else z
 
 
 def equalize_le(filters: EqualizerFilters, received_freq) -> np.ndarray:
     """Apply the feed-forward filter and return the time-domain block."""
-    return idft(_filtered_spectrum(filters, received_freq))
+    return _time_block(filters, _filtered_spectrum(filters, received_freq))
 
 
-def equalize_dfe(filters: EqualizerFilters, received_freq, spec: ReceiverSpec,
-                 genie_symbols=None, c=None):
+def equalize_dfe(filters: EqualizerFilters, received_freq, c, genie_symbols=None):
     """Feed-forward filtering plus circular feedback subtraction.
 
-    Genie mode subtracts the true past symbols; decision-directed mode
-    runs the sequential slicer, with the wrapped tail (positions
-    M-L..M-1) initialized from hard decisions of the companion linear
-    equalizer, recovered in place by dividing the feed-forward spectrum
-    by (1 + b(k)). Returns (z_hat_t, decided_symbols).
+    Given genie_symbols, the true past symbols are subtracted (ideal
+    feedback). Otherwise the sequential slicer runs on constellation c,
+    with the wrapped tail (positions M-L..M-1) initialized from hard
+    decisions of the companion linear equalizer, recovered in place by
+    dividing the feed-forward spectrum by (1 + b(k)). Returns
+    (z_hat_t, decided_symbols).
     """
     if filters.structure != "dfe":
         raise ValueError("equalize_dfe needs filters synthesized for a dfe")
-    if c is None:
-        raise ValueError("equalize_dfe needs the constellation")
     if filters.family == "widely-linear" and not c.is_real:
         raise ValueError("widely linear receivers require a real constellation")
     z_f = _filtered_spectrum(filters, received_freq)
-    z_t = idft(z_f)
+    z_t = _time_block(filters, z_f)
     taps = np.asarray(filters.fbf_taps, dtype=complex)
     one_plus_b = _one_plus_b(taps, filters.m)
-    if spec.feedback_mode == "ideal_genie":
-        if genie_symbols is None:
-            raise ValueError("genie feedback needs the transmitted symbols")
+    if genie_symbols is not None:
         x = np.asarray(genie_symbols, dtype=complex)
         isi = idft((one_plus_b - 1.0) * dft(x))
-        z_hat = z_t - isi
+        # real taps on a real alphabet: the widely linear ISI is real
+        z_hat = z_t - (isi.real if filters.family == "widely-linear" else isi)
         decided, _ = modem.demod_hard(z_hat, c)
     else:
-        init, _ = modem.demod_hard(idft(z_f / one_plus_b), c)
+        init, _ = modem.demod_hard(_time_block(filters, z_f / one_plus_b), c)
         tail = init[filters.m - len(taps):]
         z_hat, decided, _ = kernels.dd_feedback(z_t, taps, tail, c.points,
                                                 c.is_real)

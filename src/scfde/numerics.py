@@ -67,22 +67,6 @@ def idft(x):
     return np.fft.ifft(_as_vector(x, "X").astype(np.complex128, copy=False))
 
 
-def cosine_transform(p):
-    """Average cosine transform, out(l) = (1/M) sum_k p(k) cos(2pi kl/M).
-
-    For the even-symmetric spectra this package feeds it (p(k) = p(M-k))
-    the result is the real autocovariance of the spectrum, i.e. the DCT-I
-    evaluation used by the widely linear feedback design. Implemented as
-    the real part of the inverse FFT, which is exact for real input.
-    """
-    arr = _as_vector(p, "p")
-    if arr.size < 2:
-        raise ValueError("cosine_transform needs at least 2 samples")
-    if np.iscomplexobj(arr):
-        raise ValueError("cosine_transform expects real input")
-    return np.fft.ifft(arr.astype(np.float64, copy=False)).real
-
-
 def _validated_autocov(autocov, order, name):
     arr = np.asarray(autocov)
     if order < 0:
@@ -113,19 +97,6 @@ def levinson_complex(autocov, order):
             "autocovariance is not positive definite"
         )
     return taps, float(errs[order])
-
-
-def levinson_real(autocov, order):
-    """levinson_complex for a real symmetric Toeplitz system Ab = -q.
-
-    Exactly-real input keeps every intermediate imaginary part at zero,
-    so the complex recursion is reused and the real parts returned.
-    """
-    arr = np.asarray(autocov)
-    if np.iscomplexobj(arr) and np.any(arr.imag != 0):
-        raise ValueError("levinson_real expects real input")
-    taps, err = levinson_complex(np.real(arr).astype(np.float64), order)
-    return taps.real, err
 
 
 def gaussian_complex(stream, n, variance):

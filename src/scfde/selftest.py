@@ -70,17 +70,17 @@ def _suite_levinson_vs_dense():
     worst = 0.0
     for n_r, order in ((1, 4), (2, 8), (1, 16)):
         ch = _random_channel(gen, n_r=n_r)
-        denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + 0.1
-        q = numerics.idft(1.0 / denom)
-        taps, mse = numerics.levinson_complex(q, order)
-        ref_taps, ref_mse = _dense_prediction(q, order)
-        worst = max(worst, float(np.max(np.abs(taps - ref_taps))),
-                    abs(mse - ref_mse))
-        qr = numerics.cosine_transform(1.0 / denom)
-        rtaps, rmse = numerics.levinson_real(qr, order)
-        rref, rref_mse = _dense_prediction(qr.astype(complex), order)
-        worst = max(worst, float(np.max(np.abs(rtaps - rref.real))),
-                    abs(rmse - rref_mse))
+        gains = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
+        q = numerics.idft(1.0 / (gains + 0.1))
+        # the widely linear autocovariance: real, from the even spectrum
+        qr = numerics.idft(1.0 / (gains + gains[-np.arange(ch.m)] + 0.1)).real
+        for seq in (q, qr):
+            taps, mse = numerics.levinson_complex(seq, order)
+            ref_taps, ref_mse = _dense_prediction(seq.astype(complex), order)
+            worst = max(worst, float(np.max(np.abs(taps - ref_taps))),
+                        abs(mse - ref_mse))
+        # taps now holds the solution for qr
+        assert not np.any(taps.imag), "real autocovariance gave complex taps"
     assert worst < 1e-8, f"Levinson vs dense solve differ by {worst:.3e}"
     return f"complex+real orders 4/8/16, worst residual {worst:.1e}"
 
@@ -119,18 +119,14 @@ def _suite_wl_reality():
     bits = gen.integers(0, 2, 128)
     block = precode(map_bits(bits, c))
     y = channel.apply_channel_freq(block.precoded, ch, 0.05, gen)
-    worst = 0.0
     filt = _synth("wl-mmse-le", ch, 0.05)
-    worst = max(worst, float(np.max(np.abs(
-        equalizer.equalize_le(filt, y).imag))))
     dfilt = _synth("wl-mmse-dfe", ch, 0.05, fbf_length=12)
-    spec = equalizer.ReceiverSpec("widely-linear", "mmse", "dfe",
-                                  fbf_length=12)
-    z, _ = equalizer.equalize_dfe(dfilt, y, spec,
-                                  genie_symbols=block.time_symbols, c=c)
-    worst = max(worst, float(np.max(np.abs(z.imag))))
-    assert worst < 1e-9, f"widely linear output has imag part {worst:.3e}"
-    return f"LE and DFE outputs real to {worst:.1e}"
+    outputs = (equalizer.equalize_le(filt, y),
+               equalizer.equalize_dfe(dfilt, y, c, block.time_symbols)[0],
+               equalizer.equalize_dfe(dfilt, y, c)[0])
+    worst = max(float(np.max(np.abs(np.imag(z)))) for z in outputs)
+    assert worst == 0.0, f"widely linear output has imag part {worst:.3e}"
+    return "LE, genie and decision DFE outputs exactly real"
 
 
 def _suite_zf_exactness():

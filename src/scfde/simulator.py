@@ -126,6 +126,8 @@ class SweepConfig:
             )
         if not self.snr_db:
             raise ValueError("snr grid is empty")
+        if not all(map(math.isfinite, self.snr_db)):
+            raise ValueError(f"snr grid must be finite: {self.snr_db}")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ValueError(f"snr grid must be strictly increasing: {self.snr_db}")
         if self.antennas < 1:
@@ -243,14 +245,11 @@ def run_block(trial_index: int, config: SweepConfig, receiver: ReceiverSpec,
     filters = synthesize(receiver, ch, 1.0, sigma_n_sq)
     if receiver.structure == "le":
         z = equalize_le(filters, y)
-        mse = float(np.mean(np.abs(z - block.time_symbols) ** 2))
     else:
-        genie = (receiver if receiver.feedback_mode == "ideal_genie"
-                 else replace(receiver, feedback_mode="ideal_genie"))
-        z, _ = equalize_dfe(filters, y, genie, genie_symbols=block.time_symbols, c=c)
-        mse = float(np.mean(np.abs(z - block.time_symbols) ** 2))
-        if receiver.feedback_mode == "decision_directed":
-            z, _ = equalize_dfe(filters, y, receiver, c=c)
+        z, _ = equalize_dfe(filters, y, c, block.time_symbols)
+    mse = float(np.mean(np.abs(z - block.time_symbols) ** 2))
+    if receiver.structure == "dfe" and receiver.feedback_mode == "decision_directed":
+        z, _ = equalize_dfe(filters, y, c)
     _, rx_bits = demod_hard(z, c)
     return count_bit_errors(tx_bits, rx_bits), int(tx_bits.size), mse
 
@@ -308,6 +307,14 @@ def _cell_blocks(cell: str, snr_db: float, run, max_blocks: int,
         yield out
 
 
+def _post_snr_db(mses, criterion: str) -> float:
+    """sigma_x^2 / mean(mse) in dB, minus one for MMSE receivers (their
+    bias term); nan when that is not positive."""
+    post = 1.0 / (math.fsum(mses) / len(mses))
+    post -= 1.0 if criterion == "mmse" else 0.0
+    return float(10.0 * np.log10(post)) if post > 0 else float("nan")
+
+
 def _run_cell(config: SweepConfig, spec: ReceiverSpec, snr_db: float) -> SweepCell:
     errors = bits = blocks = redraws = 0
     mses = []
@@ -322,16 +329,13 @@ def _run_cell(config: SweepConfig, spec: ReceiverSpec, snr_db: float) -> SweepCe
         blocks += 1
         redraws += rd
         mses.append(mse)
-    mean_mse = math.fsum(mses) / blocks
-    post = 1.0 / mean_mse - (1.0 if spec.criterion == "mmse" else 0.0)
-    post_db = float(10.0 * np.log10(post)) if post > 0 else float("nan")
     return SweepCell(
         receiver=spec.name,
         snr_db=float(snr_db),
         bits=bits,
         errors=errors,
         ber=errors / bits,
-        post_snr_db=post_db,
+        post_snr_db=_post_snr_db(mses, spec.criterion),
         analytic_db=_analytic_db(spec, config, snr_db),
         blocks=blocks,
         redraws=redraws,
@@ -363,6 +367,8 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
     """
     if not 1 <= realizations <= _MAX_ORDINALS:
         raise ValueError("realizations must satisfy 1 <= realizations <= 2**32")
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     rows = []
     for spec in config.receiver_specs():
         genie = replace(spec, feedback_mode="ideal_genie")
@@ -372,10 +378,7 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
 
         mses = [out[2] for out in _cell_blocks(genie.name, snr_db, run,
                                                realizations)]
-        post = 1.0 / (math.fsum(mses) / len(mses))
-        if spec.criterion == "mmse":
-            post -= 1.0
-        post_db = float(10.0 * np.log10(post)) if post > 0 else float("nan")
+        post_db = _post_snr_db(mses, spec.criterion)
         analytic = _analytic_db(spec, config, snr_db)
         rows.append(
             PostSnrRow(

@@ -103,6 +103,10 @@ class TestBerSweep:
     @pytest.mark.parametrize("override, key", [
         (["receivers=zf-le,mmse-dfe", "fbf_len=600"], "fbf_length"),
         (["max_blocks=1099511627776"], "max_blocks"),
+        (["receivers=mmse-le", "snr=0,inf"], "finite"),
+        (["snr=nan"], "finite"),
+        (["snr=-inf,0"], "finite"),
+        (["receivers=zf-le", "zf_epsilon=nan"], "zf_epsilon"),
     ])
     def test_bad_config_exits_2_before_any_block(self, small_config, override,
                                                   key, monkeypatch, capsys):
@@ -191,6 +195,14 @@ class TestPostSnr:
 
     def test_rejects_bad_override(self, capsys):
         assert main(["post-snr", "--snr", "10", "bogus=1"]) == 2
+
+    def test_non_finite_snr_exits_2_before_any_block(self, monkeypatch, capsys):
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block ran before the snr was rejected")
+
+        monkeypatch.setattr("scfde.simulator.run_block", no_blocks)
+        assert main(["post-snr", "--snr", "nan", "receivers=zf-le", "m=64"]) == 2
+        assert "snr_db must be finite" in capsys.readouterr().err
 
 
 def test_log_handler_does_not_outlive_main(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Filter synthesis and application for all eight receiver variants.
 
-Oracles: dense Toeplitz solves for the feedback taps, a Monte Carlo
+Oracles: dense Toeplitz solves for the feedback taps, the two-look
+widely linear construction on y(k) and conj(y(M-k)), a Monte Carlo
 log-average for the MMSE-DFE output SNR, and the closed-form limiting
 constants 0.5616 / 1.5265 / 3.512 that the synthesized filters must
 approach over a channel ensemble.
@@ -8,13 +9,17 @@ approach over a channel ensemble.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfde import equalizer as eq
+from scfde import kernels
 from scfde.channel import ChannelRealization, apply_channel_freq, draw_channel
-from scfde.modem import constellation, map_bits, precode
+from scfde.modem import constellation, demod_hard, map_bits, precode
 from scfde.numerics import RngStream, dft, idft
 
 EGAMMA = 0.5772156649015329
+PROPERTY = settings(deadline=None, derandomize=True)
 
 
 def flat_channel(m, n_r=1, gain=1.0 + 0j):
@@ -219,12 +224,8 @@ class TestConventionalDfe:
         ch = draw_channel(RngStream(29, 0), 1, 20, 128)
         block = bpsk_block(128, 2)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
-        spec = eq.ReceiverSpec.from_name("zf-dfe", fbf_length=19, zf_epsilon=0.0)
         f = synth("zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
-        z, dec = eq.equalize_dfe(
-            f, y, spec, genie_symbols=block.time_symbols,
-            c=constellation("bpsk"),
-        )
+        z, dec = eq.equalize_dfe(f, y, constellation("bpsk"), block.time_symbols)
         err = np.linalg.norm(z - block.time_symbols) / np.linalg.norm(
             block.time_symbols
         )
@@ -236,21 +237,11 @@ class TestConventionalDfe:
         block = bpsk_block(256, 3)
         y = apply_channel_freq(block.precoded, ch, 1e-6, RngStream(30, 1))
         f = synth("mmse-dfe", ch, 1.0, 1e-6, 20)
-        sg = eq.ReceiverSpec.from_name("mmse-dfe", feedback_mode="genie")
-        sd = eq.ReceiverSpec.from_name("mmse-dfe", feedback_mode="decision")
         c = constellation("bpsk")
-        zg, _ = eq.equalize_dfe(f, y, sg, genie_symbols=block.time_symbols, c=c)
-        zd, dd = eq.equalize_dfe(f, y, sd, c=c)
+        zg, _ = eq.equalize_dfe(f, y, c, block.time_symbols)
+        zd, dd = eq.equalize_dfe(f, y, c)
         np.testing.assert_allclose(zd, zg, atol=1e-9)
         np.testing.assert_array_equal(dd, block.time_symbols)
-
-    def test_genie_requires_symbols(self):
-        ch = flat_channel(32)
-        f = synth("mmse-dfe", ch, 1.0, 0.5, 4)
-        spec = eq.ReceiverSpec.from_name("mmse-dfe")
-        with pytest.raises(ValueError, match="genie"):
-            eq.equalize_dfe(f, np.ones((1, 32), complex), spec,
-                            c=constellation("bpsk"))
 
     def test_length_bounds(self):
         ch = flat_channel(16)
@@ -269,12 +260,54 @@ class TestWidelyLinear:
         z = eq.equalize_le(f, apply_channel_freq(block.precoded, ch, 0.0, None))
         np.testing.assert_allclose(z, block.time_symbols * 2 / 2.5, atol=1e-12)
 
-    def test_fff_shape_and_pairing(self):
-        ch = draw_channel(RngStream(31, 0), 2, 20, 128)
-        f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 8)
-        assert f.fff.shape == (128, 4)
-        rev = (128 - np.arange(128)) % 128
-        np.testing.assert_allclose(f.fff[:, 2:], np.conj(f.fff[rev, :2]), atol=1e-14)
+    @given(data=st.data(), n_r=st.integers(1, 3), m=st.integers(4, 96),
+           seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-5.0, 30.0),
+           criterion=st.sampled_from(["zf", "mmse"]))
+    @PROPERTY
+    def test_matches_two_look_oracle(self, data, n_r, m, seed, snr_db, criterion):
+        # the paper's construction: filter [w(k), conj(w(M-k))] applied to
+        # [y(k), conj(y(M-k))], with w built from the channel and the taps
+        v = data.draw(st.integers(1, m), label="v")
+        fbf_length = data.draw(st.integers(1, m // 2), label="L")
+        sigma_n_sq = 10.0 ** (-snr_db / 10.0)
+        c = constellation("bpsk")
+        ch = draw_channel(RngStream(seed, 0), n_r, v, m)
+        block = bpsk_block(m, seed)
+        x = block.time_symbols
+        y = apply_channel_freq(block.precoded, ch, sigma_n_sq, RngStream(seed, 1))
+        rev = (m - np.arange(m)) % m
+        g = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
+        denom = g + g[rev] + (sigma_n_sq if criterion == "mmse" else 1e-12)
+        looks = np.vstack([y, np.conj(y[:, rev])])
+
+        def two_look(f):
+            assert f.fff.shape == (m, n_r)
+            b = np.concatenate([f.fbf_taps, np.zeros(m - 1 - len(f.fbf_taps))])
+            one_plus_b = dft(np.concatenate([[1.0], b]))
+            w = one_plus_b[:, None] * np.conj(ch.freq_response.T) / denom[:, None]
+            np.testing.assert_allclose(f.fff, w, rtol=1e-12)
+            stacked = np.hstack([w, np.conj(w[rev])])
+            return np.einsum("kr,rk->k", stacked, looks), one_plus_b
+
+        def assert_matches(z, ref):
+            assert np.all(np.imag(z) == 0)
+            assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        le = synth(f"wl-{criterion}-le", ch, 1.0, sigma_n_sq)
+        z_f, _ = two_look(le)
+        assert_matches(eq.equalize_le(le, y), idft(z_f))
+
+        dfe = synth(f"wl-{criterion}-dfe", ch, 1.0, sigma_n_sq, fbf_length)
+        z_f, one_plus_b = two_look(dfe)
+        genie = idft(z_f) - idft((one_plus_b - 1.0) * dft(x))
+        assert_matches(eq.equalize_dfe(dfe, y, c, x)[0], genie)
+        init, _ = demod_hard(idft(z_f / one_plus_b), c)
+        ref, ref_dec, _ = kernels.dd_feedback(
+            idft(z_f), dfe.fbf_taps.astype(complex), init[m - fbf_length:],
+            c.points, True)
+        z, dec = eq.equalize_dfe(dfe, y, c)
+        assert_matches(z, ref)
+        np.testing.assert_array_equal(dec, ref_dec)
 
     def test_fbf_taps_real(self):
         ch = draw_channel(RngStream(32, 0), 1, 20, 256)
@@ -289,10 +322,7 @@ class TestWidelyLinear:
             z = eq.equalize_le(f, y)
             assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
         fd = synth("wl-mmse-dfe", ch, 1.0, 0.3, 20)
-        spec = eq.ReceiverSpec.from_name("wl-mmse-dfe")
-        z, _ = eq.equalize_dfe(
-            fd, y, spec, genie_symbols=block.time_symbols, c=constellation("bpsk")
-        )
+        z, _ = eq.equalize_dfe(fd, y, constellation("bpsk"), block.time_symbols)
         assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
 
     def test_zf_noiseless_exact(self):
@@ -303,10 +333,7 @@ class TestWidelyLinear:
         z = eq.equalize_le(fle, y)
         assert np.linalg.norm(z - block.time_symbols) < 1e-9 * np.linalg.norm(z)
         fdfe = synth("wl-zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
-        spec = eq.ReceiverSpec.from_name("wl-zf-dfe", zf_epsilon=0.0)
-        zd, _ = eq.equalize_dfe(
-            fdfe, y, spec, genie_symbols=block.time_symbols, c=constellation("bpsk")
-        )
+        zd, _ = eq.equalize_dfe(fdfe, y, constellation("bpsk"), block.time_symbols)
         assert np.linalg.norm(zd - block.time_symbols) < 1e-9 * np.linalg.norm(zd)
 
     def test_mmse_approaches_zf(self):
@@ -345,10 +372,8 @@ class TestWidelyLinear:
     def test_complex_constellation_rejected(self):
         ch = flat_channel(32)
         f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 4)
-        spec = eq.ReceiverSpec.from_name("wl-mmse-dfe", feedback_mode="decision")
         with pytest.raises(ValueError, match="real"):
-            eq.equalize_dfe(f, np.ones((1, 32), complex), spec,
-                            c=constellation("8psk"))
+            eq.equalize_dfe(f, np.ones((1, 32), complex), constellation("8psk"))
 
     def test_mmse_rejects_zero_noise(self):
         with pytest.raises(ValueError):
@@ -364,8 +389,7 @@ class TestDispatcher:
             assert f.family == spec.family
             assert f.criterion == spec.criterion
             assert f.structure == spec.structure
-            width = 4 if spec.family == "widely-linear" else 2
-            assert f.fff.shape == (64, width)
+            assert f.fff.shape == (64, ch.n_r)
             assert f.predicted_mse > 0
 
     def test_matches_direct_call(self):

@@ -12,12 +12,10 @@ from scipy import integrate
 from scfde.numerics import (
     ConditioningError,
     RngStream,
-    cosine_transform,
     dft,
     gaussian_complex,
     idft,
     levinson_complex,
-    levinson_real,
     q_function,
 )
 
@@ -72,40 +70,6 @@ class TestDft:
             idft(np.array([]))
 
 
-class TestCosineTransform:
-    def test_flat_spectrum_is_impulse(self):
-        # sigma_n^2 / P(k) = 0.25 for all k -> lag 0 only
-        out = cosine_transform(np.full(8, 0.25))
-        np.testing.assert_allclose(out[0], 0.25, rtol=1e-12)
-        np.testing.assert_allclose(out[1:], 0.0, atol=1e-14)
-
-    def test_even_symmetric_matches_cosine_sum(self):
-        m = 64
-        half = RNG.uniform(0.5, 2.0, m // 2 + 1)
-        p = np.concatenate([half, half[-2:0:-1]])  # p(k) = p(M-k)
-        assert len(p) == m
-        l = np.arange(m)
-        oracle = np.array(
-            [np.sum(p * np.cos(2 * np.pi * np.arange(m) * li / m)) / m for li in l]
-        )
-        out = cosine_transform(p)
-        np.testing.assert_allclose(out, oracle, rtol=1e-10, atol=1e-12)
-
-    def test_two_tap_channel_spectrum(self):
-        # |1 + 0.5 e^{-j w}|^2 sampled on the grid; q comes from the cosine sum
-        m = 32
-        k = np.arange(m)
-        p = np.abs(1 + 0.5 * np.exp(-2j * np.pi * k / m)) ** 2
-        oracle = np.array(
-            [np.sum(p * np.cos(2 * np.pi * k * li / m)) / m for li in range(m)]
-        )
-        np.testing.assert_allclose(cosine_transform(p), oracle, rtol=1e-10, atol=1e-12)
-
-    def test_short_input_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_transform([1.0])
-
-
 def dense_toeplitz_solve(q, order):
     """Oracle: build A(l,m) = q(m-l) explicitly and solve A b* = -q*."""
     q = np.asarray(q, dtype=complex)
@@ -131,13 +95,14 @@ class TestLevinson:
         assert err == pytest.approx(0.75)
 
     def test_real_order_one(self):
-        taps, err = levinson_real([1.0, 0.5], 1)
-        assert taps.dtype.kind == "f"
+        taps, err = levinson_complex(np.array([1.0, 0.5]), 1)
+        assert not np.any(taps.imag)  # real input keeps every step real
         np.testing.assert_allclose(taps, [-0.5], atol=1e-15)
         assert err == pytest.approx(0.75)
 
     def test_real_white(self):
-        taps, _ = levinson_real([1.0, 0.0], 1)
+        taps, _ = levinson_complex(np.array([1.0, 0.0]), 1)
+        assert not np.any(taps.imag)
         np.testing.assert_allclose(taps, [0.0], atol=1e-15)
 
     @pytest.mark.parametrize("order", [1, 8, 19, 64])
@@ -160,9 +125,10 @@ class TestLevinson:
         spec = np.concatenate([half, half[-2:0:-1]])
         q = np.fft.ifft(spec).real
         order = 19
-        taps, err = levinson_real(q[: order + 1], order)
+        taps, err = levinson_complex(q[: order + 1], order)
+        assert not np.any(taps.imag)
         oracle = dense_toeplitz_solve(q, order).real
-        np.testing.assert_allclose(taps, oracle, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(taps.real, oracle, rtol=1e-8, atol=1e-10)
         assert err > 0
 
     def test_error_non_increasing_in_order(self):
