@@ -17,7 +17,6 @@ __all__ = [
     "draw_channel",
     "apply_channel_time",
     "apply_channel_freq",
-    "mfb_snr",
 ]
 
 
@@ -85,16 +84,3 @@ def apply_channel_freq(x_f: np.ndarray, channel: ChannelRealization,
                                  channel.m * sigma_n_sq)
         y = y + noise.reshape(channel.n_r, channel.m)
     return y
-
-
-def mfb_snr(channel: ChannelRealization, sigma_x_sq: float,
-            sigma_n_sq: float) -> float:
-    """Matched filter bound on post-combining SNR for this realization.
-
-    Ideal maximum ratio combining over all taps and antennas collects
-    the full channel energy: snr = (sigma_x^2 / sigma_n^2) * sum |h|^2.
-    """
-    if sigma_n_sq <= 0:
-        raise ValueError("noise variance must be positive")
-    energy = float(np.sum(np.abs(channel.taps) ** 2))
-    return sigma_x_sq / sigma_n_sq * energy

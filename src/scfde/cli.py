@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import sys
 
 from . import analytics, simulator
@@ -149,6 +150,13 @@ def cmd_gap(args) -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
     config = simulator.SweepConfig.from_dict(doc["config"])
+    for row in doc["rows"]:
+        try:
+            ok = math.isfinite(row["snr_db"]) and 0 <= row["ber"] <= 1
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"row needs a finite snr_db and a ber in [0, 1]: {row}")
     reference = simulator.mfb_reference_curve(
         config, per_realization=args.per_realization)
     gaps = []
@@ -222,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON sweep output from ber-sweep --format json")
     gap.add_argument("--target-ber", type=float, required=True)
     gap.add_argument("--per-realization", action="store_true",
-                     help="use the finite-channel MFB curve as reference")
+                     help="closed-form MFB averaged over the config's n_r x v "
+                          "channel energy (default: its v -> inf limit, AWGN "
+                          "at n_r r, for every alphabet)")
     gap.set_defaults(func=cmd_gap)
 
     selftest = sub.add_parser("selftest", help="fast invariant battery")

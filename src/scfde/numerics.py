@@ -1,4 +1,4 @@
-"""Transforms, Toeplitz prediction solvers, seeded RNG streams, Q function.
+"""Transforms, Toeplitz prediction solvers, seeded RNG streams.
 
 Conventions used throughout the package: the forward transform is
 X(k) = sum_l x(l) exp(-j2πkl/M) and the inverse carries the 1/M, so a
@@ -10,7 +10,6 @@ handle and every trial builds its own.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import kernels
 
@@ -106,8 +105,3 @@ def gaussian_complex(stream, n, variance):
     rng = as_generator(stream)
     scale = np.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
-def q_function(x):
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))

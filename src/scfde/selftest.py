@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import analytics, channel, equalizer, numerics
 from .modem import constellation, demod_hard, map_bits, precode
@@ -58,8 +57,8 @@ def _suite_dft_roundtrip():
 def _dense_prediction(q, order):
     # normal equations sum_m q(l-m) b(m) = -q(l), l=1..order
     col = q[1:order + 1]
-    top = np.conj(q[:order])
-    mat = scipy.linalg.toeplitz(q[:order], top)
+    lag = np.subtract.outer(np.arange(order), np.arange(order))
+    mat = np.where(lag >= 0, q[np.abs(lag)], np.conj(q[np.abs(lag)]))
     taps = np.linalg.solve(mat, -col)
     mse = float(np.real(q[0] + np.sum(taps * np.conj(col))))
     return taps, mse

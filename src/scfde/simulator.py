@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analytics import limit_snr
-from .channel import apply_channel_freq, draw_channel, mfb_snr
+from .analytics import limit_snr, mfb_ber
+from .channel import apply_channel_freq, draw_channel
 from .equalizer import (
     ReceiverSpec,
     SingularChannelError,
@@ -37,7 +37,7 @@ from .equalizer import (
     synthesize,
 )
 from .modem import constellation, count_bit_errors, demod_hard, map_bits, precode
-from .numerics import RngStream, q_function
+from .numerics import RngStream
 
 __all__ = [
     "SweepConfig",
@@ -393,60 +393,21 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
     return tuple(rows)
 
 
-def _simulated_mfb_point(config: SweepConfig, snr_db: float) -> float:
-    """Matched-filter receiver: ISI-free AWGN at each realization's MFB SNR."""
-    c = constellation(config.constellation)
-    sigma_n_sq = 10.0 ** (-snr_db / 10.0)
-
-    def run(trial_index):
-        gen = RngStream(config.master_seed, trial_index).generator()
-        tx_bits = gen.integers(0, 2, config.block_size * c.bits_per_symbol)
-        x_t = map_bits(tx_bits, c)
-        ch = draw_channel(gen, config.antennas, config.taps, config.block_size)
-        snr = mfb_snr(ch, 1.0, sigma_n_sq)
-        scale = np.sqrt(0.5 / snr)
-        noise = scale * (gen.standard_normal(x_t.size)
-                         + 1j * gen.standard_normal(x_t.size))
-        _, rx_bits = demod_hard(x_t + noise, c)
-        return count_bit_errors(tx_bits, rx_bits), tx_bits.size
-
-    outs = list(_cell_blocks("mfb", snr_db, run, config.max_blocks,
-                             config.min_bit_errors))
-    return sum(e for e, _ in outs) / sum(b for _, b in outs)
-
-
 def mfb_reference_curve(config: SweepConfig, snr_grid_db=None,
                         per_realization: bool = False) -> tuple:
-    """Matched filter bound BER curve on the grid.
+    """Matched filter bound BER curve on the grid, in closed form.
 
-    BPSK has the closed form Q(sqrt(2 N_r r)): the real-alphabet bound
-    2 N_r r and the half-power real noise cancel into the factor 2
-    inside the argument. per_realization instead averages that form over
-    drawn channel energies (the finite-v bound); other alphabets fall
-    back to simulating the matched-filter receiver.
+    per_realization averages the alphabet's AWGN BER over the channel
+    energy of the config's n_r antennas and v taps (the finite-v bound);
+    otherwise the curve is the v -> inf limit, AWGN at n_r r, for every
+    alphabet. Neither depends on the seed or the block budget; see
+    analytics.mfb_ber.
     """
     grid = config.snr_db if snr_grid_db is None else _parse_snr_grid(snr_grid_db)
-    points = []
-    if config.constellation == "bpsk" and not per_realization:
-        for snr_db in grid:
-            r = 10.0 ** (snr_db / 10.0)
-            points.append((float(snr_db), float(q_function(
-                np.sqrt(2.0 * config.antennas * r)))))
-    elif config.constellation == "bpsk":
-        gen = RngStream(config.master_seed, _cell_base("mfb-fading", 0.0)).generator()
-        energies = np.array([
-            np.sum(np.abs(draw_channel(gen, config.antennas, config.taps,
-                                       config.block_size).taps) ** 2)
-            for _ in range(2000)
-        ])
-        for snr_db in grid:
-            r = 10.0 ** (snr_db / 10.0)
-            points.append((float(snr_db),
-                           float(np.mean(q_function(np.sqrt(2.0 * r * energies))))))
-    else:
-        for snr_db in grid:
-            points.append((float(snr_db), _simulated_mfb_point(config, snr_db)))
-    return tuple(points)
+    ber = mfb_ber(config.constellation, config.antennas,
+                  10.0 ** (np.asarray(grid) / 10.0),
+                  config.taps if per_realization else None)
+    return tuple((float(s), float(b)) for s, b in zip(grid, ber))
 
 
 def _snr_at_target(curve, target_ber: float) -> float:

@@ -7,10 +7,13 @@ quadrature + Monte Carlo) before the module was written:
   e^{-beta + 11/6} = 3.5117611663394754
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from scfde import analytics as an
+from scfde.modem import constellation, count_bit_errors, demod_hard, map_bits
 
 DB = lambda x: 10 * np.log10(x)
 
@@ -208,3 +211,87 @@ class TestMmseDfeLimitMc:
     def test_monotone_in_r(self):
         vals = [an.mmse_dfe_limit_snr_mc(1, r, 10**5) for r in (0.5, 1.0, 2.0)]
         assert vals[0] < vals[1] < vals[2]
+
+
+_SYMBOLS = 100_000
+
+
+def _slicing_ber(name, snr, gen):
+    """Monte Carlo BER of demod_hard over _SYMBOLS symbols at per-symbol SNR
+    `snr` (a scalar or one value per symbol)."""
+    c = constellation(name)
+    bits = gen.integers(0, 2, _SYMBOLS * c.bits_per_symbol)
+    noise = np.sqrt(0.5 / snr) * (gen.standard_normal(_SYMBOLS)
+                                  + 1j * gen.standard_normal(_SYMBOLS))
+    _, rx = demod_hard(map_bits(bits, c) + noise, c)
+    return count_bit_errors(bits, rx) / bits.size
+
+
+def _within_binomial_bound(p, ber):
+    # 4 sigma of a binomial over symbols, not bits: the bits of one symbol
+    # may err together, which at most makes each symbol one Bernoulli(p) trial
+    return abs(ber - p) <= 4 * math.sqrt(p * (1 - p) / _SYMBOLS)
+
+
+def _bpsk_fading_exact(n_r, v, r):
+    """L-branch MRC: ((1-mu)/2)^L sum_k C(L-1+k, k) ((1+mu)/2)^k."""
+    big_l, gbar = n_r * v, r / v
+    mu = np.sqrt(gbar / (1 + gbar))
+    low = 0.5 / ((1 + gbar) * (1 + mu))  # (1 - mu)/2 without cancellation
+    return low ** big_l * sum(math.comb(big_l - 1 + k, k) * ((1 + mu) / 2) ** k
+                              for k in range(big_l))
+
+
+class TestMfbBer:
+    ALPHABETS = ("bpsk", "8psk", "16qam")
+
+    @pytest.mark.parametrize("name", ALPHABETS)
+    def test_awgn_matches_slicing(self, name):
+        gen = np.random.default_rng(20261018)
+        for snr_db in (-4.0, 3.0, 10.0):
+            r = 10 ** (snr_db / 10)
+            ber = _slicing_ber(name, r, gen)
+            assert _within_binomial_bound(an.mfb_ber(name, 1, r), ber), (snr_db, ber)
+
+    @pytest.mark.parametrize("name", ("8psk", "16qam"))
+    def test_fading_matches_gamma_energy(self, name):
+        gen = np.random.default_rng(7)
+        n_r, v = 2, 3
+        for snr_db in (4.0, 12.0):
+            r = 10 ** (snr_db / 10)
+            energy = gen.gamma(n_r * v, 1.0 / v, 100_000)
+            ber = _slicing_ber(name, r * energy, gen)
+            assert _within_binomial_bound(an.mfb_ber(name, n_r, r, v), ber), \
+                (snr_db, ber)
+
+    def test_bpsk_fading_is_the_mrc_sum(self):
+        for n_r, v in ((1, 1), (1, 20), (2, 20), (3, 8)):
+            for snr_db in np.arange(-5.0, 26.0, 2.5):
+                r = 10 ** (snr_db / 10)
+                exact = _bpsk_fading_exact(n_r, v, r)
+                assert an.mfb_ber("bpsk", n_r, r, v) == pytest.approx(exact, rel=1e-12)
+
+    def test_awgn_bpsk_is_q_function(self):
+        r = 10 ** (np.arange(-5.0, 13.0) / 10)
+        ref = [0.5 * math.erfc(math.sqrt(2 * x)) for x in r]  # Q(sqrt(2 n_r r))
+        np.testing.assert_allclose(an.mfb_ber("bpsk", 2, r), ref, rtol=1e-13)
+
+    @pytest.mark.parametrize("name", ALPHABETS)
+    def test_finite_v_falls_monotonically_to_limit(self, name):
+        r = 10 ** (np.arange(0.0, 21.0, 2.0) / 10)
+        limit = an.mfb_ber(name, 2, r)
+        curves = [an.mfb_ber(name, 2, r, v) for v in (1, 2, 4, 8, 20, 64, 256)]
+        for wider, narrower in zip(curves, curves[1:]):
+            assert np.all(narrower < wider)
+        assert np.all(curves[-1] > limit)
+        # (1 + x/v)^(-n_r v) = e^(-n_r x) (1 + O(n_r x^2 / v))
+        np.testing.assert_allclose(an.mfb_ber(name, 2, r, 2**30), limit, rtol=1e-4)
+
+    def test_shape_and_validation(self):
+        assert an.mfb_ber("16qam", 1, np.ones((2, 3)), 4).shape == (2, 3)
+        assert an.mfb_ber("8psk", 1, 1.0).shape == ()
+        for n_r, taps in ((0, None), (1, 0)):
+            with pytest.raises(ValueError):
+                an.mfb_ber("bpsk", n_r, 1.0, taps)
+        with pytest.raises(ValueError):
+            an.mfb_ber("qpsk", 1, 1.0)

@@ -3,6 +3,8 @@
 import io
 import json
 import logging
+import os
+import subprocess
 import sys
 
 import pytest
@@ -163,6 +165,25 @@ class TestGap:
         assert main(["gap", "--input", str(sweep), "--target-ber", "1e-9"]) == 3
         assert "span" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr, ber", [
+        (float("nan"), 0.01), (float("inf"), 0.01), (None, 0.01),
+        (4.0, float("nan")), (4.0, 1.5), (4.0, -0.1), (4.0, "0.01"),
+    ])
+    def test_bad_row_exits_2_before_interpolation(self, tmp_path, monkeypatch,
+                                                  capsys, snr, ber):
+        def no_curves(*args, **kwargs):
+            raise AssertionError("a curve was used before the rows were checked")
+
+        monkeypatch.setattr("scfde.simulator.mfb_reference_curve", no_curves)
+        monkeypatch.setattr("scfde.simulator.gap_at_ber", no_curves)
+        doc = {"config": {"receivers": "zf-le", "nr": 2, "v": 4, "m": 64},
+               "rows": [{"receiver": "zf-le", "snr_db": s, "ber": b}
+                        for s, b in ((0.0, 0.2), (snr, ber), (8.0, 0.001))]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gap", "--input", str(path), "--target-ber", "0.02"]) == 2
+        assert "finite snr_db and a ber in [0, 1]" in capsys.readouterr().err
+
 
 class TestSelftestCommand:
     def test_clean_build_passes(self, capsys):
@@ -215,3 +236,22 @@ def test_log_handler_does_not_outlive_main(monkeypatch, capsys):
     stream.close()
     logging.getLogger("scfde.simulator").warning("record after main")
     assert "Logging error" not in capsys.readouterr().err
+
+
+def test_run_path_imports_no_scipy():
+    # numpy is the only runtime dependency: importing the CLI and running a
+    # block and an MFB curve must not pull scipy back in
+    code = (
+        "import sys, scfde.cli\n"
+        "from scfde import simulator\n"
+        "cfg = simulator.SweepConfig(receivers='mmse-dfe', block_size=64, taps=4)\n"
+        "simulator.run_block(0, cfg, cfg.receiver_specs()[0], 6.0)\n"
+        "simulator.mfb_reference_curve(cfg, per_realization=True)\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(scfde.analytics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

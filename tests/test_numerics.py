@@ -1,13 +1,11 @@
-"""Numerics layer: transforms, Levinson solver, RNG streams, Q function.
+"""Numerics layer: transforms, Levinson solver, RNG streams.
 
 Expected values come from independent oracles: direct O(M^2) summation
-for the transforms, a dense Toeplitz solve for Levinson, and numerical
-integration of the Gaussian tail for Q.
+for the transforms and a dense Toeplitz solve for Levinson.
 """
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from scfde.numerics import (
     ConditioningError,
@@ -16,7 +14,6 @@ from scfde.numerics import (
     gaussian_complex,
     idft,
     levinson_complex,
-    q_function,
 )
 
 RNG = np.random.default_rng(20260815)
@@ -175,25 +172,3 @@ class TestRngAndGaussian:
     def test_bad_variance(self):
         with pytest.raises(ValueError):
             gaussian_complex(RngStream(1, 0), 4, 0.0)
-
-
-class TestQFunction:
-    def test_half_at_zero(self):
-        assert q_function(0.0) == pytest.approx(0.5)
-
-    def test_symmetry(self):
-        assert q_function(-1.3) == pytest.approx(1 - q_function(1.3), rel=1e-12)
-
-    def test_far_tail_underflows(self):
-        assert q_function(40.0) < 1e-300
-
-    def test_against_integration_oracle(self):
-        tail, _ = integrate.quad(
-            lambda t: np.exp(-t * t / 2) / np.sqrt(2 * np.pi), 1.2816, np.inf
-        )
-        assert q_function(1.2816) == pytest.approx(tail, rel=1e-9)
-        assert abs(q_function(1.2816) - 0.100) < 5e-4
-
-    def test_vectorized(self):
-        out = q_function(np.array([0.0, 1.2816]))
-        assert out.shape == (2,)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from scfde import simulator as sim
+from scfde.analytics import mfb_ber
 from scfde.equalizer import ReceiverSpec, SingularChannelError
 
 
@@ -289,28 +290,40 @@ class TestMfbCurve:
         ref = sim.mfb_reference_curve(cfg1, [4.0 + 10 * np.log10(2)])
         assert shifted[0][1] == pytest.approx(ref[0][1], rel=1e-9)
 
-    def test_per_realization_mean_snr(self):
-        # ensemble-mean per-realization MFB SNR = N_r * r
-        from scfde.channel import draw_channel, mfb_snr
-
-        rng = np.random.default_rng(55)
-        vals = [mfb_snr(draw_channel(rng, 2, 20, 64), 1.0, 0.1) for _ in range(4000)]
-        assert np.mean(vals) == pytest.approx(20.0, rel=0.02)
-
     def test_per_realization_curve_near_limit_curve(self):
-        cfg = small_config(taps=20, block_size=512)
-        limit = sim.mfb_reference_curve(cfg, [6.0])
-        finite = sim.mfb_reference_curve(cfg, [6.0], per_realization=True)
-        # fading spreads the bound upward at BER-relevant SNRs
-        assert finite[0][1] > limit[0][1]
-        assert finite[0][1] < 30 * limit[0][1]
+        # the finite-v bound sits above the v -> inf limit and falls to it
+        grid = [0.0, 6.0, 12.0]
+        limit = sim.mfb_reference_curve(small_config(), grid)
+        previous = None
+        for taps in (1, 4, 20, 512):
+            cfg = small_config(taps=taps, block_size=512)
+            finite = sim.mfb_reference_curve(cfg, grid, per_realization=True)
+            assert [s for s, _ in finite] == grid
+            assert all(b > ref for (_, b), (_, ref) in zip(finite, limit))
+            if previous is not None:
+                assert all(b < p for (_, b), (_, p) in zip(finite, previous))
+            previous = finite
 
-    def test_simulated_fallback_for_16qam(self):
-        cfg = small_config(constellation="16qam", min_bit_errors=100,
-                           max_blocks=2000)
-        curve = sim.mfb_reference_curve(cfg, [8.0, 14.0])
-        assert curve == sim.mfb_reference_curve(cfg, [8.0, 14.0])
-        assert 0 < curve[1][1] < curve[0][1] < 0.2
+    @pytest.mark.parametrize("name", ["bpsk", "8psk", "16qam"])
+    def test_curve_is_the_closed_form(self, name):
+        cfg = small_config(constellation=name, antennas=2, taps=6)
+        r = 10 ** (np.array(cfg.snr_db) / 10)
+        for per_realization, taps in ((False, None), (True, 6)):
+            curve = sim.mfb_reference_curve(cfg, per_realization=per_realization)
+            assert [s for s, _ in curve] == list(cfg.snr_db)
+            assert [b for _, b in curve] == list(mfb_ber(name, 2, r, taps))
+
+    @pytest.mark.parametrize("name", ["bpsk", "8psk", "16qam"])
+    def test_curve_ignores_seed_and_block_budget(self, name):
+        base = small_config(constellation=name)
+        others = [small_config(constellation=name, **kw) for kw in (
+            dict(master_seed=99), dict(max_blocks=1), dict(min_bit_errors=10**6),
+            dict(block_size=4096))]
+        for per_realization in (False, True):
+            curve = sim.mfb_reference_curve(base, per_realization=per_realization)
+            for cfg in others:
+                assert sim.mfb_reference_curve(
+                    cfg, per_realization=per_realization) == curve
 
 
 class TestGapAtBer:
