@@ -4,6 +4,10 @@ Each antenna sees an independent FIR channel of ``v`` equal-power
 Rayleigh taps (total unit average energy).  A cyclic prefix is assumed
 long enough that one transmitted block of ``m`` samples experiences a
 circular convolution, so the channel is diagonal in the DFT domain.
+
+Given a list of streams instead of one, draw_channel and
+apply_channel_freq serve a batch: row i of every array is drawn from
+streams[i] exactly as an unbatched call with that stream would draw it.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,8 @@ class ChannelRealization:
     """One channel draw: impulse responses and their transforms.
 
     taps has shape (n_r, v); freq_response has shape (n_r, m) where
-    row r is the m-point DFT of the zero-padded row of taps.
+    row r is the m-point DFT of the zero-padded row of taps. A batch of
+    draws puts a leading row axis on both.
     """
 
     taps: np.ndarray
@@ -36,14 +41,17 @@ class ChannelRealization:
 
 
 def draw_channel(stream, n_r: int, v: int, m: int) -> ChannelRealization:
-    """Draw an i.i.d. Rayleigh channel: taps are CN(0, 1/v) per antenna."""
+    """Draw an i.i.d. Rayleigh channel: taps are CN(0, 1/v) per antenna.
+
+    A list of streams draws one channel per stream.
+    """
     if n_r < 1:
         raise ValueError("need at least one receive antenna")
     if not 1 <= v <= m:
         raise ValueError(f"tap count must satisfy 1 <= v <= block size, got v={v} m={m}")
-    gen = as_generator(stream)
-    taps = gaussian_complex(gen, n_r * v, 1.0 / v).reshape(n_r, v)
-    freq = np.fft.fft(taps, n=m, axis=1)
+    taps = gaussian_complex(stream, n_r * v, 1.0 / v)
+    taps = taps.reshape(*taps.shape[:-1], n_r, v)
+    freq = np.fft.fft(taps, n=m, axis=-1)
     return ChannelRealization(taps=taps, freq_response=freq, n_r=n_r, v=v, m=m)
 
 
@@ -72,15 +80,18 @@ def apply_channel_freq(x_f: np.ndarray, channel: ChannelRealization,
     """Apply the channel in the DFT domain: y_r(k) = h_r(k) x(k) + n_r(k).
 
     The unnormalized DFT of unit-variance time noise has variance
-    m * sigma_n_sq per subcarrier, and that is what is added here.
+    m * sigma_n_sq per subcarrier, and that is what is added here. For a
+    batched channel x_f has one row per channel and stream is the list of
+    streams, one per row.
     """
     x_f = np.asarray(x_f, dtype=complex)
-    if x_f.shape != (channel.m,):
-        raise ValueError(f"block must have length {channel.m}, got {x_f.shape}")
-    y = channel.freq_response * x_f[None, :]
+    lead = channel.freq_response.shape[:-2]
+    if x_f.shape != (*lead, channel.m):
+        raise ValueError(f"block must have shape {(*lead, channel.m)}, "
+                         f"got {x_f.shape}")
+    y = channel.freq_response * x_f[..., None, :]
     if sigma_n_sq > 0:
-        gen = as_generator(stream)
-        noise = gaussian_complex(gen, channel.n_r * channel.m,
+        noise = gaussian_complex(stream, channel.n_r * channel.m,
                                  channel.m * sigma_n_sq)
-        y = y + noise.reshape(channel.n_r, channel.m)
+        y += noise.reshape(y.shape)
     return y

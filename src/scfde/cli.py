@@ -9,7 +9,9 @@ Subcommands:
 
 Configuration is a flat JSON file mirroring the sweep config keys;
 positional key=value arguments override the file. Exit codes: 0 success,
-2 bad arguments or config, 3 gap target outside the measured range.
+2 bad arguments, config or input, or an arithmetic failure of the run
+(a channel that stays singular, a prediction problem that loses positive
+definiteness), 3 gap target outside the measured range.
 """
 
 import argparse
@@ -149,6 +151,11 @@ def cmd_post_snr(args) -> int:
 def cmd_gap(args) -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
+    if not (isinstance(doc, dict) and isinstance(doc.get("config"), dict)
+            and isinstance(doc.get("rows"), list)):
+        raise ValueError(f"{args.input} must hold a JSON object with a "
+                         "'config' object and a 'rows' list, as ber-sweep "
+                         "--format json writes")
     config = simulator.SweepConfig.from_dict(doc["config"])
     for row in doc["rows"]:
         try:
@@ -248,7 +255,7 @@ def main(argv=None) -> int:
     except simulator.InsufficientRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

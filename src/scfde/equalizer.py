@@ -20,14 +20,20 @@ prediction problem turns real-coefficient and the feedback taps are real.
 ZF synthesis runs on the noise-free spectrum (optionally guarded by
 zf_epsilon); sigma_n_sq enters only the predicted-mse bookkeeping so the
 filters themselves stay noise-independent.
+
+A batched channel realization (a leading row axis, see channel) gives
+batched filters, and the equalizers then take one received block per
+row. Every step is elementwise or a transform over the last axis, so a
+row's outputs do not depend on the batch it ran in.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, modem
+from . import kernels
 from .numerics import dft, idft, levinson_complex
 
 __all__ = [
@@ -61,7 +67,15 @@ _FEEDBACK_MODES = {
 
 
 class SingularChannelError(ArithmeticError):
-    """Unregularized zero-forcing hit an exactly null subcarrier."""
+    """Unregularized zero-forcing hit an exactly null subcarrier.
+
+    rows holds the batch rows whose channel is singular, or is None when
+    the synthesis was not batched.
+    """
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -92,7 +106,8 @@ class ReceiverSpec:
     @property
     def name(self) -> str:
         base = f"{self.criterion}-{self.structure}"
-        return f"wl-{base}" if self.family == "widely-linear" else base
+        # interned: every result row stores it, so all rows share one string
+        return sys.intern(f"wl-{base}" if self.family == "widely-linear" else base)
 
     @classmethod
     def from_name(cls, name: str, fbf_length: int = 20,
@@ -136,8 +151,11 @@ class EqualizerFilters:
     fff is (m, n_r), one row per subcarrier, for both families: a
     conventional receiver outputs idft of the filtered spectrum, a widely
     linear one 2 Re(idft(...)). fbf_taps holds b_t(1..L), real for the widely
-    linear family. predicted_mse is the design MSE at the slicer and
-    bias_factor the signal gain there (MMSE filters are biased).
+    linear family, and one_plus_b the spectrum of the prediction-error
+    filter 1 + b (all ones for a linear equalizer). predicted_mse is the
+    design MSE at the slicer and bias_factor the signal gain there (MMSE
+    filters are biased). Filters of a batched channel carry a leading row
+    axis on each array and one predicted_mse and bias_factor per row.
     """
 
     family: str
@@ -145,6 +163,7 @@ class EqualizerFilters:
     structure: str
     fff: np.ndarray
     fbf_taps: np.ndarray
+    one_plus_b: np.ndarray
     predicted_mse: float
     bias_factor: float
     sigma_x_sq: float
@@ -153,11 +172,28 @@ class EqualizerFilters:
 
 
 def _one_plus_b(taps, m) -> np.ndarray:
-    poly = np.zeros(m, dtype=complex)
-    poly[0] = 1.0
-    if len(taps):
-        poly[1 : len(taps) + 1] = taps
+    taps = np.asarray(taps)
+    poly = np.zeros((*taps.shape[:-1], m), dtype=complex)
+    poly[..., 0] = 1.0
+    poly[..., 1 : taps.shape[-1] + 1] = taps
     return dft(poly)
+
+
+def _prediction_taps(denom, order, widely_linear):
+    """Order-L prediction-error taps for the residual spectrum 1/denom.
+
+    A function of its own so that the full inverse transform, of which
+    the recursion reads L+1 lags, is freed on return.
+    """
+    autocov = idft(1.0 / denom)[..., : order + 1]
+    if widely_linear:  # even spectrum: real autocovariance, real taps
+        return levinson_complex(autocov.real, order)[0].real
+    return levinson_complex(autocov, order)[0]
+
+
+def _per_row(x):
+    """A float for an unbatched synthesis, the row array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilters:
@@ -169,7 +205,8 @@ def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilte
     channel with spec.zf_epsilon as the only guard, and sigma_n_sq then
     only prices the residual-noise MSE. DFEs put an order-L
     prediction-error FBF behind that front end, real-tap for the widely
-    linear family.
+    linear family. A batched ch gives filters with one row per channel;
+    a singular row raises SingularChannelError naming the rows.
     """
     if spec.criterion == "mmse":
         if sigma_n_sq <= 0:
@@ -180,36 +217,44 @@ def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilte
     spec.check_fbf_length(ch.m)
     widely_linear = spec.family == "widely-linear"
     fbf_length = spec.fbf_length
-    gains = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
-    signal = gains + gains[-np.arange(ch.m)] if widely_linear else gains  # g(M-k)
+    gains = np.sum(np.abs(ch.freq_response) ** 2, axis=-2)
+    signal = gains + gains[..., -np.arange(ch.m)] if widely_linear else gains  # g(M-k)
     denom = signal + reg
-    if denom.min() <= 0:
-        k = int(np.argmin(denom))
+    singular = denom.min(axis=-1) <= 0
+    if np.any(singular):
+        rows = np.flatnonzero(singular) if singular.ndim else None
         raise SingularChannelError(
-            f"subcarrier {k} has zero channel energy and zf_epsilon=0"
+            "a subcarrier has zero channel energy and zf_epsilon=0"
+            + ("" if rows is None else f" in batch rows {rows.tolist()}"),
+            rows,
         )
     if spec.structure == "dfe":
-        autocov = idft(1.0 / denom)[: fbf_length + 1]
-        if widely_linear:  # even spectrum: real autocovariance, real taps
-            taps, _ = levinson_complex(autocov.real, fbf_length)
-            taps = taps.real
-        else:
-            taps, _ = levinson_complex(autocov, fbf_length)
+        taps = _prediction_taps(denom, fbf_length, widely_linear)
         one_plus_b = _one_plus_b(taps, ch.m)
     else:
-        taps = np.zeros(0, dtype=float if widely_linear else complex)
-        one_plus_b = np.ones(ch.m, dtype=complex)
-    fff = one_plus_b[:, None] * np.conj(ch.freq_response.T) / denom[:, None]
-    mse = sigma_n_sq * float(np.mean(np.abs(one_plus_b) ** 2 / denom))
-    bias = float(np.real(np.mean(one_plus_b * signal / denom)))
+        taps = np.zeros((*denom.shape[:-1], 0),
+                        dtype=float if widely_linear else complex)
+        one_plus_b = np.ones(denom.shape, dtype=complex)
+    # in place where the operand order allows, since a batch's arrays are
+    # large; the order decides the rounding
+    fff = np.conj(np.swapaxes(ch.freq_response, -1, -2))
+    np.multiply(one_plus_b[..., None], fff, out=fff)
+    fff /= denom[..., None]
+    error_gain = np.abs(one_plus_b) ** 2
+    error_gain /= denom
+    mse = sigma_n_sq * np.mean(error_gain, axis=-1)
+    signal_gain = one_plus_b * signal
+    signal_gain /= denom
+    bias = np.real(np.mean(signal_gain, axis=-1))
     return EqualizerFilters(
         family=spec.family,
         criterion=spec.criterion,
         structure=spec.structure,
         fff=fff,
         fbf_taps=taps,
-        predicted_mse=mse,
-        bias_factor=bias,
+        one_plus_b=one_plus_b,
+        predicted_mse=_per_row(mse),
+        bias_factor=_per_row(bias),
         sigma_x_sq=sigma_x_sq,
         m=ch.m,
         n_r=ch.n_r,
@@ -218,11 +263,10 @@ def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilte
 
 def _filtered_spectrum(filters: EqualizerFilters, received_freq) -> np.ndarray:
     y = np.asarray(received_freq, dtype=complex)
-    if y.shape != (filters.n_r, filters.m):
-        raise ValueError(
-            f"received block must have shape {(filters.n_r, filters.m)}, got {y.shape}"
-        )
-    return np.einsum("kr,rk->k", filters.fff, y)
+    shape = (*filters.fff.shape[:-2], filters.n_r, filters.m)
+    if y.shape != shape:
+        raise ValueError(f"received block must have shape {shape}, got {y.shape}")
+    return np.sum(filters.fff * np.swapaxes(y, -1, -2), axis=-1)
 
 
 def _time_block(filters: EqualizerFilters, spectrum) -> np.ndarray:
@@ -237,36 +281,47 @@ def equalize_le(filters: EqualizerFilters, received_freq) -> np.ndarray:
     return _time_block(filters, _filtered_spectrum(filters, received_freq))
 
 
-def equalize_dfe(filters: EqualizerFilters, received_freq, c, genie_symbols=None):
+def equalize_dfe(filters: EqualizerFilters, received_freq, c, genie_spectrum=None):
     """Feed-forward filtering plus circular feedback subtraction.
 
-    Given genie_symbols, the true past symbols are subtracted (ideal
-    feedback). Otherwise the sequential slicer runs on constellation c,
-    with the wrapped tail (positions M-L..M-1) initialized from hard
-    decisions of the companion linear equalizer, recovered in place by
-    dividing the feed-forward spectrum by (1 + b(k)). Returns
-    (z_hat_t, decided_symbols).
+    Given genie_spectrum, the precoded spectrum X(k) of the true symbols,
+    the feedback is ideal: the ISI b(k) X(k) that (1 + b) put into the
+    filtered spectrum is subtracted before the one inverse transform, and
+    no decision is made. Otherwise the sequential slicer runs on
+    constellation c, with the wrapped tail (positions M-L..M-1)
+    initialized from hard decisions of the companion linear equalizer,
+    recovered in place by dividing the feed-forward spectrum by
+    (1 + b(k)); only those L positions are sliced.
+
+    Returns (z_hat_t, decided): decided holds the indices into c.points
+    of the feedback pass's decisions, or is None under ideal feedback.
     """
     if filters.structure != "dfe":
         raise ValueError("equalize_dfe needs filters synthesized for a dfe")
     if filters.family == "widely-linear" and not c.is_real:
         raise ValueError("widely linear receivers require a real constellation")
     z_f = _filtered_spectrum(filters, received_freq)
+    if genie_spectrum is not None:
+        isi = (filters.one_plus_b - 1.0) * genie_spectrum
+        if filters.family == "widely-linear":
+            # 2 Re(idft) adds the mirrored conjugate of the Hermitian ISI
+            # spectrum, i.e. counts it twice
+            isi *= 0.5
+        return _time_block(filters, z_f - isi), None
+    tail = c.points[kernels.nearest_index(_linear_tail(filters, z_f), c.points,
+                                          c.is_real)]
     z_t = _time_block(filters, z_f)
-    taps = np.asarray(filters.fbf_taps, dtype=complex)
-    one_plus_b = _one_plus_b(taps, filters.m)
-    if genie_symbols is not None:
-        x = np.asarray(genie_symbols, dtype=complex)
-        isi = idft((one_plus_b - 1.0) * dft(x))
-        # real taps on a real alphabet: the widely linear ISI is real
-        z_hat = z_t - (isi.real if filters.family == "widely-linear" else isi)
-        decided, _ = modem.demod_hard(z_hat, c)
-    else:
-        init, _ = modem.demod_hard(_time_block(filters, z_f / one_plus_b), c)
-        tail = init[filters.m - len(taps):]
-        z_hat, decided, _ = kernels.dd_feedback(z_t, taps, tail, c.points,
-                                                c.is_real)
+    del z_f  # a batch's spectrum is large and the feedback pass does not read it
+    z_hat, _, decided = kernels.dd_feedback(z_t, filters.fbf_taps, tail, c.points,
+                                            c.is_real)
     return z_hat, decided
+
+
+def _linear_tail(filters: EqualizerFilters, z_f) -> np.ndarray:
+    """Last L outputs of the companion linear equalizer, as a copy, so that
+    the rest of its block is freed on return."""
+    start = filters.m - filters.fbf_taps.shape[-1]
+    return _time_block(filters, z_f / filters.one_plus_b)[..., start:].copy()
 
 
 def unbiased_post_snr(filters: EqualizerFilters, criterion=None) -> float:

@@ -96,19 +96,24 @@ class SymbolBlock:
 
 
 def map_bits(bits, c: Constellation) -> np.ndarray:
-    """Map a 0/1 sequence onto constellation symbols, MSB first per symbol."""
-    b = np.asarray(bits, dtype=np.int64).ravel()
-    if b.size % c.bits_per_symbol:
+    """Map 0/1 sequences onto constellation symbols, MSB first per symbol.
+
+    The last axis holds one block's bits; leading axes are a batch.
+    """
+    b = np.atleast_1d(np.asarray(bits, dtype=np.int64))
+    if b.shape[-1] % c.bits_per_symbol:
         raise ValueError(
-            f"bit count {b.size} not divisible by bits_per_symbol {c.bits_per_symbol}"
+            f"bit count {b.shape[-1]} not divisible by bits_per_symbol "
+            f"{c.bits_per_symbol}"
         )
-    groups = b.reshape(-1, c.bits_per_symbol)
+    groups = b.reshape(*b.shape[:-1], -1, c.bits_per_symbol)
     weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
     return c.points[c._label_to_index[groups @ weights]]
 
 
 def precode(x_t) -> SymbolBlock:
-    """Spread a symbol block with the forward transform (single-carrier precoding)."""
+    """Spread symbol blocks (last axis) with the forward transform
+    (single-carrier precoding)."""
     x_t = np.asarray(x_t, dtype=complex)
     return SymbolBlock(time_symbols=x_t, precoded=dft(x_t))
 
@@ -117,15 +122,25 @@ def demod_hard(z_t, c: Constellation):
     """Nearest-point decisions by kernels.nearest_index: ties resolve to
     the lower point index, real alphabets slice on the real part.
 
-    Returns (symbols, bits).
+    Returns (symbols, bits); the bits of each block (last axis of z_t) are
+    concatenated in symbol order.
     """
     idx = nearest_index(z_t, c.points, c.is_real)
-    return c.points[idx], c.bit_labels[idx].ravel()
+    return c.points[idx], index_bits(idx, c)
 
 
-def count_bit_errors(tx_bits, rx_bits) -> int:
-    a = np.asarray(tx_bits).ravel()
-    b = np.asarray(rx_bits).ravel()
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return int(np.count_nonzero(a != b))
+def index_bits(indices, c: Constellation) -> np.ndarray:
+    """The bits of the points at `indices`, concatenated over the last axis."""
+    idx = np.asarray(indices)
+    return c.bit_labels[idx].reshape(*idx.shape[:-1], -1)
+
+
+def count_bit_errors(tx_bits, rx_bits):
+    """Bit errors over the last axis: an int for one block, one count per
+    block for a batch."""
+    a = np.asarray(tx_bits)
+    b = np.asarray(rx_bits)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    errors = np.count_nonzero(a != b, axis=-1)
+    return int(errors) if a.ndim == 1 else errors

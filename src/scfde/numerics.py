@@ -3,8 +3,9 @@
 Conventions used throughout the package: the forward transform is
 X(k) = sum_l x(l) exp(-j2πkl/M) and the inverse carries the 1/M, so a
 white time-domain sequence of variance s has frequency-domain variance
-M s. All solvers are pure functions; RngStream is the only stateful
-handle and every trial builds its own.
+M s. Transforms and solvers act on the last axis, so a leading axis
+holds a batch of independent blocks. All solvers are pure functions;
+RngStream is the only stateful handle and every trial builds its own.
 """
 
 from dataclasses import dataclass
@@ -49,33 +50,36 @@ def as_generator(stream) -> np.random.Generator:
     raise ValueError(f"expected RngStream or Generator, got {type(stream).__name__}")
 
 
-def _as_vector(x, name):
+def _as_blocks(x, name):
     arr = np.asarray(x)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d sequence")
-    return arr
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ValueError(f"{name} must hold non-empty blocks along its last axis")
+    return arr.astype(np.complex128, copy=False)
 
 
 def dft(x):
-    """Forward M-point transform, X(k) = sum_l x(l) e^{-j2pi kl/M}."""
-    return np.fft.fft(_as_vector(x, "x").astype(np.complex128, copy=False))
+    """Forward M-point transform over the last axis,
+    X(k) = sum_l x(l) e^{-j2pi kl/M}."""
+    return np.fft.fft(_as_blocks(x, "x"))
 
 
 def idft(x):
-    """Inverse transform with the 1/M normalization."""
-    return np.fft.ifft(_as_vector(x, "X").astype(np.complex128, copy=False))
+    """Inverse transform over the last axis, with the 1/M normalization."""
+    return np.fft.ifft(_as_blocks(x, "X"))
 
 
 def _validated_autocov(autocov, order, name):
     arr = np.asarray(autocov)
     if order < 0:
         raise ValueError("order must be >= 0")
-    if arr.ndim != 1 or arr.size < order + 1:
-        raise ValueError(f"{name} needs length >= order + 1 = {order + 1}")
-    r0 = complex(arr[0])
-    if abs(r0.imag) > 1e-10 * max(abs(r0.real), 1e-300) or r0.real <= 0:
+    if arr.ndim not in (1, 2) or arr.shape[-1] < order + 1:
+        raise ValueError(f"{name} needs 1 or 2 axes and length >= order + 1 = "
+                         f"{order + 1}")
+    r0 = arr[..., 0].astype(np.complex128)
+    if np.any(np.abs(r0.imag) > 1e-10 * np.maximum(np.abs(r0.real), 1e-300)) \
+            or np.any(r0.real <= 0):
         raise ValueError("autocov(0) must be real and positive")
-    return np.ascontiguousarray(arr[: order + 1], dtype=np.complex128)
+    return np.ascontiguousarray(arr[..., : order + 1], dtype=np.complex128)
 
 
 def levinson_complex(autocov, order):
@@ -86,22 +90,33 @@ def levinson_complex(autocov, order):
 
     Returns (taps, prediction_error) where prediction_error equals
     q(0) + Re(sum_m b(m) q*(m)) and is positive, non-increasing in order.
-    Raises ConditioningError if the sequence is not positive definite.
+    A 2-d autocov is a batch of rows: taps and prediction_error then carry
+    one row each. Raises ConditioningError if a sequence is not positive
+    definite.
     """
     q = _validated_autocov(autocov, order, "autocov")
     taps, errs, fail = kernels.levinson_recursion(q, order)
-    if fail >= 0:
+    rows_errs, rows_fail = np.atleast_2d(errs), np.atleast_1d(fail)
+    if np.any(rows_fail >= 0):
+        row = int(np.argmax(rows_fail >= 0))
+        step = rows_fail[row]
         raise ConditioningError(
-            f"prediction error {errs[fail]:.3e} at order {fail}; "
+            f"prediction error {rows_errs[row, step]:.3e} at order {step}; "
             "autocovariance is not positive definite"
         )
-    return taps, float(errs[order])
+    return taps, (float(errs[order]) if q.ndim == 1 else errs[:, order])
 
 
 def gaussian_complex(stream, n, variance):
-    """n i.i.d. circularly symmetric complex Gaussians, total variance per sample."""
+    """n i.i.d. circularly symmetric complex Gaussians, total variance per sample.
+
+    A list of streams gives a (len(streams), n) array, row i drawn from
+    streams[i] exactly as a call with that stream alone would draw it.
+    """
     if variance <= 0:
         raise ValueError("variance must be positive")
+    if isinstance(stream, list):
+        return np.stack([gaussian_complex(s, n, variance) for s in stream])
     rng = as_generator(stream)
     scale = np.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))

@@ -121,7 +121,7 @@ def _suite_wl_reality():
     filt = _synth("wl-mmse-le", ch, 0.05)
     dfilt = _synth("wl-mmse-dfe", ch, 0.05, fbf_length=12)
     outputs = (equalizer.equalize_le(filt, y),
-               equalizer.equalize_dfe(dfilt, y, c, block.time_symbols)[0],
+               equalizer.equalize_dfe(dfilt, y, c, block.precoded)[0],
                equalizer.equalize_dfe(dfilt, y, c)[0])
     worst = max(float(np.max(np.abs(np.imag(z)))) for z in outputs)
     assert worst == 0.0, f"widely linear output has imag part {worst:.3e}"

@@ -9,9 +9,15 @@ ordinal into bits 8-39 and a redraw counter into bits 0-7, so that any
 cell can be reproduced in isolation and a singular channel can be
 redrawn with the literally next stream index.
 
-Blocks of a cell run one after another in ordinal order, and the
-stopping rule is evaluated after every block, so a rerun of the same
-config reproduces every output byte.
+Blocks of a cell run in batches: run_block takes a list of trial
+indices and carries every array of the chain with a leading batch axis,
+so the sequential loops (Levinson orders, decision-feedback positions)
+run once per batch. A row's results are the same bits whatever batch it
+runs in. Rows are committed in ordinal order and the stopping rule is
+evaluated after every row, so the cell stops at the same block as a
+block-by-block loop and the rows past that block are discarded. Batch
+sizes come from committed counts and constants only (see _cell_blocks),
+so a rerun of the same config reproduces every output byte.
 
 Post-SNR is always measured on the ideal-feedback path (decision errors
 would corrupt the error statistic); decision-directed runs report their
@@ -22,6 +28,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -36,7 +43,14 @@ from .equalizer import (
     equalize_le,
     synthesize,
 )
-from .modem import constellation, count_bit_errors, demod_hard, map_bits, precode
+from .modem import (
+    constellation,
+    count_bit_errors,
+    demod_hard,
+    index_bits,
+    map_bits,
+    precode,
+)
 from .numerics import RngStream
 
 __all__ = [
@@ -80,6 +94,9 @@ def _parse_snr_grid(value):
 # trial index fields, see the module docstring
 _MAX_ORDINALS = 1 << 32
 _MAX_REDRAWS = 255
+# samples (antennas x block size) per batch: 16 blocks of 512 at one
+# antenna, 128 of 64; bounds the batch's arrays, and so the memory
+BATCH_SAMPLES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -88,7 +105,8 @@ class SweepConfig:
 
     Each (receiver, SNR) cell stops at min_bit_errors bit errors or
     max_blocks blocks. parallel_width is validated (>= 1) and recorded,
-    but blocks always run sequentially and it does not affect the run.
+    but does not affect the run: batch sizes follow from the cell's
+    committed counts and BATCH_SAMPLES only.
     """
 
     constellation: str = "bpsk"
@@ -187,7 +205,8 @@ class SweepConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
+# result rows are slotted: a sweep or a benchmark may keep many of them
+@dataclass(frozen=True, slots=True)
 class SweepCell:
     receiver: str
     snr_db: float
@@ -207,7 +226,7 @@ class SweepResult:
     rows: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostSnrRow:
     receiver: str
     snr_db: float
@@ -217,7 +236,7 @@ class PostSnrRow:
     delta_db: Optional[float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapAtBer:
     receiver: str
     target_ber: float
@@ -231,49 +250,90 @@ def _cell_base(receiver_name: str, snr_db: float) -> int:
     return int.from_bytes(digest[:4], "big") << 40
 
 
-def run_block(trial_index: int, config: SweepConfig, receiver: ReceiverSpec,
+def _trial_list(trial_index):
+    """(indices, batched): a 1-d sequence of trial indices, or one int."""
+    if isinstance(trial_index, numbers.Integral):
+        return [int(trial_index)], False
+    return [int(t) for t in trial_index], True
+
+
+def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec,
               snr_db: float):
-    """One block through the full chain. Returns (bit_errors, bits, mse)."""
+    """Blocks through the full chain, one per trial index.
+
+    An int trial index returns (bit_errors, bits, mse) for its block. A
+    1-d sequence of indices runs them as one batch and returns three
+    arrays whose row i is the block of trial_index[i], bit for bit what
+    the int call gives.
+    """
+    trials, batched = _trial_list(trial_index)
     c = constellation(config.constellation)
     m = config.block_size
     sigma_n_sq = 10.0 ** (-snr_db / 10.0)  # unit-energy alphabets, snr = 1/sigma_n^2
-    gen = RngStream(config.master_seed, trial_index).generator()
-    tx_bits = gen.integers(0, 2, m * c.bits_per_symbol)
+    # one stream per row, each drawing bits, then taps, then noise
+    gens = [RngStream(config.master_seed, t).generator() for t in trials]
+    tx_bits = np.stack([g.integers(0, 2, m * c.bits_per_symbol).astype(np.uint8)
+                        for g in gens])
     block = precode(map_bits(tx_bits, c))
-    ch = draw_channel(gen, config.antennas, config.taps, m)
-    y = apply_channel_freq(block.precoded, ch, sigma_n_sq, gen)
+    ch = draw_channel(gens, config.antennas, config.taps, m)
     filters = synthesize(receiver, ch, 1.0, sigma_n_sq)
+    y = apply_channel_freq(block.precoded, ch, sigma_n_sq, gens)
+    # a batch's arrays are large: each is dropped once nothing reads it, which
+    # keeps the peak memory of a batch near that of the step it is in
+    del gens, ch
     if receiver.structure == "le":
         z = equalize_le(filters, y)
     else:
-        z, _ = equalize_dfe(filters, y, c, block.time_symbols)
-    mse = float(np.mean(np.abs(z - block.time_symbols) ** 2))
+        z, _ = equalize_dfe(filters, y, c, block.precoded)
+    mse = np.mean(np.abs(z - block.time_symbols) ** 2, axis=-1)
     if receiver.structure == "dfe" and receiver.feedback_mode == "decision_directed":
-        z, _ = equalize_dfe(filters, y, c)
-    _, rx_bits = demod_hard(z, c)
-    return count_bit_errors(tx_bits, rx_bits), int(tx_bits.size), mse
+        del z, block
+        _, decided = equalize_dfe(filters, y, c)
+        rx_bits = index_bits(decided, c)
+    else:
+        _, rx_bits = demod_hard(z, c)
+    errors = count_bit_errors(tx_bits, rx_bits)
+    bits = np.full(len(trials), tx_bits.shape[-1])
+    if batched:
+        return errors, bits, mse
+    return int(errors[0]), int(bits[0]), float(mse[0])
 
 
-def run_block_with_retry(trial_index: int, config: SweepConfig,
+def run_block_with_retry(trial_index, config: SweepConfig,
                          receiver: ReceiverSpec, snr_db: float, max_redraws=64):
     """run_block, redrawing singular channels with the next stream index.
 
-    Returns (bit_errors, bits, mse, redraws).
+    Returns (bit_errors, bits, mse, redraws), arrays for a sequence of
+    indices. A singular row is redrawn alone: the batch runs again with
+    that row's index advanced by one and every other index unchanged, and
+    since a row depends on its own index only, its neighbours keep their
+    results. Raises SingularChannelError once a row has been singular
+    max_redraws + 1 times in a row.
     """
     if not 0 <= max_redraws <= _MAX_REDRAWS:
         raise ValueError(f"max_redraws must be in [0, {_MAX_REDRAWS}]: redraws "
                          "share the low 8 bits of the trial index")
-    for redraw in range(max_redraws + 1):
+    trials, batched = _trial_list(trial_index)
+    redraws = np.zeros(len(trials), np.int64)
+    while True:
+        index = [t + int(r) for t, r in zip(trials, redraws)]
         try:
-            errors, bits, mse = run_block(trial_index + redraw, config, receiver,
-                                          snr_db)
-            return errors, bits, mse, redraw
+            out = run_block(index if batched else index[0], config, receiver,
+                            snr_db)
         except SingularChannelError as exc:
-            log.debug("trial %d redrawn (%s)", trial_index + redraw, exc)
-    raise RuntimeError(
-        f"{max_redraws} singular channels in a row at trial {trial_index}; "
-        "increase zf_epsilon"
-    )
+            rows = exc.rows if batched and exc.rows is not None else [0]
+            for row in rows:
+                log.debug("trial %d redrawn (%s)", index[row], exc)
+            redraws[rows] += 1
+            if redraws.max() > max_redraws:
+                raise SingularChannelError(
+                    f"{max_redraws} singular channels in a row at trial "
+                    f"{trials[int(np.argmax(redraws))]}; increase zf_epsilon"
+                ) from exc
+            continue
+        if batched:
+            return (*out, redraws)
+        return (*out, int(redraws[0]))
 
 
 def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
@@ -290,21 +350,45 @@ def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
     return float(10.0 * np.log10(value))
 
 
-def _cell_blocks(cell: str, snr_db: float, run, max_blocks: int,
-                      min_errors=math.inf):
-    """Yield run(trial_index) for the blocks of one cell, in ordinal order.
+def _cell_blocks(config: SweepConfig, cell: str, snr_db: float, run,
+                 max_blocks: int, min_errors=math.inf):
+    """Yield the per-block results of one cell, in ordinal order.
 
-    The first entry of each result is its bit error count; the cell stops
-    at min_errors bit errors or max_blocks blocks, whichever comes first.
+    run(trial_indices) returns per-row result sequences, bit error counts
+    first; each yielded block is a tuple of Python numbers. The cell stops
+    at min_errors bit errors or max_blocks blocks, whichever comes first,
+    and discards the rest of the batch it stopped in.
+
+    Batch sizes depend on committed counts and constants only. The first
+    batch is one block. After it, a batch holds the blocks the committed
+    error rate says are still needed, ceil((min_errors - errors) *
+    committed / errors), or twice the previous batch while no error has
+    been seen, and never more than BATCH_SAMPLES / (antennas * block
+    size) rows or the blocks left before max_blocks. Without an error
+    target (min_errors = inf) only those two bounds apply once an error
+    has been seen.
     """
     assert max_blocks <= _MAX_ORDINALS, "ordinal would overwrite the cell hash"
     base = _cell_base(cell, snr_db)
-    errors = blocks = 0
+    budget = max(1, BATCH_SAMPLES // (config.antennas * config.block_size))
+    errors = blocks = batch = 0
     while errors < min_errors and blocks < max_blocks:
-        out = run(base | blocks << 8)
-        errors += out[0]
-        blocks += 1
-        yield out
+        if blocks == 0:
+            wanted = 1
+        elif errors == 0:
+            wanted = 2 * batch
+        elif math.isinf(min_errors):
+            wanted = budget
+        else:
+            wanted = -((errors - min_errors) * blocks // errors)
+        batch = min(budget, max_blocks - blocks, wanted)
+        outs = run([base | k << 8 for k in range(blocks, blocks + batch)])
+        for out in zip(*(o.tolist() for o in outs)):
+            errors += out[0]
+            blocks += 1
+            yield out
+            if errors >= min_errors:
+                break
 
 
 def _post_snr_db(mses, criterion: str) -> float:
@@ -322,8 +406,8 @@ def _run_cell(config: SweepConfig, spec: ReceiverSpec, snr_db: float) -> SweepCe
     def run(trial_index):
         return run_block_with_retry(trial_index, config, spec, snr_db)
 
-    for e, b, mse, rd in _cell_blocks(spec.name, snr_db, run, config.max_blocks,
-                                      config.min_bit_errors):
+    for e, b, mse, rd in _cell_blocks(config, spec.name, snr_db, run,
+                                      config.max_blocks, config.min_bit_errors):
         errors += e
         bits += b
         blocks += 1
@@ -376,7 +460,7 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
         def run(trial_index):
             return run_block_with_retry(trial_index, config, genie, snr_db)
 
-        mses = [out[2] for out in _cell_blocks(genie.name, snr_db, run,
+        mses = [out[2] for out in _cell_blocks(config, genie.name, snr_db, run,
                                                realizations)]
         post_db = _post_snr_db(mses, spec.criterion)
         analytic = _analytic_db(spec, config, snr_db)

@@ -7,10 +7,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import scfde.analytics
+from scfde import kernels, simulator
 from scfde.cli import main
+from scfde.equalizer import SingularChannelError
 
 
 def _lines(text):
@@ -120,6 +123,34 @@ class TestBerSweep:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    def test_singular_channels_exit_2(self, small_config, monkeypatch, capsys):
+        # a channel still singular after every redraw is a bad run, not a
+        # crash: one error line and exit code 2
+        def singular(trial_index, *args):
+            raise SingularChannelError("synthetic null")
+
+        monkeypatch.setattr(simulator, "run_block", singular)
+        code = main(["ber-sweep", "--config", str(small_config)])
+        assert code == 2
+        err = _lines(capsys.readouterr().err)
+        assert len(err) == 1 and err[0].startswith("error: 64 singular channels")
+
+    def test_conditioning_error_exits_2(self, small_config, monkeypatch, capsys):
+        # a Levinson recursion that loses positive definiteness at order 1
+        real = kernels.levinson_recursion
+
+        def failing(autocov, order):
+            taps, errs, fail = real(autocov, order)
+            return taps, errs, np.ones_like(fail)
+
+        monkeypatch.setattr(kernels, "levinson_recursion", failing)
+        code = main(["ber-sweep", "--config", str(small_config),
+                     "receivers=mmse-dfe", "fbf_len=4"])
+        assert code == 2
+        err = _lines(capsys.readouterr().err)
+        assert len(err) == 1 and err[0].startswith("error: prediction error")
+        assert "not positive definite" in err[0]
+
     def test_gnuplot_script_needs_output(self, small_config, tmp_path, capsys):
         script = tmp_path / "plot.gp"
         code = main(["ber-sweep", "--config", str(small_config),
@@ -183,6 +214,21 @@ class TestGap:
         path.write_text(json.dumps(doc))
         assert main(["gap", "--input", str(path), "--target-ber", "0.02"]) == 2
         assert "finite snr_db and a ber in [0, 1]" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("doc", [
+        [], 5, "sweep", None,
+        {"rows": []},
+        {"config": [], "rows": []},
+        {"config": {"receivers": "zf-le"}, "rows": 3},
+    ])
+    def test_input_not_a_sweep_object_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gap", "--input", str(path), "--target-ber", "0.02"]) == 2
+        err = _lines(capsys.readouterr().err)
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "JSON object" in err[0]
 
 
 class TestSelftestCommand:

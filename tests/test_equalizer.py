@@ -150,9 +150,20 @@ class TestConventionalLe:
         # two-tap [1, -1] has an exact null at k=0
         taps = np.array([[1.0 + 0j, -1.0 + 0j]])
         ch = ChannelRealization(taps, np.fft.fft(taps, n=16, axis=1), 1, 2, 16)
-        with pytest.raises(eq.SingularChannelError):
+        with pytest.raises(eq.SingularChannelError) as unbatched:
             synth("zf-le", ch, 1.0, zf_epsilon=0.0)
+        assert unbatched.value.rows is None
         synth("zf-le", ch, 1.0, zf_epsilon=1e-6)  # regularized is fine
+        # in a batch, the error names the singular rows
+        other = draw_channel(RngStream(24, 0), 1, 2, 16)
+        batch = ChannelRealization(
+            np.stack([other.taps, taps, other.taps]),
+            np.stack([other.freq_response, ch.freq_response,
+                      other.freq_response]), 1, 2, 16)
+        for name in ("zf-le", "wl-zf-dfe"):
+            with pytest.raises(eq.SingularChannelError) as batched:
+                synth(name, batch, 1.0, fbf_length=4, zf_epsilon=0.0)
+            assert batched.value.rows.tolist() == [1]
 
 
 class TestConventionalDfe:
@@ -225,12 +236,14 @@ class TestConventionalDfe:
         block = bpsk_block(128, 2)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
         f = synth("zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
-        z, dec = eq.equalize_dfe(f, y, constellation("bpsk"), block.time_symbols)
+        c = constellation("bpsk")
+        z, dec = eq.equalize_dfe(f, y, c, block.precoded)
         err = np.linalg.norm(z - block.time_symbols) / np.linalg.norm(
             block.time_symbols
         )
         assert err < 1e-9
-        np.testing.assert_array_equal(dec, block.time_symbols)
+        assert dec is None  # ideal feedback makes no decisions
+        np.testing.assert_array_equal(demod_hard(z, c)[0], block.time_symbols)
 
     def test_decision_mode_matches_genie_at_high_snr(self):
         ch = draw_channel(RngStream(30, 0), 2, 20, 256)
@@ -238,10 +251,10 @@ class TestConventionalDfe:
         y = apply_channel_freq(block.precoded, ch, 1e-6, RngStream(30, 1))
         f = synth("mmse-dfe", ch, 1.0, 1e-6, 20)
         c = constellation("bpsk")
-        zg, _ = eq.equalize_dfe(f, y, c, block.time_symbols)
+        zg, _ = eq.equalize_dfe(f, y, c, block.precoded)
         zd, dd = eq.equalize_dfe(f, y, c)
         np.testing.assert_allclose(zd, zg, atol=1e-9)
-        np.testing.assert_array_equal(dd, block.time_symbols)
+        np.testing.assert_array_equal(c.points[dd], block.time_symbols)
 
     def test_length_bounds(self):
         ch = flat_channel(16)
@@ -300,14 +313,14 @@ class TestWidelyLinear:
         dfe = synth(f"wl-{criterion}-dfe", ch, 1.0, sigma_n_sq, fbf_length)
         z_f, one_plus_b = two_look(dfe)
         genie = idft(z_f) - idft((one_plus_b - 1.0) * dft(x))
-        assert_matches(eq.equalize_dfe(dfe, y, c, x)[0], genie)
+        assert_matches(eq.equalize_dfe(dfe, y, c, block.precoded)[0], genie)
         init, _ = demod_hard(idft(z_f / one_plus_b), c)
-        ref, ref_dec, _ = kernels.dd_feedback(
+        ref, _, ref_idx = kernels.dd_feedback(
             idft(z_f), dfe.fbf_taps.astype(complex), init[m - fbf_length:],
             c.points, True)
         z, dec = eq.equalize_dfe(dfe, y, c)
         assert_matches(z, ref)
-        np.testing.assert_array_equal(dec, ref_dec)
+        np.testing.assert_array_equal(dec, ref_idx)
 
     def test_fbf_taps_real(self):
         ch = draw_channel(RngStream(32, 0), 1, 20, 256)
@@ -322,7 +335,7 @@ class TestWidelyLinear:
             z = eq.equalize_le(f, y)
             assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
         fd = synth("wl-mmse-dfe", ch, 1.0, 0.3, 20)
-        z, _ = eq.equalize_dfe(fd, y, constellation("bpsk"), block.time_symbols)
+        z, _ = eq.equalize_dfe(fd, y, constellation("bpsk"), block.precoded)
         assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
 
     def test_zf_noiseless_exact(self):
@@ -333,7 +346,7 @@ class TestWidelyLinear:
         z = eq.equalize_le(fle, y)
         assert np.linalg.norm(z - block.time_symbols) < 1e-9 * np.linalg.norm(z)
         fdfe = synth("wl-zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
-        zd, _ = eq.equalize_dfe(fdfe, y, constellation("bpsk"), block.time_symbols)
+        zd, _ = eq.equalize_dfe(fdfe, y, constellation("bpsk"), block.precoded)
         assert np.linalg.norm(zd - block.time_symbols) < 1e-9 * np.linalg.norm(zd)
 
     def test_mmse_approaches_zf(self):

@@ -181,3 +181,47 @@ class TestKernelProperties:
                                           c.points[:1], c.points, c.is_real)
         np.testing.assert_array_equal(dec, symbols)
         np.testing.assert_array_equal(c.points[idx], symbols)
+
+    @PROPERTY
+    @given(data=st.data(), order=st.integers(1, 24), rows=st.integers(1, 7))
+    def test_batched_levinson_rows_equal_1d_calls(self, data, order, rows):
+        # one row may be rank one (not positive definite): it fails alone
+        m = data.draw(st.integers(order + 1, 64), label="m")
+        spectra = data.draw(arrays(np.float64, (rows, m),
+                                   elements=st.floats(0.05, 20.0)),
+                            label="spectra")
+        q = idft(spectra)
+        bad = data.draw(st.integers(-1, rows - 1), label="bad row")
+        if bad >= 0:
+            q[bad] = 1.0
+        taps, errs, fail = kernels.levinson_recursion(q, order)
+        assert taps.shape == (rows, order) and errs.shape == (rows, order + 1)
+        for row in range(rows):
+            want_taps, want_errs, want_fail = kernels.levinson_recursion(q[row],
+                                                                         order)
+            assert fail[row] == want_fail == (1 if row == bad else -1)
+            np.testing.assert_array_equal(taps[row], want_taps)
+            np.testing.assert_array_equal(errs[row], want_errs)
+
+    @PROPERTY
+    @given(data=st.data(), alphabet=st.sampled_from(sorted(ALPHABETS)),
+           m=st.integers(2, 64), rows=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_feedback_rows_equal_1d_calls(self, data, alphabet, m, rows,
+                                                  seed):
+        n_taps = data.draw(st.integers(1, m - 1), label="L")
+        points, real_metric = ALPHABETS[alphabet]
+        gen = RngStream(13, seed).generator()
+        x = points[gen.integers(0, points.size, (rows, m))]
+        fbf = 0.3 * (gen.standard_normal((rows, n_taps))
+                     + 1j * gen.standard_normal((rows, n_taps)))
+        z_t = x + 0.4 * (gen.standard_normal((rows, m))
+                         + 1j * gen.standard_normal((rows, m)))
+        tail = x[:, m - n_taps:]
+        z_hat, dec, idx = kernels.dd_feedback(z_t, fbf, tail, points, real_metric)
+        for row in range(rows):
+            want = kernels.dd_feedback(z_t[row], fbf[row], tail[row], points,
+                                       real_metric)
+            for got, expect in zip((z_hat[row], dec[row], idx[row]), want):
+                np.testing.assert_array_equal(got, expect)
+

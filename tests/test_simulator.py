@@ -11,10 +11,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfde import simulator as sim
 from scfde.analytics import mfb_ber
-from scfde.equalizer import ReceiverSpec, SingularChannelError
+from scfde.equalizer import RECEIVER_NAMES, ReceiverSpec, SingularChannelError
+
+# the suite is deterministic: every run tries the same examples
+PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
 
 
 def small_config(**overrides):
@@ -186,7 +191,9 @@ class TestRunSweep:
         assert row.blocks < 5000
 
     def test_parallel_width_invariance(self):
-        cfg1 = small_config(receivers=["zf-le", "mmse-dfe"], fbf_len=4)
+        # max_blocks=400 takes the mmse-dfe cells across several batches
+        cfg1 = small_config(receivers=["zf-le", "mmse-dfe"], fbf_len=4,
+                            max_blocks=400)
         cfg4 = sim.SweepConfig.from_dict({**cfg1.to_dict(), "parallel_width": 4})
         r1 = sim.run_sweep(cfg1)
         r4 = sim.run_sweep(cfg4)
@@ -230,6 +237,104 @@ class TestRunSweep:
         (row,) = sim.run_sweep(cfg).rows
         assert row.analytic_db == pytest.approx(10.0, abs=1e-9)
         assert row.post_snr_db == pytest.approx(10.0, abs=0.5)
+
+
+class TestBatching:
+    @PROPERTY
+    @given(data=st.data(), alphabet=st.sampled_from(["bpsk", "8psk", "16qam"]),
+           feedback=st.sampled_from(["genie", "decision"]),
+           antennas=st.integers(1, 2), m=st.integers(4, 48),
+           snr_db=st.floats(-5.0, 30.0), seed=st.integers(0, 2**16))
+    def test_batch_rows_equal_single_blocks(self, data, alphabet, feedback,
+                                            antennas, m, snr_db, seed):
+        # any split of trial indices into batches gives, row for row, the
+        # bits of the block-by-block run; indices reach past 2**64 like a
+        # cell's packed indices do
+        names = [n for n in RECEIVER_NAMES
+                 if alphabet == "bpsk" or not n.startswith("wl-")]
+        name = data.draw(st.sampled_from(names), label="receiver")
+        taps = data.draw(st.integers(1, m), label="v")
+        fbf_len = data.draw(st.integers(1, m // 2), label="L")
+        cfg = sim.SweepConfig.from_dict(dict(
+            constellation=alphabet, receivers=name, feedback=feedback,
+            nr=antennas, v=taps, m=m, fbf_len=fbf_len, master_seed=seed))
+        (spec,) = cfg.receiver_specs()
+        trials = data.draw(st.lists(st.integers(0, 2**72 - 1), min_size=1,
+                                    max_size=6), label="trials")
+        starts = data.draw(st.lists(st.booleans(), min_size=len(trials) - 1,
+                                    max_size=len(trials) - 1), label="splits")
+        cuts = [i for i, start in enumerate(starts, start=1) if start]
+        single = [sim.run_block(t, cfg, spec, snr_db) for t in trials]
+        rows = []
+        for lo, hi in zip([0, *cuts], [*cuts, len(trials)]):
+            errors, bits, mse = sim.run_block(trials[lo:hi], cfg, spec, snr_db)
+            rows += zip(errors.tolist(), bits.tolist(), mse.tolist())
+        assert rows == single
+
+    def test_singular_row_redrawn_alone(self, monkeypatch):
+        # row 2 is singular at its index and the next one, row 4 at its
+        # index only; every other row keeps its first index and result
+        cfg = small_config(receivers=["zf-le"])
+        spec = cfg.receiver_specs()[0]
+        real = sim.run_block
+        trials = [k << 8 for k in range(6)]
+        singular = {trials[2], trials[2] + 1, trials[4]}
+
+        def flaky(index, *args):
+            rows = [i for i, t in enumerate(index) if t in singular]
+            if rows:
+                raise SingularChannelError("synthetic null", np.array(rows))
+            return real(index, *args)
+
+        monkeypatch.setattr(sim, "run_block", flaky)
+        *outs, redraws = sim.run_block_with_retry(trials, cfg, spec, 8.0)
+        assert redraws.tolist() == [0, 0, 2, 0, 1, 0]
+        for row, (t, r) in enumerate(zip(trials, redraws.tolist())):
+            assert tuple(o[row] for o in outs) == real(t + r, cfg, spec, 8.0)
+        with pytest.raises(SingularChannelError, match="1 singular channels"):
+            sim.run_block_with_retry(trials, cfg, spec, 8.0, max_redraws=1)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(receivers=["zf-le", "mmse-dfe"], feedback="decision", fbf_len=4,
+             snr_db=[0.0, 4.0, 8.0, 14.0], max_blocks=300),
+        dict(receivers=["zf-le", "wl-mmse-le"], antennas=2, block_size=512,
+             snr_db=[2.0, 6.0], min_bit_errors=300, max_blocks=200),
+    ])
+    def test_batch_sizes_follow_committed_counts(self, monkeypatch, overrides):
+        cfg = small_config(**overrides)
+        budget = sim.BATCH_SAMPLES // (cfg.antennas * cfg.block_size)
+        real = sim.run_block
+        calls = {}
+
+        def spy(index, *args):
+            assert not isinstance(index, int), "a cell ran an unbatched block"
+            calls.setdefault(index[0] >> 40, []).append(index)
+            return real(index, *args)
+
+        monkeypatch.setattr(sim, "run_block", spy)
+        rows = sim.run_sweep(cfg).rows
+        assert len(calls) == len(rows)
+        for row in rows:
+            batches = calls[sim._cell_base(row.receiver, row.snr_db) >> 40]
+            ordinals = [(t >> 8) & 0xFFFFFFFF for batch in batches for t in batch]
+            assert ordinals == list(range(len(ordinals)))  # no redraws here
+            committed = 0
+            for batch in batches:
+                assert len(batch) <= min(budget, cfg.max_blocks - committed)
+                committed += len(batch)
+            assert len(batches[0]) == 1
+            assert row.blocks <= len(ordinals) <= row.blocks + len(batches[-1]) - 1
+            # the cell stops where a block-by-block loop stops
+            spec = ReceiverSpec.from_name(row.receiver, fbf_length=cfg.fbf_len,
+                                          feedback_mode=cfg.feedback)
+            errors = blocks = 0
+            while errors < cfg.min_bit_errors and blocks < cfg.max_blocks:
+                errors += real(batches[0][0] | blocks << 8, cfg, spec,
+                               row.snr_db)[0]
+                blocks += 1
+            assert (row.errors, row.blocks) == (errors, blocks)
+        # some cell's batches grow until the budget caps them
+        assert any(len(b) == budget for cell in calls.values() for b in cell)
 
 
 class TestTrialIndexPacking:
