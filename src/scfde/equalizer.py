@@ -21,10 +21,15 @@ ZF synthesis runs on the noise-free spectrum (optionally guarded by
 zf_epsilon); sigma_n_sq enters only the predicted-mse bookkeeping so the
 filters themselves stay noise-independent.
 
+A linear equalizer is the DFE with no feedback taps, 1 + b = 1, so one
+pass, equalize, serves all eight receivers: it filters the received
+spectrum once, returns the ideal-feedback output (exactly the LE output
+when b = 0) and slices with the receiver's feedback mode.
+
 A batched channel realization (a leading row axis, see channel) gives
-batched filters, and the equalizers then take one received block per
-row. Every step is elementwise or a transform over the last axis, so a
-row's outputs do not depend on the batch it ran in.
+batched filters, and equalize then takes one received block per row.
+Every step is elementwise or a transform over the last axis, so a row's
+outputs do not depend on the batch it ran in.
 """
 
 import math
@@ -42,9 +47,7 @@ __all__ = [
     "EqualizerFilters",
     "SingularChannelError",
     "synthesize",
-    "equalize_le",
-    "equalize_dfe",
-    "unbiased_post_snr",
+    "equalize",
 ]
 
 RECEIVER_NAMES = (
@@ -69,11 +72,11 @@ _FEEDBACK_MODES = {
 class SingularChannelError(ArithmeticError):
     """Unregularized zero-forcing hit an exactly null subcarrier.
 
-    rows holds the batch rows whose channel is singular, or is None when
-    the synthesis was not batched.
+    rows holds the indices of the singular rows; an unbatched synthesis is
+    row 0.
     """
 
-    def __init__(self, message, rows=None):
+    def __init__(self, message, rows):
         super().__init__(message)
         self.rows = rows
 
@@ -146,29 +149,23 @@ class ReceiverSpec:
 
 @dataclass(frozen=True)
 class EqualizerFilters:
-    """Synthesized filters plus their design-time error statistics.
+    """Synthesized filters plus their design-time error statistic.
 
     fff is (m, n_r), one row per subcarrier, for both families: a
     conventional receiver outputs idft of the filtered spectrum, a widely
     linear one 2 Re(idft(...)). fbf_taps holds b_t(1..L), real for the widely
-    linear family, and one_plus_b the spectrum of the prediction-error
-    filter 1 + b (all ones for a linear equalizer). predicted_mse is the
-    design MSE at the slicer and bias_factor the signal gain there (MMSE
-    filters are biased). Filters of a batched channel carry a leading row
-    axis on each array and one predicted_mse and bias_factor per row.
+    linear family and empty for a linear equalizer, and one_plus_b the
+    spectrum of the prediction-error filter 1 + b (all ones for a linear
+    equalizer). predicted_mse is the design MSE at the slicer. Filters of a
+    batched channel carry a leading row axis on each array and one
+    predicted_mse per row. The receiver they belong to is the spec that
+    synthesized them.
     """
 
-    family: str
-    criterion: str
-    structure: str
     fff: np.ndarray
     fbf_taps: np.ndarray
     one_plus_b: np.ndarray
     predicted_mse: float
-    bias_factor: float
-    sigma_x_sq: float
-    m: int
-    n_r: int
 
 
 def _one_plus_b(taps, m) -> np.ndarray:
@@ -189,11 +186,6 @@ def _prediction_taps(denom, order, widely_linear):
     if widely_linear:  # even spectrum: real autocovariance, real taps
         return levinson_complex(autocov.real, order)[0].real
     return levinson_complex(autocov, order)[0]
-
-
-def _per_row(x):
-    """A float for an unbatched synthesis, the row array for a batch."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilters:
@@ -222,12 +214,10 @@ def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilte
     denom = signal + reg
     singular = denom.min(axis=-1) <= 0
     if np.any(singular):
-        rows = np.flatnonzero(singular) if singular.ndim else None
+        rows = np.flatnonzero(singular)
         raise SingularChannelError(
-            "a subcarrier has zero channel energy and zf_epsilon=0"
-            + ("" if rows is None else f" in batch rows {rows.tolist()}"),
-            rows,
-        )
+            "a subcarrier has zero channel energy and zf_epsilon=0 in rows "
+            f"{rows.tolist()}", rows)
     if spec.structure == "dfe":
         taps = _prediction_taps(denom, fbf_length, widely_linear)
         one_plus_b = _one_plus_b(taps, ch.m)
@@ -242,92 +232,68 @@ def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilte
     fff /= denom[..., None]
     error_gain = np.abs(one_plus_b) ** 2
     error_gain /= denom
-    mse = sigma_n_sq * np.mean(error_gain, axis=-1)
-    signal_gain = one_plus_b * signal
-    signal_gain /= denom
-    bias = np.real(np.mean(signal_gain, axis=-1))
     return EqualizerFilters(
-        family=spec.family,
-        criterion=spec.criterion,
-        structure=spec.structure,
         fff=fff,
         fbf_taps=taps,
         one_plus_b=one_plus_b,
-        predicted_mse=_per_row(mse),
-        bias_factor=_per_row(bias),
-        sigma_x_sq=sigma_x_sq,
-        m=ch.m,
-        n_r=ch.n_r,
+        predicted_mse=sigma_n_sq * np.mean(error_gain, axis=-1),
     )
 
 
 def _filtered_spectrum(filters: EqualizerFilters, received_freq) -> np.ndarray:
     y = np.asarray(received_freq, dtype=complex)
-    shape = (*filters.fff.shape[:-2], filters.n_r, filters.m)
-    if y.shape != shape:
-        raise ValueError(f"received block must have shape {shape}, got {y.shape}")
+    *rows, m, n_r = filters.fff.shape
+    if y.shape != (*rows, n_r, m):
+        raise ValueError(f"received block must have shape {(*rows, n_r, m)}, "
+                         f"got {y.shape}")
     return np.sum(filters.fff * np.swapaxes(y, -1, -2), axis=-1)
 
 
-def _time_block(filters: EqualizerFilters, spectrum) -> np.ndarray:
+def _time_block(widely_linear: bool, spectrum) -> np.ndarray:
     """Time-domain block of a filtered spectrum: idft, and for the widely
     linear family 2 Re(idft), which adds the conjugate mirrored look."""
     z = idft(spectrum)
-    return 2.0 * z.real if filters.family == "widely-linear" else z
+    return 2.0 * z.real if widely_linear else z
 
 
-def equalize_le(filters: EqualizerFilters, received_freq) -> np.ndarray:
-    """Apply the feed-forward filter and return the time-domain block."""
-    return _time_block(filters, _filtered_spectrum(filters, received_freq))
+def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
+             precoded):
+    """Equalize received blocks with the filters spec synthesized.
 
+    precoded is the spectrum X(k) of the transmitted symbols. The
+    feed-forward spectrum z_f is formed once. The returned z is the
+    ideal-feedback output idft(z_f - b(k) X(k)): the ISI that (1 + b) put
+    into z_f is removed with the true symbols, and for a linear equalizer
+    b = 0, so z is its output. The returned indices (into c.points) are
+    the receiver's decisions: for a decision-directed DFE those of the
+    sequential feedback pass on idft(z_f), its wrapped tail (positions
+    M-L..M-1) taken from hard decisions of the companion linear equalizer
+    z_f / (1 + b); otherwise the nearest points to z.
 
-def equalize_dfe(filters: EqualizerFilters, received_freq, c, genie_spectrum=None):
-    """Feed-forward filtering plus circular feedback subtraction.
-
-    Given genie_spectrum, the precoded spectrum X(k) of the true symbols,
-    the feedback is ideal: the ISI b(k) X(k) that (1 + b) put into the
-    filtered spectrum is subtracted before the one inverse transform, and
-    no decision is made. Otherwise the sequential slicer runs on
-    constellation c, with the wrapped tail (positions M-L..M-1)
-    initialized from hard decisions of the companion linear equalizer,
-    recovered in place by dividing the feed-forward spectrum by
-    (1 + b(k)); only those L positions are sliced.
-
-    Returns (z_hat_t, decided): decided holds the indices into c.points
-    of the feedback pass's decisions, or is None under ideal feedback.
+    Returns (z, indices).
     """
-    if filters.structure != "dfe":
-        raise ValueError("equalize_dfe needs filters synthesized for a dfe")
-    if filters.family == "widely-linear" and not c.is_real:
+    widely_linear = spec.family == "widely-linear"
+    if widely_linear and not c.is_real:
         raise ValueError("widely linear receivers require a real constellation")
     z_f = _filtered_spectrum(filters, received_freq)
-    if genie_spectrum is not None:
-        isi = (filters.one_plus_b - 1.0) * genie_spectrum
-        if filters.family == "widely-linear":
-            # 2 Re(idft) adds the mirrored conjugate of the Hermitian ISI
-            # spectrum, i.e. counts it twice
-            isi *= 0.5
-        return _time_block(filters, z_f - isi), None
-    tail = c.points[kernels.nearest_index(_linear_tail(filters, z_f), c.points,
-                                          c.is_real)]
-    z_t = _time_block(filters, z_f)
-    del z_f  # a batch's spectrum is large and the feedback pass does not read it
-    z_hat, _, decided = kernels.dd_feedback(z_t, filters.fbf_taps, tail, c.points,
-                                            c.is_real)
-    return z_hat, decided
+    isi = (filters.one_plus_b - 1.0) * precoded
+    if widely_linear:
+        # 2 Re(idft) adds the mirrored conjugate of the Hermitian ISI
+        # spectrum, i.e. counts it twice
+        isi *= 0.5
+    z = _time_block(widely_linear, z_f - isi)
+    if spec.structure == "le" or spec.feedback_mode == "ideal_genie":
+        return z, kernels.nearest_index(z, c.points, c.is_real)
+    tail = c.points[kernels.nearest_index(
+        _linear_tail(widely_linear, filters, z_f), c.points, c.is_real)]
+    _, _, indices = kernels.dd_feedback(_time_block(widely_linear, z_f),
+                                        filters.fbf_taps, tail, c.points,
+                                        c.is_real)
+    return z, indices
 
 
-def _linear_tail(filters: EqualizerFilters, z_f) -> np.ndarray:
+def _linear_tail(widely_linear, filters: EqualizerFilters, z_f) -> np.ndarray:
     """Last L outputs of the companion linear equalizer, as a copy, so that
     the rest of its block is freed on return."""
-    start = filters.m - filters.fbf_taps.shape[-1]
-    return _time_block(filters, z_f / filters.one_plus_b)[..., start:].copy()
-
-
-def unbiased_post_snr(filters: EqualizerFilters, criterion=None) -> float:
-    """Design post-SNR at the slicer, with the MMSE bias term removed."""
-    crit = filters.criterion if criterion is None else criterion
-    if filters.predicted_mse <= 0:
-        raise ValueError("predicted_mse must be positive (was noise accounted for?)")
-    ratio = filters.sigma_x_sq / filters.predicted_mse
-    return ratio - 1.0 if crit == "mmse" else ratio
+    start = z_f.shape[-1] - filters.fbf_taps.shape[-1]
+    return _time_block(widely_linear, z_f / filters.one_plus_b)[..., start:].copy()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, channel, equalizer, numerics
-from .modem import constellation, demod_hard, map_bits, precode
+from .modem import constellation, map_bits, precode
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_selftest"]
 
@@ -38,6 +38,15 @@ def _random_channel(gen, n_r=1, v=8, m=256):
 def _synth(name, ch, sigma_n_sq, fbf_length=20):
     spec = equalizer.ReceiverSpec.from_name(name, fbf_length=fbf_length)
     return equalizer.synthesize(spec, ch, 1.0, sigma_n_sq)
+
+
+def _equalized(name, ch, sigma_n_sq, y, c, block, fbf_length=20,
+               feedback="genie"):
+    """The output z of equalize for the receiver called name."""
+    spec = equalizer.ReceiverSpec.from_name(name, fbf_length=fbf_length,
+                                            feedback_mode=feedback)
+    filt = equalizer.synthesize(spec, ch, 1.0, sigma_n_sq)
+    return equalizer.equalize(spec, filt, y, c, block.precoded)[0]
 
 
 def _suite_dft_roundtrip():
@@ -118,14 +127,12 @@ def _suite_wl_reality():
     bits = gen.integers(0, 2, 128)
     block = precode(map_bits(bits, c))
     y = channel.apply_channel_freq(block.precoded, ch, 0.05, gen)
-    filt = _synth("wl-mmse-le", ch, 0.05)
-    dfilt = _synth("wl-mmse-dfe", ch, 0.05, fbf_length=12)
-    outputs = (equalizer.equalize_le(filt, y),
-               equalizer.equalize_dfe(dfilt, y, c, block.precoded)[0],
-               equalizer.equalize_dfe(dfilt, y, c)[0])
+    outputs = [_equalized(name, ch, 0.05, y, c, block, 12, feedback)
+               for name in ("wl-mmse-le", "wl-mmse-dfe")
+               for feedback in ("genie", "decision")]
     worst = max(float(np.max(np.abs(np.imag(z)))) for z in outputs)
     assert worst == 0.0, f"widely linear output has imag part {worst:.3e}"
-    return "LE, genie and decision DFE outputs exactly real"
+    return "LE and DFE outputs exactly real in both feedback modes"
 
 
 def _suite_zf_exactness():
@@ -137,8 +144,7 @@ def _suite_zf_exactness():
     y = channel.apply_channel_freq(block.precoded, ch, 0.0, gen)
     worst = 0.0
     for name in ("zf-le", "wl-zf-le"):
-        filt = _synth(name, ch, 0.0)
-        z = equalizer.equalize_le(filt, y)
+        z = _equalized(name, ch, 0.0, y, c, block)
         worst = max(worst, float(np.max(np.abs(z - block.time_symbols))))
     assert worst < 1e-9, f"noiseless ZF residual {worst:.3e}"
     return f"noiseless recovery residual {worst:.1e}"

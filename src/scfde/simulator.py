@@ -39,14 +39,12 @@ from .channel import apply_channel_freq, draw_channel
 from .equalizer import (
     ReceiverSpec,
     SingularChannelError,
-    equalize_dfe,
-    equalize_le,
+    equalize,
     synthesize,
 )
 from .modem import (
     constellation,
     count_bit_errors,
-    demod_hard,
     index_bits,
     map_bits,
     precode,
@@ -89,6 +87,20 @@ def _parse_snr_grid(value):
             return tuple(start + step * k for k in range(max(n, 0)))
         return tuple(float(p) for p in value.split(","))
     return tuple(float(p) for p in np.atleast_1d(value))
+
+
+def _noise_variance(snr_db) -> float:
+    """sigma_n^2 = 10^(-snr_db/10), the noise variance of a unit-energy
+    alphabet at snr_db; ValueError unless it is a positive finite float."""
+    try:
+        sigma_n_sq = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma_n_sq = math.inf
+    if not 0.0 < sigma_n_sq < math.inf:
+        raise ValueError(f"snr_db must be finite and give a positive finite noise "
+                         f"variance 10^(-snr_db/10); snr_db={snr_db!r} gives "
+                         f"{sigma_n_sq!r}")
+    return sigma_n_sq
 
 
 # trial index fields, see the module docstring
@@ -144,8 +156,8 @@ class SweepConfig:
             )
         if not self.snr_db:
             raise ValueError("snr grid is empty")
-        if not all(map(math.isfinite, self.snr_db)):
-            raise ValueError(f"snr grid must be finite: {self.snr_db}")
+        for snr_db in self.snr_db:
+            _noise_variance(snr_db)
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ValueError(f"snr grid must be strictly increasing: {self.snr_db}")
         if self.antennas < 1:
@@ -269,7 +281,7 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec,
     trials, batched = _trial_list(trial_index)
     c = constellation(config.constellation)
     m = config.block_size
-    sigma_n_sq = 10.0 ** (-snr_db / 10.0)  # unit-energy alphabets, snr = 1/sigma_n^2
+    sigma_n_sq = _noise_variance(snr_db)
     # one stream per row, each drawing bits, then taps, then noise
     gens = [RngStream(config.master_seed, t).generator() for t in trials]
     tx_bits = np.stack([g.integers(0, 2, m * c.bits_per_symbol).astype(np.uint8)
@@ -281,18 +293,9 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec,
     # a batch's arrays are large: each is dropped once nothing reads it, which
     # keeps the peak memory of a batch near that of the step it is in
     del gens, ch
-    if receiver.structure == "le":
-        z = equalize_le(filters, y)
-    else:
-        z, _ = equalize_dfe(filters, y, c, block.precoded)
+    z, indices = equalize(receiver, filters, y, c, block.precoded)
     mse = np.mean(np.abs(z - block.time_symbols) ** 2, axis=-1)
-    if receiver.structure == "dfe" and receiver.feedback_mode == "decision_directed":
-        del z, block
-        _, decided = equalize_dfe(filters, y, c)
-        rx_bits = index_bits(decided, c)
-    else:
-        _, rx_bits = demod_hard(z, c)
-    errors = count_bit_errors(tx_bits, rx_bits)
+    errors = count_bit_errors(tx_bits, index_bits(indices, c))
     bits = np.full(len(trials), tx_bits.shape[-1])
     if batched:
         return errors, bits, mse
@@ -321,15 +324,14 @@ def run_block_with_retry(trial_index, config: SweepConfig,
             out = run_block(index if batched else index[0], config, receiver,
                             snr_db)
         except SingularChannelError as exc:
-            rows = exc.rows if batched and exc.rows is not None else [0]
-            for row in rows:
+            for row in exc.rows:
                 log.debug("trial %d redrawn (%s)", index[row], exc)
-            redraws[rows] += 1
+            redraws[exc.rows] += 1
             if redraws.max() > max_redraws:
+                row = int(np.argmax(redraws))
                 raise SingularChannelError(
                     f"{max_redraws} singular channels in a row at trial "
-                    f"{trials[int(np.argmax(redraws))]}; increase zf_epsilon"
-                ) from exc
+                    f"{trials[row]}; increase zf_epsilon", [row]) from exc
             continue
         if batched:
             return (*out, redraws)
@@ -344,7 +346,7 @@ def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
         return None
     try:
         value = limit_snr(spec.name, config.antennas, 1.0,
-                          10.0 ** (-snr_db / 10.0), real_modulation=False)
+                          _noise_variance(snr_db), real_modulation=False)
     except ValueError:
         return None
     return float(10.0 * np.log10(value))
@@ -451,8 +453,7 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
     """
     if not 1 <= realizations <= _MAX_ORDINALS:
         raise ValueError("realizations must satisfy 1 <= realizations <= 2**32")
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
+    _noise_variance(snr_db)
     rows = []
     for spec in config.receiver_specs():
         genie = replace(spec, feedback_mode="ideal_genie")

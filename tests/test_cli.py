@@ -112,6 +112,10 @@ class TestBerSweep:
         (["snr=nan"], "finite"),
         (["snr=-inf,0"], "finite"),
         (["receivers=zf-le", "zf_epsilon=nan"], "zf_epsilon"),
+        # 10^(-snr/10) underflows to a zero noise variance or overflows
+        (["receivers=zf-le,mmse-le", "snr=0,4000"], "snr_db=4000.0"),
+        (["receivers=zf-dfe", "snr=0,4000", "zf_epsilon=0"], "snr_db=4000.0"),
+        (["snr=-4000"], "snr_db=-4000.0"),
     ])
     def test_bad_config_exits_2_before_any_block(self, small_config, override,
                                                   key, monkeypatch, capsys):
@@ -127,7 +131,7 @@ class TestBerSweep:
         # a channel still singular after every redraw is a bad run, not a
         # crash: one error line and exit code 2
         def singular(trial_index, *args):
-            raise SingularChannelError("synthetic null")
+            raise SingularChannelError("synthetic null", np.array([0]))
 
         monkeypatch.setattr(simulator, "run_block", singular)
         code = main(["ber-sweep", "--config", str(small_config)])
@@ -268,8 +272,11 @@ class TestPostSnr:
             raise AssertionError("a block ran before the snr was rejected")
 
         monkeypatch.setattr("scfde.simulator.run_block", no_blocks)
-        assert main(["post-snr", "--snr", "nan", "receivers=zf-le", "m=64"]) == 2
-        assert "snr_db must be finite" in capsys.readouterr().err
+        # -4000 dB is finite, but its noise variance 10^400 overflows
+        for snr in ("nan", "-4000"):
+            assert main(["post-snr", "--snr", snr, "receivers=zf-le",
+                         "m=64"]) == 2
+            assert "snr_db must be finite" in capsys.readouterr().err
 
 
 def test_log_handler_does_not_outlive_main(monkeypatch, capsys):

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from scfde import equalizer as eq
 from scfde import kernels
 from scfde.channel import ChannelRealization, apply_channel_freq, draw_channel
-from scfde.modem import constellation, demod_hard, map_bits, precode
+from scfde.modem import constellation, map_bits, precode
 from scfde.numerics import RngStream, dft, idft
 
 EGAMMA = 0.5772156649015329
 PROPERTY = settings(deadline=None, derandomize=True)
+BPSK = constellation("bpsk")
 
 
 def flat_channel(m, n_r=1, gain=1.0 + 0j):
@@ -49,6 +50,12 @@ def synth(name, ch, sigma_x_sq, sigma_n_sq=0.0, fbf_length=20, zf_epsilon=1e-12)
     spec = eq.ReceiverSpec.from_name(name, fbf_length=fbf_length,
                                      zf_epsilon=zf_epsilon)
     return eq.synthesize(spec, ch, sigma_x_sq, sigma_n_sq)
+
+
+def equalize(name, f, y, block, c=BPSK, feedback="genie"):
+    """eq.equalize for the receiver called `name`: (z, indices)."""
+    spec = eq.ReceiverSpec.from_name(name, feedback_mode=feedback)
+    return eq.equalize(spec, f, y, c, block.precoded)
 
 
 def bpsk_block(m, seed):
@@ -107,15 +114,26 @@ class TestConventionalLe:
         f = synth("mmse-le", ch, 1.0, 1.0)
         np.testing.assert_allclose(f.fff, 0.5)
         assert f.predicted_mse == pytest.approx(0.5)
-        assert f.bias_factor == pytest.approx(0.5)
-        assert eq.unbiased_post_snr(f) == pytest.approx(1.0)
+
+    def test_mmse_bias_removal(self):
+        # sigma_n^2 = 1e9: the receiver outputs ~0, so mse -> sigma_x^2 and
+        # the unbiased post-SNR sigma_x^2 / mse - 1 -> 0
+        f = synth("mmse-le", flat_channel(16), 1.0, 1e9)
+        assert f.predicted_mse == pytest.approx(1.0, abs=1e-6)
+
+    def test_zf_plain_ratio(self):
+        # |h|^2 = 2 at sigma_n^2 = 1: mse 1/2, post-SNR sigma_x^2 / mse = 2
+        ch = flat_channel(16, gain=np.sqrt(2) + 0j)
+        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0)
+        assert f.predicted_mse == pytest.approx(0.5)
 
     def test_zf_flat_inversion(self):
         ch = flat_channel(32, gain=2.0 + 0j)
         f = synth("zf-le", ch, 1.0, zf_epsilon=0.0)
         np.testing.assert_allclose(f.fff, 0.5)
         block = bpsk_block(32, 0)
-        z = eq.equalize_le(f, apply_channel_freq(block.precoded, ch, 0.0, None))
+        z, _ = equalize("zf-le", f, apply_channel_freq(block.precoded, ch, 0.0, None),
+                        block)
         np.testing.assert_allclose(z, block.time_symbols, atol=1e-12)
 
     def test_zf_random_channel_exact(self):
@@ -123,7 +141,7 @@ class TestConventionalLe:
         block = bpsk_block(128, 1)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
         f = synth("zf-le", ch, 1.0, zf_epsilon=0.0)
-        z = eq.equalize_le(f, y)
+        z, _ = equalize("zf-le", f, y, block)
         err = np.linalg.norm(z - block.time_symbols) / np.linalg.norm(
             block.time_symbols
         )
@@ -152,7 +170,7 @@ class TestConventionalLe:
         ch = ChannelRealization(taps, np.fft.fft(taps, n=16, axis=1), 1, 2, 16)
         with pytest.raises(eq.SingularChannelError) as unbatched:
             synth("zf-le", ch, 1.0, zf_epsilon=0.0)
-        assert unbatched.value.rows is None
+        assert unbatched.value.rows.tolist() == [0]
         synth("zf-le", ch, 1.0, zf_epsilon=1e-6)  # regularized is fine
         # in a batch, the error names the singular rows
         other = draw_channel(RngStream(24, 0), 1, 2, 16)
@@ -191,7 +209,7 @@ class TestConventionalDfe:
             ch = draw_channel(rng, 2, 20, 128)
             le = synth("mmse-le", ch, 1.0, 0.25)
             dfe = synth("mmse-dfe", ch, 1.0, 0.25, 19)
-            assert eq.unbiased_post_snr(dfe) >= eq.unbiased_post_snr(le) - 1e-12
+            assert dfe.predicted_mse <= le.predicted_mse + 1e-12
 
     def test_whitening(self):
         # FBF is the prediction-error filter: residual lags 1..L vanish
@@ -236,25 +254,27 @@ class TestConventionalDfe:
         block = bpsk_block(128, 2)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
         f = synth("zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
-        c = constellation("bpsk")
-        z, dec = eq.equalize_dfe(f, y, c, block.precoded)
+        z, idx = equalize("zf-dfe", f, y, block)
         err = np.linalg.norm(z - block.time_symbols) / np.linalg.norm(
             block.time_symbols
         )
         assert err < 1e-9
-        assert dec is None  # ideal feedback makes no decisions
-        np.testing.assert_array_equal(demod_hard(z, c)[0], block.time_symbols)
+        # ideal feedback slices its own output
+        np.testing.assert_array_equal(idx, kernels.nearest_index(z, BPSK.points,
+                                                                 True))
+        np.testing.assert_array_equal(BPSK.points[idx], block.time_symbols)
 
     def test_decision_mode_matches_genie_at_high_snr(self):
         ch = draw_channel(RngStream(30, 0), 2, 20, 256)
         block = bpsk_block(256, 3)
         y = apply_channel_freq(block.precoded, ch, 1e-6, RngStream(30, 1))
         f = synth("mmse-dfe", ch, 1.0, 1e-6, 20)
-        c = constellation("bpsk")
-        zg, _ = eq.equalize_dfe(f, y, c, block.precoded)
-        zd, dd = eq.equalize_dfe(f, y, c)
-        np.testing.assert_allclose(zd, zg, atol=1e-9)
-        np.testing.assert_array_equal(c.points[dd], block.time_symbols)
+        zg, ig = equalize("mmse-dfe", f, y, block)
+        zd, dd = equalize("mmse-dfe", f, y, block, feedback="decision")
+        # both modes return the ideal-feedback output; only the slicer differs
+        np.testing.assert_array_equal(zd, zg)
+        np.testing.assert_array_equal(dd, ig)
+        np.testing.assert_array_equal(BPSK.points[dd], block.time_symbols)
 
     def test_length_bounds(self):
         ch = flat_channel(16)
@@ -270,7 +290,8 @@ class TestWidelyLinear:
         ch = flat_channel(64)
         f = synth("wl-mmse-le", ch, 1.0, 0.5)
         block = bpsk_block(64, 4)
-        z = eq.equalize_le(f, apply_channel_freq(block.precoded, ch, 0.0, None))
+        z, _ = equalize("wl-mmse-le", f,
+                        apply_channel_freq(block.precoded, ch, 0.0, None), block)
         np.testing.assert_allclose(z, block.time_symbols * 2 / 2.5, atol=1e-12)
 
     @given(data=st.data(), n_r=st.integers(1, 3), m=st.integers(4, 96),
@@ -308,19 +329,23 @@ class TestWidelyLinear:
 
         le = synth(f"wl-{criterion}-le", ch, 1.0, sigma_n_sq)
         z_f, _ = two_look(le)
-        assert_matches(eq.equalize_le(le, y), idft(z_f))
+        assert_matches(equalize(f"wl-{criterion}-le", le, y, block)[0], idft(z_f))
 
         dfe = synth(f"wl-{criterion}-dfe", ch, 1.0, sigma_n_sq, fbf_length)
         z_f, one_plus_b = two_look(dfe)
         genie = idft(z_f) - idft((one_plus_b - 1.0) * dft(x))
-        assert_matches(eq.equalize_dfe(dfe, y, c, block.precoded)[0], genie)
-        init, _ = demod_hard(idft(z_f / one_plus_b), c)
+        init = c.points[kernels.nearest_index(idft(z_f / one_plus_b), c.points,
+                                              True)]
+        # a real feed-forward output, real taps and a real alphabet keep the
+        # decision pass's soft output exactly real
         ref, _, ref_idx = kernels.dd_feedback(
-            idft(z_f), dfe.fbf_taps.astype(complex), init[m - fbf_length:],
+            idft(z_f).real, dfe.fbf_taps.astype(complex), init[m - fbf_length:],
             c.points, True)
-        z, dec = eq.equalize_dfe(dfe, y, c)
-        assert_matches(z, ref)
-        np.testing.assert_array_equal(dec, ref_idx)
+        assert np.all(np.imag(ref) == 0)
+        assert_matches(equalize(f"wl-{criterion}-dfe", dfe, y, block)[0], genie)
+        z, idx = equalize(f"wl-{criterion}-dfe", dfe, y, block, c, "decision")
+        assert_matches(z, genie)
+        np.testing.assert_array_equal(idx, ref_idx)
 
     def test_fbf_taps_real(self):
         ch = draw_channel(RngStream(32, 0), 1, 20, 256)
@@ -331,11 +356,12 @@ class TestWidelyLinear:
         ch = draw_channel(RngStream(33, 0), 2, 20, 256)
         block = bpsk_block(256, 5)
         y = apply_channel_freq(block.precoded, ch, 0.3, RngStream(33, 1))
-        for f in (synth("wl-mmse-le", ch, 1.0, 0.3), synth("wl-zf-le", ch, 1.0)):
-            z = eq.equalize_le(f, y)
+        for name, f in (("wl-mmse-le", synth("wl-mmse-le", ch, 1.0, 0.3)),
+                        ("wl-zf-le", synth("wl-zf-le", ch, 1.0))):
+            z, _ = equalize(name, f, y, block)
             assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
         fd = synth("wl-mmse-dfe", ch, 1.0, 0.3, 20)
-        z, _ = eq.equalize_dfe(fd, y, constellation("bpsk"), block.precoded)
+        z, _ = equalize("wl-mmse-dfe", fd, y, block)
         assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
 
     def test_zf_noiseless_exact(self):
@@ -343,10 +369,10 @@ class TestWidelyLinear:
         block = bpsk_block(128, 6)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
         fle = synth("wl-zf-le", ch, 1.0, zf_epsilon=0.0)
-        z = eq.equalize_le(fle, y)
+        z, _ = equalize("wl-zf-le", fle, y, block)
         assert np.linalg.norm(z - block.time_symbols) < 1e-9 * np.linalg.norm(z)
         fdfe = synth("wl-zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
-        zd, _ = eq.equalize_dfe(fdfe, y, constellation("bpsk"), block.precoded)
+        zd, _ = equalize("wl-zf-dfe", fdfe, y, block)
         assert np.linalg.norm(zd - block.time_symbols) < 1e-9 * np.linalg.norm(zd)
 
     def test_mmse_approaches_zf(self):
@@ -385,8 +411,10 @@ class TestWidelyLinear:
     def test_complex_constellation_rejected(self):
         ch = flat_channel(32)
         f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 4)
+        block = bpsk_block(32, 7)
         with pytest.raises(ValueError, match="real"):
-            eq.equalize_dfe(f, np.ones((1, 32), complex), constellation("8psk"))
+            equalize("wl-mmse-dfe", f, np.ones((1, 32), complex), block,
+                     constellation("8psk"), "decision")
 
     def test_mmse_rejects_zero_noise(self):
         with pytest.raises(ValueError):
@@ -399,9 +427,9 @@ class TestDispatcher:
         for name in eq.RECEIVER_NAMES:
             spec = eq.ReceiverSpec.from_name(name, fbf_length=7)
             f = eq.synthesize(spec, ch, 1.0, 0.5)
-            assert f.family == spec.family
-            assert f.criterion == spec.criterion
-            assert f.structure == spec.structure
+            n_taps = 7 if spec.structure == "dfe" else 0
+            assert f.fbf_taps.shape == (n_taps,)
+            assert np.iscomplexobj(f.fbf_taps) == (spec.family == "conventional")
             assert f.fff.shape == (64, ch.n_r)
             assert f.predicted_mse > 0
 
@@ -420,24 +448,6 @@ class TestDispatcher:
             rtol=1e-8, atol=1e-10)
         assert f.predicted_mse == pytest.approx(
             0.25 * np.mean(np.abs(one_plus_b) ** 2 / denom), rel=1e-10)
-
-
-class TestUnbiasedPostSnr:
-    def test_mmse_bias_removal(self):
-        ch = flat_channel(16)
-        f = synth("mmse-le", ch, 1.0, 1e9)  # useless receiver, mse -> sx^2
-        assert eq.unbiased_post_snr(f) == pytest.approx(0.0, abs=1e-6)
-
-    def test_zf_plain_ratio(self):
-        ch = flat_channel(16, gain=np.sqrt(2) + 0j)
-        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0)
-        assert eq.unbiased_post_snr(f) == pytest.approx(2.0)
-
-    def test_requires_positive_mse(self):
-        ch = flat_channel(16)
-        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0)  # sigma_n_sq 0
-        with pytest.raises(ValueError):
-            eq.unbiased_post_snr(f)
 
 
 def _ensemble(build, n_real, n_r, seed, **kwargs):

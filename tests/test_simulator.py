@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scfde import equalizer as eq
 from scfde import simulator as sim
 from scfde.analytics import mfb_ber
 from scfde.equalizer import RECEIVER_NAMES, ReceiverSpec, SingularChannelError
@@ -160,7 +161,7 @@ class TestRunBlock:
         def flaky(trial_index, *args):
             if not calls:
                 calls.append(trial_index)
-                raise SingularChannelError("synthetic null")
+                raise SingularChannelError("synthetic null", np.array([0]))
             return real(trial_index, *args)
 
         monkeypatch.setattr(sim, "run_block", flaky)
@@ -270,6 +271,23 @@ class TestBatching:
             errors, bits, mse = sim.run_block(trials[lo:hi], cfg, spec, snr_db)
             rows += zip(errors.tolist(), bits.tolist(), mse.tolist())
         assert rows == single
+
+    def test_decision_batch_filters_once(self, monkeypatch):
+        # the ideal-feedback MSE and the decision pass share one filtered
+        # spectrum per batch
+        cfg = small_config(receivers=["mmse-dfe"], feedback="decision",
+                           fbf_len=4)
+        (spec,) = cfg.receiver_specs()
+        real = eq._filtered_spectrum
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(eq, "_filtered_spectrum", spy)
+        sim.run_block([1 << 8, 2 << 8, 3 << 8], cfg, spec, 8.0)
+        assert len(calls) == 1
 
     def test_singular_row_redrawn_alone(self, monkeypatch):
         # row 2 is singular at its index and the next one, row 4 at its
