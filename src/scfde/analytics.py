@@ -16,6 +16,7 @@ filter bound N_r * sigma_x^2 / sigma_n^2 (doubled for real alphabets,
 where only the real noise component matters).
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -187,8 +188,12 @@ def mmse_dfe_limit_snr_mc(n_r: int, r: float, samples: int,
     return mmse_dfe_post_snr_from_gains(gains, r)
 
 
-# Gauss-Legendre rule on [-1, 1]; reaches the exact BPSK sum to ~1e-13
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
+@functools.cache
+def _gauss_legendre():
+    """(nodes, weights) of the 256-point Gauss-Legendre rule on [-1, 1];
+    reaches the exact BPSK sum to ~1e-13. Built on first use, so that a
+    run that never asks for the MFB does not load numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(256)
 
 
 def _craig_terms(name: str):
@@ -223,9 +228,10 @@ def mfb_ber(constellation_name: str, n_r: int, r, taps: Optional[int] = None):
     if n_r < 1 or (taps is not None and taps < 1):
         raise ValueError(f"n_r and taps must be >= 1, got {n_r} and {taps}")
     w, c, theta_max = _craig_terms(constellation_name)
+    nodes, weights = _gauss_legendre()
     half = theta_max[:, None] / 2  # maps the rule onto [0, theta_j]
     x = np.asarray(r, dtype=float)[..., None, None] * (
-        c[:, None] / np.sin(half * (1.0 + _GL_NODES)) ** 2)
+        c[:, None] / np.sin(half * (1.0 + nodes)) ** 2)
     integrand = (np.exp(-n_r * x) if taps is None
                  else np.exp(-n_r * taps * np.log1p(x / taps)))
-    return np.sum(w[:, None] * half * _GL_WEIGHTS * integrand, axis=(-2, -1)) / np.pi
+    return np.sum(w[:, None] * half * weights * integrand, axis=(-2, -1)) / np.pi

@@ -5,16 +5,18 @@ Rayleigh taps (total unit average energy).  A cyclic prefix is assumed
 long enough that one transmitted block of ``m`` samples experiences a
 circular convolution, so the channel is diagonal in the DFT domain.
 
-Given a list of streams instead of one, draw_channel and
-apply_channel_freq serve a batch: row i of every array is drawn from
-streams[i] exactly as an unbatched call with that stream would draw it.
+draw_channel and apply_channel_freq take their randomness from a stream
+or from an array of standard normals already drawn (see
+numerics.gaussian_complex). An array with a leading row axis serves a
+batch: row i of every output comes from row i of the draws exactly as an
+unbatched call with those draws would make it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_generator, gaussian_complex
+from .numerics import gaussian_complex
 
 __all__ = [
     "ChannelRealization",
@@ -40,16 +42,17 @@ class ChannelRealization:
     m: int
 
 
-def draw_channel(stream, n_r: int, v: int, m: int) -> ChannelRealization:
+def draw_channel(source, n_r: int, v: int, m: int) -> ChannelRealization:
     """Draw an i.i.d. Rayleigh channel: taps are CN(0, 1/v) per antenna.
 
-    A list of streams draws one channel per stream.
+    source is a stream, or (..., 2 n_r v) standard normals, one channel
+    per row.
     """
     if n_r < 1:
         raise ValueError("need at least one receive antenna")
     if not 1 <= v <= m:
         raise ValueError(f"tap count must satisfy 1 <= v <= block size, got v={v} m={m}")
-    taps = gaussian_complex(stream, n_r * v, 1.0 / v)
+    taps = gaussian_complex(source, n_r * v, 1.0 / v)
     taps = taps.reshape(*taps.shape[:-1], n_r, v)
     freq = np.fft.fft(taps, n=m, axis=-1)
     return ChannelRealization(taps=taps, freq_response=freq, n_r=n_r, v=v, m=m)
@@ -70,19 +73,19 @@ def apply_channel_time(x_t: np.ndarray, channel: ChannelRealization,
     idx = (np.arange(m)[None, :] - np.arange(v)[:, None]) % m
     y = channel.taps @ x_t[idx]
     if sigma_n_sq > 0:
-        gen = as_generator(stream)
-        y = y + gaussian_complex(gen, channel.n_r * m, sigma_n_sq).reshape(channel.n_r, m)
+        y = y + gaussian_complex(stream, channel.n_r * m, sigma_n_sq).reshape(channel.n_r, m)
     return y
 
 
 def apply_channel_freq(x_f: np.ndarray, channel: ChannelRealization,
-                       sigma_n_sq: float, stream) -> np.ndarray:
+                       sigma_n_sq, source) -> np.ndarray:
     """Apply the channel in the DFT domain: y_r(k) = h_r(k) x(k) + n_r(k).
 
     The unnormalized DFT of unit-variance time noise has variance
     m * sigma_n_sq per subcarrier, and that is what is added here. For a
-    batched channel x_f has one row per channel and stream is the list of
-    streams, one per row.
+    batched channel x_f has one row per channel, source holds (rows,
+    2 n_r m) standard normals and sigma_n_sq may give one variance per
+    row.
     """
     x_f = np.asarray(x_f, dtype=complex)
     lead = channel.freq_response.shape[:-2]
@@ -90,8 +93,8 @@ def apply_channel_freq(x_f: np.ndarray, channel: ChannelRealization,
         raise ValueError(f"block must have shape {(*lead, channel.m)}, "
                          f"got {x_f.shape}")
     y = channel.freq_response * x_f[..., None, :]
-    if sigma_n_sq > 0:
-        noise = gaussian_complex(stream, channel.n_r * channel.m,
-                                 channel.m * sigma_n_sq)
+    variance = channel.m * np.asarray(sigma_n_sq)
+    if np.any(variance > 0):
+        noise = gaussian_complex(source, channel.n_r * channel.m, variance)
         y += noise.reshape(y.shape)
     return y

@@ -197,13 +197,15 @@ def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilte
     channel with spec.zf_epsilon as the only guard, and sigma_n_sq then
     only prices the residual-noise MSE. DFEs put an order-L
     prediction-error FBF behind that front end, real-tap for the widely
-    linear family. A batched ch gives filters with one row per channel;
-    a singular row raises SingularChannelError naming the rows.
+    linear family. A batched ch gives filters with one row per channel,
+    and sigma_n_sq may then give one noise variance per row; a singular
+    row raises SingularChannelError naming the rows.
     """
+    sigma_n_sq = np.asarray(sigma_n_sq, dtype=float)
     if spec.criterion == "mmse":
-        if sigma_n_sq <= 0:
+        if np.any(sigma_n_sq <= 0):
             raise ValueError("MMSE synthesis needs sigma_n_sq > 0; use the ZF variant")
-        reg = sigma_n_sq / sigma_x_sq
+        reg = (sigma_n_sq / sigma_x_sq)[..., None]
     else:
         reg = spec.zf_epsilon
     spec.check_fbf_length(ch.m)

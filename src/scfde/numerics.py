@@ -107,16 +107,27 @@ def levinson_complex(autocov, order):
     return taps, (float(errs[order]) if q.ndim == 1 else errs[:, order])
 
 
-def gaussian_complex(stream, n, variance):
+def gaussian_complex(source, n, variance):
     """n i.i.d. circularly symmetric complex Gaussians, total variance per sample.
 
-    A list of streams gives a (len(streams), n) array, row i drawn from
-    streams[i] exactly as a call with that stream alone would draw it.
+    source is a stream, which draws 2n standard normals, n real parts
+    then n imaginary parts, or an array (..., 2n) of such draws, one row
+    per batch row. variance is a scalar or one value per row.
     """
-    if variance <= 0:
+    variance = np.asarray(variance, dtype=float)
+    if np.any(variance <= 0):
         raise ValueError("variance must be positive")
-    if isinstance(stream, list):
-        return np.stack([gaussian_complex(s, n, variance) for s in stream])
-    rng = as_generator(stream)
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if isinstance(source, np.ndarray):
+        normals = source
+        if normals.shape[-1] != 2 * n:
+            raise ValueError(f"need {2 * n} standard normals per row, got "
+                             f"{normals.shape[-1]}")
+    else:
+        normals = as_generator(source).standard_normal(2 * n)
+    # scaled straight into the parts of one complex array: a batch's draws
+    # are large, and temporaries of that size cost page faults
+    scale = np.sqrt(variance / 2.0)[..., None]
+    out = np.empty((*normals.shape[:-1], n), complex)
+    np.multiply(normals[..., :n], scale, out=out.real)
+    np.multiply(normals[..., n:], scale, out=out.imag)
+    return out

@@ -9,15 +9,18 @@ ordinal into bits 8-39 and a redraw counter into bits 0-7, so that any
 cell can be reproduced in isolation and a singular channel can be
 redrawn with the literally next stream index.
 
-Blocks of a cell run in batches: run_block takes a list of trial
-indices and carries every array of the chain with a leading batch axis,
-so the sequential loops (Levinson orders, decision-feedback positions)
-run once per batch. A row's results are the same bits whatever batch it
-runs in. Rows are committed in ordinal order and the stopping rule is
-evaluated after every row, so the cell stops at the same block as a
-block-by-block loop and the rows past that block are discarded. Batch
-sizes come from committed counts and constants only (see _cell_blocks),
-so a rerun of the same config reproduces every output byte.
+Blocks run in batches: run_block takes a list of trial indices, with
+one SNR for all or one per index, and carries every array of the chain
+with a leading batch axis, so the sequential loops (Levinson orders,
+decision-feedback positions) run once per batch. A row's results are
+the same bits whatever batch it runs in. The SNR cells of a receiver
+share their batches (see _run_cells): each round, every cell still
+running asks for rows from its committed counts only, and the rows of
+all cells run together. A cell commits its rows in ordinal order and
+evaluates the stopping rule after every row, so it stops at the same
+block as a block-by-block loop and the rows past that block are
+discarded. Since batch sizes come from committed counts and constants
+only, a rerun of the same config reproduces every output byte.
 
 Post-SNR is always measured on the ideal-feedback path (decision errors
 would corrupt the error statistic); decision-directed runs report their
@@ -25,11 +28,12 @@ BER from the decision path but share the genie MSE measurement.
 """
 
 import hashlib
+import itertools
 import json
 import logging
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -106,8 +110,8 @@ def _noise_variance(snr_db) -> float:
 # trial index fields, see the module docstring
 _MAX_ORDINALS = 1 << 32
 _MAX_REDRAWS = 255
-# samples (antennas x block size) per batch: 16 blocks of 512 at one
-# antenna, 128 of 64; bounds the batch's arrays, and so the memory
+# samples (antennas x block size) per run_block pass: 16 blocks of 512 at
+# one antenna, 128 of 64; bounds the pass's arrays, and so the memory
 BATCH_SAMPLES = 1 << 13
 
 
@@ -117,7 +121,7 @@ class SweepConfig:
 
     Each (receiver, SNR) cell stops at min_bit_errors bit errors or
     max_blocks blocks. parallel_width is validated (>= 1) and recorded,
-    but does not affect the run: batch sizes follow from the cell's
+    but does not affect the run: batch sizes follow from the cells'
     committed counts and BATCH_SAMPLES only.
     """
 
@@ -208,10 +212,10 @@ class SweepConfig:
             if name in kwargs:
                 raise ValueError(f"config key {name!r} given twice (alias clash)")
             kwargs[name] = value
-        for field in ("fbf_len", "antennas", "taps", "block_size", "min_bit_errors",
-                      "max_blocks", "master_seed", "parallel_width"):
-            if field in kwargs:
-                kwargs[field] = int(kwargs[field])
+        for key in ("fbf_len", "antennas", "taps", "block_size", "min_bit_errors",
+                    "max_blocks", "master_seed", "parallel_width"):
+            if key in kwargs:
+                kwargs[key] = int(kwargs[key])
         if "zf_epsilon" in kwargs:
             kwargs["zf_epsilon"] = float(kwargs["zf_epsilon"])
         return cls(**kwargs)
@@ -269,30 +273,38 @@ def _trial_list(trial_index):
     return [int(t) for t in trial_index], True
 
 
-def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec,
-              snr_db: float):
+def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
     """Blocks through the full chain, one per trial index.
 
     An int trial index returns (bit_errors, bits, mse) for its block. A
     1-d sequence of indices runs them as one batch and returns three
     arrays whose row i is the block of trial_index[i], bit for bit what
-    the int call gives.
+    the int call gives. snr_db is one SNR for every row or, for a
+    sequence of indices, one SNR per index.
     """
     trials, batched = _trial_list(trial_index)
+    snrs = [snr_db] * len(trials) if np.ndim(snr_db) == 0 else list(snr_db)
+    if len(snrs) != len(trials):
+        raise ValueError(f"need one snr_db per trial index: {len(snrs)} values "
+                         f"for {len(trials)} indices")
     c = constellation(config.constellation)
-    m = config.block_size
-    sigma_n_sq = _noise_variance(snr_db)
-    # one stream per row, each drawing bits, then taps, then noise
-    gens = [RngStream(config.master_seed, t).generator() for t in trials]
-    tx_bits = np.stack([g.integers(0, 2, m * c.bits_per_symbol).astype(np.uint8)
-                        for g in gens])
+    m, n_r, v = config.block_size, config.antennas, config.taps
+    sigma_n_sq = np.array([_noise_variance(s) for s in snrs])
+    # one stream per row: its bits, then one call for the standard normals
+    # of the taps (real, imaginary) and of the noise (real, imaginary)
+    tx_bits = np.empty((len(trials), m * c.bits_per_symbol), np.uint8)
+    normals = np.empty((len(trials), 2 * n_r * (v + m)))
+    for row, t in enumerate(trials):
+        gen = RngStream(config.master_seed, t).generator()
+        tx_bits[row] = gen.integers(0, 2, tx_bits.shape[1])
+        normals[row] = gen.standard_normal(normals.shape[1])
     block = precode(map_bits(tx_bits, c))
-    ch = draw_channel(gens, config.antennas, config.taps, m)
+    ch = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
     filters = synthesize(receiver, ch, 1.0, sigma_n_sq)
-    y = apply_channel_freq(block.precoded, ch, sigma_n_sq, gens)
+    y = apply_channel_freq(block.precoded, ch, sigma_n_sq, normals[:, 2 * n_r * v :])
     # a batch's arrays are large: each is dropped once nothing reads it, which
     # keeps the peak memory of a batch near that of the step it is in
-    del gens, ch
+    del normals, ch
     z, indices = equalize(receiver, filters, y, c, block.precoded)
     mse = np.mean(np.abs(z - block.time_symbols) ** 2, axis=-1)
     errors = count_bit_errors(tx_bits, index_bits(indices, c))
@@ -303,7 +315,7 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec,
 
 
 def run_block_with_retry(trial_index, config: SweepConfig,
-                         receiver: ReceiverSpec, snr_db: float, max_redraws=64):
+                         receiver: ReceiverSpec, snr_db, max_redraws=64):
     """run_block, redrawing singular channels with the next stream index.
 
     Returns (bit_errors, bits, mse, redraws), arrays for a sequence of
@@ -352,45 +364,76 @@ def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
     return float(10.0 * np.log10(value))
 
 
-def _cell_blocks(config: SweepConfig, cell: str, snr_db: float, run,
-                 max_blocks: int, min_errors=math.inf):
-    """Yield the per-block results of one cell, in ordinal order.
+@dataclass(slots=True)
+class _Tally:
+    """The committed blocks of one (receiver, SNR) cell."""
 
-    run(trial_indices) returns per-row result sequences, bit error counts
-    first; each yielded block is a tuple of Python numbers. The cell stops
-    at min_errors bit errors or max_blocks blocks, whichever comes first,
-    and discards the rest of the batch it stopped in.
+    snr_db: float
+    base: int
+    errors: int = 0
+    bits: int = 0
+    redraws: int = 0
+    mses: list = field(default_factory=list)
 
-    Batch sizes depend on committed counts and constants only. The first
-    batch is one block. After it, a batch holds the blocks the committed
-    error rate says are still needed, ceil((min_errors - errors) *
-    committed / errors), or twice the previous batch while no error has
-    been seen, and never more than BATCH_SAMPLES / (antennas * block
-    size) rows or the blocks left before max_blocks. Without an error
-    target (min_errors = inf) only those two bounds apply once an error
-    has been seen.
+    @property
+    def blocks(self) -> int:
+        return len(self.mses)
+
+
+def _next_batch(tally: _Tally, budget: int, max_blocks: int, min_errors) -> int:
+    """Rows a cell asks for next, from its committed counts only.
+
+    The first batch is one block. After it, a batch holds the blocks the
+    committed error rate says are still needed, ceil((min_errors -
+    errors) * blocks / errors), or as many as are committed while no
+    error has been seen or there is no error target, so that batches
+    grow geometrically. It never holds more than the committed blocks,
+    the budget, or the blocks left before max_blocks.
+    """
+    blocks, errors = tally.blocks, tally.errors
+    if errors == 0 or math.isinf(min_errors):
+        wanted = max(1, blocks)
+    else:
+        wanted = min(blocks, -((errors - min_errors) * blocks // errors))
+    return min(budget, max_blocks - blocks, wanted)
+
+
+def _run_cells(config: SweepConfig, spec: ReceiverSpec, snrs, max_blocks: int,
+               min_errors=math.inf) -> list:
+    """Run the cells of one receiver at the SNRs snrs together; a _Tally each.
+
+    Each round, every active cell asks for its next batch (_next_batch),
+    the rows of all requests are concatenated and run_block_with_retry
+    runs them in passes of at most BATCH_SAMPLES / (antennas * block
+    size) rows, whatever SNR each row has. A cell then commits its rows
+    in ordinal order and stops at min_errors bit errors or max_blocks
+    blocks, whichever comes first, discarding the rest of its rows. Its
+    trial indices are _cell_base(spec.name, snr) | ordinal << 8.
     """
     assert max_blocks <= _MAX_ORDINALS, "ordinal would overwrite the cell hash"
-    base = _cell_base(cell, snr_db)
     budget = max(1, BATCH_SAMPLES // (config.antennas * config.block_size))
-    errors = blocks = batch = 0
-    while errors < min_errors and blocks < max_blocks:
-        if blocks == 0:
-            wanted = 1
-        elif errors == 0:
-            wanted = 2 * batch
-        elif math.isinf(min_errors):
-            wanted = budget
-        else:
-            wanted = -((errors - min_errors) * blocks // errors)
-        batch = min(budget, max_blocks - blocks, wanted)
-        outs = run([base | k << 8 for k in range(blocks, blocks + batch)])
-        for out in zip(*(o.tolist() for o in outs)):
-            errors += out[0]
-            blocks += 1
-            yield out
-            if errors >= min_errors:
-                break
+    tallies = [_Tally(snr, _cell_base(spec.name, snr)) for snr in snrs]
+    active = tallies
+    while active:
+        sizes = [_next_batch(t, budget, max_blocks, min_errors) for t in active]
+        trials, row_snrs = [], []
+        for t, size in zip(active, sizes):
+            trials += [t.base | k << 8 for k in range(t.blocks, t.blocks + size)]
+            row_snrs += [t.snr_db] * size
+        passes = [run_block_with_retry(trials[i : i + budget], config, spec,
+                                       row_snrs[i : i + budget])
+                  for i in range(0, len(trials), budget)]
+        rows = zip(*(np.concatenate(col).tolist() for col in zip(*passes)))
+        for t, size in zip(active, sizes):
+            for errors, bits, mse, redraws in itertools.islice(rows, size):
+                if t.errors < min_errors:
+                    t.errors += errors
+                    t.bits += bits
+                    t.redraws += redraws
+                    t.mses.append(mse)
+        active = [t for t in active
+                  if t.errors < min_errors and t.blocks < max_blocks]
+    return tallies
 
 
 def _post_snr_db(mses, criterion: str) -> float:
@@ -401,43 +444,32 @@ def _post_snr_db(mses, criterion: str) -> float:
     return float(10.0 * np.log10(post)) if post > 0 else float("nan")
 
 
-def _run_cell(config: SweepConfig, spec: ReceiverSpec, snr_db: float) -> SweepCell:
-    errors = bits = blocks = redraws = 0
-    mses = []
-
-    def run(trial_index):
-        return run_block_with_retry(trial_index, config, spec, snr_db)
-
-    for e, b, mse, rd in _cell_blocks(config, spec.name, snr_db, run,
-                                      config.max_blocks, config.min_bit_errors):
-        errors += e
-        bits += b
-        blocks += 1
-        redraws += rd
-        mses.append(mse)
-    return SweepCell(
-        receiver=spec.name,
-        snr_db=float(snr_db),
-        bits=bits,
-        errors=errors,
-        ber=errors / bits,
-        post_snr_db=_post_snr_db(mses, spec.criterion),
-        analytic_db=_analytic_db(spec, config, snr_db),
-        blocks=blocks,
-        redraws=redraws,
-        hit_max_blocks=errors < config.min_bit_errors,
-    )
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """BER/post-SNR over the full (receiver, snr) grid of the config."""
+    """BER/post-SNR over the full (receiver, snr) grid of the config.
+
+    The SNR cells of a receiver run together (see _run_cells), so their
+    INFO records are logged when the receiver's last cell has stopped.
+    """
     rows = []
     for spec in config.receiver_specs():
-        for snr_db in config.snr_db:
-            cell = _run_cell(config, spec, snr_db)
+        tallies = _run_cells(config, spec, config.snr_db, config.max_blocks,
+                             config.min_bit_errors)
+        for t in tallies:
+            cell = SweepCell(
+                receiver=spec.name,
+                snr_db=float(t.snr_db),
+                bits=t.bits,
+                errors=t.errors,
+                ber=t.errors / t.bits,
+                post_snr_db=_post_snr_db(t.mses, spec.criterion),
+                analytic_db=_analytic_db(spec, config, t.snr_db),
+                blocks=t.blocks,
+                redraws=t.redraws,
+                hit_max_blocks=t.errors < config.min_bit_errors,
+            )
             log.info(
                 "%s @ %g dB: ber=%.4g errors=%d blocks=%d%s",
-                cell.receiver, snr_db, cell.ber, cell.errors, cell.blocks,
+                cell.receiver, t.snr_db, cell.ber, cell.errors, cell.blocks,
                 " (max_blocks hit)" if cell.hit_max_blocks else "",
             )
             rows.append(cell)
@@ -457,12 +489,8 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
     rows = []
     for spec in config.receiver_specs():
         genie = replace(spec, feedback_mode="ideal_genie")
-
-        def run(trial_index):
-            return run_block_with_retry(trial_index, config, genie, snr_db)
-
-        mses = [out[2] for out in _cell_blocks(config, genie.name, snr_db, run,
-                                               realizations)]
+        (tally,) = _run_cells(config, genie, (snr_db,), realizations)
+        mses = tally.mses
         post_db = _post_snr_db(mses, spec.criterion)
         analytic = _analytic_db(spec, config, snr_db)
         rows.append(

@@ -142,3 +142,22 @@ class TestMfb:
                                for _ in range(20000)])
             assert energy.mean() == pytest.approx(n_r, rel=0.03)
             assert energy.var() == pytest.approx(n_r / v, rel=0.08)
+
+
+def test_rows_of_drawn_normals_equal_single_draws():
+    # row i of a batch built from draws is the channel and noise an
+    # unbatched call makes from the same draws
+    n_r, v, m = 2, 3, 16
+    normals = np.stack([RngStream(8, k).generator().standard_normal(2 * n_r * (v + m))
+                        for k in range(4)])
+    sigma = np.array([0.1, 0.2, 0.4, 0.8])
+    x_f = dft(np.exp(2j * np.pi * np.arange(4 * m).reshape(4, m) / 7))
+    ch = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
+    y = apply_channel_freq(x_f, ch, sigma, normals[:, 2 * n_r * v :])
+    assert ch.taps.shape == (4, n_r, v) and y.shape == (4, n_r, m)
+    for k in range(4):
+        gen = RngStream(8, k).generator()
+        one = draw_channel(gen, n_r, v, m)
+        np.testing.assert_array_equal(ch.taps[k], one.taps)
+        np.testing.assert_array_equal(ch.freq_response[k], one.freq_response)
+        np.testing.assert_array_equal(y[k], apply_channel_freq(x_f[k], one, sigma[k], gen))

@@ -291,10 +291,20 @@ def test_log_handler_does_not_outlive_main(monkeypatch, capsys):
     assert "Logging error" not in capsys.readouterr().err
 
 
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this checkout's scfde."""
+    src = os.path.dirname(os.path.dirname(scfde.analytics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_run_path_imports_no_scipy():
     # numpy is the only runtime dependency: importing the CLI and running a
     # block and an MFB curve must not pull scipy back in
-    code = (
+    _run_python(
         "import sys, scfde.cli\n"
         "from scfde import simulator\n"
         "cfg = simulator.SweepConfig(receivers='mmse-dfe', block_size=64, taps=4)\n"
@@ -302,9 +312,15 @@ def test_run_path_imports_no_scipy():
         "simulator.mfb_reference_curve(cfg, per_realization=True)\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
-    src = os.path.dirname(os.path.dirname(scfde.analytics.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+
+
+def test_block_path_loads_no_quadrature_rule():
+    # the MFB's Gauss-Legendre nodes are built on first use, so a run that
+    # only simulates blocks never loads numpy.polynomial
+    _run_python(
+        "import sys, scfde.cli\n"
+        "from scfde import simulator\n"
+        "cfg = simulator.SweepConfig(receivers='mmse-dfe', block_size=64, taps=4)\n"
+        "simulator.run_block(0, cfg, cfg.receiver_specs()[0], 6.0)\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'\n"
+    )

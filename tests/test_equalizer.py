@@ -433,6 +433,25 @@ class TestDispatcher:
             assert f.fff.shape == (64, ch.n_r)
             assert f.predicted_mse > 0
 
+    def test_noise_variance_per_row(self):
+        # row i of a batch synthesized with one noise variance per row is the
+        # unbatched synthesis of channel i at variance i
+        rows = [draw_channel(RngStream(40, k), 2, 8, 64) for k in range(3)]
+        batch = ChannelRealization(
+            taps=np.stack([ch.taps for ch in rows]),
+            freq_response=np.stack([ch.freq_response for ch in rows]),
+            n_r=2, v=8, m=64)
+        sigma = np.array([0.05, 0.5, 5.0])
+        for name in eq.RECEIVER_NAMES:
+            spec = eq.ReceiverSpec.from_name(name, fbf_length=7)
+            f = eq.synthesize(spec, batch, 1.0, sigma)
+            for k, ch in enumerate(rows):
+                one = eq.synthesize(spec, ch, 1.0, sigma[k])
+                for got, want in ((f.fff[k], one.fff), (f.fbf_taps[k], one.fbf_taps),
+                                  (f.one_plus_b[k], one.one_plus_b),
+                                  (f.predicted_mse[k], one.predicted_mse)):
+                    np.testing.assert_array_equal(got, want)
+
     def test_matches_direct_call(self):
         # ZF-DFE built by hand: taps from a dense solve on the guarded
         # inverse spectrum, w(k) = (1 + b(k)) h*(k) / (|h(k)|^2 + eps)

@@ -172,3 +172,34 @@ class TestRngAndGaussian:
     def test_bad_variance(self):
         with pytest.raises(ValueError):
             gaussian_complex(RngStream(1, 0), 4, 0.0)
+
+    def test_one_call_equals_successive_calls(self):
+        # a trial draws taps and noise in one standard_normal call; the
+        # stream is the same as drawing the four parts one after another
+        for seed, sizes in ((0, (8, 8, 64, 64)), (1, (40, 40, 1024, 1024)),
+                            (2, (1, 1, 4, 4)), (3, (3, 5, 7, 11))):
+            parts = RngStream(9, seed).generator()
+            split = np.concatenate([parts.standard_normal(n) for n in sizes])
+            whole = RngStream(9, seed).generator().standard_normal(sum(sizes))
+            np.testing.assert_array_equal(split, whole)
+
+    def test_drawn_normals_give_the_stream_result(self):
+        normals = RngStream(42, 7).generator().standard_normal(128)
+        np.testing.assert_array_equal(gaussian_complex(normals, 64, 0.3),
+                                      gaussian_complex(RngStream(42, 7), 64, 0.3))
+
+    def test_rows_with_their_own_variance(self):
+        normals = np.stack([RngStream(5, k).generator().standard_normal(32)
+                            for k in range(3)])
+        variance = np.array([0.5, 1.0, 2.0])
+        rows = gaussian_complex(normals, 16, variance)
+        assert rows.shape == (3, 16)
+        for k in range(3):
+            np.testing.assert_array_equal(
+                rows[k], gaussian_complex(RngStream(5, k), 16, variance[k]))
+
+    def test_bad_draws(self):
+        with pytest.raises(ValueError, match="need 8 standard normals"):
+            gaussian_complex(np.zeros(6), 4, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            gaussian_complex(np.zeros((2, 8)), 4, np.array([1.0, 0.0]))

@@ -7,6 +7,7 @@ quadrature of the Gaussian tail before the module was written:
   Q(sqrt(4 * 10^0.4))       = 7.6276e-4   (BPSK, N_r=2, 4.0 dB)
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -319,40 +320,93 @@ class TestBatching:
              snr_db=[2.0, 6.0], min_bit_errors=300, max_blocks=200),
     ])
     def test_batch_sizes_follow_committed_counts(self, monkeypatch, overrides):
+        # the SNR cells of a receiver share passes; within a pass each
+        # cell's rows are one run of consecutive ordinals
         cfg = small_config(**overrides)
         budget = sim.BATCH_SAMPLES // (cfg.antennas * cfg.block_size)
         real = sim.run_block
-        calls = {}
+        passes = []
 
         def spy(index, *args):
             assert not isinstance(index, int), "a cell ran an unbatched block"
-            calls.setdefault(index[0] >> 40, []).append(index)
+            passes.append(index)
             return real(index, *args)
 
         monkeypatch.setattr(sim, "run_block", spy)
         rows = sim.run_sweep(cfg).rows
-        assert len(calls) == len(rows)
+        runs = {}  # cell hash -> the ordinals of each of its runs, in order
+        for index in passes:
+            assert 1 <= len(index) <= budget
+            for cell, group in itertools.groupby(index, key=lambda t: t >> 40):
+                runs.setdefault(cell, []).append(
+                    [(t >> 8) & 0xFFFFFFFF for t in group])
+        assert len(runs) == len(rows)
         for row in rows:
-            batches = calls[sim._cell_base(row.receiver, row.snr_db) >> 40]
-            ordinals = [(t >> 8) & 0xFFFFFFFF for batch in batches for t in batch]
+            cell_runs = runs[sim._cell_base(row.receiver, row.snr_db) >> 40]
+            ordinals = [k for run in cell_runs for k in run]
             assert ordinals == list(range(len(ordinals)))  # no redraws here
-            committed = 0
-            for batch in batches:
-                assert len(batch) <= min(budget, cfg.max_blocks - committed)
-                committed += len(batch)
-            assert len(batches[0]) == 1
-            assert row.blocks <= len(ordinals) <= row.blocks + len(batches[-1]) - 1
+            assert len(cell_runs[0]) == 1
+            for run in cell_runs[1:]:
+                # a run is a request, or the part of one a pass boundary
+                # split off; a request never holds more than the committed
+                # blocks, so a cell's batch at most doubles them
+                assert len(run) <= min(run[0], cfg.max_blocks - run[0])
+            assert row.blocks <= len(ordinals) < 2 * row.blocks
             # the cell stops where a block-by-block loop stops
             spec = ReceiverSpec.from_name(row.receiver, fbf_length=cfg.fbf_len,
                                           feedback_mode=cfg.feedback)
+            base = sim._cell_base(row.receiver, row.snr_db)
             errors = blocks = 0
             while errors < cfg.min_bit_errors and blocks < cfg.max_blocks:
-                errors += real(batches[0][0] | blocks << 8, cfg, spec,
-                               row.snr_db)[0]
+                errors += real(base | blocks << 8, cfg, spec, row.snr_db)[0]
                 blocks += 1
             assert (row.errors, row.blocks) == (errors, blocks)
-        # some cell's batches grow until the budget caps them
-        assert any(len(b) == budget for cell in calls.values() for b in cell)
+        # the first pass of a receiver holds one row of each of its cells,
+        # and some pass is filled to the budget
+        assert sorted(t >> 40 for t in passes[0]) == sorted(
+            sim._cell_base(cfg.receivers[0], snr) >> 40 for snr in cfg.snr_db)
+        assert any(len(index) == budget for index in passes)
+
+    @PROPERTY
+    @given(data=st.data(), feedback=st.sampled_from(["genie", "decision"]),
+           antennas=st.integers(1, 2), m=st.integers(4, 32),
+           seed=st.integers(0, 2**16))
+    def test_mixed_snr_rows_equal_single_blocks(self, data, feedback, antennas,
+                                                m, seed):
+        # a batch whose rows have different SNRs gives, row for row, the
+        # bits of the int call at that row's trial index and SNR
+        name = data.draw(st.sampled_from(RECEIVER_NAMES), label="receiver")
+        cfg = sim.SweepConfig.from_dict(dict(
+            constellation="bpsk", receivers=name, feedback=feedback,
+            nr=antennas, v=data.draw(st.integers(1, m), label="v"), m=m,
+            fbf_len=data.draw(st.integers(1, m // 2), label="L"),
+            master_seed=seed))
+        (spec,) = cfg.receiver_specs()
+        trials = data.draw(st.lists(st.integers(0, 2**72 - 1), min_size=1,
+                                    max_size=6), label="trials")
+        snrs = data.draw(st.lists(st.floats(-5.0, 30.0), min_size=len(trials),
+                                  max_size=len(trials)), label="snrs")
+        single = [sim.run_block(t, cfg, spec, s) for t, s in zip(trials, snrs)]
+        errors, bits, mse = sim.run_block(trials, cfg, spec, snrs)
+        assert list(zip(errors.tolist(), bits.tolist(), mse.tolist())) == single
+
+    def test_one_snr_per_trial_index(self):
+        cfg = small_config()
+        (spec,) = cfg.receiver_specs()
+        with pytest.raises(ValueError, match="one snr_db per trial index"):
+            sim.run_block([1, 2, 3], cfg, spec, [4.0, 8.0])
+
+    def test_sweep_bytes_independent_of_the_budget(self, monkeypatch):
+        cfg = small_config(receivers=["zf-le", "mmse-dfe", "wl-mmse-dfe"],
+                           feedback="decision", fbf_len=4,
+                           snr_db=[0.0, 3.0, 6.0, 9.0], max_blocks=120)
+        samples, default = cfg.antennas * cfg.block_size, sim.BATCH_SAMPLES
+        outputs = []
+        for budget in (samples, 3 * samples, default):
+            monkeypatch.setattr(sim, "BATCH_SAMPLES", budget)
+            result = sim.run_sweep(cfg)
+            outputs.append((sim.result_to_csv(result), sim.result_to_json(result)))
+        assert outputs[1:] == outputs[:1] * 2
 
 
 class TestTrialIndexPacking:
