@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .numerics import dft, idft, levinson_complex
+from .numerics import dft, idft
 
 __all__ = [
     "RECEIVER_NAMES",
@@ -184,8 +184,8 @@ def _prediction_taps(denom, order, widely_linear):
     """
     autocov = idft(1.0 / denom)[..., : order + 1]
     if widely_linear:  # even spectrum: real autocovariance, real taps
-        return levinson_complex(autocov.real, order)[0].real
-    return levinson_complex(autocov, order)[0]
+        return kernels.levinson_recursion(autocov.real, order)[0].real
+    return kernels.levinson_recursion(autocov, order)[0]
 
 
 def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilters:
@@ -288,10 +288,8 @@ def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
         return z, kernels.nearest_index(z, c.points, c.is_real)
     tail = c.points[kernels.nearest_index(
         _linear_tail(widely_linear, filters, z_f), c.points, c.is_real)]
-    _, _, indices = kernels.dd_feedback(_time_block(widely_linear, z_f),
-                                        filters.fbf_taps, tail, c.points,
-                                        c.is_real)
-    return z, indices
+    return z, kernels.dd_feedback(_time_block(widely_linear, z_f),
+                                  filters.fbf_taps, tail, c.points, c.is_real)
 
 
 def _linear_tail(widely_linear, filters: EqualizerFilters, z_f) -> np.ndarray:

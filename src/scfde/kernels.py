@@ -9,9 +9,17 @@ once per block. Dot products are elementwise products summed over the
 last axis by np.add.reduce (np.sum without its Python wrapper), which
 rounds each row the same way at any batch size; einsum and matmul do not
 promise that.
+
+Each step is written once and returns only what its caller reads:
+levinson_recursion checks its input and raises ConditioningError itself,
+and dd_feedback returns the decided indices.
 """
 
 import numpy as np
+
+
+class ConditioningError(ArithmeticError):
+    """Raised when a recursion loses positive definiteness."""
 
 
 def backend():
@@ -32,37 +40,48 @@ def nearest_index(z, points, real_metric):
 
 
 def levinson_recursion(autocov, order):
-    """Solve sum_m q(l-m) b(m) = -q(l), l = 1..order, for Hermitian Toeplitz q.
+    """Order-`order` prediction-error taps for a Hermitian Toeplitz system.
 
-    Returns (taps, err_history, fail_step). err_history[i] is the
-    prediction error after order i; fail_step is the first order whose
-    error fell to <= 0 (input not positive definite), or -1 on success.
-    A failed row keeps its taps and error from that order on.
+    Solves the normal equations sum_m q(l-m) b(m) = -q(l), l = 1..order
+    (equivalently A b* = -q* with A(l,m) = q(m-l)), in complex arithmetic
+    whatever the input dtype.
 
-    Leading axes of autocov are a batch of independent rows; taps,
-    err_history and fail_step then carry the same leading axes. A row is
-    computed with the same operations at any batch size, so it equals the
-    1-d call on that row bit for bit.
+    Returns (taps, prediction_error) where prediction_error equals
+    q(0) + Re(sum_m b(m) q*(m)) and is positive, non-increasing in order.
+    Leading axes of autocov are a batch of independent rows; taps and
+    prediction_error then carry one row each. A row is computed with the
+    same operations at any batch size, so it equals the 1-d call on that
+    row bit for bit.
+
+    Raises ValueError for a negative order, fewer than order + 1 lags or
+    a q(0) that is not real and positive, and ConditioningError as soon
+    as a row's prediction error falls to <= 0 (not positive definite).
     """
     q = np.asarray(autocov)
-    rows = q.shape[:-1]
-    taps = np.zeros((*rows, order), np.complex128)
-    errs = np.zeros((*rows, order + 1), np.float64)
-    fail = np.full(rows, -1)
-    err = q[..., 0].real.copy()
-    errs[..., 0] = err
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if q.ndim == 0 or q.shape[-1] < order + 1:
+        raise ValueError(f"autocov needs length >= order + 1 = {order + 1} "
+                         "along its last axis")
+    q = q[..., : order + 1].astype(np.complex128)
+    q0 = q[..., 0]
+    if np.any(np.abs(q0.imag) > 1e-10 * np.maximum(np.abs(q0.real), 1e-300)) \
+            or np.any(q0.real <= 0):
+        raise ValueError("autocov(0) must be real and positive")
+    taps = np.zeros((*q.shape[:-1], order), np.complex128)
+    err = q0.real.copy()
     for i in range(1, order + 1):
         past = taps[..., : i - 1]
-        failed = fail >= 0
-        # a failed row divides by 1 and takes k = 0, so it stays as it was
-        k = np.where(failed, 0.0, -(q[..., i] + np.add.reduce(
-            past * q[..., i - 1 : 0 : -1], axis=-1)) / np.where(failed, 1.0, err))
+        k = -(q[..., i] + np.add.reduce(past * q[..., i - 1 : 0 : -1], axis=-1)) / err
         past += k[..., None] * np.conj(past[..., ::-1])
         taps[..., i - 1] = k
         err = err * (1.0 - np.abs(k) ** 2)
-        errs[..., i] = err
-        fail[(err <= 0.0) & ~failed] = i
-    return taps, errs, fail
+        if np.any(err <= 0.0):
+            raise ConditioningError(
+                f"prediction error {np.min(err):.3e} at order {i}; "
+                "autocovariance is not positive definite"
+            )
+    return taps, (float(err) if q.ndim == 1 else err)
 
 
 def dd_feedback(z_t, fbf, tail, points, real_metric):
@@ -75,7 +94,7 @@ def dd_feedback(z_t, fbf, tail, points, real_metric):
     of z_t, fbf and tail are a batch of rows, all advanced one position
     per step; each row equals the 1-d call on that row bit for bit.
 
-    Returns (z_hat, decided_symbols, decided_indices).
+    Returns the decided indices into points, shaped like z_t.
     """
     z_t, fbf, tail = np.asarray(z_t), np.asarray(fbf), np.asarray(tail)
     *rows, m = z_t.shape
@@ -86,14 +105,12 @@ def dd_feedback(z_t, fbf, tail, points, real_metric):
     reversed_fbf = np.asarray(fbf[..., ::-1], np.complex128)
     products = np.empty((*rows, n_taps), np.complex128)
     # position-major, so that each step writes one contiguous row
-    z_hat = np.empty((m, *rows), np.complex128)
     idx = np.empty((m, *rows), np.int64)
     z_by_position = np.moveaxis(z_t, -1, 0)
     for l in range(m):
         np.multiply(reversed_fbf, past[..., l : l + n_taps], out=products)
-        val = z_by_position[l] - np.add.reduce(products, axis=-1)
-        best = nearest_index(val, points, real_metric)
-        z_hat[l] = val
+        best = nearest_index(z_by_position[l] - np.add.reduce(products, axis=-1),
+                             points, real_metric)
         idx[l] = best
         past[..., l + n_taps] = points[best]
-    return np.moveaxis(z_hat, 0, -1), past[..., n_taps:], np.moveaxis(idx, 0, -1)
+    return np.moveaxis(idx, 0, -1)

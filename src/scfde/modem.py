@@ -1,4 +1,4 @@
-"""Modulation alphabets, bit mapping, block precoding, hard decisions.
+"""Modulation alphabets, bit mapping, block precoding, bit error counting.
 
 Gray labeling is pinned here because uncoded BER at a given SNR depends
 on it: BPSK maps bit 0 to +1; 8-PSK places points at angles 2pi m/8 with
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import nearest_index
 from .numerics import dft
 
 
@@ -116,17 +115,6 @@ def precode(x_t) -> SymbolBlock:
     (single-carrier precoding)."""
     x_t = np.asarray(x_t, dtype=complex)
     return SymbolBlock(time_symbols=x_t, precoded=dft(x_t))
-
-
-def demod_hard(z_t, c: Constellation):
-    """Nearest-point decisions by kernels.nearest_index: ties resolve to
-    the lower point index, real alphabets slice on the real part.
-
-    Returns (symbols, bits); the bits of each block (last axis of z_t) are
-    concatenated in symbol order.
-    """
-    idx = nearest_index(z_t, c.points, c.is_real)
-    return c.points[idx], index_bits(idx, c)
 
 
 def index_bits(indices, c: Constellation) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytics, channel, equalizer, numerics
+from . import analytics, channel, equalizer, kernels, numerics
 from .modem import constellation, map_bits, precode
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_selftest"]
@@ -83,7 +83,7 @@ def _suite_levinson_vs_dense():
         # the widely linear autocovariance: real, from the even spectrum
         qr = numerics.idft(1.0 / (gains + gains[-np.arange(ch.m)] + 0.1)).real
         for seq in (q, qr):
-            taps, mse = numerics.levinson_complex(seq, order)
+            taps, mse = kernels.levinson_recursion(seq, order)
             ref_taps, ref_mse = _dense_prediction(seq.astype(complex), order)
             worst = max(worst, float(np.max(np.abs(taps - ref_taps))),
                         abs(mse - ref_mse))

@@ -107,6 +107,26 @@ def _noise_variance(snr_db) -> float:
     return sigma_n_sq
 
 
+_INTEGER_KEYS = ("fbf_len", "antennas", "taps", "block_size", "min_bit_errors",
+                 "max_blocks", "master_seed", "parallel_width")
+
+
+def _integer(key, value) -> int:
+    """value as an int: an integer, an integral float (JSON 1e3) or a digit
+    string (a command-line override). ValueError for anything else, bools
+    and non-integral numbers included, rather than truncating them."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+
+
 # trial index fields, see the module docstring
 _MAX_ORDINALS = 1 << 32
 _MAX_REDRAWS = 255
@@ -122,7 +142,8 @@ class SweepConfig:
     Each (receiver, SNR) cell stops at min_bit_errors bit errors or
     max_blocks blocks. parallel_width is validated (>= 1) and recorded,
     but does not affect the run: batch sizes follow from the cells'
-    committed counts and BATCH_SAMPLES only.
+    committed counts and BATCH_SAMPLES only. Integer fields take integers,
+    integral floats and digit strings, and reject anything else.
     """
 
     constellation: str = "bpsk"
@@ -140,6 +161,8 @@ class SweepConfig:
     zf_epsilon: float = 1e-12
 
     def __post_init__(self):
+        for key in _INTEGER_KEYS:
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         rx = self.receivers
         if isinstance(rx, str):
             rx = tuple(p.strip() for p in rx.split(",") if p.strip())
@@ -162,8 +185,15 @@ class SweepConfig:
             raise ValueError("snr grid is empty")
         for snr_db in self.snr_db:
             _noise_variance(snr_db)
-        if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
-            raise ValueError(f"snr grid must be strictly increasing: {self.snr_db}")
+        for a, b in zip(self.snr_db, self.snr_db[1:]):
+            if b <= a:
+                raise ValueError(f"snr grid must be strictly increasing: {self.snr_db}")
+            # keys are monotone in the SNR, so equal keys are neighbours
+            if _snr_key(a) == _snr_key(b):
+                raise ValueError(
+                    f"snr points {a!r} and {b!r} share the cell key "
+                    f"{_snr_key(a)}, which seeds a cell's random streams; "
+                    "grid points must differ within 6 decimals")
         if self.antennas < 1:
             raise ValueError("antennas must be >= 1")
         if not 1 <= self.taps <= self.block_size:
@@ -212,10 +242,6 @@ class SweepConfig:
             if name in kwargs:
                 raise ValueError(f"config key {name!r} given twice (alias clash)")
             kwargs[name] = value
-        for key in ("fbf_len", "antennas", "taps", "block_size", "min_bit_errors",
-                    "max_blocks", "master_seed", "parallel_width"):
-            if key in kwargs:
-                kwargs[key] = int(kwargs[key])
         if "zf_epsilon" in kwargs:
             kwargs["zf_epsilon"] = float(kwargs["zf_epsilon"])
         return cls(**kwargs)
@@ -261,8 +287,14 @@ class GapAtBer:
     gap_db: float
 
 
+def _snr_key(snr_db: float) -> str:
+    """The SNR as the cell hash reads it: two SNRs with one key share
+    their cells' trial indices."""
+    return f"{snr_db:.6f}"
+
+
 def _cell_base(receiver_name: str, snr_db: float) -> int:
-    digest = hashlib.sha256(f"{receiver_name}|{snr_db:.6f}".encode()).digest()
+    digest = hashlib.sha256(f"{receiver_name}|{_snr_key(snr_db)}".encode()).digest()
     return int.from_bytes(digest[:4], "big") << 40
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from scfde import analytics as an
-from scfde.modem import constellation, count_bit_errors, demod_hard, map_bits
+from scfde.kernels import nearest_index
+from scfde.modem import constellation, count_bit_errors, index_bits, map_bits
 
 DB = lambda x: 10 * np.log10(x)
 
@@ -217,13 +218,13 @@ _SYMBOLS = 100_000
 
 
 def _slicing_ber(name, snr, gen):
-    """Monte Carlo BER of demod_hard over _SYMBOLS symbols at per-symbol SNR
-    `snr` (a scalar or one value per symbol)."""
+    """Monte Carlo BER of nearest-point slicing over _SYMBOLS symbols at
+    per-symbol SNR `snr` (a scalar or one value per symbol)."""
     c = constellation(name)
     bits = gen.integers(0, 2, _SYMBOLS * c.bits_per_symbol)
     noise = np.sqrt(0.5 / snr) * (gen.standard_normal(_SYMBOLS)
                                   + 1j * gen.standard_normal(_SYMBOLS))
-    _, rx = demod_hard(map_bits(bits, c) + noise, c)
+    rx = index_bits(nearest_index(map_bits(bits, c) + noise, c.points, c.is_real), c)
     return count_bit_errors(bits, rx) / bits.size
 
 

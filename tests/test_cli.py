@@ -116,6 +116,9 @@ class TestBerSweep:
         (["receivers=zf-le,mmse-le", "snr=0,4000"], "snr_db=4000.0"),
         (["receivers=zf-dfe", "snr=0,4000", "zf_epsilon=0"], "snr_db=4000.0"),
         (["snr=-4000"], "snr_db=-4000.0"),
+        # both points hash to one cell key, so both cells would replay
+        # the same random streams
+        (["snr=1,1.0000001"], "cell key"),
     ])
     def test_bad_config_exits_2_before_any_block(self, small_config, override,
                                                   key, monkeypatch, capsys):
@@ -126,6 +129,23 @@ class TestBerSweep:
         code = main(["ber-sweep", "--config", str(small_config), *override])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("nr", 2.5, "antennas"), ("max_blocks", 3.9, "max_blocks"),
+        ("master_seed", True, "master_seed")])
+    def test_non_integral_key_exits_2_before_any_block(self, small_config, key,
+                                                       value, name, monkeypatch,
+                                                       capsys):
+        # a JSON number is not truncated to an integer key: 2.5 antennas
+        # are an error, not 2
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block ran before the config was rejected")
+
+        monkeypatch.setattr("scfde.simulator.run_block", no_blocks)
+        cfg = json.loads(small_config.read_text())
+        small_config.write_text(json.dumps({**cfg, key: value}))
+        assert main(["ber-sweep", "--config", str(small_config)]) == 2
+        assert f"{name!r} must be an integer" in capsys.readouterr().err
 
     def test_singular_channels_exit_2(self, small_config, monkeypatch, capsys):
         # a channel still singular after every redraw is a bad run, not a
@@ -140,14 +160,16 @@ class TestBerSweep:
         assert len(err) == 1 and err[0].startswith("error: 64 singular channels")
 
     def test_conditioning_error_exits_2(self, small_config, monkeypatch, capsys):
-        # a Levinson recursion that loses positive definiteness at order 1
+        # the real recursion, handed an autocovariance that is not positive
+        # definite (|q(1)| > q(0)), loses positive definiteness at order 1
         real = kernels.levinson_recursion
 
-        def failing(autocov, order):
-            taps, errs, fail = real(autocov, order)
-            return taps, errs, np.ones_like(fail)
+        def not_positive_definite(autocov, order):
+            q = np.zeros(np.shape(autocov))
+            q[..., :2] = 1.0, 1.5
+            return real(q, order)
 
-        monkeypatch.setattr(kernels, "levinson_recursion", failing)
+        monkeypatch.setattr(kernels, "levinson_recursion", not_positive_definite)
         code = main(["ber-sweep", "--config", str(small_config),
                      "receivers=mmse-dfe", "fbf_len=4"])
         assert code == 2

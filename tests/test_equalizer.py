@@ -336,12 +336,9 @@ class TestWidelyLinear:
         genie = idft(z_f) - idft((one_plus_b - 1.0) * dft(x))
         init = c.points[kernels.nearest_index(idft(z_f / one_plus_b), c.points,
                                               True)]
-        # a real feed-forward output, real taps and a real alphabet keep the
-        # decision pass's soft output exactly real
-        ref, _, ref_idx = kernels.dd_feedback(
+        ref_idx = kernels.dd_feedback(
             idft(z_f).real, dfe.fbf_taps.astype(complex), init[m - fbf_length:],
             c.points, True)
-        assert np.all(np.imag(ref) == 0)
         assert_matches(equalize(f"wl-{criterion}-dfe", dfe, y, block)[0], genie)
         z, idx = equalize(f"wl-{criterion}-dfe", dfe, y, block, c, "decision")
         assert_matches(z, genie)

@@ -1,11 +1,12 @@
 """Sequential kernels against independent oracles.
 
-Levinson taps are checked against a dense Toeplitz solve, decision
-feedback against a noise-free block it must decode exactly and against
-a scalar reference loop under noise, at fixed cases and as hypothesis
-properties over orders, block lengths and alphabets; the shared
-nearest-point rule must slice the same way for demod_hard and the
-feedback pass.
+Levinson taps are checked against hand-solved small cases and a dense
+Toeplitz solve, its input checks and its loss of positive definiteness
+against the errors they raise, decision feedback against a noise-free
+block it must decode exactly and against a scalar reference loop under
+noise, at fixed cases and as hypothesis properties over orders, block
+lengths and alphabets; the shared nearest-point rule must slice the same
+way for a block's hard decisions and the feedback pass.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scfde import kernels, modem
+from scfde.kernels import ConditioningError
 from scfde.numerics import RngStream, dft, idft
 
 # the suite is deterministic: every run tries the same examples
@@ -44,39 +46,108 @@ def dense_prediction(q, order):
 
 
 def reference_feedback(z_t, fbf, tail, points, real_metric):
-    """The feedback pass as a scalar loop over positions and taps."""
+    """The feedback pass as a scalar loop over positions and taps; returns
+    the decided indices."""
     m, n_taps = len(z_t), len(fbf)
     dec = np.empty(m, complex)
     dec[m - n_taps:] = tail
-    z_hat = np.empty(m, complex)
     idx = np.empty(m, int)
     for l in range(m):
         # dec[l - t] wraps to dec[M + l - t] for t > l
-        z_hat[l] = z_t[l] - sum(fbf[t - 1] * dec[l - t] for t in range(1, n_taps + 1))
-        err = z_hat[l] - points
+        z_hat = z_t[l] - sum(fbf[t - 1] * dec[l - t] for t in range(1, n_taps + 1))
+        err = z_hat - points
         idx[l] = np.argmin(np.abs(err.real) if real_metric else np.abs(err))
         dec[l] = points[idx[l]]
-    return z_hat, dec, idx
+    return idx
 
 
 class TestLevinsonParity:
     @pytest.mark.parametrize("order", [1, 3, 8, 19])
     def test_matches_dense_solve(self, order):
         q = _autocov(order)
-        taps, errs, fail = kernels.levinson_recursion(q, order)
-        assert fail == -1
+        taps, err = kernels.levinson_recursion(q, order)
         np.testing.assert_allclose(taps, dense_prediction(q, order),
                                    rtol=1e-10, atol=1e-12)
         # the final prediction error is q(0) + Re(sum_m b(m) q*(m))
         expect = q[0].real + np.sum(taps * np.conj(q[1 : order + 1])).real
-        assert errs[order] == pytest.approx(expect, rel=1e-10)
+        assert err == pytest.approx(expect, rel=1e-10)
+        errs = [q[0].real] + [kernels.levinson_recursion(q, o)[1]
+                              for o in range(1, order + 1)]
         assert np.all(np.diff(errs) <= 1e-15)
 
     def test_failure_step_reported(self):
         q = np.array([1.0 + 0j, 1.0, 1.0, 1.0])  # rank-one, not pos def
-        taps, errs, fail = kernels.levinson_recursion(q, 3)
-        assert fail >= 1
-        assert errs[fail] <= 0.0
+        with pytest.raises(ConditioningError, match=r"0\.000e\+00 at order 1;"):
+            kernels.levinson_recursion(q, 3)
+
+
+class TestLevinson:
+    def test_white_covariance(self):
+        taps, err = kernels.levinson_recursion([1.0, 0.0, 0.0], 2)
+        np.testing.assert_allclose(taps, [0.0, 0.0], atol=1e-15)
+        assert err == pytest.approx(1.0)
+
+    def test_order_one_by_hand(self):
+        # q(0) b*(1) = -q*(1) -> b(1) = -0.5, error 1 - |b|^2 q(0) = 0.75
+        taps, err = kernels.levinson_recursion([1.0, 0.5], 1)
+        np.testing.assert_allclose(taps, [-0.5], atol=1e-15)
+        assert err == pytest.approx(0.75)
+
+    def test_real_order_one(self):
+        taps, err = kernels.levinson_recursion(np.array([1.0, 0.5]), 1)
+        assert not np.any(taps.imag)  # real input keeps every step real
+        np.testing.assert_allclose(taps, [-0.5], atol=1e-15)
+        assert err == pytest.approx(0.75)
+
+    def test_real_white(self):
+        taps, _ = kernels.levinson_recursion(np.array([1.0, 0.0]), 1)
+        assert not np.any(taps.imag)
+        np.testing.assert_allclose(taps, [0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("order", [1, 8, 19, 64])
+    def test_matches_dense_solver(self, order):
+        # positive spectrum on a DFT grid guarantees a positive-definite sequence
+        spec = RngStream(14, order).generator().uniform(0.2, 3.0, 256)
+        q = np.fft.ifft(spec)
+        taps, err = kernels.levinson_recursion(q[: order + 1], order)
+        oracle = dense_prediction(q, order)
+        np.testing.assert_allclose(taps, oracle, rtol=1e-8, atol=1e-10)
+        # prediction error identity q(0) + Re sum b(m) q*(m)
+        ident = q[0].real + np.sum(taps * np.conj(q[1 : order + 1])).real
+        assert err == pytest.approx(ident, rel=1e-8)
+        assert err > 0
+
+    def test_real_matches_dense_solver(self):
+        m = 128
+        half = RngStream(15, 0).generator().uniform(0.3, 2.0, m // 2 + 1)
+        spec = np.concatenate([half, half[-2:0:-1]])
+        q = np.fft.ifft(spec).real
+        order = 19
+        taps, err = kernels.levinson_recursion(q[: order + 1], order)
+        assert not np.any(taps.imag)
+        oracle = dense_prediction(q, order).real
+        np.testing.assert_allclose(taps.real, oracle, rtol=1e-8, atol=1e-10)
+        assert err > 0
+
+    def test_error_non_increasing_in_order(self):
+        spec = RngStream(16, 0).generator().uniform(0.2, 3.0, 256)
+        q = np.fft.ifft(spec)
+        errs = [kernels.levinson_recursion(q[: o + 1], o)[1] for o in range(1, 24)]
+        assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
+
+    def test_non_positive_definite_raises(self):
+        with pytest.raises(ConditioningError, match="not positive definite"):
+            kernels.levinson_recursion([1.0, 1.5], 1)  # |q(1)| > q(0)
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            kernels.levinson_recursion([1.0, 0.5], 3)  # too short
+        with pytest.raises(ValueError):
+            kernels.levinson_recursion([-1.0, 0.5], 1)  # q(0) <= 0
+        with pytest.raises(ValueError):
+            kernels.levinson_recursion([1.0 + 0.5j, 0.2], 1)  # q(0) not real
+        with pytest.raises(ValueError):
+            kernels.levinson_recursion([1.0, 0.5], -1)  # negative order
 
 
 class TestFeedbackParity:
@@ -94,22 +165,17 @@ class TestFeedbackParity:
         x = points[gen.integers(0, points.size, m)]
         fbf = 0.3 * (gen.standard_normal(n_taps) + 1j * gen.standard_normal(n_taps))
         z_t = x + sum(b * np.roll(x, t) for t, b in enumerate(fbf, start=1))
-        z_hat, dec, idx = kernels.dd_feedback(z_t, fbf, x[m - n_taps:], points,
-                                              real_metric)
-        np.testing.assert_array_equal(dec, x)
+        idx = kernels.dd_feedback(z_t, fbf, x[m - n_taps:], points, real_metric)
         np.testing.assert_array_equal(points[idx], x)
-        np.testing.assert_allclose(z_hat, x, rtol=0, atol=1e-12)
 
     def test_complex_metric(self):
         points = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2)
         z_t = np.array([0.9 + 0.8j, -0.7 - 0.6j, 0.1 + 0.9j, -0.9 + 0.1j])
         fbf = np.zeros(1, complex)
         tail = points[:1]
-        z_hat, dec, idx = kernels.dd_feedback(z_t, fbf, tail, points, False)
-        np.testing.assert_allclose(z_hat, z_t)
+        idx = kernels.dd_feedback(z_t, fbf, tail, points, False)
         expect = [np.argmin(np.abs(v - points) ** 2) for v in z_t]
         assert list(idx) == expect
-        np.testing.assert_array_equal(dec, points[idx])
 
 
 def test_whitening_property_through_kernel():
@@ -119,8 +185,7 @@ def test_whitening_property_through_kernel():
     h = dft(np.concatenate([gen.standard_normal(8) * 0.3 + 0.5, np.zeros(m - 8)]))
     denom = np.abs(h) ** 2 + 0.1
     q = idft(1.0 / denom)
-    taps, errs, fail = kernels.levinson_recursion(q, 20)
-    assert fail == -1
+    taps, _ = kernels.levinson_recursion(q, 20)
     one_plus_b = dft(np.concatenate([[1.0], taps, np.zeros(m - 21)]))
     lags = idft(np.abs(one_plus_b) ** 2 / denom)
     assert np.max(np.abs(lags[1:21])) < 1e-6 * abs(lags[0])
@@ -136,13 +201,12 @@ class TestKernelProperties:
         spectrum = data.draw(arrays(np.float64, m, elements=st.floats(0.05, 20.0)),
                              label="spectrum")
         q = idft(spectrum)
-        taps, errs, fail = kernels.levinson_recursion(q, order)
-        assert fail == -1
+        taps, err = kernels.levinson_recursion(q, order)
         dense = dense_prediction(q, order)
         scale = max(1.0, np.max(np.abs(dense)))
         np.testing.assert_allclose(taps, dense, rtol=0, atol=1e-9 * scale)
         expect = q[0].real + np.sum(dense * np.conj(q[1 : order + 1])).real
-        assert errs[order] == pytest.approx(expect, rel=1e-9)
+        assert err == pytest.approx(expect, rel=1e-9)
 
     @PROPERTY
     @given(data=st.data(), alphabet=st.sampled_from(sorted(ALPHABETS)),
@@ -161,13 +225,10 @@ class TestKernelProperties:
         z_t = (x + sum(b * np.roll(x, t) for t, b in enumerate(fbf, start=1))
                + noise * (gen.standard_normal(m) + 1j * gen.standard_normal(m)))
         args = (z_t, fbf, x[m - n_taps:], points, real_metric)
-        z_hat, dec, idx = kernels.dd_feedback(*args)
-        want_z, want_dec, want_idx = reference_feedback(*args)
-        np.testing.assert_array_equal(idx, want_idx)
-        np.testing.assert_array_equal(dec, want_dec)
-        np.testing.assert_allclose(z_hat, want_z, rtol=0, atol=1e-12)
+        idx = kernels.dd_feedback(*args)
+        np.testing.assert_array_equal(idx, reference_feedback(*args))
         if noise == 0.0:
-            np.testing.assert_array_equal(dec, x)
+            np.testing.assert_array_equal(points[idx], x)
 
     @pytest.mark.parametrize("name", modem.CONSTELLATION_NAMES)
     def test_midpoints_slice_alike(self, name):
@@ -176,16 +237,17 @@ class TestKernelProperties:
         c = modem.constellation(name)
         a, b = np.triu_indices(c.points.size, k=1)
         mid = (c.points[a] + c.points[b]) / 2
-        symbols, _ = modem.demod_hard(mid, c)
-        _, dec, idx = kernels.dd_feedback(mid, np.zeros(1, complex),
-                                          c.points[:1], c.points, c.is_real)
-        np.testing.assert_array_equal(dec, symbols)
+        symbols = c.points[kernels.nearest_index(mid, c.points, c.is_real)]
+        idx = kernels.dd_feedback(mid, np.zeros(1, complex), c.points[:1],
+                                  c.points, c.is_real)
         np.testing.assert_array_equal(c.points[idx], symbols)
 
     @PROPERTY
     @given(data=st.data(), order=st.integers(1, 24), rows=st.integers(1, 7))
     def test_batched_levinson_rows_equal_1d_calls(self, data, order, rows):
-        # one row may be rank one (not positive definite): it fails alone
+        # one row may be rank one (not positive definite): its batch raises
+        # at order 1, before any division by its zero error (pytest turns
+        # the RuntimeWarning of such a division into an error)
         m = data.draw(st.integers(order + 1, 64), label="m")
         spectra = data.draw(arrays(np.float64, (rows, m),
                                    elements=st.floats(0.05, 20.0)),
@@ -194,14 +256,15 @@ class TestKernelProperties:
         bad = data.draw(st.integers(-1, rows - 1), label="bad row")
         if bad >= 0:
             q[bad] = 1.0
-        taps, errs, fail = kernels.levinson_recursion(q, order)
-        assert taps.shape == (rows, order) and errs.shape == (rows, order + 1)
-        for row in range(rows):
-            want_taps, want_errs, want_fail = kernels.levinson_recursion(q[row],
-                                                                         order)
-            assert fail[row] == want_fail == (1 if row == bad else -1)
+            with pytest.raises(ConditioningError, match="at order 1;"):
+                kernels.levinson_recursion(q, order)
+            q = np.delete(q, bad, axis=0)
+        taps, err = kernels.levinson_recursion(q, order)
+        assert taps.shape == (len(q), order) and err.shape == (len(q),)
+        for row in range(len(q)):
+            want_taps, want_err = kernels.levinson_recursion(q[row], order)
             np.testing.assert_array_equal(taps[row], want_taps)
-            np.testing.assert_array_equal(errs[row], want_errs)
+            assert err[row] == want_err
 
     @PROPERTY
     @given(data=st.data(), alphabet=st.sampled_from(sorted(ALPHABETS)),
@@ -218,10 +281,9 @@ class TestKernelProperties:
         z_t = x + 0.4 * (gen.standard_normal((rows, m))
                          + 1j * gen.standard_normal((rows, m)))
         tail = x[:, m - n_taps:]
-        z_hat, dec, idx = kernels.dd_feedback(z_t, fbf, tail, points, real_metric)
+        idx = kernels.dd_feedback(z_t, fbf, tail, points, real_metric)
         for row in range(rows):
-            want = kernels.dd_feedback(z_t[row], fbf[row], tail[row], points,
-                                       real_metric)
-            for got, expect in zip((z_hat[row], dec[row], idx[row]), want):
-                np.testing.assert_array_equal(got, expect)
+            np.testing.assert_array_equal(
+                idx[row], kernels.dd_feedback(z_t[row], fbf[row], tail[row],
+                                              points, real_metric))
 

@@ -1,20 +1,14 @@
-"""Numerics layer: transforms, Levinson solver, RNG streams.
+"""Numerics layer: transforms, RNG streams, complex Gaussian draws.
 
-Expected values come from independent oracles: direct O(M^2) summation
-for the transforms and a dense Toeplitz solve for Levinson.
+Transforms are checked against an independent oracle, direct O(M^2)
+summation. The Levinson solver is tested with the other kernels in
+test_kernels.
 """
 
 import numpy as np
 import pytest
 
-from scfde.numerics import (
-    ConditioningError,
-    RngStream,
-    dft,
-    gaussian_complex,
-    idft,
-    levinson_complex,
-)
+from scfde.numerics import RngStream, dft, gaussian_complex, idft
 
 RNG = np.random.default_rng(20260815)
 
@@ -65,87 +59,6 @@ class TestDft:
             dft([])
         with pytest.raises(ValueError):
             idft(np.array([]))
-
-
-def dense_toeplitz_solve(q, order):
-    """Oracle: build A(l,m) = q(m-l) explicitly and solve A b* = -q*."""
-    q = np.asarray(q, dtype=complex)
-    a = np.empty((order, order), dtype=complex)
-    for l in range(order):
-        for m in range(order):
-            d = m - l
-            a[l, m] = q[abs(d)].conj() if d < 0 else q[d]
-    rhs = -np.conj(q[1 : order + 1])
-    return np.conj(np.linalg.solve(a, rhs))
-
-
-class TestLevinson:
-    def test_white_covariance(self):
-        taps, err = levinson_complex([1.0, 0.0, 0.0], 2)
-        np.testing.assert_allclose(taps, [0.0, 0.0], atol=1e-15)
-        assert err == pytest.approx(1.0)
-
-    def test_order_one_by_hand(self):
-        # q(0) b*(1) = -q*(1) -> b(1) = -0.5, error 1 - |b|^2 q(0) = 0.75
-        taps, err = levinson_complex([1.0, 0.5], 1)
-        np.testing.assert_allclose(taps, [-0.5], atol=1e-15)
-        assert err == pytest.approx(0.75)
-
-    def test_real_order_one(self):
-        taps, err = levinson_complex(np.array([1.0, 0.5]), 1)
-        assert not np.any(taps.imag)  # real input keeps every step real
-        np.testing.assert_allclose(taps, [-0.5], atol=1e-15)
-        assert err == pytest.approx(0.75)
-
-    def test_real_white(self):
-        taps, _ = levinson_complex(np.array([1.0, 0.0]), 1)
-        assert not np.any(taps.imag)
-        np.testing.assert_allclose(taps, [0.0], atol=1e-15)
-
-    @pytest.mark.parametrize("order", [1, 8, 19, 64])
-    def test_matches_dense_solver(self, order):
-        # positive spectrum on a DFT grid guarantees a positive-definite sequence
-        m = 256
-        spec = RNG.uniform(0.2, 3.0, m)
-        q = np.fft.ifft(spec)
-        taps, err = levinson_complex(q[: order + 1], order)
-        oracle = dense_toeplitz_solve(q, order)
-        np.testing.assert_allclose(taps, oracle, rtol=1e-8, atol=1e-10)
-        # prediction error identity q(0) + Re sum b(m) q*(m)
-        ident = q[0].real + np.sum(taps * np.conj(q[1 : order + 1])).real
-        assert err == pytest.approx(ident, rel=1e-8)
-        assert err > 0
-
-    def test_real_matches_dense_solver(self):
-        m = 128
-        half = RNG.uniform(0.3, 2.0, m // 2 + 1)
-        spec = np.concatenate([half, half[-2:0:-1]])
-        q = np.fft.ifft(spec).real
-        order = 19
-        taps, err = levinson_complex(q[: order + 1], order)
-        assert not np.any(taps.imag)
-        oracle = dense_toeplitz_solve(q, order).real
-        np.testing.assert_allclose(taps.real, oracle, rtol=1e-8, atol=1e-10)
-        assert err > 0
-
-    def test_error_non_increasing_in_order(self):
-        m = 256
-        spec = RNG.uniform(0.2, 3.0, m)
-        q = np.fft.ifft(spec)
-        errs = [levinson_complex(q[: o + 1], o)[1] for o in range(1, 24)]
-        assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
-
-    def test_non_positive_definite_raises(self):
-        with pytest.raises(ConditioningError):
-            levinson_complex([1.0, 1.5], 1)  # |q(1)| > q(0)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            levinson_complex([1.0, 0.5], 3)  # too short
-        with pytest.raises(ValueError):
-            levinson_complex([-1.0, 0.5], 1)  # q(0) <= 0
-        with pytest.raises(ValueError):
-            levinson_complex([1.0 + 0.5j, 0.2], 1)  # q(0) not real
 
 
 class TestRngAndGaussian:

@@ -60,6 +60,28 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="increasing|empty"):
             small_config(snr_db=[])
 
+    def test_integer_keys_take_integral_values_only(self):
+        # integral floats (JSON 1e3) and digit strings (CLI overrides) are
+        # integers; a non-integral value or a bool is an error, not truncated
+        cfg = sim.SweepConfig.from_dict(
+            {"nr": 2.0, "max_blocks": 1e3, "v": "4", "m": 64})
+        assert (cfg.antennas, cfg.max_blocks, cfg.taps) == (2, 1000, 4)
+        assert all(type(n) is int for n in (cfg.antennas, cfg.max_blocks))
+        for key, value in (("antennas", 2.5), ("max_blocks", 3.9), ("taps", "4.0"),
+                           ("master_seed", True), ("fbf_len", None),
+                           ("block_size", float("nan"))):
+            with pytest.raises(ValueError, match=f"{key!r} must be an integer"):
+                sim.SweepConfig.from_dict({key: value})
+            with pytest.raises(ValueError, match=f"{key!r} must be an integer"):
+                sim.SweepConfig(**{key: value})
+
+    def test_grid_points_need_distinct_cell_keys(self):
+        # the cell hash reads the SNR to 6 decimals: two points closer than
+        # that would draw the same trial indices and streams
+        small_config(snr_db=[1.0, 1.000001])
+        with pytest.raises(ValueError, match="cell key 1.000000"):
+            small_config(snr_db=[0.5, 1.0, 1.0000001])
+
     def test_taps_bounded_by_block(self):
         with pytest.raises(ValueError):
             small_config(taps=65)
