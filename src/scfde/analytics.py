@@ -29,7 +29,6 @@ __all__ = [
     "EULER_GAMMA",
     "LIMIT_RECEIVERS",
     "GapRow",
-    "GapTable",
     "harmonic",
     "expected_log_chisq",
     "inverse_chisq_mean",
@@ -80,6 +79,10 @@ def inverse_chisq_mean_var(n_r: int):
     return mean, 1.0 / (2.0 * (2 * n_r - 1) ** 2 * (n_r - 1))
 
 
+class _NoFiniteLimit(ValueError):
+    """The receiver has no finite limiting post-SNR at this n_r."""
+
+
 def _canonical(receiver: str) -> str:
     key = receiver.strip().lower()
     if key.startswith("conv-"):
@@ -100,10 +103,12 @@ def limit_snr(receiver: str, n_r: int, sigma_x_sq: float = 1.0,
 
     Conventional formulas double for real alphabets (the real noise
     component carries half the power); the widely linear formulas are
-    real-alphabet quantities already and never double.
+    real-alphabet quantities already and never double. n_r must be an
+    integer >= 1; an integral float such as 2.0 is taken as that integer.
     """
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
+    if not float(n_r).is_integer() or n_r < 1:
+        raise ValueError(f"n_r must be an integer >= 1, got {n_r!r}")
+    n_r = int(n_r)
     if sigma_x_sq <= 0 or sigma_n_sq <= 0:
         raise ValueError("variances must be positive")
     key = _canonical(receiver)
@@ -113,18 +118,18 @@ def limit_snr(receiver: str, n_r: int, sigma_x_sq: float = 1.0,
         return double * n_r * r
     if key == "zf-le":
         if n_r == 1:
-            raise ValueError(
+            raise _NoFiniteLimit(
                 "conventional ZF-LE has no finite limit for N_r=1 "
                 "(residual noise 1/||h(k)||^2 has unbounded mean)"
             )
         return double * (n_r - 1) * r
     if key == "zf-dfe":
-        return double * r * np.exp(-EULER_GAMMA + harmonic(n_r - 1))
+        return double * r * np.exp(expected_log_chisq(n_r))
     if key == "wl-zf-le":
         # mean formula; for n_r = 1 the variance is unbounded but the
         # mean (2 n_r - 1) r still holds
         return (2 * n_r - 1) * r
-    return r * np.exp(-EULER_GAMMA + harmonic(2 * n_r - 1))
+    return r * np.exp(expected_log_chisq(2 * n_r))
 
 
 def gap_to_mfb_db(receiver: str, n_r: int, sigma_x_sq: float = 1.0,
@@ -142,25 +147,21 @@ class GapRow:
     gap_db: Optional[float]  # None where no finite limit exists
 
 
-@dataclass(frozen=True)
-class GapTable:
-    rows: tuple
+def gap_table(n_r_values=(1, 2), receivers=LIMIT_RECEIVERS) -> tuple:
+    """Gap to the MFB of each receiver at each antenna count, as GapRows.
 
-    def __iter__(self):
-        return iter(self.rows)
-
-
-def gap_table(n_r_values=(1, 2)) -> GapTable:
-    """Gap to the MFB for every closed-form receiver at each antenna count."""
+    A cell without a finite limit has gap_db None; any other ValueError
+    (a receiver without a closed form, a bad n_r) propagates.
+    """
     rows = []
-    for name in LIMIT_RECEIVERS:
+    for name in receivers:
         for n_r in n_r_values:
             try:
                 gap = gap_to_mfb_db(name, n_r)
-            except ValueError:
+            except _NoFiniteLimit:
                 gap = None
             rows.append(GapRow(name, int(n_r), gap))
-    return GapTable(tuple(rows))
+    return tuple(rows)
 
 
 def mmse_dfe_post_snr_from_gains(gains, r: float) -> float:

@@ -72,29 +72,18 @@ def _load_config(args) -> simulator.SweepConfig:
 
 def cmd_limits(args) -> int:
     n_r_values = tuple(int(p) for p in args.nr.split(","))
-    if not n_r_values or any(n < 1 for n in n_r_values):
-        raise ValueError(f"--nr needs positive antenna counts, got {args.nr!r}")
-    receivers = ([args.receiver] if args.receiver
-                 else list(analytics.LIMIT_RECEIVERS))
-    rows = []
-    for name in receivers:
-        for n_r in n_r_values:
-            try:
-                gap = analytics.gap_to_mfb_db(name, n_r)
-            except ValueError as exc:
-                if "no finite limit" not in str(exc):
-                    raise
-                gap = None
-            rows.append((name, n_r, gap))
-    if all(gap is None for _, _, gap in rows):
+    receivers = ((args.receiver,) if args.receiver
+                 else analytics.LIMIT_RECEIVERS)
+    rows = analytics.gap_table(n_r_values, receivers)
+    if all(row.gap_db is None for row in rows):
         raise ValueError(
             "no finite limit for N_r=1: the conventional ZF-LE post-SNR "
             "has no finite single-antenna limit"
         )
     print("receiver,n_r,gap_to_mfb_db")
-    for name, n_r, gap in rows:
-        cell = "NA" if gap is None else repr(gap)
-        print(f"{name},{n_r},{cell}")
+    for row in rows:
+        cell = "NA" if row.gap_db is None else repr(row.gap_db)
+        print(f"{row.receiver},{row.n_r},{cell}")
     return 0
 
 

@@ -215,7 +215,7 @@ def _suite_limit_table():
             f"{name} n_r={n_r}: gap {got:.5f} dB vs frozen {frozen}"
         )
     rows = analytics.gap_table()
-    assert len(rows.rows) == 8, f"expected 8 table rows, got {len(rows.rows)}"
+    assert len(rows) == 8, f"expected 8 table rows, got {len(rows)}"
     return f"{len(_FROZEN_GAPS)} frozen gap cells match to 5e-4 dB"
 
 

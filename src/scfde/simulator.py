@@ -108,7 +108,7 @@ def _noise_variance(snr_db) -> float:
 
 
 _INTEGER_KEYS = ("fbf_len", "antennas", "taps", "block_size", "min_bit_errors",
-                 "max_blocks", "master_seed", "parallel_width")
+                 "max_blocks", "master_seed")
 
 
 def _integer(key, value) -> int:
@@ -140,10 +140,9 @@ class SweepConfig:
     """One BER sweep: the alphabet, receivers, channel and SNR grid.
 
     Each (receiver, SNR) cell stops at min_bit_errors bit errors or
-    max_blocks blocks. parallel_width is validated (>= 1) and recorded,
-    but does not affect the run: batch sizes follow from the cells'
-    committed counts and BATCH_SAMPLES only. Integer fields take integers,
-    integral floats and digit strings, and reject anything else.
+    max_blocks blocks. Integer fields take integers, integral floats and
+    digit strings, and reject anything else. from_dict drops the retired
+    key parallel_width, so configs that carry it still load.
     """
 
     constellation: str = "bpsk"
@@ -157,7 +156,6 @@ class SweepConfig:
     min_bit_errors: int = 200
     max_blocks: int = 20000
     master_seed: int = 0
-    parallel_width: int = 1
     zf_epsilon: float = 1e-12
 
     def __post_init__(self):
@@ -208,8 +206,6 @@ class SweepConfig:
                              f"got {self.max_blocks}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
-        if self.parallel_width < 1:
-            raise ValueError("parallel_width must be >= 1")
         for spec in self.receiver_specs():  # validates fbf_len and zf_epsilon
             spec.check_fbf_length(self.block_size)
 
@@ -235,6 +231,10 @@ class SweepConfig:
         valid = {f.name for f in fields(cls)}
         kwargs = {}
         for key, value in data.items():
+            if key == "parallel_width":
+                # retired with the thread pool it sized; sweep JSON written
+                # before that carries it and must still load
+                continue
             name = _ALIASES.get(key, key)
             if name not in valid:
                 options = ", ".join(sorted(valid | set(_ALIASES)))
@@ -298,23 +298,23 @@ def _cell_base(receiver_name: str, snr_db: float) -> int:
     return int.from_bytes(digest[:4], "big") << 40
 
 
-def _trial_list(trial_index):
-    """(indices, batched): a 1-d sequence of trial indices, or one int."""
+def _trial_list(trial_index) -> list:
+    """A 1-d sequence of trial indices as a list of ints; one int is a
+    list of one."""
     if isinstance(trial_index, numbers.Integral):
-        return [int(trial_index)], False
-    return [int(t) for t in trial_index], True
+        return [int(trial_index)]
+    return [int(t) for t in trial_index]
 
 
 def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
-    """Blocks through the full chain, one per trial index.
+    """Blocks through the full chain, one per trial index, as one batch.
 
-    An int trial index returns (bit_errors, bits, mse) for its block. A
-    1-d sequence of indices runs them as one batch and returns three
-    arrays whose row i is the block of trial_index[i], bit for bit what
-    the int call gives. snr_db is one SNR for every row or, for a
-    sequence of indices, one SNR per index.
+    trial_index is a 1-d sequence of indices, or one int for a batch of
+    one. Returns (bit_errors, bits, mse), three arrays whose row i is the
+    block of trial index i; a row's values are the same bits whatever
+    batch it runs in. snr_db is one SNR for every row or one per index.
     """
-    trials, batched = _trial_list(trial_index)
+    trials = _trial_list(trial_index)
     snrs = [snr_db] * len(trials) if np.ndim(snr_db) == 0 else list(snr_db)
     if len(snrs) != len(trials):
         raise ValueError(f"need one snr_db per trial index: {len(snrs)} values "
@@ -340,33 +340,30 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
     z, indices = equalize(receiver, filters, y, c, block.precoded)
     mse = np.mean(np.abs(z - block.time_symbols) ** 2, axis=-1)
     errors = count_bit_errors(tx_bits, index_bits(indices, c))
-    bits = np.full(len(trials), tx_bits.shape[-1])
-    if batched:
-        return errors, bits, mse
-    return int(errors[0]), int(bits[0]), float(mse[0])
+    return errors, np.full(len(trials), tx_bits.shape[-1]), mse
 
 
 def run_block_with_retry(trial_index, config: SweepConfig,
                          receiver: ReceiverSpec, snr_db, max_redraws=64):
     """run_block, redrawing singular channels with the next stream index.
 
-    Returns (bit_errors, bits, mse, redraws), arrays for a sequence of
-    indices. A singular row is redrawn alone: the batch runs again with
-    that row's index advanced by one and every other index unchanged, and
-    since a row depends on its own index only, its neighbours keep their
-    results. Raises SingularChannelError once a row has been singular
-    max_redraws + 1 times in a row.
+    Returns (bit_errors, bits, mse, redraws), four arrays with one row
+    per trial index (one int is a batch of one). A singular row is
+    redrawn alone: the batch runs again with that row's index advanced
+    by one and every other index unchanged, and since a row depends on
+    its own index only, its neighbours keep their results. Raises
+    SingularChannelError once a row has been singular max_redraws + 1
+    times in a row.
     """
     if not 0 <= max_redraws <= _MAX_REDRAWS:
         raise ValueError(f"max_redraws must be in [0, {_MAX_REDRAWS}]: redraws "
                          "share the low 8 bits of the trial index")
-    trials, batched = _trial_list(trial_index)
+    trials = _trial_list(trial_index)
     redraws = np.zeros(len(trials), np.int64)
     while True:
         index = [t + int(r) for t, r in zip(trials, redraws)]
         try:
-            out = run_block(index if batched else index[0], config, receiver,
-                            snr_db)
+            out = run_block(index, config, receiver, snr_db)
         except SingularChannelError as exc:
             for row in exc.rows:
                 log.debug("trial %d redrawn (%s)", index[row], exc)
@@ -377,9 +374,7 @@ def run_block_with_retry(trial_index, config: SweepConfig,
                     f"{max_redraws} singular channels in a row at trial "
                     f"{trials[row]}; increase zf_epsilon", [row]) from exc
             continue
-        if batched:
-            return (*out, redraws)
-        return (*out, int(redraws[0]))
+        return (*out, redraws)
 
 
 def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):

@@ -46,7 +46,7 @@ _POST_SNR_DB = 10.0  # input SNR for the limit measurements; they scale with r
 def _measure_post(receivers, nr, realizations=5000):
     cfg = sim.SweepConfig.from_dict(dict(
         receivers=receivers, nr=nr, v=20, m=512, snr=[_POST_SNR_DB],
-        feedback="genie", fbf_len=20, master_seed=1, parallel_width=8))
+        feedback="genie", fbf_len=20, master_seed=1))
     rows = sim.measure_post_snr(cfg, _POST_SNR_DB, realizations)
     return rows[0]
 
@@ -56,7 +56,7 @@ def _gap_vs_mfb(receivers, nr, grid, target, feedback="genie",
     cfg = sim.SweepConfig.from_dict(dict(
         receivers=receivers, nr=nr, v=20, m=512, snr=grid,
         feedback=feedback, fbf_len=20, min_bit_errors=min_bit_errors,
-        max_blocks=20000, master_seed=1, parallel_width=8))
+        max_blocks=20000, master_seed=1))
     res = sim.run_sweep(cfg)
     assert all(r.errors >= 200 for r in res.rows), "a point ran out of errors"
     points = [(r.snr_db, r.ber) for r in res.rows]
@@ -142,7 +142,7 @@ def _qam_sweep(receivers, feedback, grid, min_bit_errors, max_blocks):
         constellation="16qam", receivers=receivers, nr=1, v=20, m=512,
         snr=grid, feedback=feedback, fbf_len=20,
         min_bit_errors=min_bit_errors, max_blocks=max_blocks,
-        master_seed=1, parallel_width=8))
+        master_seed=1))
     res = sim.run_sweep(cfg)
     return res.rows
 
@@ -181,17 +181,20 @@ def test_criterion_8_selftest_battery(capsys):
             + (f", FAILED: {failed}" if failed else ", all green"))
 
 
-def test_criterion_9_parallel_determinism(capsys):
-    base = dict(receivers="zf-le,mmse-dfe", feedback="decision", nr=1, v=8,
-                m=256, snr=[6.0, 10.0], min_bit_errors=200, max_blocks=300,
-                master_seed=9)
+def test_criterion_9_parallel_determinism(capsys, monkeypatch):
+    # the rows of a pass run in parallel as one batch: the output must not
+    # depend on how many rows a pass holds, nor change on a rerun
+    cfg = sim.SweepConfig.from_dict(dict(
+        receivers="zf-le,mmse-dfe", feedback="decision", nr=1, v=8, m=256,
+        snr=[6.0, 10.0], min_bit_errors=200, max_blocks=300, master_seed=9))
+    samples = cfg.antennas * cfg.block_size
     outputs = []
-    for width in (1, 3, 8):
-        cfg = sim.SweepConfig.from_dict(dict(base, parallel_width=width))
-        outputs.append(sim.result_to_csv(sim.run_sweep(cfg)))
-    rerun = sim.result_to_csv(
-        sim.run_sweep(sim.SweepConfig.from_dict(dict(base, parallel_width=3))))
-    ok = outputs[0] == outputs[1] == outputs[2] == rerun
+    for budget in (samples, 3 * samples, sim.BATCH_SAMPLES, sim.BATCH_SAMPLES):
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "BATCH_SAMPLES", budget)
+            result = sim.run_sweep(cfg)
+        outputs.append((sim.result_to_csv(result), sim.result_to_json(result)))
+    ok = all(out == outputs[0] for out in outputs[1:])
     _report(capsys, "9 parallel determinism", ok,
-            f"CSV bytes identical across widths 1/3/8 and rerun "
-            f"({len(outputs[0])} bytes)")
+            f"CSV and JSON bytes identical at 1/3/{sim.BATCH_SAMPLES // samples} "
+            f"blocks per pass and rerun ({len(outputs[0][0])} CSV bytes)")

@@ -116,6 +116,24 @@ class TestLimitSnr:
         with pytest.raises(ValueError, match="closed form|Monte Carlo"):
             an.limit_snr("mmse-dfe", 2)
 
+    @pytest.mark.parametrize("n_r", [0, -1, 2.5, 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", [*an.LIMIT_RECEIVERS, "mfb"])
+    def test_antenna_count_must_be_a_positive_integer(self, name, n_r):
+        # a non-integral n_r must not reach harmonic(), e.g. harmonic(1.5)
+        with pytest.raises(ValueError, match="n_r must be an integer >= 1"):
+            an.limit_snr(name, n_r)
+
+    def test_integral_float_antenna_count(self):
+        for name in an.LIMIT_RECEIVERS:
+            assert an.limit_snr(name, 2.0) == an.limit_snr(name, 2)
+
+    def test_dfe_limits_take_the_log_moment(self, monkeypatch):
+        # the DFE limits are r exp(E[ln X]) with E[ln X] from
+        # expected_log_chisq, the function the stats-oracles selftest checks
+        monkeypatch.setattr(an, "expected_log_chisq", lambda n: float(n))
+        assert an.limit_snr("zf-dfe", 3) == pytest.approx(math.exp(3))
+        assert an.limit_snr("wl-zf-dfe", 3) == pytest.approx(math.exp(6))
+
     def test_ordering(self):
         for n_r in (2, 3, 4):
             le = an.limit_snr("zf-le", n_r, real_modulation=True)
@@ -172,8 +190,8 @@ class TestGapToMfb:
 class TestGapTable:
     def test_eight_rows_with_na(self):
         table = an.gap_table()
-        assert len(table.rows) == 8
-        by_key = {(r.receiver, r.n_r): r.gap_db for r in table.rows}
+        assert isinstance(table, tuple) and len(table) == 8
+        by_key = {(r.receiver, r.n_r): r.gap_db for r in table}
         assert by_key[("conv-zf-le", 1)] is None
         assert by_key[("wl-zf-dfe", 2)] == pytest.approx(0.5644, abs=0.05)
         defined = [g for g in by_key.values() if g is not None]
@@ -181,8 +199,24 @@ class TestGapTable:
 
     def test_custom_antennas(self):
         table = an.gap_table(n_r_values=(3,))
-        assert len(table.rows) == 4
-        assert all(r.n_r == 3 for r in table.rows)
+        assert len(table) == 4
+        assert all(r.n_r == 3 for r in table)
+
+    def test_receiver_subset(self):
+        (row,) = an.gap_table((2,), ("wl-zf-le",))
+        assert row == an.GapRow("wl-zf-le", 2, an.gap_to_mfb_db("wl-zf-le", 2))
+
+    @pytest.mark.parametrize("n_r_values", [(0,), (2.5,), (2, -1)])
+    def test_bad_antenna_counts_raise(self, n_r_values):
+        # neither NA rows for n_r=0 nor a row labelled 2 computed at 2.5
+        with pytest.raises(ValueError, match="n_r must be an integer >= 1"):
+            an.gap_table(n_r_values)
+
+    @pytest.mark.parametrize("receiver, match", [
+        ("mmse-dfe", "no closed form"), ("bogus", "unknown receiver")])
+    def test_only_an_infinite_limit_is_na(self, receiver, match):
+        with pytest.raises(ValueError, match=match):
+            an.gap_table((2,), (receiver,))
 
 
 class TestMmseDfeLimitMc:

@@ -44,6 +44,28 @@ class TestLimits:
     def test_bad_nr_exits_2(self, capsys):
         assert main(["limits", "--nr", "0"]) == 2
 
+    @pytest.mark.parametrize("receiver, message", [
+        ("mmse-dfe", "no closed form"), ("bogus", "unknown receiver")])
+    def test_receiver_without_closed_form_exits_2(self, capsys, receiver,
+                                                  message):
+        # only an infinite limit prints NA; any other error is the user's
+        assert main(["limits", "--receiver", receiver]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_table_text(self, capsys):
+        assert main(["limits", "--nr", "1,3"]) == 0
+        assert capsys.readouterr().out == (
+            "receiver,n_r,gap_to_mfb_db\n"
+            "conv-zf-le,1,NA\n"
+            "conv-zf-le,3,1.7609125905568124\n"
+            "conv-zf-dfe,1,2.5068157813485223\n"
+            "conv-zf-dfe,3,0.7636110999963694\n"
+            "wl-zf-le,1,3.010299956639812\n"
+            "wl-zf-le,3,0.7918124604762482\n"
+            "wl-zf-dfe,1,1.174170918955816\n"
+            "wl-zf-dfe,3,0.37193761506070816\n")
+
 
 @pytest.fixture
 def small_config(tmp_path):
@@ -216,6 +238,20 @@ class TestGap:
         assert fields[0] == "zf-le"
         gap = float(fields[4])
         assert 0.0 < gap < 15.0
+
+    def test_retired_parallel_width_key_is_ignored(self, tmp_path, capsys):
+        # sweep JSON written while the config had parallel_width carries it
+        sweep = self._sweep_json(tmp_path)
+        doc = json.loads(sweep.read_text())
+        assert "parallel_width" not in doc["config"]
+        old = tmp_path / "old.json"
+        doc["config"]["parallel_width"] = 2
+        old.write_text(json.dumps(doc))
+        outputs = []
+        for path in (sweep, old):
+            assert main(["gap", "--input", str(path), "--target-ber", "0.02"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
 
     def test_nonbracketing_exit_3(self, tmp_path, capsys):
         sweep = self._sweep_json(tmp_path)

@@ -1,0 +1,116 @@
+"""Pinned outputs of a small sweep and a post-SNR measurement.
+
+The values below were frozen from a run of the engine; a change to any of
+them is an output change and has to be recorded as one. The sweep covers
+all eight receivers with BPSK and the four conventional ones with 16-QAM,
+each under ideal (genie) and decision feedback, at nr=1, v=4, M=64, L=4.
+Counts are pinned exactly and dB values to 1e-9 dB: reordering a sum may
+move them in their last digits, a change of algorithm moves them further.
+"""
+
+import pytest
+
+from scfde import simulator as sim
+from scfde.equalizer import RECEIVER_NAMES
+
+TOL_DB = 1e-9
+
+_COMMON = dict(nr=1, v=4, m=64, fbf_len=4, min_bit_errors=100, max_blocks=24,
+               master_seed=5)
+
+# alphabet, feedback, receiver, snr_db, bits, errors, blocks, post_snr_db,
+# analytic_db
+SWEEP_ROWS = [
+    ('bpsk', 'genie', 'zf-le', 2.0, 576, 109, 9, -4.841036161474817, None),
+    ('bpsk', 'genie', 'zf-le', 6.0, 896, 103, 14, -3.3476980178924665, None),
+    ('bpsk', 'genie', 'mmse-le', 2.0, 1344, 103, 21, -0.10945708063378423, None),
+    ('bpsk', 'genie', 'mmse-le', 6.0, 1536, 39, 24, 3.290798544590115, None),
+    ('bpsk', 'genie', 'zf-dfe', 2.0, 1408, 106, 22, -0.1809568423036896, -0.5068157813485228),
+    ('bpsk', 'genie', 'zf-dfe', 6.0, 1536, 53, 24, 2.6467910019484666, 3.4931842186514777),
+    ('bpsk', 'genie', 'mmse-dfe', 2.0, 1536, 95, 24, 1.4286837398744934, None),
+    ('bpsk', 'genie', 'mmse-dfe', 6.0, 1536, 22, 24, 4.572938083922544, None),
+    ('bpsk', 'genie', 'wl-zf-le', 2.0, 1152, 101, 18, 2.4653764692116114, 1.9999999999999998),
+    ('bpsk', 'genie', 'wl-zf-le', 6.0, 1536, 78, 24, 2.6055665442781066, 6.0),
+    ('bpsk', 'genie', 'wl-mmse-le', 2.0, 1280, 111, 20, 2.973469407812863, None),
+    ('bpsk', 'genie', 'wl-mmse-le', 6.0, 1536, 30, 24, 6.406166758925744, None),
+    ('bpsk', 'genie', 'wl-zf-dfe', 2.0, 1344, 105, 21, 3.0171284721771885, 3.836129037683996),
+    ('bpsk', 'genie', 'wl-zf-dfe', 6.0, 1536, 35, 24, 6.54901784848937, 7.836129037683996),
+    ('bpsk', 'genie', 'wl-mmse-dfe', 2.0, 1536, 73, 24, 4.34433397579924, None),
+    ('bpsk', 'genie', 'wl-mmse-dfe', 6.0, 1536, 23, 24, 7.679214007124976, None),
+    ('bpsk', 'decision', 'zf-le', 2.0, 576, 109, 9, -4.841036161474817, None),
+    ('bpsk', 'decision', 'zf-le', 6.0, 896, 103, 14, -3.3476980178924665, None),
+    ('bpsk', 'decision', 'mmse-le', 2.0, 1344, 103, 21, -0.10945708063378423, None),
+    ('bpsk', 'decision', 'mmse-le', 6.0, 1536, 39, 24, 3.290798544590115, None),
+    ('bpsk', 'decision', 'zf-dfe', 2.0, 1152, 105, 18, -0.15565414275125372, -0.5068157813485228),
+    ('bpsk', 'decision', 'zf-dfe', 6.0, 1536, 62, 24, 2.6467910019484666, 3.4931842186514777),
+    ('bpsk', 'decision', 'mmse-dfe', 2.0, 1536, 98, 24, 1.4286837398744934, None),
+    ('bpsk', 'decision', 'mmse-dfe', 6.0, 1536, 29, 24, 4.572938083922544, None),
+    ('bpsk', 'decision', 'wl-zf-le', 2.0, 1152, 101, 18, 2.4653764692116114, 1.9999999999999998),
+    ('bpsk', 'decision', 'wl-zf-le', 6.0, 1536, 78, 24, 2.6055665442781066, 6.0),
+    ('bpsk', 'decision', 'wl-mmse-le', 2.0, 1280, 111, 20, 2.973469407812863, None),
+    ('bpsk', 'decision', 'wl-mmse-le', 6.0, 1536, 30, 24, 6.406166758925744, None),
+    ('bpsk', 'decision', 'wl-zf-dfe', 2.0, 1216, 108, 19, 3.004002226659386, 3.836129037683996),
+    ('bpsk', 'decision', 'wl-zf-dfe', 6.0, 1536, 45, 24, 6.54901784848937, 7.836129037683996),
+    ('bpsk', 'decision', 'wl-mmse-dfe', 2.0, 1536, 83, 24, 4.34433397579924, None),
+    ('bpsk', 'decision', 'wl-mmse-dfe', 6.0, 1536, 33, 24, 7.679214007124976, None),
+    ('16qam', 'genie', 'zf-le', 10.0, 768, 122, 3, 5.8420541897060465, None),
+    ('16qam', 'genie', 'zf-le', 16.0, 1024, 167, 4, -0.48388910175315797, None),
+    ('16qam', 'genie', 'mmse-le', 10.0, 512, 100, 2, 4.3852504806009165, None),
+    ('16qam', 'genie', 'mmse-le', 16.0, 1280, 121, 5, 8.484892810597724, None),
+    ('16qam', 'genie', 'zf-dfe', 10.0, 1024, 103, 4, 7.648762610500237, 7.493184218651478),
+    ('16qam', 'genie', 'zf-dfe', 16.0, 5376, 106, 21, 13.057705235737062, 13.493184218651477),
+    ('16qam', 'genie', 'mmse-dfe', 10.0, 1280, 114, 5, 8.264513119973609, None),
+    ('16qam', 'genie', 'mmse-dfe', 16.0, 5632, 101, 22, 13.02240265652735, None),
+    ('16qam', 'decision', 'zf-le', 10.0, 768, 122, 3, 5.8420541897060465, None),
+    ('16qam', 'decision', 'zf-le', 16.0, 1024, 167, 4, -0.48388910175315797, None),
+    ('16qam', 'decision', 'mmse-le', 10.0, 512, 100, 2, 4.3852504806009165, None),
+    ('16qam', 'decision', 'mmse-le', 16.0, 1280, 121, 5, 8.484892810597724, None),
+    ('16qam', 'decision', 'zf-dfe', 10.0, 512, 104, 2, 7.486907193404505, 7.493184218651478),
+    ('16qam', 'decision', 'zf-dfe', 16.0, 1792, 101, 7, 13.477557294327218, 13.493184218651477),
+    ('16qam', 'decision', 'mmse-dfe', 10.0, 1024, 117, 4, 8.044645309116385, None),
+    ('16qam', 'decision', 'mmse-dfe', 16.0, 3072, 107, 12, 13.094598260494221, None),
+]
+
+# receiver, realizations, post_snr_db, analytic_db, delta_db at nr=2, 10 dB
+POST_ROWS = [
+    ('zf-le', 40, 9.778339659283894, 10.0, -0.22166034071610596),
+    ('mmse-le', 40, 11.090180497667987, None, None),
+    ('zf-dfe', 40, 11.451502532400156, 11.836129037683996, -0.38462650528384046),
+    ('mmse-dfe', 40, 11.07474617053283, None, None),
+    ('wl-zf-le', 40, 14.662514266872622, 14.771212547196624, -0.10869828032400264),
+    ('wl-mmse-le', 40, 14.301061732704367, None, None),
+    ('wl-zf-dfe', 40, 14.91473099380572, 15.455249720211093, -0.5405187264053719),
+    ('wl-mmse-dfe', 40, 15.478494095226754, None, None),
+]
+
+
+def _db(expected):
+    return None if expected is None else pytest.approx(expected, abs=TOL_DB,
+                                                       rel=0)
+
+
+@pytest.mark.parametrize("alphabet, feedback", [
+    ("bpsk", "genie"), ("bpsk", "decision"),
+    ("16qam", "genie"), ("16qam", "decision")])
+def test_sweep_rows_pinned(alphabet, feedback):
+    expected = [row[2:] for row in SWEEP_ROWS if row[:2] == (alphabet, feedback)]
+    cfg = sim.SweepConfig.from_dict(dict(
+        _COMMON, constellation=alphabet, feedback=feedback,
+        receivers=list(dict.fromkeys(row[0] for row in expected)),
+        snr=sorted({row[1] for row in expected})))
+    got = [(r.receiver, r.snr_db, r.bits, r.errors, r.blocks, r.post_snr_db,
+            r.analytic_db) for r in sim.run_sweep(cfg).rows]
+    assert [row[:5] for row in got] == [row[:5] for row in expected]
+    for g, e in zip(got, expected):
+        assert g[5:] == (_db(e[5]), _db(e[6])), g[:2]
+
+
+def test_post_snr_rows_pinned():
+    cfg = sim.SweepConfig.from_dict(dict(
+        _COMMON, nr=2, receivers=list(RECEIVER_NAMES)))
+    got = sim.measure_post_snr(cfg, 10.0, 40)
+    assert [(r.receiver, r.realizations) for r in got] == [
+        row[:2] for row in POST_ROWS]
+    for r, (_, _, post, analytic, delta) in zip(got, POST_ROWS):
+        assert (r.post_snr_db, r.analytic_db, r.delta_db) == (
+            _db(post), _db(analytic), _db(delta)), r.receiver
