@@ -5,23 +5,27 @@ orders large enough for per-block spectral averages to self-average),
 the zero-forcing receivers reach SNRs that no longer depend on the
 channel: the LE variants through E[1/chi-square] and the DFE variants
 through exp(E[ln chi-square]), with the widely linear family seeing
-twice the degrees of freedom. MMSE variants have no closed form; a
-Monte Carlo evaluation of the same log-average is provided instead.
+twice the degrees of freedom. This module implements those ZF closed
+forms; the MMSE-DFE limit is a Monte Carlo estimate of the same
+log-average here.
 
 The matched filter bound's BER is closed form for every alphabet
 (Craig's form and the Gamma energy's moment generating function).
 
-All SNRs here are linear ratios; gaps are in dB against the matched
-filter bound N_r * sigma_x^2 / sigma_n^2 (doubled for real alphabets,
-where only the real noise component matters).
+All SNRs here are linear ratios of the input SNR r = sigma_x^2 /
+sigma_n^2; gaps are in dB against the matched filter bound N_r r
+(doubled for real alphabets, where only the real noise component
+matters).
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .equalizer import ReceiverSpec
 from .modem import constellation
 from .numerics import RngStream, as_generator
 
@@ -47,25 +51,27 @@ EULER_GAMMA = float(np.euler_gamma)
 LIMIT_RECEIVERS = ("conv-zf-le", "conv-zf-dfe", "wl-zf-le", "wl-zf-dfe")
 
 
+def _whole(name: str, n, least: int) -> int:
+    """n as an int; ValueError unless it is an integer >= least (an
+    integral float such as 2.0 counts)."""
+    if not float(n).is_integer() or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
 def harmonic(n: int) -> float:
     """H_n = sum_{m=1}^{n} 1/m, with H_0 = 0."""
-    if n < 0:
-        raise ValueError("harmonic number needs n >= 0")
-    return float(np.sum(1.0 / np.arange(1, n + 1)))
+    return float(np.sum(1.0 / np.arange(1, _whole("n", n, 0) + 1)))
 
 
 def expected_log_chisq(n_r: int) -> float:
     """E[ln X] for X a sum of n_r unit-mean exponentials: -gamma + H_{n_r-1}."""
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
-    return -EULER_GAMMA + harmonic(n_r - 1)
+    return -EULER_GAMMA + harmonic(_whole("n_r", n_r, 1) - 1)
 
 
 def inverse_chisq_mean(n_r: int) -> float:
     """E[1/S] for S a sum of 2 n_r unit-mean exponentials: 1/(2 n_r - 1)."""
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
-    return 1.0 / (2 * n_r - 1)
+    return 1.0 / (2 * _whole("n_r", n_r, 1) - 1)
 
 
 def inverse_chisq_mean_var(n_r: int):
@@ -73,9 +79,9 @@ def inverse_chisq_mean_var(n_r: int):
 
     Var[1/S] = 1/(2 (2 n_r - 1)^2 (n_r - 1)), e.g. 1/18 at n_r = 2.
     """
+    mean = inverse_chisq_mean(n_r)
     if n_r < 2:
         raise ValueError("variance of 1/S is unbounded for n_r = 1")
-    mean = inverse_chisq_mean(n_r)
     return mean, 1.0 / (2.0 * (2 * n_r - 1) ** 2 * (n_r - 1))
 
 
@@ -83,61 +89,42 @@ class _NoFiniteLimit(ValueError):
     """The receiver has no finite limiting post-SNR at this n_r."""
 
 
-def _canonical(receiver: str) -> str:
-    key = receiver.strip().lower()
-    if key.startswith("conv-"):
-        key = key[5:]
-    if "mmse" in key:
-        raise ValueError(
-            f"{receiver!r} has no closed form; use the Monte Carlo "
-            "reference mmse_dfe_limit_snr_mc"
-        )
-    if key not in ("zf-le", "zf-dfe", "wl-zf-le", "wl-zf-dfe", "mfb"):
-        raise ValueError(f"unknown receiver {receiver!r} for limit formulas")
-    return key
+def limit_snr(receiver: str, n_r: int, r: float = 1.0,
+              real_modulation: bool = False) -> float:
+    """Channel-independent limiting post-SNR of a ZF receiver at input SNR r.
 
-
-def limit_snr(receiver: str, n_r: int, sigma_x_sq: float = 1.0,
-              sigma_n_sq: float = 1.0, real_modulation: bool = False) -> float:
-    """Channel-independent limiting post-SNR of a ZF receiver (or the MFB).
-
-    Conventional formulas double for real alphabets (the real noise
-    component carries half the power); the widely linear formulas are
-    real-alphabet quantities already and never double. n_r must be an
-    integer >= 1; an integral float such as 2.0 is taken as that integer.
+    receiver is a name ReceiverSpec.from_name reads. Conventional formulas
+    double for real alphabets (the real noise component carries half the
+    power); the widely linear ones are real-alphabet quantities already.
+    n_r must be an integer >= 1 (2.0 counts) and r positive and finite.
     """
-    if not float(n_r).is_integer() or n_r < 1:
-        raise ValueError(f"n_r must be an integer >= 1, got {n_r!r}")
-    n_r = int(n_r)
-    if sigma_x_sq <= 0 or sigma_n_sq <= 0:
-        raise ValueError("variances must be positive")
-    key = _canonical(receiver)
-    r = sigma_x_sq / sigma_n_sq
+    n_r = _whole("n_r", n_r, 1)
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r!r}")
+    spec = ReceiverSpec.from_name(receiver)
+    if spec.criterion == "mmse":
+        raise ValueError(f"{receiver!r} has no closed form; see mmse_dfe_limit_snr_mc")
     double = 2.0 if real_modulation else 1.0
-    if key == "mfb":
-        return double * n_r * r
-    if key == "zf-le":
+    if spec.name == "zf-le":
         if n_r == 1:
             raise _NoFiniteLimit(
                 "conventional ZF-LE has no finite limit for N_r=1 "
                 "(residual noise 1/||h(k)||^2 has unbounded mean)"
             )
         return double * (n_r - 1) * r
-    if key == "zf-dfe":
+    if spec.name == "zf-dfe":
         return double * r * np.exp(expected_log_chisq(n_r))
-    if key == "wl-zf-le":
+    if spec.name == "wl-zf-le":
         # mean formula; for n_r = 1 the variance is unbounded but the
         # mean (2 n_r - 1) r still holds
         return (2 * n_r - 1) * r
     return r * np.exp(expected_log_chisq(2 * n_r))
 
 
-def gap_to_mfb_db(receiver: str, n_r: int, sigma_x_sq: float = 1.0,
-                  sigma_n_sq: float = 1.0, real_modulation: bool = True) -> float:
-    """10 log10(MFB / limit_snr), same modulation convention on both sides."""
-    mfb = limit_snr("mfb", n_r, sigma_x_sq, sigma_n_sq, real_modulation)
-    rx = limit_snr(receiver, n_r, sigma_x_sq, sigma_n_sq, real_modulation)
-    return float(10.0 * np.log10(mfb / rx))
+def gap_to_mfb_db(receiver: str, n_r: int) -> float:
+    """10 log10(MFB / limit_snr) for a real alphabet, where the MFB is
+    2 n_r r; the gap does not depend on r."""
+    return float(10.0 * np.log10(2 * n_r / limit_snr(receiver, n_r, 1.0, True)))
 
 
 @dataclass(frozen=True)
@@ -180,8 +167,7 @@ def mmse_dfe_limit_snr_mc(n_r: int, r: float, samples: int,
     the limit interpolates n_r * r at small r and the ZF-DFE constant
     r e^{-gamma + H_{n_r-1}} at large r.
     """
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
+    n_r = _whole("n_r", n_r, 1)
     if samples < 10**4:
         raise ValueError("need at least 10^4 samples for a stable log-average")
     rng = as_generator(stream if stream is not None else RngStream(0, 0))

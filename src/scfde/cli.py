@@ -65,7 +65,9 @@ def _load_config(args) -> simulator.SweepConfig:
     data = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{args.config} must hold a JSON object of config keys")
     data.update(_parse_overrides(args.overrides))
     return simulator.SweepConfig.from_dict(data)
 

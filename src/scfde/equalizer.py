@@ -188,24 +188,24 @@ def _prediction_taps(denom, order, widely_linear):
     return kernels.levinson_recursion(autocov, order)[0]
 
 
-def synthesize(spec: ReceiverSpec, ch, sigma_x_sq, sigma_n_sq) -> EqualizerFilters:
+def synthesize(spec: ReceiverSpec, ch, sigma_n_sq) -> EqualizerFilters:
     """Filters of the receiver `spec` for one channel realization.
 
-    MMSE receivers regularize by sigma_n^2/sigma_x^2: w(k) = h^H(k) /
-    (||h(k)||^2 + sigma_n^2/sigma_x^2) conventional, w(k) = h*(k) /
-    (S(k) + sigma_n^2/sigma_x^2) widely linear. ZF receivers invert the
-    channel with spec.zf_epsilon as the only guard, and sigma_n_sq then
-    only prices the residual-noise MSE. DFEs put an order-L
-    prediction-error FBF behind that front end, real-tap for the widely
-    linear family. A batched ch gives filters with one row per channel,
-    and sigma_n_sq may then give one noise variance per row; a singular
-    row raises SingularChannelError naming the rows.
+    Alphabets have unit energy (sigma_x^2 = 1), so the input SNR is
+    1/sigma_n^2 and MMSE receivers regularize by sigma_n^2: w(k) = h^H(k) /
+    (||h(k)||^2 + sigma_n^2) conventional, w(k) = h*(k) / (S(k) + sigma_n^2)
+    widely linear. ZF receivers invert the channel with spec.zf_epsilon as
+    the only guard, and sigma_n_sq then only prices the residual-noise MSE.
+    DFEs put an order-L prediction-error FBF behind that front end, real-tap
+    for the widely linear family. A batched ch gives filters with one row
+    per channel, and sigma_n_sq may then give one noise variance per row; a
+    singular row raises SingularChannelError.
     """
     sigma_n_sq = np.asarray(sigma_n_sq, dtype=float)
     if spec.criterion == "mmse":
         if np.any(sigma_n_sq <= 0):
             raise ValueError("MMSE synthesis needs sigma_n_sq > 0; use the ZF variant")
-        reg = (sigma_n_sq / sigma_x_sq)[..., None]
+        reg = sigma_n_sq[..., None]
     else:
         reg = spec.zf_epsilon
     spec.check_fbf_length(ch.m)

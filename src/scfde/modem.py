@@ -21,7 +21,6 @@ class Constellation:
     bit_labels: np.ndarray  # shape (n_points, bits_per_symbol), entries 0/1
     bits_per_symbol: int
     is_real: bool
-    symbol_variance: float = 1.0
     # label integer (MSB first) -> index into points
     _label_to_index: np.ndarray = field(repr=False, default=None)
 

@@ -37,7 +37,7 @@ def _random_channel(gen, n_r=1, v=8, m=256):
 
 def _synth(name, ch, sigma_n_sq, fbf_length=20):
     spec = equalizer.ReceiverSpec.from_name(name, fbf_length=fbf_length)
-    return equalizer.synthesize(spec, ch, 1.0, sigma_n_sq)
+    return equalizer.synthesize(spec, ch, sigma_n_sq)
 
 
 def _equalized(name, ch, sigma_n_sq, y, c, block, fbf_length=20,
@@ -45,7 +45,7 @@ def _equalized(name, ch, sigma_n_sq, y, c, block, fbf_length=20,
     """The output z of equalize for the receiver called name."""
     spec = equalizer.ReceiverSpec.from_name(name, fbf_length=fbf_length,
                                             feedback_mode=feedback)
-    filt = equalizer.synthesize(spec, ch, 1.0, sigma_n_sq)
+    filt = equalizer.synthesize(spec, ch, sigma_n_sq)
     return equalizer.equalize(spec, filt, y, c, block.precoded)[0]
 
 

@@ -85,12 +85,14 @@ def _parse_snr_grid(value):
     if isinstance(value, str):
         if ":" in value:
             start, step, stop = (float(p) for p in value.split(":"))
-            if step <= 0:
-                raise ValueError("snr range step must be positive")
+            if not (step > 0 and math.isfinite(stop - start)):
+                raise ValueError("snr range needs a positive step and finite ends")
             n = int(math.floor((stop - start) / step + 1e-9)) + 1
             return tuple(start + step * k for k in range(max(n, 0)))
         return tuple(float(p) for p in value.split(","))
-    return tuple(float(p) for p in np.atleast_1d(value))
+    # object dtype hands bools and nested values to _real unconverted
+    return tuple(_real("snr_db", p)
+                 for p in np.atleast_1d(np.asarray(value, dtype=object)))
 
 
 def _noise_variance(snr_db) -> float:
@@ -127,9 +129,20 @@ def _integer(key, value) -> int:
     raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
 
 
+def _real(key, value) -> float:
+    """value as a float: a number or a numeric string, but not a bool."""
+    if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+
+
 # trial index fields, see the module docstring
 _MAX_ORDINALS = 1 << 32
-_MAX_REDRAWS = 255
+# redraws allowed per row; must stay below 256, the width of the redraw field
+MAX_REDRAWS = 64
 # samples (antennas x block size) per run_block pass: 16 blocks of 512 at
 # one antenna, 128 of 64; bounds the pass's arrays, and so the memory
 BATCH_SAMPLES = 1 << 13
@@ -141,8 +154,8 @@ class SweepConfig:
 
     Each (receiver, SNR) cell stops at min_bit_errors bit errors or
     max_blocks blocks. Integer fields take integers, integral floats and
-    digit strings, and reject anything else. from_dict drops the retired
-    key parallel_width, so configs that carry it still load.
+    digit strings, real ones numbers and numeric strings; any other type
+    is a ValueError. from_dict drops the retired key parallel_width.
     """
 
     constellation: str = "bpsk"
@@ -161,9 +174,16 @@ class SweepConfig:
     def __post_init__(self):
         for key in _INTEGER_KEYS:
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        object.__setattr__(self, "zf_epsilon", _real("zf_epsilon", self.zf_epsilon))
+        for key in ("constellation", "feedback"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"config key {key!r} must be a string, "
+                                 f"got {getattr(self, key)!r}")
         rx = self.receivers
         if isinstance(rx, str):
             rx = tuple(p.strip() for p in rx.split(",") if p.strip())
+        if not (isinstance(rx, (list, tuple)) and all(isinstance(n, str) for n in rx)):
+            raise ValueError(f"config key 'receivers' must be names, got {rx!r}")
         names = tuple(
             ReceiverSpec.from_name(name, feedback_mode=self.feedback).name
             for name in rx
@@ -242,8 +262,6 @@ class SweepConfig:
             if name in kwargs:
                 raise ValueError(f"config key {name!r} given twice (alias clash)")
             kwargs[name] = value
-        if "zf_epsilon" in kwargs:
-            kwargs["zf_epsilon"] = float(kwargs["zf_epsilon"])
         return cls(**kwargs)
 
 
@@ -332,7 +350,7 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
         normals[row] = gen.standard_normal(normals.shape[1])
     block = precode(map_bits(tx_bits, c))
     ch = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
-    filters = synthesize(receiver, ch, 1.0, sigma_n_sq)
+    filters = synthesize(receiver, ch, sigma_n_sq)
     y = apply_channel_freq(block.precoded, ch, sigma_n_sq, normals[:, 2 * n_r * v :])
     # a batch's arrays are large: each is dropped once nothing reads it, which
     # keeps the peak memory of a batch near that of the step it is in
@@ -344,7 +362,7 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
 
 
 def run_block_with_retry(trial_index, config: SweepConfig,
-                         receiver: ReceiverSpec, snr_db, max_redraws=64):
+                         receiver: ReceiverSpec, snr_db):
     """run_block, redrawing singular channels with the next stream index.
 
     Returns (bit_errors, bits, mse, redraws), four arrays with one row
@@ -352,12 +370,9 @@ def run_block_with_retry(trial_index, config: SweepConfig,
     redrawn alone: the batch runs again with that row's index advanced
     by one and every other index unchanged, and since a row depends on
     its own index only, its neighbours keep their results. Raises
-    SingularChannelError once a row has been singular max_redraws + 1
+    SingularChannelError once a row has been singular MAX_REDRAWS + 1
     times in a row.
     """
-    if not 0 <= max_redraws <= _MAX_REDRAWS:
-        raise ValueError(f"max_redraws must be in [0, {_MAX_REDRAWS}]: redraws "
-                         "share the low 8 bits of the trial index")
     trials = _trial_list(trial_index)
     redraws = np.zeros(len(trials), np.int64)
     while True:
@@ -368,24 +383,22 @@ def run_block_with_retry(trial_index, config: SweepConfig,
             for row in exc.rows:
                 log.debug("trial %d redrawn (%s)", index[row], exc)
             redraws[exc.rows] += 1
-            if redraws.max() > max_redraws:
+            if redraws.max() > MAX_REDRAWS:
                 row = int(np.argmax(redraws))
                 raise SingularChannelError(
-                    f"{max_redraws} singular channels in a row at trial "
+                    f"{MAX_REDRAWS} singular channels in a row at trial "
                     f"{trials[row]}; increase zf_epsilon", [row]) from exc
             continue
         return (*out, redraws)
 
 
 def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
-    # conventional outputs are measured with complex error, so their
-    # closed forms are used without the real-alphabet doubling; the WL
-    # formulas are real-alphabet quantities already
-    if spec.criterion != "zf":
-        return None
+    # None where limit_snr has no value; conventional outputs are measured
+    # with complex error, so their closed forms are used without the
+    # real-alphabet doubling, and the WL ones are real-alphabet quantities
     try:
-        value = limit_snr(spec.name, config.antennas, 1.0,
-                          _noise_variance(snr_db), real_modulation=False)
+        value = limit_snr(spec.name, config.antennas,
+                          1.0 / _noise_variance(snr_db), real_modulation=False)
     except ValueError:
         return None
     return float(10.0 * np.log10(value))
@@ -533,9 +546,9 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
     return tuple(rows)
 
 
-def mfb_reference_curve(config: SweepConfig, snr_grid_db=None,
+def mfb_reference_curve(config: SweepConfig,
                         per_realization: bool = False) -> tuple:
-    """Matched filter bound BER curve on the grid, in closed form.
+    """Matched filter bound BER curve on the config's SNR grid, in closed form.
 
     per_realization averages the alphabet's AWGN BER over the channel
     energy of the config's n_r antennas and v taps (the finite-v bound);
@@ -543,11 +556,10 @@ def mfb_reference_curve(config: SweepConfig, snr_grid_db=None,
     alphabet. Neither depends on the seed or the block budget; see
     analytics.mfb_ber.
     """
-    grid = config.snr_db if snr_grid_db is None else _parse_snr_grid(snr_grid_db)
     ber = mfb_ber(config.constellation, config.antennas,
-                  10.0 ** (np.asarray(grid) / 10.0),
+                  10.0 ** (np.asarray(config.snr_db) / 10.0),
                   config.taps if per_realization else None)
-    return tuple((float(s), float(b)) for s, b in zip(grid, ber))
+    return tuple((float(s), float(b)) for s, b in zip(config.snr_db, ber))
 
 
 def _snr_at_target(curve, target_ber: float) -> float:

@@ -45,7 +45,9 @@ class TestLimits:
         assert main(["limits", "--nr", "0"]) == 2
 
     @pytest.mark.parametrize("receiver, message", [
-        ("mmse-dfe", "no closed form"), ("bogus", "unknown receiver")])
+        ("mmse-dfe", "no closed form"), ("bogus", "unknown receiver"),
+        # no receiver; it printed two rows of 0.0, the MFB's gap to itself
+        ("mfb", "unknown receiver 'mfb'")])
     def test_receiver_without_closed_form_exits_2(self, capsys, receiver,
                                                   message):
         # only an infinite limit prints NA; any other error is the user's
@@ -141,6 +143,17 @@ class TestBerSweep:
         # both points hash to one cell key, so both cells would replay
         # the same random streams
         (["snr=1,1.0000001"], "cell key"),
+        # config file values of the wrong JSON type (a dict is merged into
+        # the file): they raised AttributeError or TypeError, or the bool
+        # ran as 1 dB
+        ({"receivers": [5]}, "'receivers' must be names"),
+        ({"feedback": 5}, "'feedback' must be a string"),
+        ({"constellation": 5}, "'constellation' must be a string"),
+        ({"zf_epsilon": [1]}, "'zf_epsilon' must be a number"),
+        ({"snr": {"a": 1}}, "'snr_db' must be a number"),
+        ({"snr": [True, 2]}, "'snr_db' must be a number, got True"),
+        ({"receivers": 5}, "'receivers' must be names"),
+        ({"snr": None}, "'snr_db' must be a number"),
     ])
     def test_bad_config_exits_2_before_any_block(self, small_config, override,
                                                   key, monkeypatch, capsys):
@@ -148,9 +161,41 @@ class TestBerSweep:
             raise AssertionError("a block ran before the config was rejected")
 
         monkeypatch.setattr("scfde.simulator.run_block", no_blocks)
+        if isinstance(override, dict):
+            cfg = json.loads(small_config.read_text())
+            small_config.write_text(json.dumps({**cfg, **override}))
+            override = []
         code = main(["ber-sweep", "--config", str(small_config), *override])
         assert code == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        # a JSON list raised TypeError from dict.update
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["ber-sweep", "--config", str(path)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["post-snr", "gap"])
+    def test_config_of_the_wrong_type_exits_2_in_every_command(
+            self, small_config, tmp_path, command, monkeypatch, capsys):
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block ran before the config was rejected")
+
+        monkeypatch.setattr("scfde.simulator.run_block", no_blocks)
+        cfg = {**json.loads(small_config.read_text()), "receivers": [5]}
+        if command == "gap":
+            sweep = tmp_path / "sweep.json"
+            sweep.write_text(json.dumps({"config": cfg, "rows": []}))
+            argv = ["gap", "--input", str(sweep), "--target-ber", "0.01"]
+        else:
+            small_config.write_text(json.dumps(cfg))
+            argv = ["post-snr", "--snr", "4", "--config", str(small_config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'receivers' must be names" in err
 
     @pytest.mark.parametrize("key, value, name", [
         ("nr", 2.5, "antennas"), ("max_blocks", 3.9, "max_blocks"),

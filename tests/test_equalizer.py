@@ -45,11 +45,11 @@ def dense_fbf(q, L):
     return np.linalg.solve(A, -q[1 : L + 1])
 
 
-def synth(name, ch, sigma_x_sq, sigma_n_sq=0.0, fbf_length=20, zf_epsilon=1e-12):
+def synth(name, ch, sigma_n_sq=0.0, fbf_length=20, zf_epsilon=1e-12):
     """eq.synthesize for the receiver called `name`."""
     spec = eq.ReceiverSpec.from_name(name, fbf_length=fbf_length,
                                      zf_epsilon=zf_epsilon)
-    return eq.synthesize(spec, ch, sigma_x_sq, sigma_n_sq)
+    return eq.synthesize(spec, ch, sigma_n_sq)
 
 
 def equalize(name, f, y, block, c=BPSK, feedback="genie"):
@@ -111,25 +111,25 @@ class TestConventionalLe:
     def test_flat_wiener(self):
         # h=1, sigma_n^2/sigma_x^2 = 1: scalar Wiener filter w = 1/2
         ch = flat_channel(32)
-        f = synth("mmse-le", ch, 1.0, 1.0)
+        f = synth("mmse-le", ch, 1.0)
         np.testing.assert_allclose(f.fff, 0.5)
         assert f.predicted_mse == pytest.approx(0.5)
 
     def test_mmse_bias_removal(self):
         # sigma_n^2 = 1e9: the receiver outputs ~0, so mse -> sigma_x^2 and
         # the unbiased post-SNR sigma_x^2 / mse - 1 -> 0
-        f = synth("mmse-le", flat_channel(16), 1.0, 1e9)
+        f = synth("mmse-le", flat_channel(16), 1e9)
         assert f.predicted_mse == pytest.approx(1.0, abs=1e-6)
 
     def test_zf_plain_ratio(self):
         # |h|^2 = 2 at sigma_n^2 = 1: mse 1/2, post-SNR sigma_x^2 / mse = 2
         ch = flat_channel(16, gain=np.sqrt(2) + 0j)
-        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0)
+        f = synth("zf-le", ch, zf_epsilon=0.0, sigma_n_sq=1.0)
         assert f.predicted_mse == pytest.approx(0.5)
 
     def test_zf_flat_inversion(self):
         ch = flat_channel(32, gain=2.0 + 0j)
-        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0)
+        f = synth("zf-le", ch, zf_epsilon=0.0)
         np.testing.assert_allclose(f.fff, 0.5)
         block = bpsk_block(32, 0)
         z, _ = equalize("zf-le", f, apply_channel_freq(block.precoded, ch, 0.0, None),
@@ -140,7 +140,7 @@ class TestConventionalLe:
         ch = draw_channel(RngStream(21, 0), 2, 20, 128)
         block = bpsk_block(128, 1)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
-        f = synth("zf-le", ch, 1.0, zf_epsilon=0.0)
+        f = synth("zf-le", ch, zf_epsilon=0.0)
         z, _ = equalize("zf-le", f, y, block)
         err = np.linalg.norm(z - block.time_symbols) / np.linalg.norm(
             block.time_symbols
@@ -149,29 +149,29 @@ class TestConventionalLe:
 
     def test_mmse_combined_response_in_unit_interval(self):
         ch = draw_channel(RngStream(22, 0), 2, 20, 128)
-        f = synth("mmse-le", ch, 1.0, 0.3)
+        f = synth("mmse-le", ch, 0.3)
         combined = np.einsum("kr,rk->k", f.fff, ch.freq_response)
         assert np.all(np.abs(combined.imag) < 1e-12)
         assert np.all(combined.real > 0) and np.all(combined.real < 1)
 
     def test_mmse_approaches_zf(self):
         ch = draw_channel(RngStream(23, 0), 1, 20, 64)
-        fm = synth("mmse-le", ch, 1.0, 1e-10)
-        fz = synth("zf-le", ch, 1.0, zf_epsilon=0.0)
+        fm = synth("mmse-le", ch, 1e-10)
+        fz = synth("zf-le", ch, zf_epsilon=0.0)
         assert np.max(np.abs(fm.fff - fz.fff) / np.abs(fz.fff)) < 1e-4
 
     def test_mmse_rejects_zero_noise(self):
         with pytest.raises(ValueError):
-            synth("mmse-le", flat_channel(16), 1.0, 0.0)
+            synth("mmse-le", flat_channel(16), 0.0)
 
     def test_singular_channel(self):
         # two-tap [1, -1] has an exact null at k=0
         taps = np.array([[1.0 + 0j, -1.0 + 0j]])
         ch = ChannelRealization(taps, np.fft.fft(taps, n=16, axis=1), 1, 2, 16)
         with pytest.raises(eq.SingularChannelError) as unbatched:
-            synth("zf-le", ch, 1.0, zf_epsilon=0.0)
+            synth("zf-le", ch, zf_epsilon=0.0)
         assert unbatched.value.rows.tolist() == [0]
-        synth("zf-le", ch, 1.0, zf_epsilon=1e-6)  # regularized is fine
+        synth("zf-le", ch, zf_epsilon=1e-6)  # regularized is fine
         # in a batch, the error names the singular rows
         other = draw_channel(RngStream(24, 0), 1, 2, 16)
         batch = ChannelRealization(
@@ -180,24 +180,24 @@ class TestConventionalLe:
                       other.freq_response]), 1, 2, 16)
         for name in ("zf-le", "wl-zf-dfe"):
             with pytest.raises(eq.SingularChannelError) as batched:
-                synth(name, batch, 1.0, fbf_length=4, zf_epsilon=0.0)
+                synth(name, batch, fbf_length=4, zf_epsilon=0.0)
             assert batched.value.rows.tolist() == [1]
 
 
 class TestConventionalDfe:
     def test_flat_reduces_to_le(self):
         ch = flat_channel(64)
-        fd = synth("mmse-dfe", ch, 1.0, 0.5, 8)
-        fl = synth("mmse-le", ch, 1.0, 0.5)
+        fd = synth("mmse-dfe", ch, 0.5, 8)
+        fl = synth("mmse-le", ch, 0.5)
         np.testing.assert_allclose(fd.fbf_taps, 0, atol=1e-12)
         np.testing.assert_allclose(fd.fff, fl.fff, atol=1e-12)
         assert fd.predicted_mse == pytest.approx(fl.predicted_mse)
 
     def test_mse_monotone_in_length(self):
         ch = draw_channel(RngStream(24, 0), 1, 20, 256)
-        fl = synth("mmse-le", ch, 1.0, 0.5)
+        fl = synth("mmse-le", ch, 0.5)
         mses = [
-            synth("mmse-dfe", ch, 1.0, 0.5, L).predicted_mse
+            synth("mmse-dfe", ch, 0.5, L).predicted_mse
             for L in (1, 2, 4, 8, 16, 19)
         ]
         assert mses[0] <= fl.predicted_mse + 1e-15
@@ -207,14 +207,14 @@ class TestConventionalDfe:
         rng = np.random.default_rng(25)
         for _ in range(30):
             ch = draw_channel(rng, 2, 20, 128)
-            le = synth("mmse-le", ch, 1.0, 0.25)
-            dfe = synth("mmse-dfe", ch, 1.0, 0.25, 19)
+            le = synth("mmse-le", ch, 0.25)
+            dfe = synth("mmse-dfe", ch, 0.25, 19)
             assert dfe.predicted_mse <= le.predicted_mse + 1e-12
 
     def test_whitening(self):
         # FBF is the prediction-error filter: residual lags 1..L vanish
         ch = draw_channel(RngStream(26, 0), 1, 20, 512)
-        f = synth("mmse-dfe", ch, 1.0, 0.1, 20)
+        f = synth("mmse-dfe", ch, 0.1, 20)
         denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + 0.1
         poly = np.zeros(512, complex)
         poly[0] = 1.0
@@ -227,7 +227,7 @@ class TestConventionalDfe:
         rng = np.random.default_rng(27)
         for n_r, L in ((1, 4), (2, 8), (1, 19)):
             ch = draw_channel(rng, n_r, 20, 256)
-            f = synth("mmse-dfe", ch, 1.0, 0.5, L)
+            f = synth("mmse-dfe", ch, 0.5, L)
             denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + 0.5
             q = idft(1.0 / denom)
             np.testing.assert_allclose(
@@ -238,7 +238,7 @@ class TestConventionalDfe:
         # posted formula == quadratic-form prediction error, independently
         ch = draw_channel(RngStream(28, 0), 2, 20, 256)
         sn = 0.4
-        f = synth("mmse-dfe", ch, 1.0, sn, 10)
+        f = synth("mmse-dfe", ch, sn, 10)
         denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + sn
         q = sn * idft(1.0 / denom)
         err = q[0].real + np.sum(f.fbf_taps * np.conj(q[1:11])).real
@@ -253,7 +253,7 @@ class TestConventionalDfe:
         ch = draw_channel(RngStream(29, 0), 1, 20, 128)
         block = bpsk_block(128, 2)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
-        f = synth("zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
+        f = synth("zf-dfe", ch, fbf_length=19, zf_epsilon=0.0)
         z, idx = equalize("zf-dfe", f, y, block)
         err = np.linalg.norm(z - block.time_symbols) / np.linalg.norm(
             block.time_symbols
@@ -268,7 +268,7 @@ class TestConventionalDfe:
         ch = draw_channel(RngStream(30, 0), 2, 20, 256)
         block = bpsk_block(256, 3)
         y = apply_channel_freq(block.precoded, ch, 1e-6, RngStream(30, 1))
-        f = synth("mmse-dfe", ch, 1.0, 1e-6, 20)
+        f = synth("mmse-dfe", ch, 1e-6, 20)
         zg, ig = equalize("mmse-dfe", f, y, block)
         zd, dd = equalize("mmse-dfe", f, y, block, feedback="decision")
         # both modes return the ideal-feedback output; only the slicer differs
@@ -279,16 +279,16 @@ class TestConventionalDfe:
     def test_length_bounds(self):
         ch = flat_channel(16)
         with pytest.raises(ValueError):
-            synth("mmse-dfe", ch, 1.0, 0.5, 16)
+            synth("mmse-dfe", ch, 0.5, 16)
         with pytest.raises(ValueError):
-            synth("mmse-dfe", ch, 1.0, 0.5, 0)
+            synth("mmse-dfe", ch, 0.5, 0)
 
 
 class TestWidelyLinear:
     def test_flat_combined_response(self):
         # S(k) = 2 on a flat unit channel: output scaled by 2/(2 + c)
         ch = flat_channel(64)
-        f = synth("wl-mmse-le", ch, 1.0, 0.5)
+        f = synth("wl-mmse-le", ch, 0.5)
         block = bpsk_block(64, 4)
         z, _ = equalize("wl-mmse-le", f,
                         apply_channel_freq(block.precoded, ch, 0.0, None), block)
@@ -327,11 +327,11 @@ class TestWidelyLinear:
             assert np.all(np.imag(z) == 0)
             assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-        le = synth(f"wl-{criterion}-le", ch, 1.0, sigma_n_sq)
+        le = synth(f"wl-{criterion}-le", ch, sigma_n_sq)
         z_f, _ = two_look(le)
         assert_matches(equalize(f"wl-{criterion}-le", le, y, block)[0], idft(z_f))
 
-        dfe = synth(f"wl-{criterion}-dfe", ch, 1.0, sigma_n_sq, fbf_length)
+        dfe = synth(f"wl-{criterion}-dfe", ch, sigma_n_sq, fbf_length)
         z_f, one_plus_b = two_look(dfe)
         genie = idft(z_f) - idft((one_plus_b - 1.0) * dft(x))
         init = c.points[kernels.nearest_index(idft(z_f / one_plus_b), c.points,
@@ -346,18 +346,18 @@ class TestWidelyLinear:
 
     def test_fbf_taps_real(self):
         ch = draw_channel(RngStream(32, 0), 1, 20, 256)
-        f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 12)
+        f = synth("wl-mmse-dfe", ch, 0.5, 12)
         assert not np.iscomplexobj(f.fbf_taps)
 
     def test_output_real(self):
         ch = draw_channel(RngStream(33, 0), 2, 20, 256)
         block = bpsk_block(256, 5)
         y = apply_channel_freq(block.precoded, ch, 0.3, RngStream(33, 1))
-        for name, f in (("wl-mmse-le", synth("wl-mmse-le", ch, 1.0, 0.3)),
-                        ("wl-zf-le", synth("wl-zf-le", ch, 1.0))):
+        for name, f in (("wl-mmse-le", synth("wl-mmse-le", ch, 0.3)),
+                        ("wl-zf-le", synth("wl-zf-le", ch))):
             z, _ = equalize(name, f, y, block)
             assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
-        fd = synth("wl-mmse-dfe", ch, 1.0, 0.3, 20)
+        fd = synth("wl-mmse-dfe", ch, 0.3, 20)
         z, _ = equalize("wl-mmse-dfe", fd, y, block)
         assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
 
@@ -365,31 +365,31 @@ class TestWidelyLinear:
         ch = draw_channel(RngStream(34, 0), 1, 20, 128)
         block = bpsk_block(128, 6)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
-        fle = synth("wl-zf-le", ch, 1.0, zf_epsilon=0.0)
+        fle = synth("wl-zf-le", ch, zf_epsilon=0.0)
         z, _ = equalize("wl-zf-le", fle, y, block)
         assert np.linalg.norm(z - block.time_symbols) < 1e-9 * np.linalg.norm(z)
-        fdfe = synth("wl-zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0)
+        fdfe = synth("wl-zf-dfe", ch, fbf_length=19, zf_epsilon=0.0)
         zd, _ = equalize("wl-zf-dfe", fdfe, y, block)
         assert np.linalg.norm(zd - block.time_symbols) < 1e-9 * np.linalg.norm(zd)
 
     def test_mmse_approaches_zf(self):
         ch = draw_channel(RngStream(35, 0), 2, 20, 64)
-        fm = synth("wl-mmse-le", ch, 1.0, 1e-10)
-        fz = synth("wl-zf-le", ch, 1.0, zf_epsilon=0.0)
+        fm = synth("wl-mmse-le", ch, 1e-10)
+        fz = synth("wl-zf-le", ch, zf_epsilon=0.0)
         assert np.max(np.abs(fm.fff - fz.fff) / np.max(np.abs(fz.fff))) < 1e-4
-        fmd = synth("wl-mmse-dfe", ch, 1.0, 1e-10, 8)
-        fzd = synth("wl-zf-dfe", ch, 1.0, fbf_length=8, zf_epsilon=0.0)
+        fmd = synth("wl-mmse-dfe", ch, 1e-10, 8)
+        fzd = synth("wl-zf-dfe", ch, fbf_length=8, zf_epsilon=0.0)
         assert np.max(np.abs(fmd.fbf_taps - fzd.fbf_taps)) < 1e-4
 
     def test_flat_dfe_collapses(self):
         ch = flat_channel(64)
-        f = synth("wl-zf-dfe", ch, 1.0, fbf_length=6, zf_epsilon=0.0,
+        f = synth("wl-zf-dfe", ch, fbf_length=6, zf_epsilon=0.0,
                   sigma_n_sq=1.0)
         np.testing.assert_allclose(f.fbf_taps, 0, atol=1e-12)
 
     def test_levinson_matches_dense(self):
         ch = draw_channel(RngStream(36, 0), 1, 20, 256)
-        f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 10)
+        f = synth("wl-mmse-dfe", ch, 0.5, 10)
         g = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
         rev = (256 - np.arange(256)) % 256
         p = g + g[rev] + 0.5
@@ -400,14 +400,14 @@ class TestWidelyLinear:
     def test_mse_monotone_in_length(self):
         ch = draw_channel(RngStream(37, 0), 1, 20, 256)
         mses = [
-            synth("wl-mmse-dfe", ch, 1.0, 0.5, L).predicted_mse
+            synth("wl-mmse-dfe", ch, 0.5, L).predicted_mse
             for L in (1, 4, 8, 16, 19)
         ]
         assert all(b <= a + 1e-15 for a, b in zip(mses, mses[1:]))
 
     def test_complex_constellation_rejected(self):
         ch = flat_channel(32)
-        f = synth("wl-mmse-dfe", ch, 1.0, 0.5, 4)
+        f = synth("wl-mmse-dfe", ch, 0.5, 4)
         block = bpsk_block(32, 7)
         with pytest.raises(ValueError, match="real"):
             equalize("wl-mmse-dfe", f, np.ones((1, 32), complex), block,
@@ -415,7 +415,7 @@ class TestWidelyLinear:
 
     def test_mmse_rejects_zero_noise(self):
         with pytest.raises(ValueError):
-            synth("wl-mmse-dfe", flat_channel(16), 1.0, 0.0, 4)
+            synth("wl-mmse-dfe", flat_channel(16), 0.0, 4)
 
 
 class TestDispatcher:
@@ -423,7 +423,7 @@ class TestDispatcher:
         ch = draw_channel(RngStream(38, 0), 2, 8, 64)
         for name in eq.RECEIVER_NAMES:
             spec = eq.ReceiverSpec.from_name(name, fbf_length=7)
-            f = eq.synthesize(spec, ch, 1.0, 0.5)
+            f = eq.synthesize(spec, ch, 0.5)
             n_taps = 7 if spec.structure == "dfe" else 0
             assert f.fbf_taps.shape == (n_taps,)
             assert np.iscomplexobj(f.fbf_taps) == (spec.family == "conventional")
@@ -441,9 +441,9 @@ class TestDispatcher:
         sigma = np.array([0.05, 0.5, 5.0])
         for name in eq.RECEIVER_NAMES:
             spec = eq.ReceiverSpec.from_name(name, fbf_length=7)
-            f = eq.synthesize(spec, batch, 1.0, sigma)
+            f = eq.synthesize(spec, batch, sigma)
             for k, ch in enumerate(rows):
-                one = eq.synthesize(spec, ch, 1.0, sigma[k])
+                one = eq.synthesize(spec, ch, sigma[k])
                 for got, want in ((f.fff[k], one.fff), (f.fbf_taps[k], one.fbf_taps),
                                   (f.one_plus_b[k], one.one_plus_b),
                                   (f.predicted_mse[k], one.predicted_mse)):
@@ -454,7 +454,7 @@ class TestDispatcher:
         # inverse spectrum, w(k) = (1 + b(k)) h*(k) / (|h(k)|^2 + eps)
         ch = draw_channel(RngStream(39, 0), 1, 8, 64)
         spec = eq.ReceiverSpec.from_name("zf-dfe", fbf_length=7, zf_epsilon=1e-9)
-        f = eq.synthesize(spec, ch, 1.0, 0.25)
+        f = eq.synthesize(spec, ch, 0.25)
         denom = np.abs(ch.freq_response[0]) ** 2 + 1e-9
         taps = dense_fbf(idft(1.0 / denom), 7)
         one_plus_b = dft(np.concatenate([[1.0], taps, np.zeros(64 - 8)]))
@@ -480,14 +480,14 @@ class TestLimitingAnchors:
     closed-form limits (v=20, M=512; the limits are exact only as both
     grow, hence the 0.2 dB budgets)."""
 
-    def geometric_post(self, filters, sigma_x_sq=1.0, unbias=False):
-        posts = [sigma_x_sq / f.predicted_mse for f in filters]
+    def geometric_post(self, filters, unbias=False):
+        posts = [1.0 / f.predicted_mse for f in filters]
         g = np.exp(np.mean(np.log(posts)))
         return g - 1.0 if unbias else g
 
     def test_conv_zf_dfe_nr1(self):
         fs = _ensemble(
-            lambda ch: synth("zf-dfe", ch, 1.0, fbf_length=19, zf_epsilon=0.0,
+            lambda ch: synth("zf-dfe", ch, fbf_length=19, zf_epsilon=0.0,
                              sigma_n_sq=1.0),
             500, 1, 41,
         )
@@ -495,7 +495,7 @@ class TestLimitingAnchors:
 
     def test_wl_zf_dfe_nr1(self):
         fs = _ensemble(
-            lambda ch: synth("wl-zf-dfe", ch, 1.0, fbf_length=20, zf_epsilon=0.0,
+            lambda ch: synth("wl-zf-dfe", ch, fbf_length=20, zf_epsilon=0.0,
                              sigma_n_sq=1.0),
             500, 1, 42,
         )
@@ -503,7 +503,7 @@ class TestLimitingAnchors:
 
     def test_wl_zf_dfe_nr2(self):
         fs = _ensemble(
-            lambda ch: synth("wl-zf-dfe", ch, 1.0, fbf_length=20, zf_epsilon=0.0,
+            lambda ch: synth("wl-zf-dfe", ch, fbf_length=20, zf_epsilon=0.0,
                              sigma_n_sq=1.0),
             400, 2, 43,
         )
@@ -512,7 +512,7 @@ class TestLimitingAnchors:
     def test_conv_zf_le_nr2(self):
         # E[1/chi2] argument is exact at any v: mean mse = sigma_n^2
         fs = _ensemble(
-            lambda ch: synth("zf-le", ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0),
+            lambda ch: synth("zf-le", ch, zf_epsilon=0.0, sigma_n_sq=1.0),
             400, 2, 44,
         )
         mean_mse = np.mean([f.predicted_mse for f in fs])
@@ -523,7 +523,7 @@ class TestLimitingAnchors:
         # costing the single-antenna WL-LE about 0.2-1 dB beyond its 3.01 dB
         # asymptotic gap to the real matched filter bound of 2r
         fs = _ensemble(
-            lambda ch: synth("wl-zf-le", ch, 1.0, zf_epsilon=0.0, sigma_n_sq=1.0),
+            lambda ch: synth("wl-zf-le", ch, zf_epsilon=0.0, sigma_n_sq=1.0),
             500, 1, 46,
         )
         post = 1.0 / np.mean([f.predicted_mse for f in fs])
@@ -534,7 +534,7 @@ class TestLimitingAnchors:
         x = np.random.default_rng(77).exponential(size=10**6)
         reference = np.expm1(np.mean(np.log1p(r * x)))
         fs = _ensemble(
-            lambda ch: synth("mmse-dfe", ch, 1.0, 1.0 / r, 19), 400, 1, 45
+            lambda ch: synth("mmse-dfe", ch, 1.0 / r, 19), 400, 1, 45
         )
         got = self.geometric_post(fs, unbias=False)
         # compare biased ratios: geometric mean of sx^2/mse vs e^{E ln(1+rX)}

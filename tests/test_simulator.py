@@ -7,6 +7,7 @@ quadrature of the Gaussian tail before the module was written:
   Q(sqrt(4 * 10^0.4))       = 7.6276e-4   (BPSK, N_r=2, 4.0 dB)
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -22,6 +23,15 @@ from scfde.equalizer import RECEIVER_NAMES, ReceiverSpec, SingularChannelError
 
 # the suite is deterministic: every run tries the same examples
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
+
+# any value a JSON config can hold
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+CONFIG_KEYS = sorted({f.name for f in dataclasses.fields(sim.SweepConfig)}
+                     | set(sim._ALIASES) | {"parallel_width"})
 
 
 def small_config(**overrides):
@@ -138,6 +148,21 @@ class TestSweepConfig:
     def test_round_trip_dict(self):
         cfg = small_config()
         assert sim.SweepConfig.from_dict(cfg.to_dict()) == cfg
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(key=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES)
+    def test_any_json_value_builds_or_raises_value_error(self, key, value):
+        # a value of the wrong type is a ValueError (exit 2 at the command
+        # line), never an AttributeError or TypeError, nor silently taken
+        try:
+            cfg = sim.SweepConfig.from_dict({key: value})
+        except ValueError:
+            return
+        assert all(type(s) is float for s in cfg.snr_db)
+        assert type(cfg.zf_epsilon) is float
+        if sim._ALIASES.get(key, key) in ("snr_db", "zf_epsilon"):
+            assert not any(isinstance(v, bool)
+                           for v in (value if isinstance(value, list) else [value]))
 
 
 class TestRunBlock:
@@ -346,8 +371,9 @@ class TestBatching:
         assert redraws.tolist() == [0, 0, 2, 0, 1, 0]
         for row, (t, r) in enumerate(zip(trials, redraws.tolist())):
             assert _row(outs, row) == _row(real([t + r], cfg, spec, 8.0))
+        monkeypatch.setattr(sim, "MAX_REDRAWS", 1)
         with pytest.raises(SingularChannelError, match="1 singular channels"):
-            sim.run_block_with_retry(trials, cfg, spec, 8.0, max_redraws=1)
+            sim.run_block_with_retry(trials, cfg, spec, 8.0)
 
     @pytest.mark.parametrize("overrides", [
         dict(receivers=["zf-le", "mmse-dfe"], feedback="decision", fbf_len=4,
@@ -449,12 +475,11 @@ class TestBatching:
 
 class TestTrialIndexPacking:
     def test_redraws_fit_the_low_byte(self):
+        # a row's redraws advance bits 0-7 of its trial index
+        assert 0 <= sim.MAX_REDRAWS < 256
         cfg = small_config()
         spec = ReceiverSpec.from_name("mmse-le")
-        redraws = sim.run_block_with_retry(0, cfg, spec, 8.0, max_redraws=255)[3]
-        assert redraws.tolist() == [0]
-        with pytest.raises(ValueError, match="max_redraws"):
-            sim.run_block_with_retry(0, cfg, spec, 8.0, max_redraws=256)
+        assert sim.run_block_with_retry(0, cfg, spec, 8.0)[3].tolist() == [0]
 
     def test_realizations_fit_the_ordinal_field(self):
         cfg = small_config()
@@ -493,27 +518,27 @@ class TestMeasurePostSnr:
 
 class TestMfbCurve:
     def test_bpsk_closed_form(self):
-        cfg = small_config()
-        curve = sim.mfb_reference_curve(cfg, [6.79, 9.6])
+        cfg = small_config(snr_db=[6.79, 9.6])
+        curve = sim.mfb_reference_curve(cfg)
         assert curve[0][1] == pytest.approx(9.9943e-4, rel=1e-3)
         assert curve[1][1] == pytest.approx(9.7362e-6, rel=1e-3)
 
     def test_two_antennas_is_shifted_curve(self):
-        cfg1 = small_config()
-        cfg2 = small_config(antennas=2)
-        shifted = sim.mfb_reference_curve(cfg2, [4.0])
+        cfg1 = small_config(snr_db=[4.0 + 10 * np.log10(2)])
+        cfg2 = small_config(antennas=2, snr_db=[4.0])
+        shifted = sim.mfb_reference_curve(cfg2)
         assert shifted[0][1] == pytest.approx(7.6276e-4, rel=1e-3)
-        ref = sim.mfb_reference_curve(cfg1, [4.0 + 10 * np.log10(2)])
+        ref = sim.mfb_reference_curve(cfg1)
         assert shifted[0][1] == pytest.approx(ref[0][1], rel=1e-9)
 
     def test_per_realization_curve_near_limit_curve(self):
         # the finite-v bound sits above the v -> inf limit and falls to it
         grid = [0.0, 6.0, 12.0]
-        limit = sim.mfb_reference_curve(small_config(), grid)
+        limit = sim.mfb_reference_curve(small_config(snr_db=grid))
         previous = None
         for taps in (1, 4, 20, 512):
-            cfg = small_config(taps=taps, block_size=512)
-            finite = sim.mfb_reference_curve(cfg, grid, per_realization=True)
+            cfg = small_config(taps=taps, block_size=512, snr_db=grid)
+            finite = sim.mfb_reference_curve(cfg, per_realization=True)
             assert [s for s, _ in finite] == grid
             assert all(b > ref for (_, b), (_, ref) in zip(finite, limit))
             if previous is not None:
