@@ -27,7 +27,7 @@ import numpy as np
 
 from .equalizer import ReceiverSpec
 from .modem import constellation
-from .numerics import RngStream, as_generator
+from .numerics import RngStream
 
 __all__ = [
     "EULER_GAMMA",
@@ -160,7 +160,7 @@ def mmse_dfe_post_snr_from_gains(gains, r: float) -> float:
 
 
 def mmse_dfe_limit_snr_mc(n_r: int, r: float, samples: int,
-                          stream=None) -> float:
+                          stream: RngStream = RngStream(0, 0)) -> float:
     """Monte Carlo limiting post-SNR of the unbiased MMSE-DFE.
 
     ||h(k)||^2 is a sum of n_r unit-mean exponentials, i.e. Gamma(n_r, 1);
@@ -170,8 +170,7 @@ def mmse_dfe_limit_snr_mc(n_r: int, r: float, samples: int,
     n_r = _whole("n_r", n_r, 1)
     if samples < 10**4:
         raise ValueError("need at least 10^4 samples for a stable log-average")
-    rng = as_generator(stream if stream is not None else RngStream(0, 0))
-    gains = rng.gamma(float(n_r), 1.0, int(samples))
+    gains = stream.generator().gamma(float(n_r), 1.0, int(samples))
     return mmse_dfe_post_snr_from_gains(gains, r)
 
 

@@ -5,11 +5,12 @@ Rayleigh taps (total unit average energy).  A cyclic prefix is assumed
 long enough that one transmitted block of ``m`` samples experiences a
 circular convolution, so the channel is diagonal in the DFT domain.
 
-draw_channel and apply_channel_freq take their randomness from a stream
-or from an array of standard normals already drawn (see
-numerics.gaussian_complex). An array with a leading row axis serves a
-batch: row i of every output comes from row i of the draws exactly as an
-unbatched call with those draws would make it.
+draw_channel and apply_channel_freq take their randomness as an array of
+standard normals already drawn (see numerics.gaussian_complex). An array
+with a leading row axis serves a batch: row i of every output comes from
+row i of the draws exactly as an unbatched call with those draws would
+make it. apply_channel_time is the noise-free reference that the
+frequency-domain path is checked against.
 """
 
 from dataclasses import dataclass
@@ -42,50 +43,46 @@ class ChannelRealization:
     m: int
 
 
-def draw_channel(source, n_r: int, v: int, m: int) -> ChannelRealization:
+def draw_channel(normals, n_r: int, v: int, m: int) -> ChannelRealization:
     """Draw an i.i.d. Rayleigh channel: taps are CN(0, 1/v) per antenna.
 
-    source is a stream, or (..., 2 n_r v) standard normals, one channel
-    per row.
+    normals holds (..., 2 n_r v) standard normals, one channel per row.
     """
     if n_r < 1:
         raise ValueError("need at least one receive antenna")
     if not 1 <= v <= m:
         raise ValueError(f"tap count must satisfy 1 <= v <= block size, got v={v} m={m}")
-    taps = gaussian_complex(source, n_r * v, 1.0 / v)
+    taps = gaussian_complex(normals, n_r * v, 1.0 / v)
     taps = taps.reshape(*taps.shape[:-1], n_r, v)
     freq = np.fft.fft(taps, n=m, axis=-1)
     return ChannelRealization(taps=taps, freq_response=freq, n_r=n_r, v=v, m=m)
 
 
-def apply_channel_time(x_t: np.ndarray, channel: ChannelRealization,
-                       sigma_n_sq: float, stream) -> np.ndarray:
+def apply_channel_time(x_t: np.ndarray, channel: ChannelRealization) -> np.ndarray:
     """Circularly convolve a time-domain block with each antenna's taps.
 
     Implemented by direct summation rather than transforms so it can
-    serve as an independent check of the frequency-domain path.
-    Returns an (n_r, m) array including CN(0, sigma_n_sq) noise.
+    serve as an independent, noise-free reference for the
+    frequency-domain path. Returns an (n_r, m) array.
     """
     x_t = np.asarray(x_t, dtype=complex)
     if x_t.shape != (channel.m,):
         raise ValueError(f"block must have length {channel.m}, got {x_t.shape}")
     m, v = channel.m, channel.v
     idx = (np.arange(m)[None, :] - np.arange(v)[:, None]) % m
-    y = channel.taps @ x_t[idx]
-    if sigma_n_sq > 0:
-        y = y + gaussian_complex(stream, channel.n_r * m, sigma_n_sq).reshape(channel.n_r, m)
-    return y
+    return channel.taps @ x_t[idx]
 
 
 def apply_channel_freq(x_f: np.ndarray, channel: ChannelRealization,
-                       sigma_n_sq, source) -> np.ndarray:
+                       sigma_n_sq, normals) -> np.ndarray:
     """Apply the channel in the DFT domain: y_r(k) = h_r(k) x(k) + n_r(k).
 
     The unnormalized DFT of unit-variance time noise has variance
-    m * sigma_n_sq per subcarrier, and that is what is added here. For a
-    batched channel x_f has one row per channel, source holds (rows,
-    2 n_r m) standard normals and sigma_n_sq may give one variance per
-    row.
+    m * sigma_n_sq per subcarrier, and that is what is added here from
+    normals, (..., 2 n_r m) standard normals that are read only where the
+    variance is positive (None serves a noiseless call). For a batched
+    channel x_f has one row per channel and sigma_n_sq may give one
+    variance per row.
     """
     x_f = np.asarray(x_f, dtype=complex)
     lead = channel.freq_response.shape[:-2]
@@ -95,6 +92,6 @@ def apply_channel_freq(x_f: np.ndarray, channel: ChannelRealization,
     y = channel.freq_response * x_f[..., None, :]
     variance = channel.m * np.asarray(sigma_n_sq)
     if np.any(variance > 0):
-        noise = gaussian_complex(source, channel.n_r * channel.m, variance)
+        noise = gaussian_complex(normals, channel.n_r * channel.m, variance)
         y += noise.reshape(y.shape)
     return y

@@ -4,9 +4,10 @@ Conventions used throughout the package: the forward transform is
 X(k) = sum_l x(l) exp(-j2πkl/M) and the inverse carries the 1/M, so a
 white time-domain sequence of variance s has frequency-domain variance
 M s. Transforms act on the last axis, so a leading axis holds a batch of
-independent blocks. The transforms are pure functions; RngStream is the
-only stateful handle and every trial builds its own. The Levinson solver
-is kernels.levinson_recursion.
+independent blocks. The transforms and gaussian_complex are pure
+functions of arrays; randomness enters only as standard normals drawn
+from an RngStream, of which every trial builds its own. The Levinson
+solver is kernels.levinson_recursion.
 """
 
 from dataclasses import dataclass
@@ -30,19 +31,11 @@ class RngStream:
         if self.master_seed < 0 or self.stream_index < 0:
             raise ValueError("seed and stream index must be non-negative")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self):
+        """A fresh numpy Generator seeded from (master_seed, stream_index)."""
         return np.random.default_rng(
             np.random.SeedSequence((self.master_seed, self.stream_index))
         )
-
-
-def as_generator(stream) -> np.random.Generator:
-    """Accept either an RngStream or an already-built Generator."""
-    if isinstance(stream, RngStream):
-        return stream.generator()
-    if isinstance(stream, np.random.Generator):
-        return stream
-    raise ValueError(f"expected RngStream or Generator, got {type(stream).__name__}")
 
 
 def _as_blocks(x, name):
@@ -63,23 +56,21 @@ def idft(x):
     return np.fft.ifft(_as_blocks(x, "X"))
 
 
-def gaussian_complex(source, n, variance):
+def gaussian_complex(normals, n, variance):
     """n i.i.d. circularly symmetric complex Gaussians, total variance per sample.
 
-    source is a stream, which draws 2n standard normals, n real parts
-    then n imaginary parts, or an array (..., 2n) of such draws, one row
-    per batch row. variance is a scalar or one value per row.
+    normals is an array (..., 2n) of standard normals, n real parts then n
+    imaginary parts, one row per batch row. variance is a scalar or one
+    value per row.
     """
     variance = np.asarray(variance, dtype=float)
     if np.any(variance <= 0):
         raise ValueError("variance must be positive")
-    if isinstance(source, np.ndarray):
-        normals = source
-        if normals.shape[-1] != 2 * n:
-            raise ValueError(f"need {2 * n} standard normals per row, got "
-                             f"{normals.shape[-1]}")
-    else:
-        normals = as_generator(source).standard_normal(2 * n)
+    if not isinstance(normals, np.ndarray) or normals.shape[-1:] != (2 * n,):
+        got = (normals.shape if isinstance(normals, np.ndarray)
+               else type(normals).__name__)
+        raise ValueError(f"need {2 * n} standard normals per row in an array, "
+                         f"got {got}")
     # scaled straight into the parts of one complex array: a batch's draws
     # are large, and temporaries of that size cost page faults
     scale = np.sqrt(variance / 2.0)[..., None]

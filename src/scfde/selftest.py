@@ -32,7 +32,7 @@ def _rng(tag: int):
 
 
 def _random_channel(gen, n_r=1, v=8, m=256):
-    return channel.draw_channel(gen, n_r, v, m)
+    return channel.draw_channel(gen.standard_normal(2 * n_r * v), n_r, v, m)
 
 
 def _synth(name, ch, sigma_n_sq, fbf_length=20):
@@ -52,7 +52,7 @@ def _equalized(name, ch, sigma_n_sq, y, c, block, fbf_length=20,
 def _suite_dft_roundtrip():
     gen = _rng(1)
     for m in (64, 257, 512):
-        x = numerics.gaussian_complex(gen, m, 1.0)
+        x = numerics.gaussian_complex(gen.standard_normal(2 * m), m, 1.0)
         big_x = numerics.dft(x)
         back = numerics.idft(big_x)
         err = np.max(np.abs(back - x)) / np.max(np.abs(x))
@@ -126,7 +126,8 @@ def _suite_wl_reality():
     ch = _random_channel(gen, n_r=2, v=6, m=128)
     bits = gen.integers(0, 2, 128)
     block = precode(map_bits(bits, c))
-    y = channel.apply_channel_freq(block.precoded, ch, 0.05, gen)
+    y = channel.apply_channel_freq(block.precoded, ch, 0.05,
+                                   gen.standard_normal(2 * ch.n_r * ch.m))
     outputs = [_equalized(name, ch, 0.05, y, c, block, 12, feedback)
                for name in ("wl-mmse-le", "wl-mmse-dfe")
                for feedback in ("genie", "decision")]
@@ -141,7 +142,7 @@ def _suite_zf_exactness():
     ch = _random_channel(gen, n_r=1, v=8, m=128)
     bits = gen.integers(0, 2, 128)
     block = precode(map_bits(bits, c))
-    y = channel.apply_channel_freq(block.precoded, ch, 0.0, gen)
+    y = channel.apply_channel_freq(block.precoded, ch, 0.0, None)
     worst = 0.0
     for name in ("zf-le", "wl-zf-le"):
         z = _equalized(name, ch, 0.0, y, c, block)
@@ -163,9 +164,9 @@ def _suite_mmse_zf_limit():
 def _suite_time_freq_equivalence():
     gen = _rng(8)
     ch = _random_channel(gen, n_r=2, v=8, m=128)
-    x_t = numerics.gaussian_complex(gen, 128, 1.0)
-    y_t = channel.apply_channel_time(x_t, ch, 0.0, gen)
-    y_f = channel.apply_channel_freq(numerics.dft(x_t), ch, 0.0, gen)
+    x_t = numerics.gaussian_complex(gen.standard_normal(256), 128, 1.0)
+    y_t = channel.apply_channel_time(x_t, ch)
+    y_f = channel.apply_channel_freq(numerics.dft(x_t), ch, 0.0, None)
     err = np.max(np.abs(np.stack([numerics.dft(r) for r in y_t]) - y_f))
     scale = np.max(np.abs(y_f))
     assert err < 1e-10 * scale, f"time/freq paths differ by {err:.3e}"

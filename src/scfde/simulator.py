@@ -83,13 +83,17 @@ class InsufficientRangeError(ValueError):
 
 def _parse_snr_grid(value):
     if isinstance(value, str):
-        if ":" in value:
+        try:
+            if ":" not in value:
+                return tuple(float(p) for p in value.split(","))
             start, step, stop = (float(p) for p in value.split(":"))
-            if not (step > 0 and math.isfinite(stop - start)):
-                raise ValueError("snr range needs a positive step and finite ends")
-            n = int(math.floor((stop - start) / step + 1e-9)) + 1
-            return tuple(start + step * k for k in range(max(n, 0)))
-        return tuple(float(p) for p in value.split(","))
+        except ValueError:
+            raise ValueError(f"snr_db must be a range 'start:step:stop' or a list "
+                             f"'a,b,c' of numbers, got {value!r}") from None
+        if not (step > 0 and math.isfinite(stop - start)):
+            raise ValueError("snr range needs a positive step and finite ends")
+        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        return tuple(start + step * k for k in range(max(n, 0)))
     # object dtype hands bools and nested values to _real unconverted
     return tuple(_real("snr_db", p)
                  for p in np.atleast_1d(np.asarray(value, dtype=object)))
@@ -386,7 +390,7 @@ def run_block_with_retry(trial_index, config: SweepConfig,
             if redraws.max() > MAX_REDRAWS:
                 row = int(np.argmax(redraws))
                 raise SingularChannelError(
-                    f"{MAX_REDRAWS} singular channels in a row at trial "
+                    f"{MAX_REDRAWS + 1} singular channels in a row at trial "
                     f"{trials[row]}; increase zf_epsilon", [row]) from exc
             continue
         return (*out, redraws)

@@ -154,6 +154,10 @@ class TestBerSweep:
         ({"snr": [True, 2]}, "'snr_db' must be a number, got True"),
         ({"receivers": 5}, "'receivers' must be names"),
         ({"snr": None}, "'snr_db' must be a number"),
+        # malformed grid strings: they surfaced Python's unpacking or
+        # float() message, which names neither the key nor the forms
+        *[([f"snr={grid}"], "snr_db must be a range 'start:step:stop' or a list 'a,b,c'")
+          for grid in ("1:2", "", "1,x", "1:2:3:4")],
     ])
     def test_bad_config_exits_2_before_any_block(self, small_config, override,
                                                   key, monkeypatch, capsys):
@@ -224,7 +228,7 @@ class TestBerSweep:
         code = main(["ber-sweep", "--config", str(small_config)])
         assert code == 2
         err = _lines(capsys.readouterr().err)
-        assert len(err) == 1 and err[0].startswith("error: 64 singular channels")
+        assert len(err) == 1 and err[0].startswith("error: 65 singular channels")
 
     def test_conditioning_error_exits_2(self, small_config, monkeypatch, capsys):
         # the real recursion, handed an autocovariance that is not positive

@@ -52,6 +52,16 @@ def synth(name, ch, sigma_n_sq=0.0, fbf_length=20, zf_epsilon=1e-12):
     return eq.synthesize(spec, ch, sigma_n_sq)
 
 
+def rayleigh(gen, n_r, v, m):
+    """draw_channel on 2 n_r v standard normals from gen."""
+    return draw_channel(gen.standard_normal(2 * n_r * v), n_r, v, m)
+
+
+def noise_normals(stream, ch):
+    """The 2 n_r m standard normals of one block's noise on ch."""
+    return stream.generator().standard_normal(2 * ch.n_r * ch.m)
+
+
 def equalize(name, f, y, block, c=BPSK, feedback="genie"):
     """eq.equalize for the receiver called `name`: (z, indices)."""
     spec = eq.ReceiverSpec.from_name(name, feedback_mode=feedback)
@@ -137,7 +147,7 @@ class TestConventionalLe:
         np.testing.assert_allclose(z, block.time_symbols, atol=1e-12)
 
     def test_zf_random_channel_exact(self):
-        ch = draw_channel(RngStream(21, 0), 2, 20, 128)
+        ch = rayleigh(RngStream(21, 0).generator(), 2, 20, 128)
         block = bpsk_block(128, 1)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
         f = synth("zf-le", ch, zf_epsilon=0.0)
@@ -148,14 +158,14 @@ class TestConventionalLe:
         assert err < 1e-9
 
     def test_mmse_combined_response_in_unit_interval(self):
-        ch = draw_channel(RngStream(22, 0), 2, 20, 128)
+        ch = rayleigh(RngStream(22, 0).generator(), 2, 20, 128)
         f = synth("mmse-le", ch, 0.3)
         combined = np.einsum("kr,rk->k", f.fff, ch.freq_response)
         assert np.all(np.abs(combined.imag) < 1e-12)
         assert np.all(combined.real > 0) and np.all(combined.real < 1)
 
     def test_mmse_approaches_zf(self):
-        ch = draw_channel(RngStream(23, 0), 1, 20, 64)
+        ch = rayleigh(RngStream(23, 0).generator(), 1, 20, 64)
         fm = synth("mmse-le", ch, 1e-10)
         fz = synth("zf-le", ch, zf_epsilon=0.0)
         assert np.max(np.abs(fm.fff - fz.fff) / np.abs(fz.fff)) < 1e-4
@@ -173,7 +183,7 @@ class TestConventionalLe:
         assert unbatched.value.rows.tolist() == [0]
         synth("zf-le", ch, zf_epsilon=1e-6)  # regularized is fine
         # in a batch, the error names the singular rows
-        other = draw_channel(RngStream(24, 0), 1, 2, 16)
+        other = rayleigh(RngStream(24, 0).generator(), 1, 2, 16)
         batch = ChannelRealization(
             np.stack([other.taps, taps, other.taps]),
             np.stack([other.freq_response, ch.freq_response,
@@ -194,7 +204,7 @@ class TestConventionalDfe:
         assert fd.predicted_mse == pytest.approx(fl.predicted_mse)
 
     def test_mse_monotone_in_length(self):
-        ch = draw_channel(RngStream(24, 0), 1, 20, 256)
+        ch = rayleigh(RngStream(24, 0).generator(), 1, 20, 256)
         fl = synth("mmse-le", ch, 0.5)
         mses = [
             synth("mmse-dfe", ch, 0.5, L).predicted_mse
@@ -206,14 +216,14 @@ class TestConventionalDfe:
     def test_dfe_not_worse_than_le(self):
         rng = np.random.default_rng(25)
         for _ in range(30):
-            ch = draw_channel(rng, 2, 20, 128)
+            ch = rayleigh(rng, 2, 20, 128)
             le = synth("mmse-le", ch, 0.25)
             dfe = synth("mmse-dfe", ch, 0.25, 19)
             assert dfe.predicted_mse <= le.predicted_mse + 1e-12
 
     def test_whitening(self):
         # FBF is the prediction-error filter: residual lags 1..L vanish
-        ch = draw_channel(RngStream(26, 0), 1, 20, 512)
+        ch = rayleigh(RngStream(26, 0).generator(), 1, 20, 512)
         f = synth("mmse-dfe", ch, 0.1, 20)
         denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + 0.1
         poly = np.zeros(512, complex)
@@ -226,7 +236,7 @@ class TestConventionalDfe:
     def test_levinson_matches_dense(self):
         rng = np.random.default_rng(27)
         for n_r, L in ((1, 4), (2, 8), (1, 19)):
-            ch = draw_channel(rng, n_r, 20, 256)
+            ch = rayleigh(rng, n_r, 20, 256)
             f = synth("mmse-dfe", ch, 0.5, L)
             denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + 0.5
             q = idft(1.0 / denom)
@@ -236,7 +246,7 @@ class TestConventionalDfe:
 
     def test_predicted_mse_identity(self):
         # posted formula == quadratic-form prediction error, independently
-        ch = draw_channel(RngStream(28, 0), 2, 20, 256)
+        ch = rayleigh(RngStream(28, 0).generator(), 2, 20, 256)
         sn = 0.4
         f = synth("mmse-dfe", ch, sn, 10)
         denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + sn
@@ -250,7 +260,7 @@ class TestConventionalDfe:
         assert f.predicted_mse == pytest.approx(formula, rel=1e-12)
 
     def test_zf_dfe_noiseless_genie_exact(self):
-        ch = draw_channel(RngStream(29, 0), 1, 20, 128)
+        ch = rayleigh(RngStream(29, 0).generator(), 1, 20, 128)
         block = bpsk_block(128, 2)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
         f = synth("zf-dfe", ch, fbf_length=19, zf_epsilon=0.0)
@@ -265,9 +275,10 @@ class TestConventionalDfe:
         np.testing.assert_array_equal(BPSK.points[idx], block.time_symbols)
 
     def test_decision_mode_matches_genie_at_high_snr(self):
-        ch = draw_channel(RngStream(30, 0), 2, 20, 256)
+        ch = rayleigh(RngStream(30, 0).generator(), 2, 20, 256)
         block = bpsk_block(256, 3)
-        y = apply_channel_freq(block.precoded, ch, 1e-6, RngStream(30, 1))
+        y = apply_channel_freq(block.precoded, ch, 1e-6,
+                               noise_normals(RngStream(30, 1), ch))
         f = synth("mmse-dfe", ch, 1e-6, 20)
         zg, ig = equalize("mmse-dfe", f, y, block)
         zd, dd = equalize("mmse-dfe", f, y, block, feedback="decision")
@@ -305,10 +316,11 @@ class TestWidelyLinear:
         fbf_length = data.draw(st.integers(1, m // 2), label="L")
         sigma_n_sq = 10.0 ** (-snr_db / 10.0)
         c = constellation("bpsk")
-        ch = draw_channel(RngStream(seed, 0), n_r, v, m)
+        ch = rayleigh(RngStream(seed, 0).generator(), n_r, v, m)
         block = bpsk_block(m, seed)
         x = block.time_symbols
-        y = apply_channel_freq(block.precoded, ch, sigma_n_sq, RngStream(seed, 1))
+        y = apply_channel_freq(block.precoded, ch, sigma_n_sq,
+                               noise_normals(RngStream(seed, 1), ch))
         rev = (m - np.arange(m)) % m
         g = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
         denom = g + g[rev] + (sigma_n_sq if criterion == "mmse" else 1e-12)
@@ -345,14 +357,15 @@ class TestWidelyLinear:
         np.testing.assert_array_equal(idx, ref_idx)
 
     def test_fbf_taps_real(self):
-        ch = draw_channel(RngStream(32, 0), 1, 20, 256)
+        ch = rayleigh(RngStream(32, 0).generator(), 1, 20, 256)
         f = synth("wl-mmse-dfe", ch, 0.5, 12)
         assert not np.iscomplexobj(f.fbf_taps)
 
     def test_output_real(self):
-        ch = draw_channel(RngStream(33, 0), 2, 20, 256)
+        ch = rayleigh(RngStream(33, 0).generator(), 2, 20, 256)
         block = bpsk_block(256, 5)
-        y = apply_channel_freq(block.precoded, ch, 0.3, RngStream(33, 1))
+        y = apply_channel_freq(block.precoded, ch, 0.3,
+                               noise_normals(RngStream(33, 1), ch))
         for name, f in (("wl-mmse-le", synth("wl-mmse-le", ch, 0.3)),
                         ("wl-zf-le", synth("wl-zf-le", ch))):
             z, _ = equalize(name, f, y, block)
@@ -362,7 +375,7 @@ class TestWidelyLinear:
         assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
 
     def test_zf_noiseless_exact(self):
-        ch = draw_channel(RngStream(34, 0), 1, 20, 128)
+        ch = rayleigh(RngStream(34, 0).generator(), 1, 20, 128)
         block = bpsk_block(128, 6)
         y = apply_channel_freq(block.precoded, ch, 0.0, None)
         fle = synth("wl-zf-le", ch, zf_epsilon=0.0)
@@ -373,7 +386,7 @@ class TestWidelyLinear:
         assert np.linalg.norm(zd - block.time_symbols) < 1e-9 * np.linalg.norm(zd)
 
     def test_mmse_approaches_zf(self):
-        ch = draw_channel(RngStream(35, 0), 2, 20, 64)
+        ch = rayleigh(RngStream(35, 0).generator(), 2, 20, 64)
         fm = synth("wl-mmse-le", ch, 1e-10)
         fz = synth("wl-zf-le", ch, zf_epsilon=0.0)
         assert np.max(np.abs(fm.fff - fz.fff) / np.max(np.abs(fz.fff))) < 1e-4
@@ -388,7 +401,7 @@ class TestWidelyLinear:
         np.testing.assert_allclose(f.fbf_taps, 0, atol=1e-12)
 
     def test_levinson_matches_dense(self):
-        ch = draw_channel(RngStream(36, 0), 1, 20, 256)
+        ch = rayleigh(RngStream(36, 0).generator(), 1, 20, 256)
         f = synth("wl-mmse-dfe", ch, 0.5, 10)
         g = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
         rev = (256 - np.arange(256)) % 256
@@ -398,7 +411,7 @@ class TestWidelyLinear:
                                    rtol=1e-8, atol=1e-10)
 
     def test_mse_monotone_in_length(self):
-        ch = draw_channel(RngStream(37, 0), 1, 20, 256)
+        ch = rayleigh(RngStream(37, 0).generator(), 1, 20, 256)
         mses = [
             synth("wl-mmse-dfe", ch, 0.5, L).predicted_mse
             for L in (1, 4, 8, 16, 19)
@@ -420,7 +433,7 @@ class TestWidelyLinear:
 
 class TestDispatcher:
     def test_routes_all_eight(self):
-        ch = draw_channel(RngStream(38, 0), 2, 8, 64)
+        ch = rayleigh(RngStream(38, 0).generator(), 2, 8, 64)
         for name in eq.RECEIVER_NAMES:
             spec = eq.ReceiverSpec.from_name(name, fbf_length=7)
             f = eq.synthesize(spec, ch, 0.5)
@@ -433,7 +446,7 @@ class TestDispatcher:
     def test_noise_variance_per_row(self):
         # row i of a batch synthesized with one noise variance per row is the
         # unbatched synthesis of channel i at variance i
-        rows = [draw_channel(RngStream(40, k), 2, 8, 64) for k in range(3)]
+        rows = [rayleigh(RngStream(40, k).generator(), 2, 8, 64) for k in range(3)]
         batch = ChannelRealization(
             taps=np.stack([ch.taps for ch in rows]),
             freq_response=np.stack([ch.freq_response for ch in rows]),
@@ -452,7 +465,7 @@ class TestDispatcher:
     def test_matches_direct_call(self):
         # ZF-DFE built by hand: taps from a dense solve on the guarded
         # inverse spectrum, w(k) = (1 + b(k)) h*(k) / (|h(k)|^2 + eps)
-        ch = draw_channel(RngStream(39, 0), 1, 8, 64)
+        ch = rayleigh(RngStream(39, 0).generator(), 1, 8, 64)
         spec = eq.ReceiverSpec.from_name("zf-dfe", fbf_length=7, zf_epsilon=1e-9)
         f = eq.synthesize(spec, ch, 0.25)
         denom = np.abs(ch.freq_response[0]) ** 2 + 1e-9
@@ -470,7 +483,7 @@ def _ensemble(build, n_real, n_r, seed, **kwargs):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_real):
-        ch = draw_channel(rng, n_r, 20, 512)
+        ch = rayleigh(rng, n_r, 20, 512)
         out.append(build(ch, **kwargs))
     return out
 
