@@ -73,7 +73,11 @@ def _load_config(args) -> simulator.SweepConfig:
 
 
 def cmd_limits(args) -> int:
-    n_r_values = tuple(int(p) for p in args.nr.split(","))
+    try:
+        n_r_values = tuple(int(p) for p in args.nr.split(","))
+    except ValueError:
+        raise ValueError(f"--nr must be comma-separated integers such as 1,2, "
+                         f"got {args.nr!r}") from None
     receivers = ((args.receiver,) if args.receiver
                  else analytics.LIMIT_RECEIVERS)
     rows = analytics.gap_table(n_r_values, receivers)
@@ -130,12 +134,7 @@ def cmd_ber_sweep(args) -> int:
 def cmd_post_snr(args) -> int:
     config = _load_config(args)
     rows = simulator.measure_post_snr(config, args.snr, args.realizations)
-    print("receiver,snr_db,realizations,post_snr_db,analytic_db,delta_db")
-    for r in rows:
-        analytic = "" if r.analytic_db is None else repr(r.analytic_db)
-        delta = "" if r.delta_db is None else repr(r.delta_db)
-        print(f"{r.receiver},{r.snr_db!r},{r.realizations},"
-              f"{r.post_snr_db!r},{analytic},{delta}")
+    sys.stdout.write(simulator.rows_to_csv(simulator.PostSnrRow, rows))
     return 0
 
 
@@ -163,10 +162,7 @@ def cmd_gap(args) -> int:
                   if row["receiver"] == rx]
         gaps.append(simulator.gap_at_ber(points, reference, args.target_ber,
                                          receiver=rx))
-    print("receiver,target_ber,snr_at_target_db,mfb_snr_at_target_db,gap_db")
-    for g in gaps:
-        print(f"{g.receiver},{g.target_ber!r},{g.snr_at_target_db!r},"
-              f"{g.mfb_snr_at_target_db!r},{g.gap_db!r}")
+    sys.stdout.write(simulator.rows_to_csv(simulator.GapAtBer, gaps))
     return 0
 
 

@@ -26,7 +26,8 @@ pass, equalize, serves all eight receivers: it filters the received
 spectrum once, returns the ideal-feedback output (exactly the LE output
 when b = 0) and slices with the receiver's feedback mode.
 
-A batched channel realization (a leading row axis, see channel) gives
+The channel is its (n_r, M) frequency response (see channel), and M is
+read from its shape. A batch of responses (a leading row axis) gives
 batched filters, and equalize then takes one received block per row.
 Every step is elementwise or a transform over the last axis, so a row's
 outputs do not depend on the batch it ran in.
@@ -188,8 +189,8 @@ def _prediction_taps(denom, order, widely_linear):
     return kernels.levinson_recursion(autocov, order)[0]
 
 
-def synthesize(spec: ReceiverSpec, ch, sigma_n_sq) -> EqualizerFilters:
-    """Filters of the receiver `spec` for one channel realization.
+def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilters:
+    """Filters of the receiver `spec` for the channel freq_response, (n_r, M).
 
     Alphabets have unit energy (sigma_x^2 = 1), so the input SNR is
     1/sigma_n^2 and MMSE receivers regularize by sigma_n^2: w(k) = h^H(k) /
@@ -197,9 +198,9 @@ def synthesize(spec: ReceiverSpec, ch, sigma_n_sq) -> EqualizerFilters:
     widely linear. ZF receivers invert the channel with spec.zf_epsilon as
     the only guard, and sigma_n_sq then only prices the residual-noise MSE.
     DFEs put an order-L prediction-error FBF behind that front end, real-tap
-    for the widely linear family. A batched ch gives filters with one row
-    per channel, and sigma_n_sq may then give one noise variance per row; a
-    singular row raises SingularChannelError.
+    for the widely linear family. A batch of responses gives filters with
+    one row per channel, and sigma_n_sq may then give one noise variance
+    per row; a singular row raises SingularChannelError.
     """
     sigma_n_sq = np.asarray(sigma_n_sq, dtype=float)
     if spec.criterion == "mmse":
@@ -208,11 +209,12 @@ def synthesize(spec: ReceiverSpec, ch, sigma_n_sq) -> EqualizerFilters:
         reg = sigma_n_sq[..., None]
     else:
         reg = spec.zf_epsilon
-    spec.check_fbf_length(ch.m)
+    m = freq_response.shape[-1]
+    spec.check_fbf_length(m)
     widely_linear = spec.family == "widely-linear"
     fbf_length = spec.fbf_length
-    gains = np.sum(np.abs(ch.freq_response) ** 2, axis=-2)
-    signal = gains + gains[..., -np.arange(ch.m)] if widely_linear else gains  # g(M-k)
+    gains = np.sum(np.abs(freq_response) ** 2, axis=-2)
+    signal = gains + gains[..., -np.arange(m)] if widely_linear else gains  # g(M-k)
     denom = signal + reg
     singular = denom.min(axis=-1) <= 0
     if np.any(singular):
@@ -222,14 +224,14 @@ def synthesize(spec: ReceiverSpec, ch, sigma_n_sq) -> EqualizerFilters:
             f"{rows.tolist()}", rows)
     if spec.structure == "dfe":
         taps = _prediction_taps(denom, fbf_length, widely_linear)
-        one_plus_b = _one_plus_b(taps, ch.m)
+        one_plus_b = _one_plus_b(taps, m)
     else:
         taps = np.zeros((*denom.shape[:-1], 0),
                         dtype=float if widely_linear else complex)
         one_plus_b = np.ones(denom.shape, dtype=complex)
     # in place where the operand order allows, since a batch's arrays are
     # large; the order decides the rounding
-    fff = np.conj(np.swapaxes(ch.freq_response, -1, -2))
+    fff = np.conj(np.swapaxes(freq_response, -1, -2))
     np.multiply(one_plus_b[..., None], fff, out=fff)
     fff /= denom[..., None]
     error_gain = np.abs(one_plus_b) ** 2

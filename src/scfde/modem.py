@@ -1,5 +1,8 @@
 """Modulation alphabets, bit mapping, block precoding, bit error counting.
 
+A block is its time-domain symbols, map_bits' output; precode returns
+their spectrum X(k), which is what the channel and the equalizers read.
+
 Gray labeling is pinned here because uncoded BER at a given SNR depends
 on it: BPSK maps bit 0 to +1; 8-PSK places points at angles 2pi m/8 with
 the reflected-binary code around the ring; 16-QAM uses the per-axis
@@ -85,14 +88,6 @@ def constellation(name: str) -> Constellation:
         ) from None
 
 
-@dataclass(frozen=True)
-class SymbolBlock:
-    """A time-domain symbol block together with its precoded spectrum."""
-
-    time_symbols: np.ndarray
-    precoded: np.ndarray
-
-
 def map_bits(bits, c: Constellation) -> np.ndarray:
     """Map 0/1 sequences onto constellation symbols, MSB first per symbol.
 
@@ -109,11 +104,10 @@ def map_bits(bits, c: Constellation) -> np.ndarray:
     return c.points[c._label_to_index[groups @ weights]]
 
 
-def precode(x_t) -> SymbolBlock:
-    """Spread symbol blocks (last axis) with the forward transform
-    (single-carrier precoding)."""
-    x_t = np.asarray(x_t, dtype=complex)
-    return SymbolBlock(time_symbols=x_t, precoded=dft(x_t))
+def precode(x_t) -> np.ndarray:
+    """Spectrum of symbol blocks (last axis): the forward transform that
+    spreads each symbol over every subcarrier (single-carrier precoding)."""
+    return dft(x_t)
 
 
 def index_bits(indices, c: Constellation) -> np.ndarray:

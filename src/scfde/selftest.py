@@ -35,18 +35,18 @@ def _random_channel(gen, n_r=1, v=8, m=256):
     return channel.draw_channel(gen.standard_normal(2 * n_r * v), n_r, v, m)
 
 
-def _synth(name, ch, sigma_n_sq, fbf_length=20):
+def _synth(name, h, sigma_n_sq, fbf_length=20):
     spec = equalizer.ReceiverSpec.from_name(name, fbf_length=fbf_length)
-    return equalizer.synthesize(spec, ch, sigma_n_sq)
+    return equalizer.synthesize(spec, h, sigma_n_sq)
 
 
-def _equalized(name, ch, sigma_n_sq, y, c, block, fbf_length=20,
+def _equalized(name, h, sigma_n_sq, y, c, x_f, fbf_length=20,
                feedback="genie"):
     """The output z of equalize for the receiver called name."""
     spec = equalizer.ReceiverSpec.from_name(name, fbf_length=fbf_length,
                                             feedback_mode=feedback)
-    filt = equalizer.synthesize(spec, ch, sigma_n_sq)
-    return equalizer.equalize(spec, filt, y, c, block.precoded)[0]
+    filt = equalizer.synthesize(spec, h, sigma_n_sq)
+    return equalizer.equalize(spec, filt, y, c, x_f)[0]
 
 
 def _suite_dft_roundtrip():
@@ -77,11 +77,10 @@ def _suite_levinson_vs_dense():
     gen = _rng(2)
     worst = 0.0
     for n_r, order in ((1, 4), (2, 8), (1, 16)):
-        ch = _random_channel(gen, n_r=n_r)
-        gains = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
+        gains = np.sum(np.abs(_random_channel(gen, n_r=n_r)) ** 2, axis=0)
         q = numerics.idft(1.0 / (gains + 0.1))
         # the widely linear autocovariance: real, from the even spectrum
-        qr = numerics.idft(1.0 / (gains + gains[-np.arange(ch.m)] + 0.1)).real
+        qr = numerics.idft(1.0 / (gains + gains[-np.arange(gains.size)] + 0.1)).real
         for seq in (q, qr):
             taps, mse = kernels.levinson_recursion(seq, order)
             ref_taps, ref_mse = _dense_prediction(seq.astype(complex), order)
@@ -95,10 +94,10 @@ def _suite_levinson_vs_dense():
 
 def _suite_fbf_whitening():
     gen = _rng(3)
-    ch = _random_channel(gen, n_r=1, v=8, m=256)
-    filt = _synth("mmse-dfe", ch, 0.05, fbf_length=20)
-    denom = np.abs(ch.freq_response[0]) ** 2 + 0.05
-    spectrum = np.abs(equalizer._one_plus_b(filt.fbf_taps, ch.m)) ** 2 / denom
+    h = _random_channel(gen, n_r=1, v=8, m=256)
+    filt = _synth("mmse-dfe", h, 0.05, fbf_length=20)
+    denom = np.abs(h[0]) ** 2 + 0.05
+    spectrum = np.abs(equalizer._one_plus_b(filt.fbf_taps, h.shape[-1])) ** 2 / denom
     lags = numerics.idft(spectrum)
     rel = np.max(np.abs(lags[1:21])) / abs(lags[0])
     assert rel < 1e-6, f"residual lag energy {rel:.3e} of lag 0"
@@ -107,10 +106,10 @@ def _suite_fbf_whitening():
 
 def _suite_predicted_mse_monotone():
     gen = _rng(4)
-    ch = _random_channel(gen, n_r=1, v=8, m=128)
+    h = _random_channel(gen, n_r=1, v=8, m=128)
     last = None
     for length in (1, 2, 4, 8, 16, 32):
-        filt = _synth("mmse-dfe", ch, 0.1, fbf_length=length)
+        filt = _synth("mmse-dfe", h, 0.1, fbf_length=length)
         if last is not None:
             assert filt.predicted_mse <= last + 1e-12, (
                 f"mse rose from {last:.6e} to {filt.predicted_mse:.6e} "
@@ -123,12 +122,11 @@ def _suite_predicted_mse_monotone():
 def _suite_wl_reality():
     gen = _rng(5)
     c = constellation("bpsk")
-    ch = _random_channel(gen, n_r=2, v=6, m=128)
+    h = _random_channel(gen, n_r=2, v=6, m=128)
     bits = gen.integers(0, 2, 128)
-    block = precode(map_bits(bits, c))
-    y = channel.apply_channel_freq(block.precoded, ch, 0.05,
-                                   gen.standard_normal(2 * ch.n_r * ch.m))
-    outputs = [_equalized(name, ch, 0.05, y, c, block, 12, feedback)
+    x_f = precode(map_bits(bits, c))
+    y = channel.apply_channel_freq(x_f, h, 0.05, gen.standard_normal(2 * h.size))
+    outputs = [_equalized(name, h, 0.05, y, c, x_f, 12, feedback)
                for name in ("wl-mmse-le", "wl-mmse-dfe")
                for feedback in ("genie", "decision")]
     worst = max(float(np.max(np.abs(np.imag(z)))) for z in outputs)
@@ -139,23 +137,24 @@ def _suite_wl_reality():
 def _suite_zf_exactness():
     gen = _rng(6)
     c = constellation("bpsk")
-    ch = _random_channel(gen, n_r=1, v=8, m=128)
+    h = _random_channel(gen, n_r=1, v=8, m=128)
     bits = gen.integers(0, 2, 128)
-    block = precode(map_bits(bits, c))
-    y = channel.apply_channel_freq(block.precoded, ch, 0.0, None)
+    x_t = map_bits(bits, c)
+    x_f = precode(x_t)
+    y = channel.apply_channel_freq(x_f, h, 0.0, None)
     worst = 0.0
     for name in ("zf-le", "wl-zf-le"):
-        z = _equalized(name, ch, 0.0, y, c, block)
-        worst = max(worst, float(np.max(np.abs(z - block.time_symbols))))
+        z = _equalized(name, h, 0.0, y, c, x_f)
+        worst = max(worst, float(np.max(np.abs(z - x_t))))
     assert worst < 1e-9, f"noiseless ZF residual {worst:.3e}"
     return f"noiseless recovery residual {worst:.1e}"
 
 
 def _suite_mmse_zf_limit():
     gen = _rng(7)
-    ch = _random_channel(gen, n_r=2, v=6, m=128)
-    zf = _synth("zf-le", ch, 0.0)
-    mmse = _synth("mmse-le", ch, 1e-10)
+    h = _random_channel(gen, n_r=2, v=6, m=128)
+    zf = _synth("zf-le", h, 0.0)
+    mmse = _synth("mmse-le", h, 1e-10)
     err = float(np.max(np.abs(zf.fff - mmse.fff)))
     assert err < 1e-4, f"MMSE at sigma_n^2=1e-10 differs from ZF by {err:.3e}"
     return f"filters agree to {err:.1e} at sigma_n^2=1e-10"
@@ -163,10 +162,13 @@ def _suite_mmse_zf_limit():
 
 def _suite_time_freq_equivalence():
     gen = _rng(8)
-    ch = _random_channel(gen, n_r=2, v=8, m=128)
+    normals = gen.standard_normal(2 * 2 * 8)
+    # the documented draw, restated: draw_channel's taps, read as (n_r, v)
+    taps = numerics.gaussian_complex(normals, 2 * 8, 1.0 / 8).reshape(2, 8)
+    h = channel.draw_channel(normals, 2, 8, 128)
     x_t = numerics.gaussian_complex(gen.standard_normal(256), 128, 1.0)
-    y_t = channel.apply_channel_time(x_t, ch)
-    y_f = channel.apply_channel_freq(numerics.dft(x_t), ch, 0.0, None)
+    y_t = channel.apply_channel_time(x_t, taps)
+    y_f = channel.apply_channel_freq(numerics.dft(x_t), h, 0.0, None)
     err = np.max(np.abs(np.stack([numerics.dft(r) for r in y_t]) - y_f))
     scale = np.max(np.abs(y_f))
     assert err < 1e-10 * scale, f"time/freq paths differ by {err:.3e}"

@@ -68,6 +68,7 @@ __all__ = [
     "measure_post_snr",
     "mfb_reference_curve",
     "gap_at_ber",
+    "rows_to_csv",
     "result_to_csv",
     "result_to_json",
 ]
@@ -81,6 +82,11 @@ class InsufficientRangeError(ValueError):
     """A BER curve does not bracket the requested target."""
 
 
+# most points of a 'start:step:stop' grid: grids in use have tens, so more is
+# a mistyped step, refused before a grid that could fill the memory is built
+MAX_SNR_POINTS = 10_000
+
+
 def _parse_snr_grid(value):
     if isinstance(value, str):
         try:
@@ -92,7 +98,11 @@ def _parse_snr_grid(value):
                              f"'a,b,c' of numbers, got {value!r}") from None
         if not (step > 0 and math.isfinite(stop - start)):
             raise ValueError("snr range needs a positive step and finite ends")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        ratio = (stop - start) / step  # inf where the step underflows the span
+        n = math.floor(ratio + 1e-9) + 1 if math.isfinite(ratio) else ratio
+        if n > MAX_SNR_POINTS:
+            raise ValueError(f"snr_db range {value!r} has {n} points, more than "
+                             f"{MAX_SNR_POINTS}")
         return tuple(start + step * k for k in range(max(n, 0)))
     # object dtype hands bools and nested values to _real unconverted
     return tuple(_real("snr_db", p)
@@ -352,15 +362,16 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
         gen = RngStream(config.master_seed, t).generator()
         tx_bits[row] = gen.integers(0, 2, tx_bits.shape[1])
         normals[row] = gen.standard_normal(normals.shape[1])
-    block = precode(map_bits(tx_bits, c))
-    ch = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
-    filters = synthesize(receiver, ch, sigma_n_sq)
-    y = apply_channel_freq(block.precoded, ch, sigma_n_sq, normals[:, 2 * n_r * v :])
+    x_t = map_bits(tx_bits, c)
+    x_f = precode(x_t)
+    h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
+    filters = synthesize(receiver, h, sigma_n_sq)
+    y = apply_channel_freq(x_f, h, sigma_n_sq, normals[:, 2 * n_r * v :])
     # a batch's arrays are large: each is dropped once nothing reads it, which
     # keeps the peak memory of a batch near that of the step it is in
-    del normals, ch
-    z, indices = equalize(receiver, filters, y, c, block.precoded)
-    mse = np.mean(np.abs(z - block.time_symbols) ** 2, axis=-1)
+    del normals, h
+    z, indices = equalize(receiver, filters, y, c, x_f)
+    mse = np.mean(np.abs(z - x_t) ** 2, axis=-1)
     errors = count_bit_errors(tx_bits, index_bits(indices, c))
     return errors, np.full(len(trials), tx_bits.shape[-1]), mse
 
@@ -603,16 +614,22 @@ def gap_at_ber(points, reference, target_ber: float,
     )
 
 
+def _csv_cell(value) -> str:
+    return value if isinstance(value, str) else "" if value is None else repr(value)
+
+
+def rows_to_csv(row_type, rows, width=None) -> str:
+    """CSV of rows of the dataclass row_type under its first width field
+    names (all by default): a string as is, None as an empty cell, anything
+    else as its repr."""
+    columns = [f.name for f in fields(row_type)][:width]
+    lines = [columns] + [[_csv_cell(getattr(r, c)) for c in columns] for r in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def result_to_csv(result: SweepResult) -> str:
-    """Stable-ordered CSV with the pinned seven columns."""
-    lines = ["receiver,snr_db,bits,errors,ber,post_snr_db,analytic_db"]
-    for r in result.rows:
-        analytic = "" if r.analytic_db is None else repr(r.analytic_db)
-        lines.append(
-            f"{r.receiver},{r.snr_db!r},{r.bits},{r.errors},{r.ber!r},"
-            f"{r.post_snr_db!r},{analytic}"
-        )
-    return "\n".join(lines) + "\n"
+    """Stable-ordered CSV with the pinned seven columns, receiver..analytic_db."""
+    return rows_to_csv(SweepCell, result.rows, 7)
 
 
 def result_to_json(result: SweepResult) -> str:

@@ -43,6 +43,15 @@ class TestLimits:
 
     def test_bad_nr_exits_2(self, capsys):
         assert main(["limits", "--nr", "0"]) == 2
+        assert "n_r must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nr", ["x", "1,,2", "2.5"])
+    def test_nr_that_is_not_integers_names_the_option(self, capsys, nr):
+        # int()'s own message named neither --nr nor the form it takes
+        assert main(["limits", "--nr", nr]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: --nr must be comma-separated integers such as "
+                       f"1,2, got {nr!r}\n")
 
     @pytest.mark.parametrize("receiver, message", [
         ("mmse-dfe", "no closed form"), ("bogus", "unknown receiver"),
@@ -158,6 +167,8 @@ class TestBerSweep:
         # float() message, which names neither the key nor the forms
         *[([f"snr={grid}"], "snr_db must be a range 'start:step:stop' or a list 'a,b,c'")
           for grid in ("1:2", "", "1,x", "1:2:3:4")],
+        # the point count is checked before the grid is built
+        (["snr=0:1e-5:1"], "snr_db range '0:1e-5:1' has 100001 points"),
     ])
     def test_bad_config_exits_2_before_any_block(self, small_config, override,
                                                   key, monkeypatch, capsys):

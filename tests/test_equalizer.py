@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from scfde import equalizer as eq
 from scfde import kernels
-from scfde.channel import ChannelRealization, apply_channel_freq, draw_channel
+from scfde.channel import apply_channel_freq, draw_channel
 from scfde.modem import constellation, map_bits, precode
 from scfde.numerics import RngStream, dft, idft
 
@@ -24,14 +24,8 @@ BPSK = constellation("bpsk")
 
 
 def flat_channel(m, n_r=1, gain=1.0 + 0j):
-    taps = np.full((n_r, 1), gain, complex)
-    return ChannelRealization(
-        taps=taps,
-        freq_response=np.full((n_r, m), gain, complex),
-        n_r=n_r,
-        v=1,
-        m=m,
-    )
+    """Frequency response of a one-tap channel of the given gain."""
+    return np.full((n_r, m), gain, complex)
 
 
 def dense_fbf(q, L):
@@ -45,33 +39,34 @@ def dense_fbf(q, L):
     return np.linalg.solve(A, -q[1 : L + 1])
 
 
-def synth(name, ch, sigma_n_sq=0.0, fbf_length=20, zf_epsilon=1e-12):
+def synth(name, h, sigma_n_sq=0.0, fbf_length=20, zf_epsilon=1e-12):
     """eq.synthesize for the receiver called `name`."""
     spec = eq.ReceiverSpec.from_name(name, fbf_length=fbf_length,
                                      zf_epsilon=zf_epsilon)
-    return eq.synthesize(spec, ch, sigma_n_sq)
+    return eq.synthesize(spec, h, sigma_n_sq)
 
 
 def rayleigh(gen, n_r, v, m):
-    """draw_channel on 2 n_r v standard normals from gen."""
+    """draw_channel on 2 n_r v standard normals from gen: (n_r, m)."""
     return draw_channel(gen.standard_normal(2 * n_r * v), n_r, v, m)
 
 
-def noise_normals(stream, ch):
-    """The 2 n_r m standard normals of one block's noise on ch."""
-    return stream.generator().standard_normal(2 * ch.n_r * ch.m)
+def noise_normals(stream, h):
+    """The 2 n_r m standard normals of one block's noise on h."""
+    return stream.generator().standard_normal(2 * h.size)
 
 
-def equalize(name, f, y, block, c=BPSK, feedback="genie"):
+def equalize(name, f, y, x_f, c=BPSK, feedback="genie"):
     """eq.equalize for the receiver called `name`: (z, indices)."""
     spec = eq.ReceiverSpec.from_name(name, feedback_mode=feedback)
-    return eq.equalize(spec, f, y, c, block.precoded)
+    return eq.equalize(spec, f, y, c, x_f)
 
 
 def bpsk_block(m, seed):
+    """A random BPSK block and its spectrum: (x_t, x_f)."""
     rng = np.random.default_rng(seed)
     x_t = map_bits(rng.integers(0, 2, m), constellation("bpsk"))
-    return precode(x_t)
+    return x_t, precode(x_t)
 
 
 def db(ratio):
@@ -120,8 +115,8 @@ class TestReceiverSpec:
 class TestConventionalLe:
     def test_flat_wiener(self):
         # h=1, sigma_n^2/sigma_x^2 = 1: scalar Wiener filter w = 1/2
-        ch = flat_channel(32)
-        f = synth("mmse-le", ch, 1.0)
+        h = flat_channel(32)
+        f = synth("mmse-le", h, 1.0)
         np.testing.assert_allclose(f.fff, 0.5)
         assert f.predicted_mse == pytest.approx(0.5)
 
@@ -133,41 +128,40 @@ class TestConventionalLe:
 
     def test_zf_plain_ratio(self):
         # |h|^2 = 2 at sigma_n^2 = 1: mse 1/2, post-SNR sigma_x^2 / mse = 2
-        ch = flat_channel(16, gain=np.sqrt(2) + 0j)
-        f = synth("zf-le", ch, zf_epsilon=0.0, sigma_n_sq=1.0)
+        h = flat_channel(16, gain=np.sqrt(2) + 0j)
+        f = synth("zf-le", h, zf_epsilon=0.0, sigma_n_sq=1.0)
         assert f.predicted_mse == pytest.approx(0.5)
 
     def test_zf_flat_inversion(self):
-        ch = flat_channel(32, gain=2.0 + 0j)
-        f = synth("zf-le", ch, zf_epsilon=0.0)
+        h = flat_channel(32, gain=2.0 + 0j)
+        f = synth("zf-le", h, zf_epsilon=0.0)
         np.testing.assert_allclose(f.fff, 0.5)
-        block = bpsk_block(32, 0)
-        z, _ = equalize("zf-le", f, apply_channel_freq(block.precoded, ch, 0.0, None),
-                        block)
-        np.testing.assert_allclose(z, block.time_symbols, atol=1e-12)
+        x, x_f = bpsk_block(32, 0)
+        z, _ = equalize("zf-le", f, apply_channel_freq(x_f, h, 0.0, None), x_f)
+        np.testing.assert_allclose(z, x, atol=1e-12)
 
     def test_zf_random_channel_exact(self):
-        ch = rayleigh(RngStream(21, 0).generator(), 2, 20, 128)
-        block = bpsk_block(128, 1)
-        y = apply_channel_freq(block.precoded, ch, 0.0, None)
-        f = synth("zf-le", ch, zf_epsilon=0.0)
-        z, _ = equalize("zf-le", f, y, block)
-        err = np.linalg.norm(z - block.time_symbols) / np.linalg.norm(
-            block.time_symbols
+        h = rayleigh(RngStream(21, 0).generator(), 2, 20, 128)
+        x, x_f = bpsk_block(128, 1)
+        y = apply_channel_freq(x_f, h, 0.0, None)
+        f = synth("zf-le", h, zf_epsilon=0.0)
+        z, _ = equalize("zf-le", f, y, x_f)
+        err = np.linalg.norm(z - x) / np.linalg.norm(
+            x
         )
         assert err < 1e-9
 
     def test_mmse_combined_response_in_unit_interval(self):
-        ch = rayleigh(RngStream(22, 0).generator(), 2, 20, 128)
-        f = synth("mmse-le", ch, 0.3)
-        combined = np.einsum("kr,rk->k", f.fff, ch.freq_response)
+        h = rayleigh(RngStream(22, 0).generator(), 2, 20, 128)
+        f = synth("mmse-le", h, 0.3)
+        combined = np.einsum("kr,rk->k", f.fff, h)
         assert np.all(np.abs(combined.imag) < 1e-12)
         assert np.all(combined.real > 0) and np.all(combined.real < 1)
 
     def test_mmse_approaches_zf(self):
-        ch = rayleigh(RngStream(23, 0).generator(), 1, 20, 64)
-        fm = synth("mmse-le", ch, 1e-10)
-        fz = synth("zf-le", ch, zf_epsilon=0.0)
+        h = rayleigh(RngStream(23, 0).generator(), 1, 20, 64)
+        fm = synth("mmse-le", h, 1e-10)
+        fz = synth("zf-le", h, zf_epsilon=0.0)
         assert np.max(np.abs(fm.fff - fz.fff) / np.abs(fz.fff)) < 1e-4
 
     def test_mmse_rejects_zero_noise(self):
@@ -176,18 +170,14 @@ class TestConventionalLe:
 
     def test_singular_channel(self):
         # two-tap [1, -1] has an exact null at k=0
-        taps = np.array([[1.0 + 0j, -1.0 + 0j]])
-        ch = ChannelRealization(taps, np.fft.fft(taps, n=16, axis=1), 1, 2, 16)
+        h = np.fft.fft([[1.0 + 0j, -1.0 + 0j]], n=16, axis=1)
         with pytest.raises(eq.SingularChannelError) as unbatched:
-            synth("zf-le", ch, zf_epsilon=0.0)
+            synth("zf-le", h, zf_epsilon=0.0)
         assert unbatched.value.rows.tolist() == [0]
-        synth("zf-le", ch, zf_epsilon=1e-6)  # regularized is fine
+        synth("zf-le", h, zf_epsilon=1e-6)  # regularized is fine
         # in a batch, the error names the singular rows
         other = rayleigh(RngStream(24, 0).generator(), 1, 2, 16)
-        batch = ChannelRealization(
-            np.stack([other.taps, taps, other.taps]),
-            np.stack([other.freq_response, ch.freq_response,
-                      other.freq_response]), 1, 2, 16)
+        batch = np.stack([other, h, other])
         for name in ("zf-le", "wl-zf-dfe"):
             with pytest.raises(eq.SingularChannelError) as batched:
                 synth(name, batch, fbf_length=4, zf_epsilon=0.0)
@@ -196,18 +186,18 @@ class TestConventionalLe:
 
 class TestConventionalDfe:
     def test_flat_reduces_to_le(self):
-        ch = flat_channel(64)
-        fd = synth("mmse-dfe", ch, 0.5, 8)
-        fl = synth("mmse-le", ch, 0.5)
+        h = flat_channel(64)
+        fd = synth("mmse-dfe", h, 0.5, 8)
+        fl = synth("mmse-le", h, 0.5)
         np.testing.assert_allclose(fd.fbf_taps, 0, atol=1e-12)
         np.testing.assert_allclose(fd.fff, fl.fff, atol=1e-12)
         assert fd.predicted_mse == pytest.approx(fl.predicted_mse)
 
     def test_mse_monotone_in_length(self):
-        ch = rayleigh(RngStream(24, 0).generator(), 1, 20, 256)
-        fl = synth("mmse-le", ch, 0.5)
+        h = rayleigh(RngStream(24, 0).generator(), 1, 20, 256)
+        fl = synth("mmse-le", h, 0.5)
         mses = [
-            synth("mmse-dfe", ch, 0.5, L).predicted_mse
+            synth("mmse-dfe", h, 0.5, L).predicted_mse
             for L in (1, 2, 4, 8, 16, 19)
         ]
         assert mses[0] <= fl.predicted_mse + 1e-15
@@ -216,16 +206,16 @@ class TestConventionalDfe:
     def test_dfe_not_worse_than_le(self):
         rng = np.random.default_rng(25)
         for _ in range(30):
-            ch = rayleigh(rng, 2, 20, 128)
-            le = synth("mmse-le", ch, 0.25)
-            dfe = synth("mmse-dfe", ch, 0.25, 19)
+            h = rayleigh(rng, 2, 20, 128)
+            le = synth("mmse-le", h, 0.25)
+            dfe = synth("mmse-dfe", h, 0.25, 19)
             assert dfe.predicted_mse <= le.predicted_mse + 1e-12
 
     def test_whitening(self):
         # FBF is the prediction-error filter: residual lags 1..L vanish
-        ch = rayleigh(RngStream(26, 0).generator(), 1, 20, 512)
-        f = synth("mmse-dfe", ch, 0.1, 20)
-        denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + 0.1
+        h = rayleigh(RngStream(26, 0).generator(), 1, 20, 512)
+        f = synth("mmse-dfe", h, 0.1, 20)
+        denom = np.sum(np.abs(h) ** 2, axis=0) + 0.1
         poly = np.zeros(512, complex)
         poly[0] = 1.0
         poly[1:21] = f.fbf_taps
@@ -236,9 +226,9 @@ class TestConventionalDfe:
     def test_levinson_matches_dense(self):
         rng = np.random.default_rng(27)
         for n_r, L in ((1, 4), (2, 8), (1, 19)):
-            ch = rayleigh(rng, n_r, 20, 256)
-            f = synth("mmse-dfe", ch, 0.5, L)
-            denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + 0.5
+            h = rayleigh(rng, n_r, 20, 256)
+            f = synth("mmse-dfe", h, 0.5, L)
+            denom = np.sum(np.abs(h) ** 2, axis=0) + 0.5
             q = idft(1.0 / denom)
             np.testing.assert_allclose(
                 f.fbf_taps, dense_fbf(q, L), rtol=1e-8, atol=1e-10
@@ -246,10 +236,10 @@ class TestConventionalDfe:
 
     def test_predicted_mse_identity(self):
         # posted formula == quadratic-form prediction error, independently
-        ch = rayleigh(RngStream(28, 0).generator(), 2, 20, 256)
+        h = rayleigh(RngStream(28, 0).generator(), 2, 20, 256)
         sn = 0.4
-        f = synth("mmse-dfe", ch, sn, 10)
-        denom = np.sum(np.abs(ch.freq_response) ** 2, axis=0) + sn
+        f = synth("mmse-dfe", h, sn, 10)
+        denom = np.sum(np.abs(h) ** 2, axis=0) + sn
         q = sn * idft(1.0 / denom)
         err = q[0].real + np.sum(f.fbf_taps * np.conj(q[1:11])).real
         assert f.predicted_mse == pytest.approx(err, rel=1e-10)
@@ -260,50 +250,50 @@ class TestConventionalDfe:
         assert f.predicted_mse == pytest.approx(formula, rel=1e-12)
 
     def test_zf_dfe_noiseless_genie_exact(self):
-        ch = rayleigh(RngStream(29, 0).generator(), 1, 20, 128)
-        block = bpsk_block(128, 2)
-        y = apply_channel_freq(block.precoded, ch, 0.0, None)
-        f = synth("zf-dfe", ch, fbf_length=19, zf_epsilon=0.0)
-        z, idx = equalize("zf-dfe", f, y, block)
-        err = np.linalg.norm(z - block.time_symbols) / np.linalg.norm(
-            block.time_symbols
+        h = rayleigh(RngStream(29, 0).generator(), 1, 20, 128)
+        x, x_f = bpsk_block(128, 2)
+        y = apply_channel_freq(x_f, h, 0.0, None)
+        f = synth("zf-dfe", h, fbf_length=19, zf_epsilon=0.0)
+        z, idx = equalize("zf-dfe", f, y, x_f)
+        err = np.linalg.norm(z - x) / np.linalg.norm(
+            x
         )
         assert err < 1e-9
         # ideal feedback slices its own output
         np.testing.assert_array_equal(idx, kernels.nearest_index(z, BPSK.points,
                                                                  True))
-        np.testing.assert_array_equal(BPSK.points[idx], block.time_symbols)
+        np.testing.assert_array_equal(BPSK.points[idx], x)
 
     def test_decision_mode_matches_genie_at_high_snr(self):
-        ch = rayleigh(RngStream(30, 0).generator(), 2, 20, 256)
-        block = bpsk_block(256, 3)
-        y = apply_channel_freq(block.precoded, ch, 1e-6,
-                               noise_normals(RngStream(30, 1), ch))
-        f = synth("mmse-dfe", ch, 1e-6, 20)
-        zg, ig = equalize("mmse-dfe", f, y, block)
-        zd, dd = equalize("mmse-dfe", f, y, block, feedback="decision")
+        h = rayleigh(RngStream(30, 0).generator(), 2, 20, 256)
+        x, x_f = bpsk_block(256, 3)
+        y = apply_channel_freq(x_f, h, 1e-6,
+                               noise_normals(RngStream(30, 1), h))
+        f = synth("mmse-dfe", h, 1e-6, 20)
+        zg, ig = equalize("mmse-dfe", f, y, x_f)
+        zd, dd = equalize("mmse-dfe", f, y, x_f, feedback="decision")
         # both modes return the ideal-feedback output; only the slicer differs
         np.testing.assert_array_equal(zd, zg)
         np.testing.assert_array_equal(dd, ig)
-        np.testing.assert_array_equal(BPSK.points[dd], block.time_symbols)
+        np.testing.assert_array_equal(BPSK.points[dd], x)
 
     def test_length_bounds(self):
-        ch = flat_channel(16)
+        h = flat_channel(16)
         with pytest.raises(ValueError):
-            synth("mmse-dfe", ch, 0.5, 16)
+            synth("mmse-dfe", h, 0.5, 16)
         with pytest.raises(ValueError):
-            synth("mmse-dfe", ch, 0.5, 0)
+            synth("mmse-dfe", h, 0.5, 0)
 
 
 class TestWidelyLinear:
     def test_flat_combined_response(self):
         # S(k) = 2 on a flat unit channel: output scaled by 2/(2 + c)
-        ch = flat_channel(64)
-        f = synth("wl-mmse-le", ch, 0.5)
-        block = bpsk_block(64, 4)
+        h = flat_channel(64)
+        f = synth("wl-mmse-le", h, 0.5)
+        x, x_f = bpsk_block(64, 4)
         z, _ = equalize("wl-mmse-le", f,
-                        apply_channel_freq(block.precoded, ch, 0.0, None), block)
-        np.testing.assert_allclose(z, block.time_symbols * 2 / 2.5, atol=1e-12)
+                        apply_channel_freq(x_f, h, 0.0, None), x_f)
+        np.testing.assert_allclose(z, x * 2 / 2.5, atol=1e-12)
 
     @given(data=st.data(), n_r=st.integers(1, 3), m=st.integers(4, 96),
            seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-5.0, 30.0),
@@ -316,13 +306,12 @@ class TestWidelyLinear:
         fbf_length = data.draw(st.integers(1, m // 2), label="L")
         sigma_n_sq = 10.0 ** (-snr_db / 10.0)
         c = constellation("bpsk")
-        ch = rayleigh(RngStream(seed, 0).generator(), n_r, v, m)
-        block = bpsk_block(m, seed)
-        x = block.time_symbols
-        y = apply_channel_freq(block.precoded, ch, sigma_n_sq,
-                               noise_normals(RngStream(seed, 1), ch))
+        h = rayleigh(RngStream(seed, 0).generator(), n_r, v, m)
+        x, x_f = bpsk_block(m, seed)
+        y = apply_channel_freq(x_f, h, sigma_n_sq,
+                               noise_normals(RngStream(seed, 1), h))
         rev = (m - np.arange(m)) % m
-        g = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
+        g = np.sum(np.abs(h) ** 2, axis=0)
         denom = g + g[rev] + (sigma_n_sq if criterion == "mmse" else 1e-12)
         looks = np.vstack([y, np.conj(y[:, rev])])
 
@@ -330,7 +319,7 @@ class TestWidelyLinear:
             assert f.fff.shape == (m, n_r)
             b = np.concatenate([f.fbf_taps, np.zeros(m - 1 - len(f.fbf_taps))])
             one_plus_b = dft(np.concatenate([[1.0], b]))
-            w = one_plus_b[:, None] * np.conj(ch.freq_response.T) / denom[:, None]
+            w = one_plus_b[:, None] * np.conj(h.T) / denom[:, None]
             np.testing.assert_allclose(f.fff, w, rtol=1e-12)
             stacked = np.hstack([w, np.conj(w[rev])])
             return np.einsum("kr,rk->k", stacked, looks), one_plus_b
@@ -339,11 +328,11 @@ class TestWidelyLinear:
             assert np.all(np.imag(z) == 0)
             assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-        le = synth(f"wl-{criterion}-le", ch, sigma_n_sq)
+        le = synth(f"wl-{criterion}-le", h, sigma_n_sq)
         z_f, _ = two_look(le)
-        assert_matches(equalize(f"wl-{criterion}-le", le, y, block)[0], idft(z_f))
+        assert_matches(equalize(f"wl-{criterion}-le", le, y, x_f)[0], idft(z_f))
 
-        dfe = synth(f"wl-{criterion}-dfe", ch, sigma_n_sq, fbf_length)
+        dfe = synth(f"wl-{criterion}-dfe", h, sigma_n_sq, fbf_length)
         z_f, one_plus_b = two_look(dfe)
         genie = idft(z_f) - idft((one_plus_b - 1.0) * dft(x))
         init = c.points[kernels.nearest_index(idft(z_f / one_plus_b), c.points,
@@ -351,59 +340,59 @@ class TestWidelyLinear:
         ref_idx = kernels.dd_feedback(
             idft(z_f).real, dfe.fbf_taps.astype(complex), init[m - fbf_length:],
             c.points, True)
-        assert_matches(equalize(f"wl-{criterion}-dfe", dfe, y, block)[0], genie)
-        z, idx = equalize(f"wl-{criterion}-dfe", dfe, y, block, c, "decision")
+        assert_matches(equalize(f"wl-{criterion}-dfe", dfe, y, x_f)[0], genie)
+        z, idx = equalize(f"wl-{criterion}-dfe", dfe, y, x_f, c, "decision")
         assert_matches(z, genie)
         np.testing.assert_array_equal(idx, ref_idx)
 
     def test_fbf_taps_real(self):
-        ch = rayleigh(RngStream(32, 0).generator(), 1, 20, 256)
-        f = synth("wl-mmse-dfe", ch, 0.5, 12)
+        h = rayleigh(RngStream(32, 0).generator(), 1, 20, 256)
+        f = synth("wl-mmse-dfe", h, 0.5, 12)
         assert not np.iscomplexobj(f.fbf_taps)
 
     def test_output_real(self):
-        ch = rayleigh(RngStream(33, 0).generator(), 2, 20, 256)
-        block = bpsk_block(256, 5)
-        y = apply_channel_freq(block.precoded, ch, 0.3,
-                               noise_normals(RngStream(33, 1), ch))
-        for name, f in (("wl-mmse-le", synth("wl-mmse-le", ch, 0.3)),
-                        ("wl-zf-le", synth("wl-zf-le", ch))):
-            z, _ = equalize(name, f, y, block)
+        h = rayleigh(RngStream(33, 0).generator(), 2, 20, 256)
+        x, x_f = bpsk_block(256, 5)
+        y = apply_channel_freq(x_f, h, 0.3,
+                               noise_normals(RngStream(33, 1), h))
+        for name, f in (("wl-mmse-le", synth("wl-mmse-le", h, 0.3)),
+                        ("wl-zf-le", synth("wl-zf-le", h))):
+            z, _ = equalize(name, f, y, x_f)
             assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
-        fd = synth("wl-mmse-dfe", ch, 0.3, 20)
-        z, _ = equalize("wl-mmse-dfe", fd, y, block)
+        fd = synth("wl-mmse-dfe", h, 0.3, 20)
+        z, _ = equalize("wl-mmse-dfe", fd, y, x_f)
         assert np.max(np.abs(z.imag)) < 1e-9 * np.linalg.norm(z)
 
     def test_zf_noiseless_exact(self):
-        ch = rayleigh(RngStream(34, 0).generator(), 1, 20, 128)
-        block = bpsk_block(128, 6)
-        y = apply_channel_freq(block.precoded, ch, 0.0, None)
-        fle = synth("wl-zf-le", ch, zf_epsilon=0.0)
-        z, _ = equalize("wl-zf-le", fle, y, block)
-        assert np.linalg.norm(z - block.time_symbols) < 1e-9 * np.linalg.norm(z)
-        fdfe = synth("wl-zf-dfe", ch, fbf_length=19, zf_epsilon=0.0)
-        zd, _ = equalize("wl-zf-dfe", fdfe, y, block)
-        assert np.linalg.norm(zd - block.time_symbols) < 1e-9 * np.linalg.norm(zd)
+        h = rayleigh(RngStream(34, 0).generator(), 1, 20, 128)
+        x, x_f = bpsk_block(128, 6)
+        y = apply_channel_freq(x_f, h, 0.0, None)
+        fle = synth("wl-zf-le", h, zf_epsilon=0.0)
+        z, _ = equalize("wl-zf-le", fle, y, x_f)
+        assert np.linalg.norm(z - x) < 1e-9 * np.linalg.norm(z)
+        fdfe = synth("wl-zf-dfe", h, fbf_length=19, zf_epsilon=0.0)
+        zd, _ = equalize("wl-zf-dfe", fdfe, y, x_f)
+        assert np.linalg.norm(zd - x) < 1e-9 * np.linalg.norm(zd)
 
     def test_mmse_approaches_zf(self):
-        ch = rayleigh(RngStream(35, 0).generator(), 2, 20, 64)
-        fm = synth("wl-mmse-le", ch, 1e-10)
-        fz = synth("wl-zf-le", ch, zf_epsilon=0.0)
+        h = rayleigh(RngStream(35, 0).generator(), 2, 20, 64)
+        fm = synth("wl-mmse-le", h, 1e-10)
+        fz = synth("wl-zf-le", h, zf_epsilon=0.0)
         assert np.max(np.abs(fm.fff - fz.fff) / np.max(np.abs(fz.fff))) < 1e-4
-        fmd = synth("wl-mmse-dfe", ch, 1e-10, 8)
-        fzd = synth("wl-zf-dfe", ch, fbf_length=8, zf_epsilon=0.0)
+        fmd = synth("wl-mmse-dfe", h, 1e-10, 8)
+        fzd = synth("wl-zf-dfe", h, fbf_length=8, zf_epsilon=0.0)
         assert np.max(np.abs(fmd.fbf_taps - fzd.fbf_taps)) < 1e-4
 
     def test_flat_dfe_collapses(self):
-        ch = flat_channel(64)
-        f = synth("wl-zf-dfe", ch, fbf_length=6, zf_epsilon=0.0,
+        h = flat_channel(64)
+        f = synth("wl-zf-dfe", h, fbf_length=6, zf_epsilon=0.0,
                   sigma_n_sq=1.0)
         np.testing.assert_allclose(f.fbf_taps, 0, atol=1e-12)
 
     def test_levinson_matches_dense(self):
-        ch = rayleigh(RngStream(36, 0).generator(), 1, 20, 256)
-        f = synth("wl-mmse-dfe", ch, 0.5, 10)
-        g = np.sum(np.abs(ch.freq_response) ** 2, axis=0)
+        h = rayleigh(RngStream(36, 0).generator(), 1, 20, 256)
+        f = synth("wl-mmse-dfe", h, 0.5, 10)
+        g = np.sum(np.abs(h) ** 2, axis=0)
         rev = (256 - np.arange(256)) % 256
         p = g + g[rev] + 0.5
         q = idft(1.0 / p)
@@ -411,19 +400,19 @@ class TestWidelyLinear:
                                    rtol=1e-8, atol=1e-10)
 
     def test_mse_monotone_in_length(self):
-        ch = rayleigh(RngStream(37, 0).generator(), 1, 20, 256)
+        h = rayleigh(RngStream(37, 0).generator(), 1, 20, 256)
         mses = [
-            synth("wl-mmse-dfe", ch, 0.5, L).predicted_mse
+            synth("wl-mmse-dfe", h, 0.5, L).predicted_mse
             for L in (1, 4, 8, 16, 19)
         ]
         assert all(b <= a + 1e-15 for a, b in zip(mses, mses[1:]))
 
     def test_complex_constellation_rejected(self):
-        ch = flat_channel(32)
-        f = synth("wl-mmse-dfe", ch, 0.5, 4)
-        block = bpsk_block(32, 7)
+        h = flat_channel(32)
+        f = synth("wl-mmse-dfe", h, 0.5, 4)
+        _, x_f = bpsk_block(32, 7)
         with pytest.raises(ValueError, match="real"):
-            equalize("wl-mmse-dfe", f, np.ones((1, 32), complex), block,
+            equalize("wl-mmse-dfe", f, np.ones((1, 32), complex), x_f,
                      constellation("8psk"), "decision")
 
     def test_mmse_rejects_zero_noise(self):
@@ -433,30 +422,27 @@ class TestWidelyLinear:
 
 class TestDispatcher:
     def test_routes_all_eight(self):
-        ch = rayleigh(RngStream(38, 0).generator(), 2, 8, 64)
+        h = rayleigh(RngStream(38, 0).generator(), 2, 8, 64)
         for name in eq.RECEIVER_NAMES:
             spec = eq.ReceiverSpec.from_name(name, fbf_length=7)
-            f = eq.synthesize(spec, ch, 0.5)
+            f = eq.synthesize(spec, h, 0.5)
             n_taps = 7 if spec.structure == "dfe" else 0
             assert f.fbf_taps.shape == (n_taps,)
             assert np.iscomplexobj(f.fbf_taps) == (spec.family == "conventional")
-            assert f.fff.shape == (64, ch.n_r)
+            assert f.fff.shape == (64, 2)
             assert f.predicted_mse > 0
 
     def test_noise_variance_per_row(self):
         # row i of a batch synthesized with one noise variance per row is the
         # unbatched synthesis of channel i at variance i
         rows = [rayleigh(RngStream(40, k).generator(), 2, 8, 64) for k in range(3)]
-        batch = ChannelRealization(
-            taps=np.stack([ch.taps for ch in rows]),
-            freq_response=np.stack([ch.freq_response for ch in rows]),
-            n_r=2, v=8, m=64)
+        batch = np.stack(rows)
         sigma = np.array([0.05, 0.5, 5.0])
         for name in eq.RECEIVER_NAMES:
             spec = eq.ReceiverSpec.from_name(name, fbf_length=7)
             f = eq.synthesize(spec, batch, sigma)
-            for k, ch in enumerate(rows):
-                one = eq.synthesize(spec, ch, sigma[k])
+            for k, h in enumerate(rows):
+                one = eq.synthesize(spec, h, sigma[k])
                 for got, want in ((f.fff[k], one.fff), (f.fbf_taps[k], one.fbf_taps),
                                   (f.one_plus_b[k], one.one_plus_b),
                                   (f.predicted_mse[k], one.predicted_mse)):
@@ -465,15 +451,15 @@ class TestDispatcher:
     def test_matches_direct_call(self):
         # ZF-DFE built by hand: taps from a dense solve on the guarded
         # inverse spectrum, w(k) = (1 + b(k)) h*(k) / (|h(k)|^2 + eps)
-        ch = rayleigh(RngStream(39, 0).generator(), 1, 8, 64)
+        h = rayleigh(RngStream(39, 0).generator(), 1, 8, 64)
         spec = eq.ReceiverSpec.from_name("zf-dfe", fbf_length=7, zf_epsilon=1e-9)
-        f = eq.synthesize(spec, ch, 0.25)
-        denom = np.abs(ch.freq_response[0]) ** 2 + 1e-9
+        f = eq.synthesize(spec, h, 0.25)
+        denom = np.abs(h[0]) ** 2 + 1e-9
         taps = dense_fbf(idft(1.0 / denom), 7)
         one_plus_b = dft(np.concatenate([[1.0], taps, np.zeros(64 - 8)]))
         np.testing.assert_allclose(f.fbf_taps, taps, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(
-            f.fff[:, 0], one_plus_b * np.conj(ch.freq_response[0]) / denom,
+            f.fff[:, 0], one_plus_b * np.conj(h[0]) / denom,
             rtol=1e-8, atol=1e-10)
         assert f.predicted_mse == pytest.approx(
             0.25 * np.mean(np.abs(one_plus_b) ** 2 / denom), rel=1e-10)
@@ -483,8 +469,8 @@ def _ensemble(build, n_real, n_r, seed, **kwargs):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_real):
-        ch = rayleigh(rng, n_r, 20, 512)
-        out.append(build(ch, **kwargs))
+        h = rayleigh(rng, n_r, 20, 512)
+        out.append(build(h, **kwargs))
     return out
 
 
@@ -500,7 +486,7 @@ class TestLimitingAnchors:
 
     def test_conv_zf_dfe_nr1(self):
         fs = _ensemble(
-            lambda ch: synth("zf-dfe", ch, fbf_length=19, zf_epsilon=0.0,
+            lambda h: synth("zf-dfe", h, fbf_length=19, zf_epsilon=0.0,
                              sigma_n_sq=1.0),
             500, 1, 41,
         )
@@ -508,7 +494,7 @@ class TestLimitingAnchors:
 
     def test_wl_zf_dfe_nr1(self):
         fs = _ensemble(
-            lambda ch: synth("wl-zf-dfe", ch, fbf_length=20, zf_epsilon=0.0,
+            lambda h: synth("wl-zf-dfe", h, fbf_length=20, zf_epsilon=0.0,
                              sigma_n_sq=1.0),
             500, 1, 42,
         )
@@ -516,7 +502,7 @@ class TestLimitingAnchors:
 
     def test_wl_zf_dfe_nr2(self):
         fs = _ensemble(
-            lambda ch: synth("wl-zf-dfe", ch, fbf_length=20, zf_epsilon=0.0,
+            lambda h: synth("wl-zf-dfe", h, fbf_length=20, zf_epsilon=0.0,
                              sigma_n_sq=1.0),
             400, 2, 43,
         )
@@ -525,7 +511,7 @@ class TestLimitingAnchors:
     def test_conv_zf_le_nr2(self):
         # E[1/chi2] argument is exact at any v: mean mse = sigma_n^2
         fs = _ensemble(
-            lambda ch: synth("zf-le", ch, zf_epsilon=0.0, sigma_n_sq=1.0),
+            lambda h: synth("zf-le", h, zf_epsilon=0.0, sigma_n_sq=1.0),
             400, 2, 44,
         )
         mean_mse = np.mean([f.predicted_mse for f in fs])
@@ -536,7 +522,7 @@ class TestLimitingAnchors:
         # costing the single-antenna WL-LE about 0.2-1 dB beyond its 3.01 dB
         # asymptotic gap to the real matched filter bound of 2r
         fs = _ensemble(
-            lambda ch: synth("wl-zf-le", ch, zf_epsilon=0.0, sigma_n_sq=1.0),
+            lambda h: synth("wl-zf-le", h, zf_epsilon=0.0, sigma_n_sq=1.0),
             500, 1, 46,
         )
         post = 1.0 / np.mean([f.predicted_mse for f in fs])
@@ -547,7 +533,7 @@ class TestLimitingAnchors:
         x = np.random.default_rng(77).exponential(size=10**6)
         reference = np.expm1(np.mean(np.log1p(r * x)))
         fs = _ensemble(
-            lambda ch: synth("mmse-dfe", ch, 1.0 / r, 19), 400, 1, 45
+            lambda h: synth("mmse-dfe", h, 1.0 / r, 19), 400, 1, 45
         )
         got = self.geometric_post(fs, unbias=False)
         # compare biased ratios: geometric mean of sx^2/mse vs e^{E ln(1+rX)}

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfde import channel, numerics
+from scfde import channel, kernels, modem, numerics
 from scfde import equalizer as eq
 from scfde import simulator as sim
 from scfde.analytics import mfb_ber
@@ -169,11 +169,23 @@ class TestSweepConfig:
 class TestRunBlock:
     def test_layers_the_benchmark_traces_by_name_resolve(self):
         # perfbench/layers.py patches these attributes by name and reports
-        # 0 calls, not an error, for one that has gone
-        assert sim.RngStream is numerics.RngStream
-        assert "generator" in numerics.RngStream.__dict__
-        assert sim.__dict__["draw_channel"] is channel.draw_channel
-        assert sim.__dict__["apply_channel_freq"] is channel.apply_channel_freq
+        # 0 calls, not an error, for one that has gone or been renamed;
+        # (owner patched, name, module or class that defines it)
+        traced = [
+            *[(sim, name, channel) for name in ("draw_channel", "apply_channel_freq")],
+            *[(sim, name, modem) for name in ("map_bits", "precode",
+                                              "count_bit_errors")],
+            (sim, "synthesize", eq),
+            *[(sim, name, sim) for name in ("run_block", "mfb_reference_curve",
+                                            "gap_at_ber")],
+            *[(kernels, name, kernels) for name in ("levinson_recursion",
+                                                    "dd_feedback")],
+            # the class the simulator seeds its rows with
+            (sim.RngStream, "generator", numerics.RngStream),
+        ]
+        for owner, name, home in traced:
+            assert name in owner.__dict__, name
+            assert owner.__dict__[name] is home.__dict__[name], name
 
     def test_deterministic(self):
         cfg = small_config()
