@@ -10,8 +10,8 @@ Subcommands:
 Configuration is a flat JSON file mirroring the sweep config keys;
 positional key=value arguments override the file. Exit codes: 0 success,
 2 bad arguments, config or input, or an arithmetic failure of the run
-(a channel that stays singular, a prediction problem that loses positive
-definiteness), 3 gap target outside the measured range.
+(a prediction problem that loses positive definiteness), 3 gap target
+outside the measured range of a receiver's sweep curve or of the MFB.
 """
 
 import argparse
@@ -19,6 +19,7 @@ import contextlib
 import json
 import logging
 import math
+import numbers
 import sys
 
 from . import analytics, simulator
@@ -138,6 +139,16 @@ def cmd_post_snr(args) -> int:
     return 0
 
 
+def _valid_row(row) -> bool:
+    """receiver a string, snr_db finite and ber in [0, 1], both numbers but,
+    as in SweepConfig, not bools."""
+    if not (isinstance(row, dict) and isinstance(row.get("receiver"), str)):
+        return False
+    snr, ber = row.get("snr_db"), row.get("ber")
+    return (all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                for x in (snr, ber)) and math.isfinite(snr) and 0 <= ber <= 1)
+
+
 def cmd_gap(args) -> int:
     with open(args.input) as fh:
         doc = json.load(fh)
@@ -148,12 +159,9 @@ def cmd_gap(args) -> int:
                          "--format json writes")
     config = simulator.SweepConfig.from_dict(doc["config"])
     for row in doc["rows"]:
-        try:
-            ok = math.isfinite(row["snr_db"]) and 0 <= row["ber"] <= 1
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"row needs a finite snr_db and a ber in [0, 1]: {row}")
+        if not _valid_row(row):
+            raise ValueError(f"row needs a string receiver, a finite snr_db and "
+                             f"a ber in [0, 1]: {row}")
     reference = simulator.mfb_reference_curve(
         config, per_realization=args.per_realization)
     gaps = []

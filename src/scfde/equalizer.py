@@ -17,8 +17,8 @@ since idft(z(k) + conj(z(M-k))) = 2 Re(idft(z)), a widely linear block is
 the conventional construction on S plus a real part. S is even, so the
 prediction problem turns real-coefficient and the feedback taps are real.
 
-ZF synthesis runs on the noise-free spectrum (optionally guarded by
-zf_epsilon); sigma_n_sq enters only the predicted-mse bookkeeping so the
+ZF synthesis inverts the noise-free spectrum plus the fixed floor
+ZF_FLOOR; sigma_n_sq enters only the predicted-mse bookkeeping so the
 filters themselves stay noise-independent.
 
 A linear equalizer is the DFE with no feedback taps, 1 + b = 1, so one
@@ -33,7 +33,6 @@ Every step is elementwise or a transform over the last axis, so a row's
 outputs do not depend on the batch it ran in.
 """
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -46,7 +45,7 @@ __all__ = [
     "RECEIVER_NAMES",
     "ReceiverSpec",
     "EqualizerFilters",
-    "SingularChannelError",
+    "ZF_FLOOR",
     "synthesize",
     "equalize",
 ]
@@ -70,16 +69,9 @@ _FEEDBACK_MODES = {
 }
 
 
-class SingularChannelError(ArithmeticError):
-    """Unregularized zero-forcing hit an exactly null subcarrier.
-
-    rows holds the indices of the singular rows; an unbatched synthesis is
-    row 0.
-    """
-
-    def __init__(self, message, rows):
-        super().__init__(message)
-        self.rows = rows
+# added to the channel energy a ZF receiver inverts: an exact spectral null
+# (probability 0 under Rayleigh taps) gives finite filters, not a 1/0
+ZF_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,6 @@ class ReceiverSpec:
     structure: str  # le | dfe
     fbf_length: int = 20
     feedback_mode: str = "ideal_genie"
-    zf_epsilon: float = 1e-12
 
     def __post_init__(self):
         if self.family not in ("conventional", "widely-linear"):
@@ -102,10 +93,6 @@ class ReceiverSpec:
             raise ValueError("dfe needs fbf_length >= 1")
         if self.feedback_mode not in ("ideal_genie", "decision_directed"):
             raise ValueError(f"unknown feedback mode {self.feedback_mode!r}")
-        if not 0 <= self.zf_epsilon < math.inf:
-            raise ValueError(
-                f"zf_epsilon must be finite and >= 0, got {self.zf_epsilon!r}"
-            )
 
     @property
     def name(self) -> str:
@@ -115,8 +102,7 @@ class ReceiverSpec:
 
     @classmethod
     def from_name(cls, name: str, fbf_length: int = 20,
-                  feedback_mode: str = "genie",
-                  zf_epsilon: float = 1e-12) -> "ReceiverSpec":
+                  feedback_mode: str = "genie") -> "ReceiverSpec":
         key = name.strip().lower()
         if key.startswith("conv-"):
             key = key[5:]
@@ -129,7 +115,7 @@ class ReceiverSpec:
             )
         family = "widely-linear" if key.startswith("wl-") else "conventional"
         criterion, structure = key.removeprefix("wl-").rsplit("-", 1)
-        return cls(family, criterion, structure, fbf_length, mode, zf_epsilon)
+        return cls(family, criterion, structure, fbf_length, mode)
 
     def check_fbf_length(self, m: int):
         """Reject a DFE whose feedback filter does not fit an M-point block.
@@ -195,12 +181,11 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilter
     Alphabets have unit energy (sigma_x^2 = 1), so the input SNR is
     1/sigma_n^2 and MMSE receivers regularize by sigma_n^2: w(k) = h^H(k) /
     (||h(k)||^2 + sigma_n^2) conventional, w(k) = h*(k) / (S(k) + sigma_n^2)
-    widely linear. ZF receivers invert the channel with spec.zf_epsilon as
-    the only guard, and sigma_n_sq then only prices the residual-noise MSE.
-    DFEs put an order-L prediction-error FBF behind that front end, real-tap
-    for the widely linear family. A batch of responses gives filters with
-    one row per channel, and sigma_n_sq may then give one noise variance
-    per row; a singular row raises SingularChannelError.
+    widely linear. ZF receivers regularize by ZF_FLOOR instead, and
+    sigma_n_sq then only prices the residual-noise MSE. DFEs put an order-L
+    prediction-error FBF behind that front end, real-tap for the widely
+    linear family. A batch of responses gives filters with one row per
+    channel, and sigma_n_sq may then give one noise variance per row.
     """
     sigma_n_sq = np.asarray(sigma_n_sq, dtype=float)
     if spec.criterion == "mmse":
@@ -208,7 +193,7 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilter
             raise ValueError("MMSE synthesis needs sigma_n_sq > 0; use the ZF variant")
         reg = sigma_n_sq[..., None]
     else:
-        reg = spec.zf_epsilon
+        reg = ZF_FLOOR
     m = freq_response.shape[-1]
     spec.check_fbf_length(m)
     widely_linear = spec.family == "widely-linear"
@@ -216,12 +201,6 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilter
     gains = np.sum(np.abs(freq_response) ** 2, axis=-2)
     signal = gains + gains[..., -np.arange(m)] if widely_linear else gains  # g(M-k)
     denom = signal + reg
-    singular = denom.min(axis=-1) <= 0
-    if np.any(singular):
-        rows = np.flatnonzero(singular)
-        raise SingularChannelError(
-            "a subcarrier has zero channel energy and zf_epsilon=0 in rows "
-            f"{rows.tolist()}", rows)
     if spec.structure == "dfe":
         taps = _prediction_taps(denom, fbf_length, widely_linear)
         one_plus_b = _one_plus_b(taps, m)

@@ -4,10 +4,10 @@ One trial = one block: draw bits, map, precode, draw an independent
 channel realization, apply it in the frequency domain, synthesize the
 receiver for that realization, equalize, slice, count bit errors. Every
 trial is a pure function of (master_seed, trial_index); a trial index
-packs a hash of the (receiver, SNR) cell into bits 40 and up, the block
-ordinal into bits 8-39 and a redraw counter into bits 0-7, so that any
-cell can be reproduced in isolation and a singular channel can be
-redrawn with the literally next stream index.
+packs a hash of the (receiver, SNR) cell into bits 40 and up and the
+block ordinal into bits 8-39, so that any cell can be reproduced in
+isolation. Bits 0-7 are always zero; they are kept so that every cell
+draws the same random streams as sweeps written before.
 
 Blocks run in batches: run_block takes a list of trial indices, with
 one SNR for all or one per index, and carries every array of the chain
@@ -40,12 +40,7 @@ import numpy as np
 
 from .analytics import limit_snr, mfb_ber
 from .channel import apply_channel_freq, draw_channel
-from .equalizer import (
-    ReceiverSpec,
-    SingularChannelError,
-    equalize,
-    synthesize,
-)
+from .equalizer import ZF_FLOOR, ReceiverSpec, equalize, synthesize
 from .modem import (
     constellation,
     count_bit_errors,
@@ -63,7 +58,6 @@ __all__ = [
     "GapAtBer",
     "InsufficientRangeError",
     "run_block",
-    "run_block_with_retry",
     "run_sweep",
     "measure_post_snr",
     "mfb_reference_curve",
@@ -155,8 +149,6 @@ def _real(key, value) -> float:
 
 # trial index fields, see the module docstring
 _MAX_ORDINALS = 1 << 32
-# redraws allowed per row; must stay below 256, the width of the redraw field
-MAX_REDRAWS = 64
 # samples (antennas x block size) per run_block pass: 16 blocks of 512 at
 # one antenna, 128 of 64; bounds the pass's arrays, and so the memory
 BATCH_SAMPLES = 1 << 13
@@ -169,7 +161,8 @@ class SweepConfig:
     Each (receiver, SNR) cell stops at min_bit_errors bit errors or
     max_blocks blocks. Integer fields take integers, integral floats and
     digit strings, real ones numbers and numeric strings; any other type
-    is a ValueError. from_dict drops the retired key parallel_width.
+    is a ValueError. from_dict drops the retired keys parallel_width and,
+    at the fixed ZF floor only, zf_epsilon.
     """
 
     constellation: str = "bpsk"
@@ -183,12 +176,10 @@ class SweepConfig:
     min_bit_errors: int = 200
     max_blocks: int = 20000
     master_seed: int = 0
-    zf_epsilon: float = 1e-12
 
     def __post_init__(self):
         for key in _INTEGER_KEYS:
             object.__setattr__(self, key, _integer(key, getattr(self, key)))
-        object.__setattr__(self, "zf_epsilon", _real("zf_epsilon", self.zf_epsilon))
         for key in ("constellation", "feedback"):
             if not isinstance(getattr(self, key), str):
                 raise ValueError(f"config key {key!r} must be a string, "
@@ -240,19 +231,13 @@ class SweepConfig:
                              f"got {self.max_blocks}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
-        for spec in self.receiver_specs():  # validates fbf_len and zf_epsilon
+        for spec in self.receiver_specs():  # validates fbf_len
             spec.check_fbf_length(self.block_size)
 
     def receiver_specs(self):
-        return tuple(
-            ReceiverSpec.from_name(
-                name,
-                fbf_length=self.fbf_len,
-                feedback_mode=self.feedback,
-                zf_epsilon=self.zf_epsilon,
-            )
-            for name in self.receivers
-        )
+        return tuple(ReceiverSpec.from_name(name, fbf_length=self.fbf_len,
+                                            feedback_mode=self.feedback)
+                     for name in self.receivers)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -265,9 +250,13 @@ class SweepConfig:
         valid = {f.name for f in fields(cls)}
         kwargs = {}
         for key, value in data.items():
-            if key == "parallel_width":
-                # retired with the thread pool it sized; sweep JSON written
-                # before that carries it and must still load
+            # retired keys that older sweep JSON carries: parallel_width sized
+            # a deleted thread pool; zf_epsilon loads at its old default, the
+            # fixed ZF floor, only, as another value names another receiver
+            if key == "zf_epsilon" and _real(key, value) != ZF_FLOOR:
+                raise ValueError(f"config key 'zf_epsilon' is retired: ZF receivers "
+                                 f"use the fixed floor {ZF_FLOOR!r}, got {value!r}")
+            if key in ("parallel_width", "zf_epsilon"):
                 continue
             name = _ALIASES.get(key, key)
             if name not in valid:
@@ -290,7 +279,6 @@ class SweepCell:
     post_snr_db: float
     analytic_db: Optional[float]
     blocks: int
-    redraws: int
     hit_max_blocks: bool
 
 
@@ -330,14 +318,6 @@ def _cell_base(receiver_name: str, snr_db: float) -> int:
     return int.from_bytes(digest[:4], "big") << 40
 
 
-def _trial_list(trial_index) -> list:
-    """A 1-d sequence of trial indices as a list of ints; one int is a
-    list of one."""
-    if isinstance(trial_index, numbers.Integral):
-        return [int(trial_index)]
-    return [int(t) for t in trial_index]
-
-
 def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
     """Blocks through the full chain, one per trial index, as one batch.
 
@@ -346,7 +326,8 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
     block of trial index i; a row's values are the same bits whatever
     batch it runs in. snr_db is one SNR for every row or one per index.
     """
-    trials = _trial_list(trial_index)
+    trials = ([int(trial_index)] if isinstance(trial_index, numbers.Integral)
+              else [int(t) for t in trial_index])
     snrs = [snr_db] * len(trials) if np.ndim(snr_db) == 0 else list(snr_db)
     if len(snrs) != len(trials):
         raise ValueError(f"need one snr_db per trial index: {len(snrs)} values "
@@ -376,37 +357,6 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
     return errors, np.full(len(trials), tx_bits.shape[-1]), mse
 
 
-def run_block_with_retry(trial_index, config: SweepConfig,
-                         receiver: ReceiverSpec, snr_db):
-    """run_block, redrawing singular channels with the next stream index.
-
-    Returns (bit_errors, bits, mse, redraws), four arrays with one row
-    per trial index (one int is a batch of one). A singular row is
-    redrawn alone: the batch runs again with that row's index advanced
-    by one and every other index unchanged, and since a row depends on
-    its own index only, its neighbours keep their results. Raises
-    SingularChannelError once a row has been singular MAX_REDRAWS + 1
-    times in a row.
-    """
-    trials = _trial_list(trial_index)
-    redraws = np.zeros(len(trials), np.int64)
-    while True:
-        index = [t + int(r) for t, r in zip(trials, redraws)]
-        try:
-            out = run_block(index, config, receiver, snr_db)
-        except SingularChannelError as exc:
-            for row in exc.rows:
-                log.debug("trial %d redrawn (%s)", index[row], exc)
-            redraws[exc.rows] += 1
-            if redraws.max() > MAX_REDRAWS:
-                row = int(np.argmax(redraws))
-                raise SingularChannelError(
-                    f"{MAX_REDRAWS + 1} singular channels in a row at trial "
-                    f"{trials[row]}; increase zf_epsilon", [row]) from exc
-            continue
-        return (*out, redraws)
-
-
 def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
     # None where limit_snr has no value; conventional outputs are measured
     # with complex error, so their closed forms are used without the
@@ -427,7 +377,6 @@ class _Tally:
     base: int
     errors: int = 0
     bits: int = 0
-    redraws: int = 0
     mses: list = field(default_factory=list)
 
     @property
@@ -458,9 +407,9 @@ def _run_cells(config: SweepConfig, spec: ReceiverSpec, snrs, max_blocks: int,
     """Run the cells of one receiver at the SNRs snrs together; a _Tally each.
 
     Each round, every active cell asks for its next batch (_next_batch),
-    the rows of all requests are concatenated and run_block_with_retry
-    runs them in passes of at most BATCH_SAMPLES / (antennas * block
-    size) rows, whatever SNR each row has. A cell then commits its rows
+    the rows of all requests are concatenated and run_block runs them in
+    passes of at most BATCH_SAMPLES / (antennas * block size) rows,
+    whatever SNR each row has. A cell then commits its rows
     in ordinal order and stops at min_errors bit errors or max_blocks
     blocks, whichever comes first, discarding the rest of its rows. Its
     trial indices are _cell_base(spec.name, snr) | ordinal << 8.
@@ -475,16 +424,15 @@ def _run_cells(config: SweepConfig, spec: ReceiverSpec, snrs, max_blocks: int,
         for t, size in zip(active, sizes):
             trials += [t.base | k << 8 for k in range(t.blocks, t.blocks + size)]
             row_snrs += [t.snr_db] * size
-        passes = [run_block_with_retry(trials[i : i + budget], config, spec,
-                                       row_snrs[i : i + budget])
+        passes = [run_block(trials[i : i + budget], config, spec,
+                            row_snrs[i : i + budget])
                   for i in range(0, len(trials), budget)]
         rows = zip(*(np.concatenate(col).tolist() for col in zip(*passes)))
         for t, size in zip(active, sizes):
-            for errors, bits, mse, redraws in itertools.islice(rows, size):
+            for errors, bits, mse in itertools.islice(rows, size):
                 if t.errors < min_errors:
                     t.errors += errors
                     t.bits += bits
-                    t.redraws += redraws
                     t.mses.append(mse)
         active = [t for t in active
                   if t.errors < min_errors and t.blocks < max_blocks]
@@ -519,7 +467,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 post_snr_db=_post_snr_db(t.mses, spec.criterion),
                 analytic_db=_analytic_db(spec, config, t.snr_db),
                 blocks=t.blocks,
-                redraws=t.redraws,
                 hit_max_blocks=t.errors < config.min_bit_errors,
             )
             log.info(
@@ -577,10 +524,11 @@ def mfb_reference_curve(config: SweepConfig,
     return tuple((float(s), float(b)) for s, b in zip(config.snr_db, ber))
 
 
-def _snr_at_target(curve, target_ber: float) -> float:
+def _snr_at_target(curve, target_ber: float, label: str) -> float:
     pts = sorted((float(s), max(float(b), 1e-300)) for s, b in curve)
     if len(pts) < 2:
-        raise InsufficientRangeError("need at least two curve points")
+        raise InsufficientRangeError(f"{label}: need two curve points, got "
+                                     f"{len(pts)}")
     for (s0, b0), (s1, b1) in zip(pts, pts[1:]):
         if b0 >= target_ber >= b1 and b0 > b1:
             frac = (math.log(b0) - math.log(target_ber)) / (
@@ -589,7 +537,7 @@ def _snr_at_target(curve, target_ber: float) -> float:
             return s0 + frac * (s1 - s0)
     span = (min(b for _, b in pts), max(b for _, b in pts))
     raise InsufficientRangeError(
-        f"target ber {target_ber:g} not bracketed; achieved span "
+        f"{label}: target ber {target_ber:g} not bracketed; achieved span "
         f"[{span[0]:g}, {span[1]:g}]"
     )
 
@@ -598,13 +546,15 @@ def gap_at_ber(points, reference, target_ber: float,
                receiver: str = "") -> GapAtBer:
     """SNR distance between two BER curves at a target, log-linear in BER.
 
-    points/reference are (snr_db, ber) sequences; both must bracket the
-    target or InsufficientRangeError reports the achieved span.
+    points (the receiver's sweep) and reference (the MFB) are (snr_db,
+    ber) sequences; both must bracket the target, or InsufficientRangeError
+    names the receiver and the curve and reports the achieved span.
     """
     if not 0 < target_ber < 1:
         raise ValueError("target_ber must be in (0, 1)")
-    snr = _snr_at_target(points, target_ber)
-    ref = _snr_at_target(reference, target_ber)
+    prefix = f"{receiver} " if receiver else ""
+    snr = _snr_at_target(points, target_ber, f"{prefix}sweep curve")
+    ref = _snr_at_target(reference, target_ber, f"{prefix}MFB curve")
     return GapAtBer(
         receiver=receiver,
         target_ber=float(target_ber),
@@ -632,9 +582,16 @@ def result_to_csv(result: SweepResult) -> str:
     return rows_to_csv(SweepCell, result.rows, 7)
 
 
+def _json_value(value):
+    """value, or None for a non-finite float, which strict JSON has no
+    literal for (a post_snr_db of an MMSE cell whose mean MSE is >= 1)."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def result_to_json(result: SweepResult) -> str:
     doc = {
         "config": result.config.to_dict(),
-        "rows": [asdict(r) for r in result.rows],
+        "rows": [{k: _json_value(v) for k, v in asdict(r).items()}
+                 for r in result.rows],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import scfde.analytics
-from scfde import kernels, simulator
+from scfde import kernels
 from scfde.cli import main
-from scfde.equalizer import SingularChannelError
 
 
 def _lines(text):
@@ -138,16 +137,30 @@ class TestBerSweep:
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["receiver"] == "mmse-le"
 
+    def test_json_is_strict_for_a_non_finite_post_snr(self, capsys):
+        # an MMSE cell whose mean MSE is at least 1 has no post-SNR in dB;
+        # strict parsers reject the NaN literal, so it is written as null
+        def no_constants(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        code = main(["ber-sweep", "receivers=mmse-le", "snr=-40,-30", "m=64",
+                     "v=8", "max_blocks=2", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+        post = [row["post_snr_db"] for row in doc["rows"]]
+        assert post[0] is None and isinstance(post[1], float)
+
     @pytest.mark.parametrize("override, key", [
         (["receivers=zf-le,mmse-dfe", "fbf_len=600"], "fbf_length"),
         (["max_blocks=1099511627776"], "max_blocks"),
         (["receivers=mmse-le", "snr=0,inf"], "finite"),
         (["snr=nan"], "finite"),
         (["snr=-inf,0"], "finite"),
-        (["receivers=zf-le", "zf_epsilon=nan"], "zf_epsilon"),
+        # the retired regularizer loads only at the fixed ZF floor
+        (["receivers=zf-le", "zf_epsilon=0"], "zf_epsilon"),
         # 10^(-snr/10) underflows to a zero noise variance or overflows
         (["receivers=zf-le,mmse-le", "snr=0,4000"], "snr_db=4000.0"),
-        (["receivers=zf-dfe", "snr=0,4000", "zf_epsilon=0"], "snr_db=4000.0"),
+        (["receivers=zf-dfe", "snr=0,4000"], "snr_db=4000.0"),
         (["snr=-4000"], "snr_db=-4000.0"),
         # both points hash to one cell key, so both cells would replay
         # the same random streams
@@ -229,18 +242,6 @@ class TestBerSweep:
         assert main(["ber-sweep", "--config", str(small_config)]) == 2
         assert f"{name!r} must be an integer" in capsys.readouterr().err
 
-    def test_singular_channels_exit_2(self, small_config, monkeypatch, capsys):
-        # a channel still singular after every redraw is a bad run, not a
-        # crash: one error line and exit code 2
-        def singular(trial_index, *args):
-            raise SingularChannelError("synthetic null", np.array([0]))
-
-        monkeypatch.setattr(simulator, "run_block", singular)
-        code = main(["ber-sweep", "--config", str(small_config)])
-        assert code == 2
-        err = _lines(capsys.readouterr().err)
-        assert len(err) == 1 and err[0].startswith("error: 65 singular channels")
-
     def test_conditioning_error_exits_2(self, small_config, monkeypatch, capsys):
         # the real recursion, handed an autocovariance that is not positive
         # definite (|q(1)| > q(0)), loses positive definiteness at order 1
@@ -300,42 +301,84 @@ class TestGap:
         assert 0.0 < gap < 15.0
 
     def test_retired_parallel_width_key_is_ignored(self, tmp_path, capsys):
-        # sweep JSON written while the config had parallel_width carries it
+        # sweep JSON written while the config had parallel_width and
+        # zf_epsilon, and the rows a redraws count, carries them
         sweep = self._sweep_json(tmp_path)
         doc = json.loads(sweep.read_text())
-        assert "parallel_width" not in doc["config"]
+        assert not {"parallel_width", "zf_epsilon"} & set(doc["config"])
+        assert not any("redraws" in row for row in doc["rows"])
         old = tmp_path / "old.json"
-        doc["config"]["parallel_width"] = 2
+        doc["config"].update(parallel_width=2, zf_epsilon=1e-12)
+        for row in doc["rows"]:
+            row["redraws"] = 0
         old.write_text(json.dumps(doc))
         outputs = []
         for path in (sweep, old):
             assert main(["gap", "--input", str(path), "--target-ber", "0.02"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] and outputs[0].count("\n") == 2
+        # any other regularizer describes a receiver that no longer runs
+        doc["config"]["zf_epsilon"] = 0
+        old.write_text(json.dumps(doc))
+        assert main(["gap", "--input", str(old), "--target-ber", "0.02"]) == 2
+        err = capsys.readouterr().err
+        assert "'zf_epsilon'" in err and "1e-12" in err
 
     def test_nonbracketing_exit_3(self, tmp_path, capsys):
         sweep = self._sweep_json(tmp_path)
         assert main(["gap", "--input", str(sweep), "--target-ber", "1e-9"]) == 3
         assert "span" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("snr, ber", [
-        (float("nan"), 0.01), (float("inf"), 0.01), (None, 0.01),
-        (4.0, float("nan")), (4.0, 1.5), (4.0, -0.1), (4.0, "0.01"),
+    @pytest.mark.parametrize("rows, target, where", [
+        # zf-le brackets 0.02, and mmse-le has no rows in the sweep
+        ([("zf-le", 0.0, 0.3), ("zf-le", 8.0, 0.01)], "0.02",
+         "mmse-le sweep curve: need two curve points, got 0"),
+        # the sweep brackets 0.2, the AWGN MFB (0.079 at 0 dB) does not
+        ([(rx, snr, ber) for rx in ("zf-le", "mmse-le")
+          for snr, ber in ((0.0, 0.3), (8.0, 0.01))], "0.2",
+         "zf-le MFB curve: target ber 0.2 not bracketed"),
+    ])
+    def test_range_error_names_receiver_and_curve(self, tmp_path, capsys, rows,
+                                                  target, where):
+        doc = {"config": {"receivers": "zf-le,mmse-le", "v": 4, "m": 64,
+                          "snr": [0.0, 8.0]},
+               "rows": [{"receiver": rx, "snr_db": snr, "ber": ber}
+                        for rx, snr, ber in rows]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gap", "--input", str(path), "--target-ber", target]) == 3
+        err = _lines(capsys.readouterr().err)
+        assert len(err) == 1 and err[0].startswith(f"error: {where}")
+
+    @pytest.mark.parametrize("row", [
+        *[pytest.param({"receiver": "zf-le", "snr_db": snr, "ber": ber},
+                       id=f"{snr}-{ber}")
+          for snr, ber in ((float("nan"), 0.01), (float("inf"), 0.01),
+                           (None, 0.01), (4.0, float("nan")), (4.0, 1.5),
+                           (4.0, -0.1), (4.0, "0.01"),
+                           # bools are not numbers, as in SweepConfig
+                           (4.0, True), (True, 0.01))],
+        pytest.param({"snr_db": 4.0, "ber": 0.01}, id="no-receiver"),
+        pytest.param({"receiver": 5, "snr_db": 4.0, "ber": 0.01},
+                     id="receiver-5"),
+        pytest.param({"receiver": "zf-le", "ber": 0.01}, id="no-snr_db"),
+        pytest.param(["zf-le", 4.0, 0.01], id="row-a-list"),
     ])
     def test_bad_row_exits_2_before_interpolation(self, tmp_path, monkeypatch,
-                                                  capsys, snr, ber):
+                                                  capsys, row):
         def no_curves(*args, **kwargs):
             raise AssertionError("a curve was used before the rows were checked")
 
         monkeypatch.setattr("scfde.simulator.mfb_reference_curve", no_curves)
         monkeypatch.setattr("scfde.simulator.gap_at_ber", no_curves)
         doc = {"config": {"receivers": "zf-le", "nr": 2, "v": 4, "m": 64},
-               "rows": [{"receiver": "zf-le", "snr_db": s, "ber": b}
-                        for s, b in ((0.0, 0.2), (snr, ber), (8.0, 0.001))]}
+               "rows": [{"receiver": "zf-le", "snr_db": 0.0, "ber": 0.2}, row,
+                        {"receiver": "zf-le", "snr_db": 8.0, "ber": 0.001}]}
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(doc))
         assert main(["gap", "--input", str(path), "--target-ber", "0.02"]) == 2
-        assert "finite snr_db and a ber in [0, 1]" in capsys.readouterr().err
+        assert ("a string receiver, a finite snr_db and a ber in [0, 1]"
+                in capsys.readouterr().err)
 
 
     @pytest.mark.parametrize("doc", [

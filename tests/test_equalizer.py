@@ -39,10 +39,9 @@ def dense_fbf(q, L):
     return np.linalg.solve(A, -q[1 : L + 1])
 
 
-def synth(name, h, sigma_n_sq=0.0, fbf_length=20, zf_epsilon=1e-12):
+def synth(name, h, sigma_n_sq=0.0, fbf_length=20):
     """eq.synthesize for the receiver called `name`."""
-    spec = eq.ReceiverSpec.from_name(name, fbf_length=fbf_length,
-                                     zf_epsilon=zf_epsilon)
+    spec = eq.ReceiverSpec.from_name(name, fbf_length=fbf_length)
     return eq.synthesize(spec, h, sigma_n_sq)
 
 
@@ -107,10 +106,6 @@ class TestReceiverSpec:
         with pytest.raises(ValueError):
             eq.ReceiverSpec.from_name("mmse-dfe", fbf_length=0)
 
-    def test_epsilon_nonnegative(self):
-        with pytest.raises(ValueError):
-            eq.ReceiverSpec.from_name("zf-le", zf_epsilon=-1e-9)
-
 
 class TestConventionalLe:
     def test_flat_wiener(self):
@@ -129,12 +124,12 @@ class TestConventionalLe:
     def test_zf_plain_ratio(self):
         # |h|^2 = 2 at sigma_n^2 = 1: mse 1/2, post-SNR sigma_x^2 / mse = 2
         h = flat_channel(16, gain=np.sqrt(2) + 0j)
-        f = synth("zf-le", h, zf_epsilon=0.0, sigma_n_sq=1.0)
+        f = synth("zf-le", h, sigma_n_sq=1.0)
         assert f.predicted_mse == pytest.approx(0.5)
 
     def test_zf_flat_inversion(self):
         h = flat_channel(32, gain=2.0 + 0j)
-        f = synth("zf-le", h, zf_epsilon=0.0)
+        f = synth("zf-le", h)
         np.testing.assert_allclose(f.fff, 0.5)
         x, x_f = bpsk_block(32, 0)
         z, _ = equalize("zf-le", f, apply_channel_freq(x_f, h, 0.0, None), x_f)
@@ -144,7 +139,7 @@ class TestConventionalLe:
         h = rayleigh(RngStream(21, 0).generator(), 2, 20, 128)
         x, x_f = bpsk_block(128, 1)
         y = apply_channel_freq(x_f, h, 0.0, None)
-        f = synth("zf-le", h, zf_epsilon=0.0)
+        f = synth("zf-le", h)
         z, _ = equalize("zf-le", f, y, x_f)
         err = np.linalg.norm(z - x) / np.linalg.norm(
             x
@@ -161,7 +156,7 @@ class TestConventionalLe:
     def test_mmse_approaches_zf(self):
         h = rayleigh(RngStream(23, 0).generator(), 1, 20, 64)
         fm = synth("mmse-le", h, 1e-10)
-        fz = synth("zf-le", h, zf_epsilon=0.0)
+        fz = synth("zf-le", h)
         assert np.max(np.abs(fm.fff - fz.fff) / np.abs(fz.fff)) < 1e-4
 
     def test_mmse_rejects_zero_noise(self):
@@ -169,19 +164,24 @@ class TestConventionalLe:
             synth("mmse-le", flat_channel(16), 0.0)
 
     def test_singular_channel(self):
-        # two-tap [1, -1] has an exact null at k=0
+        # two-tap [1, -1] has an exact null at k=0; the fixed ZF floor keeps
+        # every ZF receiver finite on it, alone or inside a batch
         h = np.fft.fft([[1.0 + 0j, -1.0 + 0j]], n=16, axis=1)
-        with pytest.raises(eq.SingularChannelError) as unbatched:
-            synth("zf-le", h, zf_epsilon=0.0)
-        assert unbatched.value.rows.tolist() == [0]
-        synth("zf-le", h, zf_epsilon=1e-6)  # regularized is fine
-        # in a batch, the error names the singular rows
+        assert h[0, 0] == 0
         other = rayleigh(RngStream(24, 0).generator(), 1, 2, 16)
         batch = np.stack([other, h, other])
-        for name in ("zf-le", "wl-zf-dfe"):
-            with pytest.raises(eq.SingularChannelError) as batched:
-                synth(name, batch, fbf_length=4, zf_epsilon=0.0)
-            assert batched.value.rows.tolist() == [1]
+        x, x_f = bpsk_block(16, 2)
+        y = apply_channel_freq(x_f, h, 0.0, None)
+        for name in ("zf-le", "zf-dfe", "wl-zf-le", "wl-zf-dfe"):
+            alone = synth(name, h, 0.1, fbf_length=4)
+            batched = synth(name, batch, np.full(3, 0.1), fbf_length=4)
+            for f in (alone, batched):
+                assert np.all(np.isfinite(f.fff))
+                assert np.all(np.isfinite(f.fbf_taps))
+                assert np.all(np.isfinite(f.predicted_mse))
+            z, _ = equalize(name, alone, y, x_f)
+            zb, _ = equalize(name, batched, np.stack([y, y, y]), np.stack([x_f] * 3))
+            assert np.all(np.isfinite(z)) and np.all(np.isfinite(zb))
 
 
 class TestConventionalDfe:
@@ -253,7 +253,7 @@ class TestConventionalDfe:
         h = rayleigh(RngStream(29, 0).generator(), 1, 20, 128)
         x, x_f = bpsk_block(128, 2)
         y = apply_channel_freq(x_f, h, 0.0, None)
-        f = synth("zf-dfe", h, fbf_length=19, zf_epsilon=0.0)
+        f = synth("zf-dfe", h, fbf_length=19)
         z, idx = equalize("zf-dfe", f, y, x_f)
         err = np.linalg.norm(z - x) / np.linalg.norm(
             x
@@ -367,25 +367,25 @@ class TestWidelyLinear:
         h = rayleigh(RngStream(34, 0).generator(), 1, 20, 128)
         x, x_f = bpsk_block(128, 6)
         y = apply_channel_freq(x_f, h, 0.0, None)
-        fle = synth("wl-zf-le", h, zf_epsilon=0.0)
+        fle = synth("wl-zf-le", h)
         z, _ = equalize("wl-zf-le", fle, y, x_f)
         assert np.linalg.norm(z - x) < 1e-9 * np.linalg.norm(z)
-        fdfe = synth("wl-zf-dfe", h, fbf_length=19, zf_epsilon=0.0)
+        fdfe = synth("wl-zf-dfe", h, fbf_length=19)
         zd, _ = equalize("wl-zf-dfe", fdfe, y, x_f)
         assert np.linalg.norm(zd - x) < 1e-9 * np.linalg.norm(zd)
 
     def test_mmse_approaches_zf(self):
         h = rayleigh(RngStream(35, 0).generator(), 2, 20, 64)
         fm = synth("wl-mmse-le", h, 1e-10)
-        fz = synth("wl-zf-le", h, zf_epsilon=0.0)
+        fz = synth("wl-zf-le", h)
         assert np.max(np.abs(fm.fff - fz.fff) / np.max(np.abs(fz.fff))) < 1e-4
         fmd = synth("wl-mmse-dfe", h, 1e-10, 8)
-        fzd = synth("wl-zf-dfe", h, fbf_length=8, zf_epsilon=0.0)
+        fzd = synth("wl-zf-dfe", h, fbf_length=8)
         assert np.max(np.abs(fmd.fbf_taps - fzd.fbf_taps)) < 1e-4
 
     def test_flat_dfe_collapses(self):
         h = flat_channel(64)
-        f = synth("wl-zf-dfe", h, fbf_length=6, zf_epsilon=0.0,
+        f = synth("wl-zf-dfe", h, fbf_length=6,
                   sigma_n_sq=1.0)
         np.testing.assert_allclose(f.fbf_taps, 0, atol=1e-12)
 
@@ -452,9 +452,9 @@ class TestDispatcher:
         # ZF-DFE built by hand: taps from a dense solve on the guarded
         # inverse spectrum, w(k) = (1 + b(k)) h*(k) / (|h(k)|^2 + eps)
         h = rayleigh(RngStream(39, 0).generator(), 1, 8, 64)
-        spec = eq.ReceiverSpec.from_name("zf-dfe", fbf_length=7, zf_epsilon=1e-9)
+        spec = eq.ReceiverSpec.from_name("zf-dfe", fbf_length=7)
         f = eq.synthesize(spec, h, 0.25)
-        denom = np.abs(h[0]) ** 2 + 1e-9
+        denom = np.abs(h[0]) ** 2 + eq.ZF_FLOOR
         taps = dense_fbf(idft(1.0 / denom), 7)
         one_plus_b = dft(np.concatenate([[1.0], taps, np.zeros(64 - 8)]))
         np.testing.assert_allclose(f.fbf_taps, taps, rtol=1e-8, atol=1e-10)
@@ -486,7 +486,7 @@ class TestLimitingAnchors:
 
     def test_conv_zf_dfe_nr1(self):
         fs = _ensemble(
-            lambda h: synth("zf-dfe", h, fbf_length=19, zf_epsilon=0.0,
+            lambda h: synth("zf-dfe", h, fbf_length=19,
                              sigma_n_sq=1.0),
             500, 1, 41,
         )
@@ -494,7 +494,7 @@ class TestLimitingAnchors:
 
     def test_wl_zf_dfe_nr1(self):
         fs = _ensemble(
-            lambda h: synth("wl-zf-dfe", h, fbf_length=20, zf_epsilon=0.0,
+            lambda h: synth("wl-zf-dfe", h, fbf_length=20,
                              sigma_n_sq=1.0),
             500, 1, 42,
         )
@@ -502,7 +502,7 @@ class TestLimitingAnchors:
 
     def test_wl_zf_dfe_nr2(self):
         fs = _ensemble(
-            lambda h: synth("wl-zf-dfe", h, fbf_length=20, zf_epsilon=0.0,
+            lambda h: synth("wl-zf-dfe", h, fbf_length=20,
                              sigma_n_sq=1.0),
             400, 2, 43,
         )
@@ -511,7 +511,7 @@ class TestLimitingAnchors:
     def test_conv_zf_le_nr2(self):
         # E[1/chi2] argument is exact at any v: mean mse = sigma_n^2
         fs = _ensemble(
-            lambda h: synth("zf-le", h, zf_epsilon=0.0, sigma_n_sq=1.0),
+            lambda h: synth("zf-le", h, sigma_n_sq=1.0),
             400, 2, 44,
         )
         mean_mse = np.mean([f.predicted_mse for f in fs])
@@ -522,7 +522,7 @@ class TestLimitingAnchors:
         # costing the single-antenna WL-LE about 0.2-1 dB beyond its 3.01 dB
         # asymptotic gap to the real matched filter bound of 2r
         fs = _ensemble(
-            lambda h: synth("wl-zf-le", h, zf_epsilon=0.0, sigma_n_sq=1.0),
+            lambda h: synth("wl-zf-le", h, sigma_n_sq=1.0),
             500, 1, 46,
         )
         post = 1.0 / np.mean([f.predicted_mse for f in fs])

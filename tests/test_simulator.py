@@ -20,7 +20,7 @@ from scfde import channel, kernels, modem, numerics
 from scfde import equalizer as eq
 from scfde import simulator as sim
 from scfde.analytics import mfb_ber
-from scfde.equalizer import RECEIVER_NAMES, ReceiverSpec, SingularChannelError
+from scfde.equalizer import RECEIVER_NAMES, ReceiverSpec
 
 # the suite is deterministic: every run tries the same examples
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
@@ -32,7 +32,7 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=6)
 CONFIG_KEYS = sorted({f.name for f in dataclasses.fields(sim.SweepConfig)}
-                     | set(sim._ALIASES) | {"parallel_width"})
+                     | set(sim._ALIASES) | {"parallel_width", "zf_epsilon"})
 
 
 def small_config(**overrides):
@@ -52,8 +52,7 @@ def small_config(**overrides):
 
 
 def _row(out, row=0):
-    """One row of a run_block or run_block_with_retry result, as Python
-    numbers."""
+    """One row of a run_block result, as Python numbers."""
     return tuple(column[row].item() for column in out)
 
 
@@ -160,10 +159,11 @@ class TestSweepConfig:
         except ValueError:
             return
         assert all(type(s) is float for s in cfg.snr_db)
-        assert type(cfg.zf_epsilon) is float
         if sim._ALIASES.get(key, key) in ("snr_db", "zf_epsilon"):
             assert not any(isinstance(v, bool)
                            for v in (value if isinstance(value, list) else [value]))
+        if key == "zf_epsilon":  # retired: loads at the fixed floor only
+            assert float(value) == eq.ZF_FLOOR
 
 
 class TestRunBlock:
@@ -241,26 +241,6 @@ class TestRunBlock:
         for one, listed in zip(sim.run_block(7 << 8, cfg, spec, 8.0),
                                sim.run_block([7 << 8], cfg, spec, 8.0)):
             assert one.shape == (1,) and one.tolist() == listed.tolist()
-        out = sim.run_block_with_retry(7 << 8, cfg, spec, 8.0)
-        assert [column.shape for column in out] == [(1,)] * 4
-
-    def test_singular_channel_redrawn(self, monkeypatch):
-        cfg = small_config(receivers=["zf-le"])
-        spec = ReceiverSpec.from_name("zf-le", zf_epsilon=0.0)
-        calls = []
-        real = sim.run_block
-
-        def flaky(trial_index, *args):
-            if not calls:
-                calls.append(trial_index)
-                raise SingularChannelError("synthetic null", np.array([0]))
-            return real(trial_index, *args)
-
-        monkeypatch.setattr(sim, "run_block", flaky)
-        *out, redraws = sim.run_block_with_retry(512, cfg, spec, 8.0)
-        assert redraws.tolist() == [1]
-        assert calls == [[512]]  # first attempt used the base index
-        assert _row(out) == _row(real([513], cfg, spec, 8.0))
 
 
 class TestRunSweep:
@@ -372,30 +352,6 @@ class TestBatching:
         sim.run_block([1 << 8, 2 << 8, 3 << 8], cfg, spec, 8.0)
         assert len(calls) == 1
 
-    def test_singular_row_redrawn_alone(self, monkeypatch):
-        # row 2 is singular at its index and the next one, row 4 at its
-        # index only; every other row keeps its first index and result
-        cfg = small_config(receivers=["zf-le"])
-        spec = cfg.receiver_specs()[0]
-        real = sim.run_block
-        trials = [k << 8 for k in range(6)]
-        singular = {trials[2], trials[2] + 1, trials[4]}
-
-        def flaky(index, *args):
-            rows = [i for i, t in enumerate(index) if t in singular]
-            if rows:
-                raise SingularChannelError("synthetic null", np.array(rows))
-            return real(index, *args)
-
-        monkeypatch.setattr(sim, "run_block", flaky)
-        *outs, redraws = sim.run_block_with_retry(trials, cfg, spec, 8.0)
-        assert redraws.tolist() == [0, 0, 2, 0, 1, 0]
-        for row, (t, r) in enumerate(zip(trials, redraws.tolist())):
-            assert _row(outs, row) == _row(real([t + r], cfg, spec, 8.0))
-        monkeypatch.setattr(sim, "MAX_REDRAWS", 1)
-        with pytest.raises(SingularChannelError, match="2 singular channels"):
-            sim.run_block_with_retry(trials, cfg, spec, 8.0)
-
     @pytest.mark.parametrize("overrides", [
         dict(receivers=["zf-le", "mmse-dfe"], feedback="decision", fbf_len=4,
              snr_db=[0.0, 4.0, 8.0, 14.0], max_blocks=300),
@@ -427,7 +383,7 @@ class TestBatching:
         for row in rows:
             cell_runs = runs[sim._cell_base(row.receiver, row.snr_db) >> 40]
             ordinals = [k for run in cell_runs for k in run]
-            assert ordinals == list(range(len(ordinals)))  # no redraws here
+            assert ordinals == list(range(len(ordinals)))
             assert len(cell_runs[0]) == 1
             for run in cell_runs[1:]:
                 # a run is a request, or the part of one a pass boundary
@@ -495,13 +451,6 @@ class TestBatching:
 
 
 class TestTrialIndexPacking:
-    def test_redraws_fit_the_low_byte(self):
-        # a row's redraws advance bits 0-7 of its trial index
-        assert 0 <= sim.MAX_REDRAWS < 256
-        cfg = small_config()
-        spec = ReceiverSpec.from_name("mmse-le")
-        assert sim.run_block_with_retry(0, cfg, spec, 8.0)[3].tolist() == [0]
-
     def test_realizations_fit_the_ordinal_field(self):
         cfg = small_config()
         for bad in (0, 2**32 + 1):
@@ -509,12 +458,13 @@ class TestTrialIndexPacking:
                 sim.measure_post_snr(cfg, 8.0, bad)
 
     def test_cell_reproduces_from_its_trial_indices(self):
-        # a cell's blocks are run_block_with_retry at cell_hash | ordinal << 8
+        # a cell's blocks are run_block at cell_hash | ordinal << 8, with
+        # bits 0-7 zero
         cfg = small_config(snr_db=[4.0], max_blocks=5)
         (row,) = sim.run_sweep(cfg).rows
         spec = cfg.receiver_specs()[0]
         base = sim._cell_base(spec.name, 4.0)
-        errors, bits, _, _ = sim.run_block_with_retry(
+        errors, bits, _ = sim.run_block(
             [base | k << 8 for k in range(row.blocks)], cfg, spec, 4.0)
         assert row.errors == errors.sum()
         assert row.bits == bits.sum()
