@@ -24,7 +24,10 @@ filters themselves stay noise-independent.
 A linear equalizer is the DFE with no feedback taps, 1 + b = 1, so one
 pass, equalize, serves all eight receivers: it filters the received
 spectrum once, returns the ideal-feedback output (exactly the LE output
-when b = 0) and slices with the receiver's feedback mode.
+when b = 0) and slices with the receiver's feedback mode. The one
+sequential step, a decision-directed DFE's feedback pass, is returned
+as its inputs (a FeedbackPass), so that a caller can run the rows of
+many blocks and receivers through kernels.dd_feedback in one call.
 
 The channel is its (n_r, M) frequency response (see channel), and M is
 read from its shape. A batch of responses (a leading row axis) gives
@@ -35,6 +38,7 @@ outputs do not depend on the batch it ran in.
 
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +49,7 @@ __all__ = [
     "RECEIVER_NAMES",
     "ReceiverSpec",
     "EqualizerFilters",
+    "FeedbackPass",
     "ZF_FLOOR",
     "synthesize",
     "equalize",
@@ -155,6 +160,18 @@ class EqualizerFilters:
     predicted_mse: float
 
 
+class FeedbackPass(NamedTuple):
+    """The inputs of a decision-directed DFE's sequential feedback pass:
+    its decisions are kernels.dd_feedback(z_t, taps, tail, c.points,
+    c.is_real). The rows of several passes with as many taps stack into
+    one call (np.concatenate over the first axis) and give the same
+    indices row for row, real widely linear rows among complex ones too."""
+
+    z_t: np.ndarray
+    taps: np.ndarray
+    tail: np.ndarray
+
+
 def _one_plus_b(taps, m) -> np.ndarray:
     taps = np.asarray(taps)
     poly = np.zeros((*taps.shape[:-1], m), dtype=complex)
@@ -247,13 +264,15 @@ def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
     feed-forward spectrum z_f is formed once. The returned z is the
     ideal-feedback output idft(z_f - b(k) X(k)): the ISI that (1 + b) put
     into z_f is removed with the true symbols, and for a linear equalizer
-    b = 0, so z is its output. The returned indices (into c.points) are
-    the receiver's decisions: for a decision-directed DFE those of the
-    sequential feedback pass on idft(z_f), its wrapped tail (positions
-    M-L..M-1) taken from hard decisions of the companion linear equalizer
-    z_f / (1 + b); otherwise the nearest points to z.
+    b = 0, so z is its output. The receiver's decisions are the nearest
+    points to z, except for a decision-directed DFE: its decisions come
+    from the sequential feedback pass on idft(z_f), its wrapped tail
+    (positions M-L..M-1) taken from hard decisions of the companion
+    linear equalizer z_f / (1 + b), and that pass is returned as its
+    inputs for the caller to run.
 
-    Returns (z, indices).
+    Returns (z, decided): decided is the decisions as indices into
+    c.points, or a FeedbackPass for a decision-directed DFE.
     """
     widely_linear = spec.family == "widely-linear"
     if widely_linear and not c.is_real:
@@ -269,8 +288,8 @@ def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
         return z, kernels.nearest_index(z, c.points, c.is_real)
     tail = c.points[kernels.nearest_index(
         _linear_tail(widely_linear, filters, z_f), c.points, c.is_real)]
-    return z, kernels.dd_feedback(_time_block(widely_linear, z_f),
-                                  filters.fbf_taps, tail, c.points, c.is_real)
+    return z, FeedbackPass(_time_block(widely_linear, z_f), filters.fbf_taps,
+                           tail)
 
 
 def _linear_tail(widely_linear, filters: EqualizerFilters, z_f) -> np.ndarray:

@@ -10,10 +10,12 @@ isolation. Bits 0-7 are always zero; they are kept so that every cell
 draws the same random streams as sweeps written before.
 
 Blocks run in batches: run_block takes a list of trial indices, with
-one SNR for all or one per index, and carries every array of the chain
-with a leading batch axis, so the sequential loops (Levinson orders,
-decision-feedback positions) run once per batch. A row's results are
-the same bits whatever batch it runs in. The SNR cells of a receiver
+one receiver and one SNR for all or one per index, and carries every
+array of the chain with a leading batch axis, so the sequential loops
+run once per batch: Levinson orders once per front-end pass of one
+receiver's rows, decision-feedback positions once per call for the
+decision-directed rows of all receivers. A row's results are the same
+bits whatever batch it runs in. All (receiver, SNR) cells of a sweep
 share their batches (see _run_cells): each round, every cell still
 running asks for rows from its committed counts only, and the rows of
 all cells run together. A cell commits its rows in ordinal order and
@@ -38,9 +40,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .analytics import limit_snr, mfb_ber
 from .channel import apply_channel_freq, draw_channel
-from .equalizer import ZF_FLOOR, ReceiverSpec, equalize, synthesize
+from .equalizer import ZF_FLOOR, FeedbackPass, ReceiverSpec, equalize, synthesize
 from .modem import (
     constellation,
     count_bit_errors,
@@ -149,9 +152,12 @@ def _real(key, value) -> float:
 
 # trial index fields, see the module docstring
 _MAX_ORDINALS = 1 << 32
-# samples (antennas x block size) per run_block pass: 16 blocks of 512 at
+# samples (antennas x block size) per front-end pass: 16 blocks of 512 at
 # one antenna, 128 of 64; bounds the pass's arrays, and so the memory
 BATCH_SAMPLES = 1 << 13
+# front-end passes of rows per run_block call of a sweep (64 blocks of 512,
+# 512 of 64): bounds the rows held for one shared decision-feedback pass
+FEEDBACK_PASSES = 4
 
 
 @dataclass(frozen=True)
@@ -318,21 +324,14 @@ def _cell_base(receiver_name: str, snr_db: float) -> int:
     return int.from_bytes(digest[:4], "big") << 40
 
 
-def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
-    """Blocks through the full chain, one per trial index, as one batch.
+def _pass_rows(config: SweepConfig) -> int:
+    """Rows of one front-end pass: BATCH_SAMPLES over antennas x block size."""
+    return max(1, BATCH_SAMPLES // (config.antennas * config.block_size))
 
-    trial_index is a 1-d sequence of indices, or one int for a batch of
-    one. Returns (bit_errors, bits, mse), three arrays whose row i is the
-    block of trial index i; a row's values are the same bits whatever
-    batch it runs in. snr_db is one SNR for every row or one per index.
-    """
-    trials = ([int(trial_index)] if isinstance(trial_index, numbers.Integral)
-              else [int(t) for t in trial_index])
-    snrs = [snr_db] * len(trials) if np.ndim(snr_db) == 0 else list(snr_db)
-    if len(snrs) != len(trials):
-        raise ValueError(f"need one snr_db per trial index: {len(snrs)} values "
-                         f"for {len(trials)} indices")
-    c = constellation(config.constellation)
+
+def _front_end(config: SweepConfig, c, spec: ReceiverSpec, trials, snrs):
+    """One pass of rows of one receiver, from their draws through
+    equalize: (tx_bits, mse, decided), decided as equalize returns it."""
     m, n_r, v = config.block_size, config.antennas, config.taps
     sigma_n_sq = np.array([_noise_variance(s) for s in snrs])
     # one stream per row: its bits, then one call for the standard normals
@@ -346,15 +345,68 @@ def run_block(trial_index, config: SweepConfig, receiver: ReceiverSpec, snr_db):
     x_t = map_bits(tx_bits, c)
     x_f = precode(x_t)
     h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
-    filters = synthesize(receiver, h, sigma_n_sq)
+    filters = synthesize(spec, h, sigma_n_sq)
     y = apply_channel_freq(x_f, h, sigma_n_sq, normals[:, 2 * n_r * v :])
-    # a batch's arrays are large: each is dropped once nothing reads it, which
-    # keeps the peak memory of a batch near that of the step it is in
+    # a pass's arrays are large: each is dropped once nothing reads it, which
+    # keeps the peak memory of a pass near that of the step it is in
     del normals, h
-    z, indices = equalize(receiver, filters, y, c, x_f)
-    mse = np.mean(np.abs(z - x_t) ** 2, axis=-1)
-    errors = count_bit_errors(tx_bits, index_bits(indices, c))
-    return errors, np.full(len(trials), tx_bits.shape[-1]), mse
+    z, decided = equalize(spec, filters, y, c, x_f)
+    return tx_bits, np.mean(np.abs(z - x_t) ** 2, axis=-1), decided
+
+
+def run_block(trial_index, config: SweepConfig, receiver, snr_db):
+    """Blocks through the full chain, one per trial index, as one batch.
+
+    trial_index is a 1-d sequence of indices, or one int for a batch of
+    one. receiver is one ReceiverSpec for every row or one per index, and
+    snr_db one SNR for every row or one per index. Returns (bit_errors,
+    bits, mse), three arrays whose row i is the block of trial index i; a
+    row's values are the same bits whatever batch it runs in.
+
+    The rows of each receiver run from their draws through equalize in
+    passes of at most BATCH_SAMPLES / (antennas * block size) rows. The
+    decision-directed DFE rows of all receivers then share one sequential
+    feedback pass (kernels.dd_feedback) per feedback length, whose cost
+    grows far slower than its rows.
+    """
+    trials = ([int(trial_index)] if isinstance(trial_index, numbers.Integral)
+              else [int(t) for t in trial_index])
+    n = len(trials)
+    snrs = [snr_db] * n if np.ndim(snr_db) == 0 else list(snr_db)
+    specs = [receiver] * n if isinstance(receiver, ReceiverSpec) else list(receiver)
+    if len(snrs) != n:
+        raise ValueError(f"need one snr_db per trial index: {len(snrs)} values "
+                         f"for {n} indices")
+    if len(specs) != n:
+        raise ValueError(f"need one receiver per trial index: {len(specs)} "
+                         f"receivers for {n} indices")
+    c = constellation(config.constellation)
+    groups = {}  # receiver -> its rows, in order
+    for row, spec in enumerate(specs):
+        groups.setdefault(spec, []).append(row)
+    errors, mse = np.empty(n, np.intp), np.empty(n)
+    feedback = {}  # feedback length -> (rows, tx_bits, FeedbackPass) of its passes
+    step = _pass_rows(config)
+    for spec, rows in groups.items():
+        for lo in range(0, len(rows), step):
+            part = rows[lo : lo + step]
+            tx_bits, mse[part], decided = _front_end(
+                config, c, spec, [trials[i] for i in part], [snrs[i] for i in part])
+            if isinstance(decided, FeedbackPass):
+                feedback.setdefault(decided.taps.shape[-1], []).append(
+                    (part, tx_bits, decided))
+            else:
+                errors[part] = count_bit_errors(tx_bits, index_bits(decided, c))
+    for passes in feedback.values():
+        parts, tx_bits, decided = zip(*passes)
+        # stacking casts real widely linear rows to complex, which leaves
+        # their decisions unchanged (see FeedbackPass)
+        z_t, taps, tail = (np.concatenate(column) for column in zip(*decided))
+        indices = kernels.dd_feedback(z_t, taps, tail, c.points, c.is_real)
+        rows = [row for part in parts for row in part]
+        errors[rows] = count_bit_errors(np.concatenate(tx_bits),
+                                        index_bits(indices, c))
+    return errors, np.full(n, config.block_size * c.bits_per_symbol), mse
 
 
 def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
@@ -373,6 +425,7 @@ def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
 class _Tally:
     """The committed blocks of one (receiver, SNR) cell."""
 
+    spec: ReceiverSpec
     snr_db: float
     base: int
     errors: int = 0
@@ -402,32 +455,35 @@ def _next_batch(tally: _Tally, budget: int, max_blocks: int, min_errors) -> int:
     return min(budget, max_blocks - blocks, wanted)
 
 
-def _run_cells(config: SweepConfig, spec: ReceiverSpec, snrs, max_blocks: int,
+def _run_cells(config: SweepConfig, cells, max_blocks: int,
                min_errors=math.inf) -> list:
-    """Run the cells of one receiver at the SNRs snrs together; a _Tally each.
+    """Run the (receiver spec, SNR) cells together; a _Tally each, in order.
 
-    Each round, every active cell asks for its next batch (_next_batch),
-    the rows of all requests are concatenated and run_block runs them in
-    passes of at most BATCH_SAMPLES / (antennas * block size) rows,
-    whatever SNR each row has. A cell then commits its rows
-    in ordinal order and stops at min_errors bit errors or max_blocks
-    blocks, whichever comes first, discarding the rest of its rows. Its
-    trial indices are _cell_base(spec.name, snr) | ordinal << 8.
+    Each round, every active cell asks for its next batch (_next_batch,
+    at most one front-end pass of rows), and the rows of all requests go
+    to run_block in slices of at most FEEDBACK_PASSES front-end passes of
+    rows, whatever receiver and SNR each row has; a slice's
+    decision-directed rows share one feedback pass. A cell then commits
+    its rows in ordinal order and stops at min_errors bit errors or
+    max_blocks blocks, whichever comes first, discarding the rest of its
+    rows. Its trial indices are _cell_base(spec.name, snr) | ordinal << 8.
     """
     assert max_blocks <= _MAX_ORDINALS, "ordinal would overwrite the cell hash"
-    budget = max(1, BATCH_SAMPLES // (config.antennas * config.block_size))
-    tallies = [_Tally(snr, _cell_base(spec.name, snr)) for snr in snrs]
+    budget = _pass_rows(config)
+    cap = FEEDBACK_PASSES * budget
+    tallies = [_Tally(spec, snr, _cell_base(spec.name, snr)) for spec, snr in cells]
     active = tallies
     while active:
         sizes = [_next_batch(t, budget, max_blocks, min_errors) for t in active]
-        trials, row_snrs = [], []
+        trials, specs, snrs = [], [], []
         for t, size in zip(active, sizes):
             trials += [t.base | k << 8 for k in range(t.blocks, t.blocks + size)]
-            row_snrs += [t.snr_db] * size
-        passes = [run_block(trials[i : i + budget], config, spec,
-                            row_snrs[i : i + budget])
-                  for i in range(0, len(trials), budget)]
-        rows = zip(*(np.concatenate(col).tolist() for col in zip(*passes)))
+            specs += [t.spec] * size
+            snrs += [t.snr_db] * size
+        slices = [run_block(trials[i : i + cap], config, specs[i : i + cap],
+                            snrs[i : i + cap])
+                  for i in range(0, len(trials), cap)]
+        rows = zip(*(np.concatenate(col).tolist() for col in zip(*slices)))
         for t, size in zip(active, sizes):
             for errors, bits, mse in itertools.islice(rows, size):
                 if t.errors < min_errors:
@@ -450,31 +506,31 @@ def _post_snr_db(mses, criterion: str) -> float:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """BER/post-SNR over the full (receiver, snr) grid of the config.
 
-    The SNR cells of a receiver run together (see _run_cells), so their
-    INFO records are logged when the receiver's last cell has stopped.
+    All cells of the sweep run together (see _run_cells), so their INFO
+    records are logged, receiver by receiver in SNR order, when the
+    sweep's last cell has stopped.
     """
+    cells = [(spec, snr) for spec in config.receiver_specs()
+             for snr in config.snr_db]
     rows = []
-    for spec in config.receiver_specs():
-        tallies = _run_cells(config, spec, config.snr_db, config.max_blocks,
-                             config.min_bit_errors)
-        for t in tallies:
-            cell = SweepCell(
-                receiver=spec.name,
-                snr_db=float(t.snr_db),
-                bits=t.bits,
-                errors=t.errors,
-                ber=t.errors / t.bits,
-                post_snr_db=_post_snr_db(t.mses, spec.criterion),
-                analytic_db=_analytic_db(spec, config, t.snr_db),
-                blocks=t.blocks,
-                hit_max_blocks=t.errors < config.min_bit_errors,
-            )
-            log.info(
-                "%s @ %g dB: ber=%.4g errors=%d blocks=%d%s",
-                cell.receiver, t.snr_db, cell.ber, cell.errors, cell.blocks,
-                " (max_blocks hit)" if cell.hit_max_blocks else "",
-            )
-            rows.append(cell)
+    for t in _run_cells(config, cells, config.max_blocks, config.min_bit_errors):
+        cell = SweepCell(
+            receiver=t.spec.name,
+            snr_db=float(t.snr_db),
+            bits=t.bits,
+            errors=t.errors,
+            ber=t.errors / t.bits,
+            post_snr_db=_post_snr_db(t.mses, t.spec.criterion),
+            analytic_db=_analytic_db(t.spec, config, t.snr_db),
+            blocks=t.blocks,
+            hit_max_blocks=t.errors < config.min_bit_errors,
+        )
+        log.info(
+            "%s @ %g dB: ber=%.4g errors=%d blocks=%d%s",
+            cell.receiver, t.snr_db, cell.ber, cell.errors, cell.blocks,
+            " (max_blocks hit)" if cell.hit_max_blocks else "",
+        )
+        rows.append(cell)
     return SweepResult(config=config, rows=tuple(rows))
 
 
@@ -482,24 +538,24 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
                      realizations: int) -> tuple:
     """Genie-path empirical post-SNR over a fixed number of realizations.
 
-    Aggregation is sigma_x^2 / mean(mse), minus one for MMSE receivers,
-    compared against the closed-form limit where one exists.
+    The receivers' cells run together (see _run_cells). Aggregation is
+    sigma_x^2 / mean(mse), minus one for MMSE receivers, compared
+    against the closed-form limit where one exists.
     """
     if not 1 <= realizations <= _MAX_ORDINALS:
         raise ValueError("realizations must satisfy 1 <= realizations <= 2**32")
     _noise_variance(snr_db)
+    cells = [(replace(spec, feedback_mode="ideal_genie"), snr_db)
+             for spec in config.receiver_specs()]
     rows = []
-    for spec in config.receiver_specs():
-        genie = replace(spec, feedback_mode="ideal_genie")
-        (tally,) = _run_cells(config, genie, (snr_db,), realizations)
-        mses = tally.mses
-        post_db = _post_snr_db(mses, spec.criterion)
-        analytic = _analytic_db(spec, config, snr_db)
+    for t in _run_cells(config, cells, realizations):
+        post_db = _post_snr_db(t.mses, t.spec.criterion)
+        analytic = _analytic_db(t.spec, config, snr_db)
         rows.append(
             PostSnrRow(
-                receiver=spec.name,
+                receiver=t.spec.name,
                 snr_db=float(snr_db),
-                realizations=len(mses),
+                realizations=t.blocks,
                 post_snr_db=post_db,
                 analytic_db=analytic,
                 delta_db=None if analytic is None else post_db - analytic,

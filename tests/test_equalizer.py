@@ -56,9 +56,13 @@ def noise_normals(stream, h):
 
 
 def equalize(name, f, y, x_f, c=BPSK, feedback="genie"):
-    """eq.equalize for the receiver called `name`: (z, indices)."""
+    """eq.equalize for the receiver called `name`: (z, indices), with a
+    decision-directed DFE's feedback pass run on its own."""
     spec = eq.ReceiverSpec.from_name(name, feedback_mode=feedback)
-    return eq.equalize(spec, f, y, c, x_f)
+    z, decided = eq.equalize(spec, f, y, c, x_f)
+    if isinstance(decided, eq.FeedbackPass):
+        decided = kernels.dd_feedback(*decided, c.points, c.is_real)
+    return z, decided
 
 
 def bpsk_block(m, seed):
@@ -276,6 +280,26 @@ class TestConventionalDfe:
         np.testing.assert_array_equal(zd, zg)
         np.testing.assert_array_equal(dd, ig)
         np.testing.assert_array_equal(BPSK.points[dd], x)
+
+    @pytest.mark.parametrize("name", eq.RECEIVER_NAMES)
+    def test_only_decision_dfes_defer_their_feedback_pass(self, name):
+        # a decision-directed DFE returns the inputs of its sequential pass,
+        # idft(z_f) (real for the widely linear family), its taps and the
+        # tail, for the caller to stack; every other receiver slices z
+        h = rayleigh(RngStream(31, 0).generator(), 1, 8, 64)
+        x, x_f = bpsk_block(64, 4)
+        y = apply_channel_freq(x_f, h, 0.1, noise_normals(RngStream(31, 1), h))
+        f = synth(name, h, 0.1, 6)
+        spec = eq.ReceiverSpec.from_name(name, feedback_mode="decision")
+        z, decided = eq.equalize(spec, f, y, BPSK, x_f)
+        if spec.structure == "le":
+            np.testing.assert_array_equal(
+                decided, kernels.nearest_index(z, BPSK.points, True))
+            return
+        assert isinstance(decided, eq.FeedbackPass)
+        assert np.iscomplexobj(decided.z_t) == (spec.family == "conventional")
+        assert decided.z_t.shape == (64,) and decided.tail.shape == (6,)
+        np.testing.assert_array_equal(decided.taps, f.fbf_taps)
 
     def test_length_bounds(self):
         h = flat_channel(16)

@@ -287,3 +287,38 @@ class TestKernelProperties:
                 idx[row], kernels.dd_feedback(z_t[row], fbf[row], tail[row],
                                               points, real_metric))
 
+
+    @PROPERTY
+    @given(data=st.data(), m=st.integers(2, 64), wl_rows=st.integers(1, 4),
+           conv_rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_real_and_complex_rows_equal_1d_calls(self, data, m, wl_rows,
+                                                          conv_rows, seed):
+        # widely linear rows (real z_t, real taps) stacked under conventional
+        # ones (complex) are cast to complex by the stacking; each row still
+        # decides as its own 1-d call, on its own dtypes, bit for bit. Ties
+        # and signed zeros (z_t = +-0, zero taps) are drawn on purpose
+        n_taps = data.draw(st.integers(1, m - 1), label="L")
+        points, real_metric = ALPHABETS["bpsk"]
+        gen = RngStream(14, seed).generator()
+        special = np.array([0.0, -0.0, 1.0, -1.0])
+        wl_z = gen.standard_normal((wl_rows, m))
+        mask = gen.random((wl_rows, m)) < 0.3
+        wl_z[mask] = special[gen.integers(0, 4, np.count_nonzero(mask))]
+        wl_taps = 0.3 * gen.standard_normal((wl_rows, n_taps))
+        wl_taps[gen.random((wl_rows, n_taps)) < 0.3] = 0.0
+        conv_z = (gen.standard_normal((conv_rows, m))
+                  + 1j * gen.standard_normal((conv_rows, m)))
+        conv_taps = 0.3 * (gen.standard_normal((conv_rows, n_taps))
+                           + 1j * gen.standard_normal((conv_rows, n_taps)))
+        tails = points[gen.integers(0, 2, (wl_rows + conv_rows, n_taps))]
+        rows = list(zip(wl_z, wl_taps)) + list(zip(conv_z, conv_taps))
+        if data.draw(st.booleans(), label="conventional rows first"):
+            rows = rows[wl_rows:] + rows[:wl_rows]
+        z_t = np.concatenate([z[None] for z, _ in rows])
+        taps = np.concatenate([b[None] for _, b in rows])
+        assert z_t.dtype == taps.dtype == np.complex128
+        idx = kernels.dd_feedback(z_t, taps, tails, points, real_metric)
+        for row, (z, b) in enumerate(rows):
+            np.testing.assert_array_equal(
+                idx[row], kernels.dd_feedback(z, b, tails[row], points,
+                                              real_metric))

@@ -10,6 +10,7 @@ quadrature of the Gaussian tail before the module was written:
 import dataclasses
 import itertools
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -359,23 +360,32 @@ class TestBatching:
              snr_db=[2.0, 6.0], min_bit_errors=300, max_blocks=200),
     ])
     def test_batch_sizes_follow_committed_counts(self, monkeypatch, overrides):
-        # the SNR cells of a receiver share passes; within a pass each
-        # cell's rows are one run of consecutive ordinals
+        # all cells of the sweep share rounds; within a run_block slice each
+        # cell's rows are one run of consecutive ordinals, and a front-end
+        # pass holds the rows of one receiver, at most the budget of them
         cfg = small_config(**overrides)
         budget = sim.BATCH_SAMPLES // (cfg.antennas * cfg.block_size)
-        real = sim.run_block
-        passes = []
+        real, real_synthesize = sim.run_block, sim.synthesize
+        slices, passes = [], []
 
         def spy(index, *args):
             assert not isinstance(index, int), "a cell ran an unbatched block"
-            passes.append(index)
+            slices.append(index)
             return real(index, *args)
 
+        def synthesize_spy(spec, freq_response, sigma_n_sq):
+            passes.append(len(freq_response))
+            return real_synthesize(spec, freq_response, sigma_n_sq)
+
         monkeypatch.setattr(sim, "run_block", spy)
+        monkeypatch.setattr(sim, "synthesize", synthesize_spy)
         rows = sim.run_sweep(cfg).rows
+        monkeypatch.undo()
+        assert all(1 <= size <= budget for size in passes)
+        assert all(1 <= len(index) <= sim.FEEDBACK_PASSES * budget
+                   for index in slices)
         runs = {}  # cell hash -> the ordinals of each of its runs, in order
-        for index in passes:
-            assert 1 <= len(index) <= budget
+        for index in slices:
             for cell, group in itertools.groupby(index, key=lambda t: t >> 40):
                 runs.setdefault(cell, []).append(
                     [(t >> 8) & 0xFFFFFFFF for t in group])
@@ -386,7 +396,7 @@ class TestBatching:
             assert ordinals == list(range(len(ordinals)))
             assert len(cell_runs[0]) == 1
             for run in cell_runs[1:]:
-                # a run is a request, or the part of one a pass boundary
+                # a run is a request, or the part of one a slice boundary
                 # split off; a request never holds more than the committed
                 # blocks, so a cell's batch at most doubles them
                 assert len(run) <= min(run[0], cfg.max_blocks - run[0])
@@ -401,34 +411,109 @@ class TestBatching:
                                row.snr_db)[0][0]
                 blocks += 1
             assert (row.errors, row.blocks) == (errors, blocks)
-        # the first pass of a receiver holds one row of each of its cells,
-        # and some pass is filled to the budget
-        assert sorted(t >> 40 for t in passes[0]) == sorted(
-            sim._cell_base(cfg.receivers[0], snr) >> 40 for snr in cfg.snr_db)
-        assert any(len(index) == budget for index in passes)
+        # the first slice holds one row of each cell of the sweep, and some
+        # front-end pass is filled to the budget
+        assert sorted(t >> 40 for t in slices[0]) == sorted(
+            sim._cell_base(rx, snr) >> 40
+            for rx in cfg.receivers for snr in cfg.snr_db)
+        assert budget in passes
+
+    @pytest.mark.parametrize("samples, feedback_rows, pass_rows", [
+        # default budget, 16 rows a pass: rounds of 8, 8, 16, 32, 64 and 64
+        # rows, each one slice of at most 64
+        (sim.BATCH_SAMPLES, [8, 8, 16, 32, 64, 64], [4, 4, 8] + [16] * 5),
+        # 4 rows a pass: rounds of 8, 8, 16 and then 32 rows, cut into
+        # slices of 16
+        (4 * 512, [8, 8, 16] + [16] * 10, [4] * 24),
+    ])
+    def test_decision_rows_share_one_feedback_pass_per_round(
+            self, monkeypatch, samples, feedback_rows, pass_rows):
+        # the criterion-7 shape: every cell runs max_blocks = 24 blocks. A
+        # slice's decision rows of both receivers share one feedback pass;
+        # the front end runs each receiver's rows in passes of at most the
+        # budget, as many as when receivers ran one by one
+        monkeypatch.setattr(sim, "BATCH_SAMPLES", samples)
+        cfg = sim.SweepConfig.from_dict(dict(
+            constellation="16qam", receivers="zf-dfe,mmse-dfe",
+            feedback="decision", nr=1, v=20, m=512, fbf_len=20,
+            snr=[16.5, 19.0, 21.5, 23.5], min_bit_errors=10**9, max_blocks=24))
+        real_feedback, real_synthesize = kernels.dd_feedback, sim.synthesize
+        feedback, passes = [], []
+
+        def feedback_spy(z_t, *args):
+            feedback.append(len(z_t))
+            return real_feedback(z_t, *args)
+
+        def synthesize_spy(spec, freq_response, sigma_n_sq):
+            passes.append((spec.name, len(freq_response)))
+            return real_synthesize(spec, freq_response, sigma_n_sq)
+
+        monkeypatch.setattr(kernels, "dd_feedback", feedback_spy)
+        monkeypatch.setattr(sim, "synthesize", synthesize_spy)
+        rows = sim.run_sweep(cfg).rows
+        assert [row.blocks for row in rows] == [24] * 8
+        assert feedback == feedback_rows
+        for name in cfg.receivers:
+            assert [size for rx, size in passes if rx == name] == pass_rows
+
+    def test_interleaved_receivers_equal_single_blocks(self):
+        # the decision-directed DFE rows of two receivers that alternate
+        # with each other and with a linear one share one feedback pass,
+        # and each row's decisions return to that row
+        cfg = small_config(receivers=["zf-dfe", "wl-mmse-dfe", "mmse-le"],
+                           feedback="decision", fbf_len=4)
+        specs = cfg.receiver_specs()
+        trials = [k << 8 for k in range(9)]
+        row_specs = [specs[k % 3] for k in range(9)]
+        snrs = [2.0 + k for k in range(9)]
+        single = [_row(sim.run_block(t, cfg, spec, snr))
+                  for t, spec, snr in zip(trials, row_specs, snrs)]
+        errors, bits, mse = sim.run_block(trials, cfg, row_specs, snrs)
+        assert list(zip(errors.tolist(), bits.tolist(), mse.tolist())) == single
+
+    def test_info_records_are_receiver_major_and_snr_ascending(self, caplog):
+        # cells of all receivers run together, but their records and rows
+        # keep the order of the config's receivers, then of the SNR grid
+        cfg = small_config(receivers=["mmse-dfe", "zf-le", "wl-mmse-le"],
+                           feedback="decision", fbf_len=4,
+                           snr_db=[0.0, 5.0, 10.0], max_blocks=30)
+        with caplog.at_level(logging.INFO, logger="scfde.simulator"):
+            rows = sim.run_sweep(cfg).rows
+        cells = [(rx, snr) for rx in cfg.receivers for snr in cfg.snr_db]
+        assert [(row.receiver, row.snr_db) for row in rows] == cells
+        records = [r.getMessage() for r in caplog.records
+                   if r.name == "scfde.simulator"]
+        assert [m.split(":")[0] for m in records] == [
+            f"{rx} @ {snr:g} dB" for rx, snr in cells]
 
     @PROPERTY
-    @given(data=st.data(), feedback=st.sampled_from(["genie", "decision"]),
-           antennas=st.integers(1, 2), m=st.integers(4, 32),
+    @given(data=st.data(), antennas=st.integers(1, 2), m=st.integers(4, 32),
            seed=st.integers(0, 2**16))
-    def test_mixed_snr_rows_equal_single_blocks(self, data, feedback, antennas,
-                                                m, seed):
-        # a batch whose rows have different SNRs gives, row for row, the
-        # bits of the batch of one at that row's trial index and SNR
-        name = data.draw(st.sampled_from(RECEIVER_NAMES), label="receiver")
+    def test_mixed_snr_rows_equal_single_blocks(self, data, antennas, m, seed):
+        # a batch whose rows have different receivers, feedback modes,
+        # feedback lengths and SNRs gives, row for row, the bits of the
+        # batch of one at that row's trial index, receiver and SNR, at any
+        # front-end pass size
         cfg = sim.SweepConfig.from_dict(dict(
-            constellation="bpsk", receivers=name, feedback=feedback,
+            constellation="bpsk", receivers=",".join(RECEIVER_NAMES),
             nr=antennas, v=data.draw(st.integers(1, m), label="v"), m=m,
             fbf_len=data.draw(st.integers(1, m // 2), label="L"),
             master_seed=seed))
-        (spec,) = cfg.receiver_specs()
-        trials = data.draw(st.lists(st.integers(0, 2**72 - 1), min_size=1,
-                                    max_size=6), label="trials")
-        snrs = data.draw(st.lists(st.floats(-5.0, 30.0), min_size=len(trials),
-                                  max_size=len(trials)), label="snrs")
-        single = [_row(sim.run_block([t], cfg, spec, s))
-                  for t, s in zip(trials, snrs)]
-        errors, bits, mse = sim.run_block(trials, cfg, spec, snrs)
+        other_length = data.draw(st.integers(1, m // 2), label="second L")
+        specs = [dataclasses.replace(spec, feedback_mode=mode, fbf_length=length)
+                 for spec in cfg.receiver_specs()
+                 for mode in ("ideal_genie", "decision_directed")
+                 for length in (cfg.fbf_len, other_length)]
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, 2**72 - 1), st.sampled_from(specs),
+                      st.floats(-5.0, 30.0)), min_size=1, max_size=10),
+            label="rows")
+        single = [_row(sim.run_block(t, cfg, spec, snr)) for t, spec, snr in rows]
+        trials, row_specs, snrs = (list(column) for column in zip(*rows))
+        pass_rows = data.draw(st.integers(1, len(rows)), label="pass rows")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "BATCH_SAMPLES", pass_rows * antennas * m)
+            errors, bits, mse = sim.run_block(trials, cfg, row_specs, snrs)
         assert list(zip(errors.tolist(), bits.tolist(), mse.tolist())) == single
 
     def test_one_snr_per_trial_index(self):
@@ -436,6 +521,12 @@ class TestBatching:
         (spec,) = cfg.receiver_specs()
         with pytest.raises(ValueError, match="one snr_db per trial index"):
             sim.run_block([1, 2, 3], cfg, spec, [4.0, 8.0])
+
+    def test_one_receiver_per_trial_index(self):
+        cfg = small_config()
+        (spec,) = cfg.receiver_specs()
+        with pytest.raises(ValueError, match="one receiver per trial index"):
+            sim.run_block([1, 2, 3], cfg, [spec, spec], 4.0)
 
     def test_sweep_bytes_independent_of_the_budget(self, monkeypatch):
         cfg = small_config(receivers=["zf-le", "mmse-dfe", "wl-mmse-dfe"],
