@@ -5,9 +5,13 @@ X(k) = sum_l x(l) exp(-j2πkl/M) and the inverse carries the 1/M, so a
 white time-domain sequence of variance s has frequency-domain variance
 M s. Transforms act on the last axis, so a leading axis holds a batch of
 independent blocks. The transforms and gaussian_complex are pure
-functions of arrays; randomness enters only as standard normals drawn
-from an RngStream, of which every trial builds its own. The Levinson
-solver is kernels.levinson_recursion.
+functions of arrays; randomness enters only as bits and standard
+normals. Every trial draws them from the stream of its own
+RngStream(master_seed, trial_index), but a batch of trials does so
+without building a Generator each: stream_states seeds all their
+streams with one array pass of numpy's SeedSequence hash, and
+draw_streams draws each row from one reused PCG64. The Levinson solver
+is kernels.levinson_recursion.
 """
 
 from dataclasses import dataclass
@@ -36,6 +40,126 @@ class RngStream:
         return np.random.default_rng(
             np.random.SeedSequence((self.master_seed, self.stream_index))
         )
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the
+# constants of its hashmix, mix and generate_state steps, and its pool of
+# four 32-bit words; then PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _words(n):
+    """n as SeedSequence reads an int: its 32-bit words, least significant
+    first, one zero word for 0."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix_constants(init, mult, calls):
+    """The (xor, multiply) constants of successive hashmix calls, as uint32
+    columns: each call multiplies the running constant by mult. They are
+    worked out in masked Python ints, as numpy scalars warn on the
+    wrap-around that arrays do silently."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hashmix of value, one row per (xor, mult) pair."""
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ result >> 16
+
+
+def stream_states(master_seed, stream_indices):
+    """The PCG64 (state, inc) that RngStream(master_seed, t).generator()
+    starts from, for each index t, as a list of Python int pairs.
+
+    numpy's SeedSequence hash runs once over all indices, as uint32 array
+    operations with one column per index, so no Generator is built. An
+    index whose entropy (the seed's 32-bit words, then its own) is longer
+    than the pool takes numpy's extra mixing rounds, masked to its column.
+    """
+    stream_indices = [int(t) for t in stream_indices]
+    if master_seed < 0 or any(t < 0 for t in stream_indices):
+        raise ValueError("seed and stream index must be non-negative")
+    seed = _words(master_seed)
+    # entropy: the seed's words, then the index's, one index per column;
+    # past its length a column holds zeros, as a missing word of the pool
+    # hashes as zero and the extra rounds are masked
+    sizes = [max(1, -(-t.bit_length() // 32)) for t in stream_indices]
+    index_width = max(sizes, default=1)
+    lengths = len(seed) + np.array(sizes, dtype=int)
+    entropy = np.zeros((max(_POOL_WORDS, len(seed) + index_width),
+                        len(stream_indices)), np.uint32)
+    entropy[: len(seed)] = np.array(seed, np.uint32)[:, None]
+    entropy[len(seed) : len(seed) + index_width] = np.frombuffer(
+        b"".join(t.to_bytes(4 * index_width, "little") for t in stream_indices),
+        "<u4").reshape(-1, index_width).T
+    # the pool is a (4, n) array; each step of numpy's loops over pool words
+    # runs on all the words it updates at once, as none of them is read by
+    # that step: 4 hashmix calls fill the pool, 3 per source word mix it,
+    # then 4 per extra entropy word: 4 per entropy word in all
+    xor, mult = _hashmix_constants(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hashmix(entropy[:_POOL_WORDS], xor[:_POOL_WORDS], mult[:_POOL_WORDS])
+    k = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k : k + 3],
+                                             mult[k : k + 3]))
+        k += 3
+    for src in range(_POOL_WORDS, len(entropy)):
+        mixed = _mix(pool, _hashmix(entropy[src], xor[k : k + 4], mult[k : k + 4]))
+        pool = np.where(lengths > src, mixed, pool)
+        k += 4
+    # generate_state(4, uint64): 8 words from the pool, read as 4
+    # little-endian uint64 words per index
+    state = _hashmix(np.concatenate([pool, pool]),
+                     *_hashmix_constants(_INIT_B, _MULT_B, 8))
+    state = np.ascontiguousarray(state.T, "<u4").view("<u8")
+    states = []
+    for v0, v1, v2, v3 in state.tolist():
+        # PCG64 seeding: inc = seq << 1 | 1, then two LCG steps from 0, the
+        # second after adding the initial state
+        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+        states.append((((inc + (v0 << 64 | v1)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def draw_streams(states, n_bits, n_normals):
+    """Row i: n_bits bits, then n_normals standard normals, drawn from the
+    PCG64 (state, inc) states[i] exactly as Generator.integers(0, 2,
+    n_bits) and then standard_normal(n_normals) draw them. Returns
+    (bits as uint8, normals), each with one row per state.
+
+    One PCG64 and its Generator serve every row.
+    """
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    raw = np.empty((len(states), -(-n_bits // 2)), np.uint64)
+    normals = np.empty((len(states), n_normals))
+    for row, (state, inc) in enumerate(states):
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        raw[row] = bit_gen.random_raw(raw.shape[1])
+        gen.standard_normal(out=normals[row])
+    # integers(0, 2) reads 32-bit halves, low half first, and by Lemire's
+    # method keeps the top bit of each; an odd count leaves the last high
+    # half unread, as the normals start from a whole 64-bit word
+    bits = raw.astype("<u8", copy=False).view("<u4")[:, :n_bits] >> 31
+    return bits.astype(np.uint8), normals
 
 
 def _as_blocks(x, name):

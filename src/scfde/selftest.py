@@ -200,6 +200,33 @@ def _suite_stats_oracles():
     return "log and inverse chi-square moments inside Monte Carlo bounds"
 
 
+# (master seed, trial indices) of one stream_states call each: rows of 2 to
+# 6 entropy words, the longer ones through numpy's extra mixing rounds
+_STREAM_ROWS = ((0, (0, 1 << 8)), (2026, ((123 << 40) | 5 << 8,)),
+                (2**40 + 3, (7, 2**72 - 1)), (2**79, (2**95 + 1,)))
+
+
+def _suite_rng_streams():
+    for seed, trials in _STREAM_ROWS:
+        states = numerics.stream_states(seed, trials)
+        bits, normals = numerics.draw_streams(states, 65, 9)
+        for row, t in enumerate(trials):
+            bit_gen = np.random.PCG64(np.random.SeedSequence((seed, t)))
+            ref = bit_gen.state["state"]
+            assert states[row] == (ref["state"], ref["inc"]), (
+                f"seed {seed} trial {t}: PCG64 state differs from numpy's "
+                "SeedSequence seeding")
+            gen = np.random.Generator(bit_gen)
+            assert bits[row].tolist() == gen.integers(0, 2, 65).tolist(), (
+                f"seed {seed} trial {t}: bits differ from Generator.integers")
+            assert normals[row].tolist() == gen.standard_normal(9).tolist(), (
+                f"seed {seed} trial {t}: normals differ from "
+                "Generator.standard_normal")
+    rows = sum(len(trials) for _, trials in _STREAM_ROWS)
+    return (f"{rows} rows of 2 to 6 entropy words match numpy's SeedSequence, "
+            "integers and standard_normal")
+
+
 _FROZEN_GAPS = {
     ("conv-zf-le", 2): 3.0103,
     ("conv-zf-dfe", 1): 2.5068,
@@ -224,6 +251,7 @@ def _suite_limit_table():
 
 _SUITES = (
     ("dft-roundtrip", _suite_dft_roundtrip),
+    ("rng-streams", _suite_rng_streams),
     ("levinson-vs-dense", _suite_levinson_vs_dense),
     ("fbf-whitening", _suite_fbf_whitening),
     ("predicted-mse-monotone", _suite_predicted_mse_monotone),

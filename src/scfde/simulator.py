@@ -14,15 +14,19 @@ one receiver and one SNR for all or one per index, and carries every
 array of the chain with a leading batch axis, so the sequential loops
 run once per batch: Levinson orders once per front-end pass of one
 receiver's rows, decision-feedback positions once per call for the
-decision-directed rows of all receivers. A row's results are the same
-bits whatever batch it runs in. All (receiver, SNR) cells of a sweep
-share their batches (see _run_cells): each round, every cell still
-running asks for rows from its committed counts only, and the rows of
-all cells run together. A cell commits its rows in ordinal order and
-evaluates the stopping rule after every row, so it stops at the same
-block as a block-by-block loop and the rows past that block are
-discarded. Since batch sizes come from committed counts and constants
-only, a rerun of the same config reproduces every output byte.
+decision-directed rows of all receivers. Each row draws from the
+stream of RngStream(master_seed, trial_index), seeded for all rows of
+the call by one numerics.stream_states hash and drawn per pass by
+numerics.draw_streams, with no Generator per row. A row's results are
+the same bits whatever batch it runs in. All (receiver, SNR) cells of
+a sweep share their batches (see _run_cells): each round, every cell
+still running asks for rows from its committed counts only, and the
+rows of all cells run together, each receiver's in the fewest passes.
+A cell commits its rows in ordinal order and evaluates the stopping
+rule after every row, so it stops at the same block as a block-by-block
+loop and the rows past that block are discarded. Since batch sizes
+come from committed counts and constants only, a rerun of the same
+config reproduces every output byte.
 
 Post-SNR is always measured on the ideal-feedback path (decision errors
 would corrupt the error statistic); decision-directed runs report their
@@ -30,7 +34,6 @@ BER from the decision path but share the genie MSE measurement.
 """
 
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -51,7 +54,7 @@ from .modem import (
     map_bits,
     precode,
 )
-from .numerics import RngStream
+from .numerics import draw_streams, stream_states
 
 __all__ = [
     "SweepConfig",
@@ -329,19 +332,16 @@ def _pass_rows(config: SweepConfig) -> int:
     return max(1, BATCH_SAMPLES // (config.antennas * config.block_size))
 
 
-def _front_end(config: SweepConfig, c, spec: ReceiverSpec, trials, snrs):
+def _front_end(config: SweepConfig, c, spec: ReceiverSpec, states, snrs):
     """One pass of rows of one receiver, from their draws through
-    equalize: (tx_bits, mse, decided), decided as equalize returns it."""
+    equalize: (tx_bits, mse, decided), decided as equalize returns it.
+    states holds each row's stream state, from numerics.stream_states."""
     m, n_r, v = config.block_size, config.antennas, config.taps
     sigma_n_sq = np.array([_noise_variance(s) for s in snrs])
     # one stream per row: its bits, then one call for the standard normals
     # of the taps (real, imaginary) and of the noise (real, imaginary)
-    tx_bits = np.empty((len(trials), m * c.bits_per_symbol), np.uint8)
-    normals = np.empty((len(trials), 2 * n_r * (v + m)))
-    for row, t in enumerate(trials):
-        gen = RngStream(config.master_seed, t).generator()
-        tx_bits[row] = gen.integers(0, 2, tx_bits.shape[1])
-        normals[row] = gen.standard_normal(normals.shape[1])
+    tx_bits, normals = draw_streams(states, m * c.bits_per_symbol,
+                                    2 * n_r * (v + m))
     x_t = map_bits(tx_bits, c)
     x_f = precode(x_t)
     h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
@@ -385,13 +385,14 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
     for row, spec in enumerate(specs):
         groups.setdefault(spec, []).append(row)
     errors, mse = np.empty(n, np.intp), np.empty(n)
+    states = stream_states(config.master_seed, trials)
     feedback = {}  # feedback length -> (rows, tx_bits, FeedbackPass) of its passes
     step = _pass_rows(config)
     for spec, rows in groups.items():
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step]
             tx_bits, mse[part], decided = _front_end(
-                config, c, spec, [trials[i] for i in part], [snrs[i] for i in part])
+                config, c, spec, [states[i] for i in part], [snrs[i] for i in part])
             if isinstance(decided, FeedbackPass):
                 feedback.setdefault(decided.taps.shape[-1], []).append(
                     (part, tx_bits, decided))
@@ -460,32 +461,43 @@ def _run_cells(config: SweepConfig, cells, max_blocks: int,
     """Run the (receiver spec, SNR) cells together; a _Tally each, in order.
 
     Each round, every active cell asks for its next batch (_next_batch,
-    at most one front-end pass of rows), and the rows of all requests go
-    to run_block in slices of at most FEEDBACK_PASSES front-end passes of
-    rows, whatever receiver and SNR each row has; a slice's
-    decision-directed rows share one feedback pass. A cell then commits
-    its rows in ordinal order and stops at min_errors bit errors or
-    max_blocks blocks, whichever comes first, discarding the rest of its
-    rows. Its trial indices are _cell_base(spec.name, snr) | ordinal << 8.
+    at most one front-end pass of rows). Each receiver's rows of the
+    round, of all its cells, are cut into front-end passes of at most the
+    budget, so they make ceil(rows / budget) passes. The passes of all
+    receivers go to run_block whole, in slices that take passes in order
+    while they hold at most FEEDBACK_PASSES * budget rows; a slice's
+    decision-directed rows share one feedback pass. A cell
+    then commits its rows in ordinal order and stops at min_errors bit
+    errors or max_blocks blocks, whichever comes first, discarding the
+    rest of its rows. Its trial indices are _cell_base(spec.name, snr) |
+    ordinal << 8.
     """
     assert max_blocks <= _MAX_ORDINALS, "ordinal would overwrite the cell hash"
     budget = _pass_rows(config)
-    cap = FEEDBACK_PASSES * budget
     tallies = [_Tally(spec, snr, _cell_base(spec.name, snr)) for spec, snr in cells]
     active = tallies
     while active:
-        sizes = [_next_batch(t, budget, max_blocks, min_errors) for t in active]
-        trials, specs, snrs = [], [], []
-        for t, size in zip(active, sizes):
-            trials += [t.base | k << 8 for k in range(t.blocks, t.blocks + size)]
-            specs += [t.spec] * size
-            snrs += [t.snr_db] * size
-        slices = [run_block(trials[i : i + cap], config, specs[i : i + cap],
-                            snrs[i : i + cap])
-                  for i in range(0, len(trials), cap)]
-        rows = zip(*(np.concatenate(col).tolist() for col in zip(*slices)))
-        for t, size in zip(active, sizes):
-            for errors, bits, mse in itertools.islice(rows, size):
+        by_receiver = {}  # receiver -> (cell, trial index) of its rows, in order
+        for cell, t in enumerate(active):
+            size = _next_batch(t, budget, max_blocks, min_errors)
+            by_receiver.setdefault(t.spec, []).extend(
+                (cell, t.base | k << 8) for k in range(t.blocks, t.blocks + size))
+        slices = [[]]  # whole passes, at most FEEDBACK_PASSES * budget rows each
+        for rows in by_receiver.values():
+            for i in range(0, len(rows), budget):
+                part = rows[i : i + budget]
+                if len(slices[-1]) + len(part) > FEEDBACK_PASSES * budget:
+                    slices.append([])
+                slices[-1] += part
+        results = [[] for _ in active]  # (errors, bits, mse) of each cell's rows
+        for part in slices:
+            cell_of, trials = zip(*part)
+            out = run_block(list(trials), config, [active[k].spec for k in cell_of],
+                            [active[k].snr_db for k in cell_of])
+            for cell, row in zip(cell_of, zip(*(column.tolist() for column in out))):
+                results[cell].append(row)
+        for t, rows in zip(active, results):
+            for errors, bits, mse in rows:
                 if t.errors < min_errors:
                     t.errors += errors
                     t.bits += bits

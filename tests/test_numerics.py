@@ -7,8 +7,17 @@ test_kernels.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scfde.numerics import RngStream, dft, gaussian_complex, idft
+from scfde.numerics import (
+    RngStream,
+    dft,
+    draw_streams,
+    gaussian_complex,
+    idft,
+    stream_states,
+)
 
 RNG = np.random.default_rng(20260815)
 
@@ -114,3 +123,38 @@ class TestRngAndGaussian:
             gaussian_complex(np.zeros(6), 4, 1.0)
         with pytest.raises(ValueError, match="positive"):
             gaussian_complex(np.zeros((2, 8)), 4, np.array([1.0, 0.0]))
+
+
+class TestStreamDraws:
+    @settings(deadline=None, derandomize=True, max_examples=100)
+    @given(seed=st.integers(0, 2**80), indices=st.lists(st.integers(0, 2**80),
+                                                       max_size=5),
+           n_bits=st.integers(1, 70), n_normals=st.integers(1, 40))
+    def test_rows_equal_the_numpy_generator(self, seed, indices, n_bits,
+                                            n_normals):
+        # row i is RngStream(seed, t_i)'s integers(0, 2, n_bits) then its
+        # standard_normal(n_normals); index 0 (one entropy word) and an
+        # index of three words share the call, so that with a seed of two
+        # words or more one row takes numpy's extra mixing rounds. An odd
+        # n_bits leaves a half word buffered that the normals skip
+        indices = [0, *indices, 2**72 - 1]
+        bits, normals = draw_streams(stream_states(seed, indices), n_bits,
+                                     n_normals)
+        assert bits.dtype == np.uint8 and bits.shape == (len(indices), n_bits)
+        assert normals.shape == (len(indices), n_normals)
+        for row, t in enumerate(indices):
+            gen = RngStream(seed, t).generator()
+            assert bits[row].tolist() == gen.integers(0, 2, n_bits).tolist()
+            assert normals[row].tolist() == gen.standard_normal(n_normals).tolist()
+
+    @pytest.mark.parametrize("seed, t", [(0, 0), (2**32, 2**64), (2**79, 2**95)])
+    def test_states_are_those_of_seeded_pcg64(self, seed, t):
+        # 2, 5 and 6 entropy words: the last two run past the pool of four
+        ((state, inc),) = stream_states(seed, [t])
+        bit_gen = np.random.PCG64(np.random.SeedSequence((seed, t)))
+        assert bit_gen.state["state"] == {"state": state, "inc": inc}
+
+    def test_negative_seed_or_index_rejected(self):
+        for seed, indices in ((-1, [0]), (0, [1, -1])):
+            with pytest.raises(ValueError, match="non-negative"):
+                stream_states(seed, indices)

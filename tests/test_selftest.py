@@ -4,6 +4,7 @@ import time
 
 import scfde.analytics
 import scfde.kernels
+import scfde.numerics
 from scfde.cli import main
 from scfde.selftest import SUITE_NAMES, run_selftest
 
@@ -20,8 +21,9 @@ def test_all_suites_pass():
 def test_suite_names_are_stable():
     results = run_selftest()
     assert tuple(r.name for r in results) == SUITE_NAMES
-    for expected in ("dft-roundtrip", "levinson-vs-dense", "fbf-whitening",
-                     "wl-reality", "zf-exactness", "limit-table"):
+    for expected in ("dft-roundtrip", "rng-streams", "levinson-vs-dense",
+                     "fbf-whitening", "wl-reality", "zf-exactness",
+                     "limit-table"):
         assert expected in SUITE_NAMES
 
 
@@ -46,6 +48,16 @@ def test_failure_detail_mentions_what_broke(monkeypatch):
     row = results["limit-table"]
     assert not row.passed
     assert row.detail  # carries the mismatch description
+
+
+def test_wrong_seeding_constant_fails_rng_streams(monkeypatch):
+    # a numpy whose SeedSequence hash differs from the one stream_states
+    # restates fails by name, before any output drifts
+    monkeypatch.setattr(scfde.numerics, "_INIT_B", 0x8B51F9DC)
+    results = {r.name: r for r in run_selftest()}
+    assert not results["rng-streams"].passed
+    assert "SeedSequence" in results["rng-streams"].detail
+    assert results["dft-roundtrip"].passed
 
 
 def test_crashing_kernel_fails_named_suites(monkeypatch, capsys):

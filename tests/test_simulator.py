@@ -181,8 +181,8 @@ class TestRunBlock:
                                             "gap_at_ber")],
             *[(kernels, name, kernels) for name in ("levinson_recursion",
                                                     "dd_feedback")],
-            # the class the simulator seeds its rows with
-            (sim.RngStream, "generator", numerics.RngStream),
+            # perfbench patches the method on the class in numerics
+            (numerics.RngStream, "generator", numerics.RngStream),
         ]
         for owner, name, home in traced:
             assert name in owner.__dict__, name
@@ -309,12 +309,13 @@ class TestBatching:
     @given(data=st.data(), alphabet=st.sampled_from(["bpsk", "8psk", "16qam"]),
            feedback=st.sampled_from(["genie", "decision"]),
            antennas=st.integers(1, 2), m=st.integers(4, 48),
-           snr_db=st.floats(-5.0, 30.0), seed=st.integers(0, 2**16))
+           snr_db=st.floats(-5.0, 30.0), seed=st.integers(0, 2**48))
     def test_batch_rows_equal_single_blocks(self, data, alphabet, feedback,
                                             antennas, m, snr_db, seed):
         # any split of trial indices into batches gives, row for row, the
         # bits of the block-by-block run; indices reach past 2**64 like a
-        # cell's packed indices do
+        # cell's packed indices do, and seeds past 2**32, so that some rows
+        # seed their streams from more than four entropy words
         names = [n for n in RECEIVER_NAMES
                  if alphabet == "bpsk" or not n.startswith("wl-")]
         name = data.draw(st.sampled_from(names), label="receiver")
@@ -455,6 +456,61 @@ class TestBatching:
         assert feedback == feedback_rows
         for name in cfg.receivers:
             assert [size for rx, size in passes if rx == name] == pass_rows
+
+    def test_round_rows_make_the_fewest_passes_and_slices(self, monkeypatch):
+        # each round, a receiver's rows of all its cells make ceil(rows /
+        # budget) front-end passes, wherever the round's slices are cut, and
+        # a slice takes whole passes while they fit in FEEDBACK_PASSES *
+        # budget rows
+        monkeypatch.setattr(sim, "BATCH_SAMPLES", 3 * 64)
+        cap = sim.FEEDBACK_PASSES * 3
+        cfg = small_config(receivers=["zf-le", "mmse-dfe", "wl-mmse-le"],
+                           feedback="decision", fbf_len=4,
+                           snr_db=[0.0, 4.0, 8.0], max_blocks=60)
+        real_next, real_block = sim._next_batch, sim.run_block
+        real_synthesize = sim.synthesize
+        events = []  # (kind, receiver, rows) of requests, slices and passes
+
+        def next_spy(tally, *args):
+            size = real_next(tally, *args)
+            events.append(("ask", tally.spec.name, size))
+            return size
+
+        def block_spy(index, *args):
+            events.append(("slice", None, len(index)))
+            return real_block(index, *args)
+
+        def synthesize_spy(spec, freq_response, sigma_n_sq):
+            events.append(("pass", spec.name, len(freq_response)))
+            return real_synthesize(spec, freq_response, sigma_n_sq)
+
+        monkeypatch.setattr(sim, "_next_batch", next_spy)
+        monkeypatch.setattr(sim, "run_block", block_spy)
+        monkeypatch.setattr(sim, "synthesize", synthesize_spy)
+        sim.run_sweep(cfg)
+        rounds = []  # (requests, slices and passes) of each round
+        for event in events:
+            if event[0] == "ask" and (not rounds or rounds[-1][1]):
+                rounds.append(([], []))
+            rounds[-1][event[0] != "ask"].append(event)
+        uneven = 0
+        for asks, work in rounds:
+            for name in cfg.receivers:
+                rows = sum(size for _, rx, size in asks if rx == name)
+                sizes = [size for kind, rx, size in work if rx == name]
+                assert sum(sizes) == rows
+                assert len(sizes) == -(-rows // 3), (name, rows, sizes)
+                uneven += rows % 3 != 0
+            slices = []  # the pass sizes of each slice of the round
+            for kind, _, size in work:
+                if kind == "slice":
+                    slices.append((size, []))
+                else:
+                    slices[-1][1].append(size)
+            assert all(size == sum(passes) <= cap for size, passes in slices)
+            for (size, _), (_, passes) in zip(slices, slices[1:]):
+                assert size + passes[0] > cap  # the next pass did not fit
+        assert uneven  # some round's rows do not fill whole passes
 
     def test_interleaved_receivers_equal_single_blocks(self):
         # the decision-directed DFE rows of two receivers that alternate
