@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import numbers
+import os
 import sys
 
 from . import analytics, simulator
@@ -111,11 +112,23 @@ def _gnuplot_script(config: simulator.SweepConfig, data_path: str) -> str:
     )
 
 
+def _check_writable(path):
+    """OSError now, before any compute, if path does not open for writing.
+    An existing file keeps its bytes; a file the check made is removed."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def cmd_ber_sweep(args) -> int:
     config = _load_config(args)
     if args.gnuplot_script and not args.output:
         raise ValueError("--gnuplot-script needs --output so the script "
                          "can reference the data file")
+    for path in (args.output, args.gnuplot_script):
+        if path:
+            _check_writable(path)
     result = simulator.run_sweep(config)
     text = (simulator.result_to_json(result) if args.format == "json"
             else simulator.result_to_csv(result))

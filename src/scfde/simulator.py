@@ -21,12 +21,12 @@ numerics.draw_streams, with no Generator per row. A row's results are
 the same bits whatever batch it runs in. All (receiver, SNR) cells of
 a sweep share their batches (see _run_cells): each round, every cell
 still running asks for rows from its committed counts only, and the
-rows of all cells run together, each receiver's in the fewest passes.
-A cell commits its rows in ordinal order and evaluates the stopping
-rule after every row, so it stops at the same block as a block-by-block
-loop and the rows past that block are discarded. Since batch sizes
-come from committed counts and constants only, a rerun of the same
-config reproduces every output byte.
+rows of all cells make one run_block call, each receiver's in the
+fewest passes. A cell commits its rows in ordinal order and evaluates
+the stopping rule after every row, so it stops at the same block as a
+block-by-block loop and the rows past that block are discarded. Since
+batch sizes come from committed counts and constants only, a rerun of
+the same config reproduces every output byte.
 
 Post-SNR is always measured on the ideal-feedback path (decision errors
 would corrupt the error statistic); decision-directed runs report their
@@ -158,9 +158,6 @@ _MAX_ORDINALS = 1 << 32
 # samples (antennas x block size) per front-end pass: 16 blocks of 512 at
 # one antenna, 128 of 64; bounds the pass's arrays, and so the memory
 BATCH_SAMPLES = 1 << 13
-# front-end passes of rows per run_block call of a sweep (64 blocks of 512,
-# 512 of 64): bounds the rows held for one shared decision-feedback pass
-FEEDBACK_PASSES = 4
 
 
 @dataclass(frozen=True)
@@ -461,47 +458,34 @@ def _run_cells(config: SweepConfig, cells, max_blocks: int,
     """Run the (receiver spec, SNR) cells together; a _Tally each, in order.
 
     Each round, every active cell asks for its next batch (_next_batch,
-    at most one front-end pass of rows). Each receiver's rows of the
-    round, of all its cells, are cut into front-end passes of at most the
-    budget, so they make ceil(rows / budget) passes. The passes of all
-    receivers go to run_block whole, in slices that take passes in order
-    while they hold at most FEEDBACK_PASSES * budget rows; a slice's
-    decision-directed rows share one feedback pass. A cell
-    then commits its rows in ordinal order and stops at min_errors bit
-    errors or max_blocks blocks, whichever comes first, discarding the
-    rest of its rows. Its trial indices are _cell_base(spec.name, snr) |
-    ordinal << 8.
+    at most one front-end pass of rows), and the rows of all cells, each
+    cell's as one run of ordinals, make one run_block call. A cell then
+    commits its rows in ordinal order and stops at min_errors bit errors
+    or max_blocks blocks, whichever comes first, discarding the rest of
+    its rows. A cell's trial indices are
+    _cell_base(spec.name, snr) | ordinal << 8.
     """
     assert max_blocks <= _MAX_ORDINALS, "ordinal would overwrite the cell hash"
     budget = _pass_rows(config)
     tallies = [_Tally(spec, snr, _cell_base(spec.name, snr)) for spec, snr in cells]
     active = tallies
     while active:
-        by_receiver = {}  # receiver -> (cell, trial index) of its rows, in order
-        for cell, t in enumerate(active):
-            size = _next_batch(t, budget, max_blocks, min_errors)
-            by_receiver.setdefault(t.spec, []).extend(
-                (cell, t.base | k << 8) for k in range(t.blocks, t.blocks + size))
-        slices = [[]]  # whole passes, at most FEEDBACK_PASSES * budget rows each
-        for rows in by_receiver.values():
-            for i in range(0, len(rows), budget):
-                part = rows[i : i + budget]
-                if len(slices[-1]) + len(part) > FEEDBACK_PASSES * budget:
-                    slices.append([])
-                slices[-1] += part
-        results = [[] for _ in active]  # (errors, bits, mse) of each cell's rows
-        for part in slices:
-            cell_of, trials = zip(*part)
-            out = run_block(list(trials), config, [active[k].spec for k in cell_of],
-                            [active[k].snr_db for k in cell_of])
-            for cell, row in zip(cell_of, zip(*(column.tolist() for column in out))):
-                results[cell].append(row)
-        for t, rows in zip(active, results):
-            for errors, bits, mse in rows:
+        sizes = [_next_batch(t, budget, max_blocks, min_errors) for t in active]
+        trials, specs, snrs = [], [], []
+        for t, size in zip(active, sizes):
+            trials += [t.base | k << 8 for k in range(t.blocks, t.blocks + size)]
+            specs += [t.spec] * size
+            snrs += [t.snr_db] * size
+        out = list(zip(*(column.tolist()
+                         for column in run_block(trials, config, specs, snrs))))
+        lo = 0
+        for t, size in zip(active, sizes):
+            for errors, bits, mse in out[lo : lo + size]:
                 if t.errors < min_errors:
                     t.errors += errors
                     t.bits += bits
                     t.mses.append(mse)
+            lo += size
         active = [t for t in active
                   if t.errors < min_errors and t.blocks < max_blocks]
     return tallies
@@ -554,6 +538,8 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
     sigma_x^2 / mean(mse), minus one for MMSE receivers, compared
     against the closed-form limit where one exists.
     """
+    realizations = _integer("realizations", realizations)
+    snr_db = _real("snr_db", snr_db)
     if not 1 <= realizations <= _MAX_ORDINALS:
         raise ValueError("realizations must satisfy 1 <= realizations <= 2**32")
     _noise_variance(snr_db)

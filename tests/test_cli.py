@@ -267,6 +267,43 @@ class TestBerSweep:
         assert code == 2
         assert "--output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--output", "--gnuplot-script"])
+    def test_unwritable_path_exits_2_before_any_block(
+            self, small_config, tmp_path, flag, monkeypatch, capsys):
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block ran before the path was rejected")
+
+        monkeypatch.setattr("scfde.simulator.run_block", no_blocks)
+        paths = {"--output": tmp_path / "out.csv",
+                 "--gnuplot-script": tmp_path / "plot.gp"}
+        paths["--output"].write_bytes(b"earlier results\n")
+        paths[flag] = tmp_path / "missing" / paths[flag].name
+        code = main(["ber-sweep", "--config", str(small_config),
+                     *(a for f, p in paths.items() for a in (f, str(p)))])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(paths[flag]) in err
+        # the check leaves no file behind where none was, and an existing
+        # one as it was
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                               "out.csv"]
+        assert (tmp_path / "out.csv").read_bytes() == b"earlier results\n"
+
+    def test_existing_output_keeps_its_bytes_when_the_sweep_fails(
+            self, small_config, tmp_path, monkeypatch, capsys):
+        def failing_block(*args, **kwargs):
+            raise ArithmeticError("the sweep failed")
+
+        monkeypatch.setattr("scfde.simulator.run_block", failing_block)
+        out_path = tmp_path / "out.csv"
+        out_path.write_bytes(b"earlier results\n")
+        code = main(["ber-sweep", "--config", str(small_config),
+                     "--output", str(out_path)])
+        assert code == 2
+        assert _lines(capsys.readouterr().err) == ["error: the sweep failed"]
+        assert out_path.read_bytes() == b"earlier results\n"
+
     def test_gnuplot_script_contents(self, small_config, tmp_path):
         out_path = tmp_path / "out.csv"
         script = tmp_path / "plot.gp"

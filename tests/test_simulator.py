@@ -361,17 +361,17 @@ class TestBatching:
              snr_db=[2.0, 6.0], min_bit_errors=300, max_blocks=200),
     ])
     def test_batch_sizes_follow_committed_counts(self, monkeypatch, overrides):
-        # all cells of the sweep share rounds; within a run_block slice each
-        # cell's rows are one run of consecutive ordinals, and a front-end
-        # pass holds the rows of one receiver, at most the budget of them
+        # all cells of the sweep share rounds; within a round's run_block
+        # call each cell's rows are one run of consecutive ordinals, and a
+        # front-end pass holds the rows of one receiver, at most the budget
         cfg = small_config(**overrides)
         budget = sim.BATCH_SAMPLES // (cfg.antennas * cfg.block_size)
         real, real_synthesize = sim.run_block, sim.synthesize
-        slices, passes = [], []
+        calls, passes = [], []
 
         def spy(index, *args):
             assert not isinstance(index, int), "a cell ran an unbatched block"
-            slices.append(index)
+            calls.append(index)
             return real(index, *args)
 
         def synthesize_spy(spec, freq_response, sigma_n_sq):
@@ -383,54 +383,54 @@ class TestBatching:
         rows = sim.run_sweep(cfg).rows
         monkeypatch.undo()
         assert all(1 <= size <= budget for size in passes)
-        assert all(1 <= len(index) <= sim.FEEDBACK_PASSES * budget
-                   for index in slices)
         runs = {}  # cell hash -> the ordinals of each of its runs, in order
-        for index in slices:
+        for index in calls:
             for cell, group in itertools.groupby(index, key=lambda t: t >> 40):
                 runs.setdefault(cell, []).append(
                     [(t >> 8) & 0xFFFFFFFF for t in group])
         assert len(runs) == len(rows)
         for row in rows:
-            cell_runs = runs[sim._cell_base(row.receiver, row.snr_db) >> 40]
+            base = sim._cell_base(row.receiver, row.snr_db)
+            cell_runs = runs[base >> 40]
             ordinals = [k for run in cell_runs for k in run]
             assert ordinals == list(range(len(ordinals)))
             assert len(cell_runs[0]) == 1
+            # each run is exactly one request, one per call while the cell
+            # runs, and never holds more than the committed blocks, so a
+            # cell's batch at most doubles them
+            assert len(cell_runs) == sum(
+                any(t >> 40 == base >> 40 for t in index) for index in calls)
             for run in cell_runs[1:]:
-                # a run is a request, or the part of one a slice boundary
-                # split off; a request never holds more than the committed
-                # blocks, so a cell's batch at most doubles them
-                assert len(run) <= min(run[0], cfg.max_blocks - run[0])
+                assert len(run) <= min(run[0], cfg.max_blocks - run[0], budget)
             assert row.blocks <= len(ordinals) < 2 * row.blocks
             # the cell stops where a block-by-block loop stops
             spec = ReceiverSpec.from_name(row.receiver, fbf_length=cfg.fbf_len,
                                           feedback_mode=cfg.feedback)
-            base = sim._cell_base(row.receiver, row.snr_db)
             errors = blocks = 0
             while errors < cfg.min_bit_errors and blocks < cfg.max_blocks:
                 errors += real([base | blocks << 8], cfg, spec,
                                row.snr_db)[0][0]
                 blocks += 1
             assert (row.errors, row.blocks) == (errors, blocks)
-        # the first slice holds one row of each cell of the sweep, and some
+        # the first call holds one row of each cell of the sweep, and some
         # front-end pass is filled to the budget
-        assert sorted(t >> 40 for t in slices[0]) == sorted(
+        assert sorted(t >> 40 for t in calls[0]) == sorted(
             sim._cell_base(rx, snr) >> 40
             for rx in cfg.receivers for snr in cfg.snr_db)
         assert budget in passes
 
     @pytest.mark.parametrize("samples, feedback_rows, pass_rows", [
         # default budget, 16 rows a pass: rounds of 8, 8, 16, 32, 64 and 64
-        # rows, each one slice of at most 64
+        # rows
         (sim.BATCH_SAMPLES, [8, 8, 16, 32, 64, 64], [4, 4, 8] + [16] * 5),
-        # 4 rows a pass: rounds of 8, 8, 16 and then 32 rows, cut into
-        # slices of 16
-        (4 * 512, [8, 8, 16] + [16] * 10, [4] * 24),
+        # 4 rows a pass: rounds of 8, 8, 16 and then 32 rows, each cell
+        # asking for at most one pass
+        (4 * 512, [8, 8, 16, 32, 32, 32, 32, 32], [4] * 24),
     ])
     def test_decision_rows_share_one_feedback_pass_per_round(
             self, monkeypatch, samples, feedback_rows, pass_rows):
         # the criterion-7 shape: every cell runs max_blocks = 24 blocks. A
-        # slice's decision rows of both receivers share one feedback pass;
+        # round's decision rows of both receivers share one feedback pass;
         # the front end runs each receiver's rows in passes of at most the
         # budget, as many as when receivers ran one by one
         monkeypatch.setattr(sim, "BATCH_SAMPLES", samples)
@@ -457,59 +457,69 @@ class TestBatching:
         for name in cfg.receivers:
             assert [size for rx, size in passes if rx == name] == pass_rows
 
-    def test_round_rows_make_the_fewest_passes_and_slices(self, monkeypatch):
-        # each round, a receiver's rows of all its cells make ceil(rows /
-        # budget) front-end passes, wherever the round's slices are cut, and
-        # a slice takes whole passes while they fit in FEEDBACK_PASSES *
-        # budget rows
+    def test_a_round_is_one_run_block_call(self, monkeypatch):
+        # each round makes one run_block call: a receiver's rows of all its
+        # cells make ceil(rows / budget) front-end passes, and the decision-
+        # directed DFE rows of the round make one feedback call per feedback
+        # length, which no linear or genie row reaches
         monkeypatch.setattr(sim, "BATCH_SAMPLES", 3 * 64)
-        cap = sim.FEEDBACK_PASSES * 3
-        cfg = small_config(receivers=["zf-le", "mmse-dfe", "wl-mmse-le"],
-                           feedback="decision", fbf_len=4,
-                           snr_db=[0.0, 4.0, 8.0], max_blocks=60)
+        cfg = small_config(fbf_len=4, snr_db=[0.0, 4.0, 8.0])
+        dfe = ReceiverSpec.from_name("mmse-dfe", fbf_length=4,
+                                     feedback_mode="decision")
+        specs = [ReceiverSpec.from_name("zf-le", feedback_mode="decision"), dfe,
+                 dataclasses.replace(dfe, fbf_length=2),
+                 ReceiverSpec.from_name("wl-zf-dfe", fbf_length=2,
+                                        feedback_mode="decision"),
+                 ReceiverSpec.from_name("zf-dfe", fbf_length=4)]
+        cells = [(spec, snr) for spec in specs for snr in cfg.snr_db]
         real_next, real_block = sim._next_batch, sim.run_block
-        real_synthesize = sim.synthesize
-        events = []  # (kind, receiver, rows) of requests, slices and passes
+        real_synthesize, real_feedback = sim.synthesize, kernels.dd_feedback
+        events = []  # (kind, key, rows) of requests, calls, passes, feedback
 
         def next_spy(tally, *args):
             size = real_next(tally, *args)
-            events.append(("ask", tally.spec.name, size))
+            events.append(("ask", tally.spec, size))
             return size
 
         def block_spy(index, *args):
-            events.append(("slice", None, len(index)))
+            events.append(("block", None, len(index)))
             return real_block(index, *args)
 
         def synthesize_spy(spec, freq_response, sigma_n_sq):
-            events.append(("pass", spec.name, len(freq_response)))
+            events.append(("pass", spec, len(freq_response)))
             return real_synthesize(spec, freq_response, sigma_n_sq)
+
+        def feedback_spy(z_t, taps, *args):
+            events.append(("feedback", taps.shape[-1], len(z_t)))
+            return real_feedback(z_t, taps, *args)
 
         monkeypatch.setattr(sim, "_next_batch", next_spy)
         monkeypatch.setattr(sim, "run_block", block_spy)
         monkeypatch.setattr(sim, "synthesize", synthesize_spy)
-        sim.run_sweep(cfg)
-        rounds = []  # (requests, slices and passes) of each round
-        for event in events:
-            if event[0] == "ask" and (not rounds or rounds[-1][1]):
-                rounds.append(([], []))
-            rounds[-1][event[0] != "ask"].append(event)
+        monkeypatch.setattr(kernels, "dd_feedback", feedback_spy)
+        sim._run_cells(cfg, cells, 60, cfg.min_bit_errors)
+        rounds = []  # the events of each round, by kind
+        for kind, key, size in events:
+            if kind == "ask" and (not rounds or rounds[-1]["block"]):
+                rounds.append({"ask": [], "block": [], "pass": [], "feedback": []})
+            rounds[-1][kind].append((key, size))
+        assert len(rounds) > 3
         uneven = 0
-        for asks, work in rounds:
-            for name in cfg.receivers:
-                rows = sum(size for _, rx, size in asks if rx == name)
-                sizes = [size for kind, rx, size in work if rx == name]
+        for r in rounds:
+            assert r["block"] == [(None, sum(size for _, size in r["ask"]))]
+            for spec in specs:
+                rows = sum(size for key, size in r["ask"] if key == spec)
+                sizes = [size for key, size in r["pass"] if key == spec]
                 assert sum(sizes) == rows
-                assert len(sizes) == -(-rows // 3), (name, rows, sizes)
+                assert len(sizes) == -(-rows // 3), (spec, rows, sizes)
                 uneven += rows % 3 != 0
-            slices = []  # the pass sizes of each slice of the round
-            for kind, _, size in work:
-                if kind == "slice":
-                    slices.append((size, []))
-                else:
-                    slices[-1][1].append(size)
-            assert all(size == sum(passes) <= cap for size, passes in slices)
-            for (size, _), (_, passes) in zip(slices, slices[1:]):
-                assert size + passes[0] > cap  # the next pass did not fit
+            decision = {}  # feedback length -> decision-directed DFE rows
+            for spec, size in r["ask"]:
+                if (spec.structure, spec.feedback_mode) == ("dfe",
+                                                            "decision_directed"):
+                    decision[spec.fbf_length] = decision.get(
+                        spec.fbf_length, 0) + size
+            assert sorted(r["feedback"]) == sorted(decision.items())
         assert uneven  # some round's rows do not fill whole passes
 
     def test_interleaved_receivers_equal_single_blocks(self):
@@ -618,6 +628,23 @@ class TestTrialIndexPacking:
 
 
 class TestMeasurePostSnr:
+    @pytest.mark.parametrize("argument, value", [
+        ("realizations", True), ("realizations", 2.5), ("realizations", "ten"),
+        ("realizations", None), ("snr_db", True), ("snr_db", "high"),
+        ("snr_db", None),
+    ])
+    def test_argument_of_the_wrong_type_is_a_value_error(
+            self, monkeypatch, argument, value):
+        # read as SweepConfig reads its keys: a bool is not one realization,
+        # and a non-integral count is refused rather than truncated
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("a block ran before the argument was rejected")
+
+        monkeypatch.setattr(sim, "run_block", no_blocks)
+        args = {"snr_db": 8.0, "realizations": 10, argument: value}
+        with pytest.raises(ValueError, match=f"'{argument}' must be a"):
+            sim.measure_post_snr(small_config(), **args)
+
     def test_zf_dfe_anchor(self):
         cfg = sim.SweepConfig.from_dict(
             dict(receivers=["zf-dfe"], nr=1, v=20, m=512, snr=[10.0],
