@@ -76,7 +76,7 @@ def levinson_recursion(autocov, order):
         past += k[..., None] * np.conj(past[..., ::-1])
         taps[..., i - 1] = k
         err = err * (1.0 - np.abs(k) ** 2)
-        if np.any(err <= 0.0):
+        if (err <= 0.0).any():
             raise ConditioningError(
                 f"prediction error {np.min(err):.3e} at order {i}; "
                 "autocovariance is not positive definite"
@@ -94,18 +94,21 @@ def dd_feedback(z_t, fbf, tail, points, real_metric):
     of z_t, fbf and tail are a batch of rows, all advanced one position
     per step; each row equals the 1-d call on that row bit for bit.
 
-    Returns the decided indices into points, shaped like z_t.
+    Returns the decided indices into points, shaped like z_t, in the
+    narrowest unsigned dtype that holds len(points) - 1.
     """
     z_t, fbf, tail = np.asarray(z_t), np.asarray(fbf), np.asarray(tail)
     *rows, m = z_t.shape
     n_taps = fbf.shape[-1]
     # past[..., l:l + L] holds the decisions for positions l-L..l-1, the
     # wrapped ones taken from tail, so b_t pairs with past[..., l + L - t]
-    past = np.concatenate([tail, np.empty((*rows, m), np.complex128)], axis=-1)
+    past = np.empty((*rows, n_taps + m), np.complex128)
+    past[..., :n_taps] = tail
     reversed_fbf = np.asarray(fbf[..., ::-1], np.complex128)
     products = np.empty((*rows, n_taps), np.complex128)
-    # position-major, so that each step writes one contiguous row
-    idx = np.empty((m, *rows), np.int64)
+    # position-major, so that each step writes one contiguous row, in the
+    # narrowest unsigned dtype that holds every index of the alphabet
+    idx = np.empty((m, *rows), np.min_scalar_type(len(points) - 1))
     z_by_position = np.moveaxis(z_t, -1, 0)
     for l in range(m):
         np.multiply(reversed_fbf, past[..., l : l + n_taps], out=products)

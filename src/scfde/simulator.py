@@ -395,11 +395,14 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
                     (part, tx_bits, decided))
             else:
                 errors[part] = count_bit_errors(tx_bits, index_bits(decided, c))
-    for passes in feedback.values():
-        parts, tx_bits, decided = zip(*passes)
+    for length in list(feedback):
+        parts, tx_bits, decided = zip(*feedback.pop(length))
         # stacking casts real widely linear rows to complex, which leaves
-        # their decisions unchanged (see FeedbackPass)
+        # their decisions unchanged (see FeedbackPass); the passes' arrays
+        # are dropped once stacked, so that only the stacked copy is alive
+        # through the feedback pass
         z_t, taps, tail = (np.concatenate(column) for column in zip(*decided))
+        del decided
         indices = kernels.dd_feedback(z_t, taps, tail, c.points, c.is_real)
         rows = [row for part in parts for row in part]
         errors[rows] = count_bit_errors(np.concatenate(tx_bits),
@@ -426,6 +429,7 @@ class _Tally:
     spec: ReceiverSpec
     snr_db: float
     base: int
+    block_bits: int  # bits of one block, each of which may be in error
     errors: int = 0
     bits: int = 0
     mses: list = field(default_factory=list)
@@ -438,19 +442,26 @@ class _Tally:
 def _next_batch(tally: _Tally, budget: int, max_blocks: int, min_errors) -> int:
     """Rows a cell asks for next, from its committed counts only.
 
-    The first batch is one block. After it, a batch holds the blocks the
-    committed error rate says are still needed, ceil((min_errors -
-    errors) * blocks / errors), or as many as are committed while no
-    error has been seen or there is no error target, so that batches
-    grow geometrically. It never holds more than the committed blocks,
-    the budget, or the blocks left before max_blocks.
+    A batch holds at least the blocks the cell is certain to commit: all
+    blocks left where there is no error target, else the next
+    ceil((min_errors - errors) / block_bits) blocks, which stay below the
+    target even if every bit of them errs. Past those, it holds the
+    blocks the committed error rate says are still needed,
+    ceil((min_errors - errors) * blocks / errors), or as many as are
+    committed while no error has been seen, so that batches grow
+    geometrically but never by more than the committed blocks. It never
+    holds more than the budget or the blocks left before max_blocks.
     """
     blocks, errors = tally.blocks, tally.errors
-    if errors == 0 or math.isinf(min_errors):
+    left = max_blocks - blocks
+    if math.isinf(min_errors):
+        return min(budget, left)
+    if errors == 0:
         wanted = max(1, blocks)
     else:
         wanted = min(blocks, -((errors - min_errors) * blocks // errors))
-    return min(budget, max_blocks - blocks, wanted)
+    certain = -((errors - min_errors) // tally.block_bits)
+    return min(budget, left, max(wanted, certain))
 
 
 def _run_cells(config: SweepConfig, cells, max_blocks: int,
@@ -458,16 +469,21 @@ def _run_cells(config: SweepConfig, cells, max_blocks: int,
     """Run the (receiver spec, SNR) cells together; a _Tally each, in order.
 
     Each round, every active cell asks for its next batch (_next_batch,
-    at most one front-end pass of rows), and the rows of all cells, each
-    cell's as one run of ordinals, make one run_block call. A cell then
-    commits its rows in ordinal order and stops at min_errors bit errors
-    or max_blocks blocks, whichever comes first, discarding the rest of
-    its rows. A cell's trial indices are
+    at most one front-end pass of rows, and at least the rows it is
+    certain to commit, so that a cell that cannot stop early fills a pass
+    from its first round), and the rows of all cells, each cell's as one
+    run of ordinals, make one run_block call. A cell then commits its
+    rows in ordinal order and stops at min_errors bit errors or
+    max_blocks blocks, whichever comes first, discarding the rest of its
+    rows. A cell's trial indices are
     _cell_base(spec.name, snr) | ordinal << 8.
     """
     assert max_blocks <= _MAX_ORDINALS, "ordinal would overwrite the cell hash"
     budget = _pass_rows(config)
-    tallies = [_Tally(spec, snr, _cell_base(spec.name, snr)) for spec, snr in cells]
+    block_bits = (config.block_size
+                  * constellation(config.constellation).bits_per_symbol)
+    tallies = [_Tally(spec, snr, _cell_base(spec.name, snr), block_bits)
+               for spec, snr in cells]
     active = tallies
     while active:
         sizes = [_next_batch(t, budget, max_blocks, min_errors) for t in active]

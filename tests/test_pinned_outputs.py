@@ -4,8 +4,11 @@ The values below were frozen from a run of the engine; a change to any of
 them is an output change and has to be recorded as one. The sweep covers
 all eight receivers with BPSK and the four conventional ones with 16-QAM,
 each under ideal (genie) and decision feedback, at nr=1, v=4, M=64, L=4.
-Counts are pinned exactly and dB values to 1e-9 dB: reordering a sum may
-move them in their last digits, a change of algorithm moves them further.
+A fixed-count 16-QAM decision sweep and a post-SNR run of more than one
+front-end pass pin the cells that cannot stop early, whose batches are
+sized by the blocks they are certain to commit. Counts are pinned exactly
+and dB values to 1e-9 dB: reordering a sum may move them in their last
+digits, a change of algorithm moves them further.
 """
 
 import pytest
@@ -83,6 +86,23 @@ POST_ROWS = [
     ('wl-mmse-dfe', 40, 15.478494095226754, None, None),
 ]
 
+# receiver, snr_db, bits, errors, blocks, post_snr_db, analytic_db of a
+# 16-QAM decision sweep that runs every cell to max_blocks = 150
+FIXED_COUNT_ROWS = [
+    ('zf-dfe', 16.0, 38400, 2169, 150, 12.65236232792155, 13.493184218651477),
+    ('zf-dfe', 22.0, 38400, 227, 150, 19.15917154207839, 19.49318421865148),
+    ('mmse-dfe', 16.0, 38400, 1748, 150, 12.943045004080174, None),
+    ('mmse-dfe', 22.0, 38400, 121, 150, 18.981093897214567, None),
+]
+
+# receiver, realizations, post_snr_db, analytic_db, delta_db at nr=1, 6 dB,
+# 300 realizations: more than the 128 rows of a front-end pass at M=64
+LONG_POST_ROWS = [
+    ('zf-le', 300, -4.350650488879266, None, None),
+    ('wl-zf-dfe', 300, 7.158218335068936, 7.836129037683996, -0.6779107026150601),
+    ('mmse-dfe', 300, 3.9782057504170765, None, None),
+]
+
 
 def _db(expected):
     return None if expected is None else pytest.approx(expected, abs=TOL_DB,
@@ -112,5 +132,28 @@ def test_post_snr_rows_pinned():
     assert [(r.receiver, r.realizations) for r in got] == [
         row[:2] for row in POST_ROWS]
     for r, (_, _, post, analytic, delta) in zip(got, POST_ROWS):
+        assert (r.post_snr_db, r.analytic_db, r.delta_db) == (
+            _db(post), _db(analytic), _db(delta)), r.receiver
+
+
+def test_fixed_count_decision_rows_pinned():
+    cfg = sim.SweepConfig.from_dict(dict(
+        _COMMON, constellation="16qam", feedback="decision",
+        receivers=["zf-dfe", "mmse-dfe"], snr=[16.0, 22.0],
+        min_bit_errors=10**9, max_blocks=150))
+    got = [(r.receiver, r.snr_db, r.bits, r.errors, r.blocks, r.post_snr_db,
+            r.analytic_db) for r in sim.run_sweep(cfg).rows]
+    assert [row[:5] for row in got] == [row[:5] for row in FIXED_COUNT_ROWS]
+    for g, e in zip(got, FIXED_COUNT_ROWS):
+        assert g[5:] == (_db(e[5]), _db(e[6])), g[:2]
+
+
+def test_long_post_snr_rows_pinned():
+    cfg = sim.SweepConfig.from_dict(dict(
+        _COMMON, receivers=[row[0] for row in LONG_POST_ROWS]))
+    got = sim.measure_post_snr(cfg, 6.0, 300)
+    assert [(r.receiver, r.realizations) for r in got] == [
+        row[:2] for row in LONG_POST_ROWS]
+    for r, (_, _, post, analytic, delta) in zip(got, LONG_POST_ROWS):
         assert (r.post_snr_db, r.analytic_db, r.delta_db) == (
             _db(post), _db(analytic), _db(delta)), r.receiver

@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -366,6 +367,7 @@ class TestBatching:
         # front-end pass holds the rows of one receiver, at most the budget
         cfg = small_config(**overrides)
         budget = sim.BATCH_SAMPLES // (cfg.antennas * cfg.block_size)
+        block_bits = cfg.block_size  # BPSK
         real, real_synthesize = sim.run_block, sim.synthesize
         calls, passes = [], []
 
@@ -394,38 +396,71 @@ class TestBatching:
             cell_runs = runs[base >> 40]
             ordinals = [k for run in cell_runs for k in run]
             assert ordinals == list(range(len(ordinals)))
-            assert len(cell_runs[0]) == 1
-            # each run is exactly one request, one per call while the cell
-            # runs, and never holds more than the committed blocks, so a
-            # cell's batch at most doubles them
-            assert len(cell_runs) == sum(
-                any(t >> 40 == base >> 40 for t in index) for index in calls)
-            for run in cell_runs[1:]:
-                assert len(run) <= min(run[0], cfg.max_blocks - run[0], budget)
-            assert row.blocks <= len(ordinals) < 2 * row.blocks
             # the cell stops where a block-by-block loop stops
             spec = ReceiverSpec.from_name(row.receiver, fbf_length=cfg.fbf_len,
                                           feedback_mode=cfg.feedback)
-            errors = blocks = 0
-            while errors < cfg.min_bit_errors and blocks < cfg.max_blocks:
-                errors += real([base | blocks << 8], cfg, spec,
-                               row.snr_db)[0][0]
-                blocks += 1
-            assert (row.errors, row.blocks) == (errors, blocks)
-        # the first call holds one row of each cell of the sweep, and some
-        # front-end pass is filled to the budget
-        assert sorted(t >> 40 for t in calls[0]) == sorted(
+            errors = [0]  # committed errors before each block
+            while (errors[-1] < cfg.min_bit_errors
+                   and len(errors) <= cfg.max_blocks):
+                errors.append(errors[-1] + real(
+                    [base | (len(errors) - 1) << 8], cfg, spec, row.snr_db)[0][0])
+            assert (row.errors, row.blocks) == (errors[-1], len(errors) - 1)
+            # the first run holds the blocks the cell is certain to commit
+            certain = -(-cfg.min_bit_errors // block_bits)
+            assert len(cell_runs[0]) == min(budget, cfg.max_blocks, max(1, certain))
+            # each run is exactly one request, one per call while the cell
+            # runs; a run above the committed blocks (its first ordinal)
+            # stays below the error target even if every bit errs, so it is
+            # committed whole
+            assert len(cell_runs) == sum(
+                any(t >> 40 == base >> 40 for t in index) for index in calls)
+            for run in cell_runs:
+                assert 1 <= len(run) <= min(cfg.max_blocks - run[0], budget)
+                if len(run) > max(1, run[0]):
+                    assert (errors[run[0]] + (len(run) - 1) * block_bits
+                            < cfg.min_bit_errors)
+                    assert run[-1] < row.blocks
+            assert row.blocks <= len(ordinals) < 2 * row.blocks
+        # the first call holds the first run of each cell of the sweep, and
+        # some front-end pass is filled to the budget
+        assert sorted(set(t >> 40 for t in calls[0])) == sorted(
             sim._cell_base(rx, snr) >> 40
             for rx in cfg.receivers for snr in cfg.snr_db)
         assert budget in passes
 
+    @settings(PROPERTY, max_examples=300)
+    @given(data=st.data(), blocks=st.integers(0, 64) | st.integers(0, 10**4),
+           block_bits=st.integers(1, 4096), budget=st.integers(1, 512),
+           min_errors=st.just(math.inf) | st.integers(100, 10**5))
+    def test_next_batch_asks_for_the_rows_certain_to_commit(
+            self, data, blocks, block_bits, budget, min_errors):
+        # a batch is at least the rows the cell commits even if every bit
+        # errs, at most a pass and the blocks left; it exceeds the geometric
+        # max(1, blocks) only with rows that are all committed
+        errors = data.draw(st.integers(0, min(blocks * block_bits,
+                                              min_errors - 1)), label="errors")
+        max_blocks = data.draw(st.integers(blocks + 1, blocks + 10**6),
+                               label="max_blocks")
+        tally = sim._Tally(ReceiverSpec.from_name("zf-le"), 0.0, 0, block_bits,
+                           errors=errors, bits=blocks * block_bits,
+                           mses=[1.0] * blocks)
+        size = sim._next_batch(tally, budget, max_blocks, min_errors)
+        left = max_blocks - blocks
+        assert 1 <= size <= min(budget, left)
+        certain = (left if math.isinf(min_errors)
+                   else -(-(min_errors - errors) // block_bits))
+        assert size >= min(budget, left, certain)
+        if size > max(1, blocks):
+            assert errors + (size - 1) * block_bits < min_errors
+
     @pytest.mark.parametrize("samples, feedback_rows, pass_rows", [
-        # default budget, 16 rows a pass: rounds of 8, 8, 16, 32, 64 and 64
-        # rows
-        (sim.BATCH_SAMPLES, [8, 8, 16, 32, 64, 64], [4, 4, 8] + [16] * 5),
-        # 4 rows a pass: rounds of 8, 8, 16 and then 32 rows, each cell
-        # asking for at most one pass
-        (4 * 512, [8, 8, 16, 32, 32, 32, 32, 32], [4] * 24),
+        # default budget, 16 rows a pass: no cell can stop early, so each
+        # asks for a full pass from its first round, then for its last 8
+        # blocks
+        (sim.BATCH_SAMPLES, [128, 64], [16] * 6),
+        # 4 rows a pass: rounds of 32 rows, each cell asking for at most
+        # one pass
+        (4 * 512, [32] * 6, [4] * 24),
     ])
     def test_decision_rows_share_one_feedback_pass_per_round(
             self, monkeypatch, samples, feedback_rows, pass_rows):
@@ -653,6 +688,26 @@ class TestMeasurePostSnr:
         (row,) = sim.measure_post_snr(cfg, snr_db=10.0, realizations=400)
         assert row.analytic_db == pytest.approx(10 * np.log10(0.5614594835668851 * 10))
         assert row.post_snr_db == pytest.approx(row.analytic_db, abs=0.3)
+
+    @pytest.mark.parametrize("samples, realizations", [
+        (sim.BATCH_SAMPLES, 300), (8 * 64, 48), (8 * 64, 50)])
+    def test_rounds_fill_passes(self, monkeypatch, samples, realizations):
+        # a post-SNR cell has no error target, so every row it asks for is
+        # committed and it asks for a full pass each round
+        monkeypatch.setattr(sim, "BATCH_SAMPLES", samples)
+        cfg = small_config(receivers=["zf-le", "mmse-dfe"])
+        real, calls = sim.run_block, []
+
+        def spy(index, *args):
+            calls.append(len(index))
+            return real(index, *args)
+
+        monkeypatch.setattr(sim, "run_block", spy)
+        rows = sim.measure_post_snr(cfg, snr_db=8.0, realizations=realizations)
+        pass_rows = samples // cfg.block_size
+        assert len(calls) == -(-realizations // pass_rows)
+        assert sum(calls) == len(rows) * realizations
+        assert [row.realizations for row in rows] == [realizations] * 2
 
     def test_deterministic(self):
         cfg = small_config(receivers=["zf-le"], antennas=2)
