@@ -5,15 +5,29 @@ feedback pass feeds each decision into the next, so each keeps one Python
 loop (over orders, over positions) and does the work of one iteration in
 a few numpy calls. Both take a leading batch axis and advance every row
 of the batch in the same iteration, so the loop runs once per batch, not
-once per block. Dot products are elementwise products summed over the
-last axis by np.add.reduce (np.sum without its Python wrapper), which
-rounds each row the same way at any batch size; einsum and matmul do not
-promise that.
+once per block.
+
+Levinson keeps the rows on the outer axis. Its dot products are
+elementwise products summed over the last axis by np.add.reduce (np.sum
+without its Python wrapper), which rounds each row the same way at any
+batch size; einsum and matmul do not promise that.
+
+The feedback pass puts the rows on the contiguous inner axis, since one
+position is only L taps and one decision per row: it holds its decision
+history as (L + M, rows) and its reversed taps as (L, rows), so a
+position is a few numpy calls, each over contiguous rows. Its tap sum
+reduces the (L, rows) products over their first axis, which numpy does
+in one fixed order, b_L first, for two rows or more; an (L, 1) array it
+would sum pairwise, so a lone row runs as two. The slicer decides per
+axis on grid alphabets (see nearest_index).
 
 Each step is written once and returns only what its caller reads:
 levinson_recursion checks its input and raises ConditioningError itself,
 and dd_feedback returns the decided indices.
 """
+
+import functools
+import struct
 
 import numpy as np
 
@@ -30,13 +44,117 @@ def backend():
 def nearest_index(z, points, real_metric):
     """Index of the nearest point for each sample of z, over the last axis.
 
-    Ties resolve to the lower point index. real_metric slices on the real
-    part only, since only real noise moves a real-valued decision across
-    its boundary.
+    On a grid alphabet each axis takes its nearest level, as the rounded
+    |x - level| compares, and ties go to the lower point index; on any
+    other alphabet (8-PSK) the rule is argmin_i |z - points[i]| as numpy
+    rounds it, ties going to the lower index. real_metric slices on the
+    real part only, since only real noise moves a real-valued decision
+    across its boundary.
+
+    A grid's points are every pair of a set of real and a set of imaginary
+    levels (16-QAM), or for a real metric the real levels alone (BPSK).
+    An axis of two levels takes one comparison, an axis of more a
+    searchsorted over its cuts, and a level-to-index table gives the
+    point. The cut between two neighbouring levels is the least double at
+    which the rounded distance to the upper level is smaller, or equal
+    where the upper level has the lower index, so an exact midpoint goes
+    to the lower point index. Where the two rules differ is on a complex
+    grid within a few ulps of a cut, where the argmin's rounded |z - p|
+    can call two different distances equal: 16-QAM samples at |z| ~ 1e-15
+    are sliced per axis, not as the argmin would.
+
+    Returns integer indices shaped like z.
     """
-    z = np.asarray(z)[..., None]
-    d = np.abs(z.real - points.real) if real_metric else np.abs(z - points)
-    return d.argmin(axis=-1)  # first minimum = lowest index
+    return _slicer(np.asarray(points, np.complex128).tobytes(),
+                   bool(real_metric))(np.asarray(z))
+
+
+def _rank(x: float) -> int:
+    """Position of the double x in the order of doubles (0.0 and -0.0
+    share 0), so that neighbouring doubles differ by one."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _unrank(rank: int) -> float:
+    (x,) = struct.unpack("<d", struct.pack("<q", abs(rank)))
+    return x if rank >= 0 else -x
+
+
+def _cut(lo: float, hi: float, hi_wins_ties: bool) -> float:
+    """The least double x at which |x - hi| < |x - lo|, or == where the
+    upper level hi takes ties; the comparison is monotone in x."""
+    def upper(x):
+        d_lo, d_hi = abs(x - lo), abs(x - hi)
+        return d_hi < d_lo or (hi_wins_ties and d_hi == d_lo)
+
+    below, above = _rank(lo), _rank(hi)  # upper(lo) is False, upper(hi) True
+    while above - below > 1:
+        mid = (below + above) // 2
+        if upper(_unrank(mid)):
+            above = mid
+        else:
+            below = mid
+    return _unrank(above)
+
+
+def _grid_cuts(levels, table):
+    """The cuts of each axis of a grid, or None where a pair of neighbouring
+    levels is not ordered alike in every row: the upper level has the
+    lower index in some rows and the higher in others, so no one cut
+    keeps the lower-index tie rule."""
+    cuts = []
+    for k, lv in enumerate(levels):
+        by_level = np.moveaxis(table, k, 0).reshape(len(lv), -1)
+        upper_first = by_level[1:] < by_level[:-1]
+        if (upper_first.any(axis=1) != upper_first.all(axis=1)).any():
+            return None
+        cuts.append(np.array([_cut(lo, hi, first) for lo, hi, first in zip(
+            lv.tolist(), lv[1:].tolist(), upper_first[:, 0].tolist())]))
+    return cuts
+
+
+def _level(cuts, x):
+    """Level of each x on an axis: how many of its cuts are <= x."""
+    if len(cuts) == 1:  # a bool is a level once viewed as an integer
+        return np.greater_equal(x, cuts[0]).view(np.uint8)
+    return cuts.searchsorted(x, "right")
+
+
+@functools.lru_cache(maxsize=16)
+def _slicer(points_bytes: bytes, real_metric: bool):
+    """nearest_index for one alphabet and metric, as a function of z."""
+    points = np.frombuffer(points_bytes, np.complex128)
+    n = len(points)
+    # the axes on which the points take more than one level, their sorted
+    # levels, and each point's level on each, found in plain Python: the
+    # first np.unique call imports numpy.ma, a MiB of resident memory
+    parts, levels, at = [], [], []
+    for part in ("real",) if real_metric else ("real", "imag"):
+        coord = getattr(points, part).tolist()
+        lv = sorted(set(coord))
+        if len(lv) > 1:
+            parts.append(part)
+            levels.append(np.array(lv))
+            at.append([lv.index(x) for x in coord])
+    # levels -> lowest index of a point there: a complex grid holds one
+    # point at every pair of levels, a real metric may put several on one
+    table = np.full([len(lv) for lv in levels], n, np.intp)
+    for i in reversed(range(n)):
+        table[tuple(level[i] for level in at)] = i
+
+    def argmin(z):
+        d = (np.abs(z[..., None].real - points.real) if real_metric
+             else np.abs(z[..., None] - points))
+        return d.argmin(axis=-1)  # first minimum = lowest index
+
+    cuts = None
+    if parts and (table < n).all() and (real_metric or table.size == n):
+        cuts = _grid_cuts(levels, table)
+    if cuts is None:
+        return argmin
+    return lambda z: table[tuple(_level(cut, getattr(z, part))
+                                 for part, cut in zip(parts, cuts))]
 
 
 def levinson_recursion(autocov, order):
@@ -98,22 +216,32 @@ def dd_feedback(z_t, fbf, tail, points, real_metric):
     narrowest unsigned dtype that holds len(points) - 1.
     """
     z_t, fbf, tail = np.asarray(z_t), np.asarray(fbf), np.asarray(tail)
+    points = np.asarray(points, np.complex128)
     *rows, m = z_t.shape
     n_taps = fbf.shape[-1]
-    # past[..., l:l + L] holds the decisions for positions l-L..l-1, the
-    # wrapped ones taken from tail, so b_t pairs with past[..., l + L - t]
-    past = np.empty((*rows, n_taps + m), np.complex128)
-    past[..., :n_taps] = tail
-    reversed_fbf = np.asarray(fbf[..., ::-1], np.complex128)
-    products = np.empty((*rows, n_taps), np.complex128)
-    # position-major, so that each step writes one contiguous row, in the
-    # narrowest unsigned dtype that holds every index of the alphabet
-    idx = np.empty((m, *rows), np.min_scalar_type(len(points) - 1))
-    z_by_position = np.moveaxis(z_t, -1, 0)
+    z_t, fbf, tail = (a.reshape(-1, a.shape[-1]) for a in (z_t, fbf, tail))
+    n = len(z_t)
+    if n == 1:
+        # numpy sums an (L, 1) array pairwise and an (L, R >= 2) one in
+        # order, so a lone row runs twice to sum as it does in any batch
+        z_t, fbf, tail = (np.concatenate([a, a]) for a in (z_t, fbf, tail))
+    # rows on the inner axis: past[l:l + L] holds the decisions for
+    # positions l-L..l-1, the wrapped ones taken from tail, so b_t pairs
+    # with past[l + L - t], and the taps are stored reversed to match;
+    # past[l + L] holds z_t at position l until its decision overwrites it
+    past = np.empty((n_taps + m, len(z_t)), np.complex128)
+    past[:n_taps] = tail.T
+    past[n_taps:] = z_t.T
+    reversed_fbf = np.array(fbf[:, ::-1].T, np.complex128, order="C")
+    products = np.empty_like(reversed_fbf)
+    z_hat = np.empty(len(z_t), np.complex128)
+    idx = np.empty((m, len(z_t)), np.min_scalar_type(len(points) - 1))
+    decide = _slicer(points.tobytes(), bool(real_metric))
     for l in range(m):
-        np.multiply(reversed_fbf, past[..., l : l + n_taps], out=products)
-        best = nearest_index(z_by_position[l] - np.add.reduce(products, axis=-1),
-                             points, real_metric)
+        np.multiply(reversed_fbf, past[l : l + n_taps], out=products)
+        np.add.reduce(products, axis=0, out=z_hat)
+        np.subtract(past[l + n_taps], z_hat, out=z_hat)
+        best = decide(z_hat)
         idx[l] = best
-        past[..., l + n_taps] = points[best]
-    return np.moveaxis(idx, 0, -1)
+        points.take(best, out=past[l + n_taps], mode="clip")
+    return idx[:, :n].T.reshape(*rows, m)

@@ -3,6 +3,13 @@
 A block is its time-domain symbols, map_bits' output; precode returns
 their spectrum X(k), which is what the channel and the equalizers read.
 
+A symbol's label is its bits read MSB first, as one uint8. map_bits
+packs drawn bits into labels and reads each label's point from the
+constellation's label-to-point table (label_points); a decided point
+index reads its label from the point-to-label table (labels), so bit
+errors are the popcount of tx_label XOR rx_label and no per-bit array is
+built.
+
 Gray labeling is pinned here because uncoded BER at a given SNR depends
 on it: BPSK maps bit 0 to +1; 8-PSK places points at angles 2pi m/8 with
 the reflected-binary code around the ring; 16-QAM uses the per-axis
@@ -24,14 +31,18 @@ class Constellation:
     bit_labels: np.ndarray  # shape (n_points, bits_per_symbol), entries 0/1
     bits_per_symbol: int
     is_real: bool
-    # label integer (MSB first) -> index into points
-    _label_to_index: np.ndarray = field(repr=False, default=None)
+    # point index -> its label, and label -> its point; every label of
+    # bits_per_symbol bits names one point
+    labels: np.ndarray = field(init=False, repr=False)
+    label_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         weights = 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
-        lut = np.full(2**self.bits_per_symbol, -1, dtype=np.int64)
-        lut[self.bit_labels @ weights] = np.arange(len(self.points))
-        object.__setattr__(self, "_label_to_index", lut)
+        labels = (self.bit_labels @ weights).astype(np.uint8)
+        label_points = np.empty(2**self.bits_per_symbol, complex)
+        label_points[labels] = self.points
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "label_points", label_points)
 
 
 def _bpsk():
@@ -88,20 +99,24 @@ def constellation(name: str) -> Constellation:
         ) from None
 
 
-def map_bits(bits, c: Constellation) -> np.ndarray:
+def map_bits(bits, c: Constellation):
     """Map 0/1 sequences onto constellation symbols, MSB first per symbol.
 
     The last axis holds one block's bits; leading axes are a batch.
+    Returns (labels, symbols): each symbol's uint8 label and its point.
     """
-    b = np.atleast_1d(np.asarray(bits, dtype=np.int64))
+    b = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
     if b.shape[-1] % c.bits_per_symbol:
         raise ValueError(
             f"bit count {b.shape[-1]} not divisible by bits_per_symbol "
             f"{c.bits_per_symbol}"
         )
     groups = b.reshape(*b.shape[:-1], -1, c.bits_per_symbol)
-    weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
-    return c.points[c._label_to_index[groups @ weights]]
+    labels = groups[..., 0].copy()
+    for k in range(1, c.bits_per_symbol):
+        labels <<= 1
+        labels |= groups[..., k]
+    return labels, c.label_points.take(labels)
 
 
 def precode(x_t) -> np.ndarray:
@@ -110,18 +125,18 @@ def precode(x_t) -> np.ndarray:
     return dft(x_t)
 
 
-def index_bits(indices, c: Constellation) -> np.ndarray:
-    """The bits of the points at `indices`, concatenated over the last axis."""
-    idx = np.asarray(indices)
-    return c.bit_labels[idx].reshape(*idx.shape[:-1], -1)
-
-
-def count_bit_errors(tx_bits, rx_bits):
-    """Bit errors over the last axis: an int for one block, one count per
+def count_bit_errors(tx_labels, rx_labels):
+    """Bit errors between two arrays of uint8 symbol labels, over the last
+    axis: the popcount of tx XOR rx. An int for one block, one count per
     block for a batch."""
-    a = np.asarray(tx_bits)
-    b = np.asarray(rx_bits)
+    a = np.asarray(tx_labels)
+    b = np.asarray(rx_labels)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    errors = np.count_nonzero(a != b, axis=-1)
+    # popcount of each byte, counted in bit pairs, then nibbles, then the
+    # byte, all in uint8 (np.bitwise_count needs numpy 2)
+    x = (a ^ b).astype(np.uint8)
+    x -= (x >> 1) & 0x55
+    x = (x & 0x33) + ((x >> 2) & 0x33)
+    errors = ((x + (x >> 4)) & 0x0F).sum(axis=-1)
     return int(errors) if a.ndim == 1 else errors

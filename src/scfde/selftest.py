@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, channel, equalizer, kernels, numerics
-from .modem import constellation, map_bits, precode
+from .modem import CONSTELLATION_NAMES, constellation, map_bits, precode
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_selftest"]
 
@@ -124,7 +124,7 @@ def _suite_wl_reality():
     c = constellation("bpsk")
     h = _random_channel(gen, n_r=2, v=6, m=128)
     bits = gen.integers(0, 2, 128)
-    x_f = precode(map_bits(bits, c))
+    x_f = precode(map_bits(bits, c)[1])
     y = channel.apply_channel_freq(x_f, h, 0.05, gen.standard_normal(2 * h.size))
     outputs = [_equalized(name, h, 0.05, y, c, x_f, 12, feedback)
                for name in ("wl-mmse-le", "wl-mmse-dfe")
@@ -139,7 +139,7 @@ def _suite_zf_exactness():
     c = constellation("bpsk")
     h = _random_channel(gen, n_r=1, v=8, m=128)
     bits = gen.integers(0, 2, 128)
-    x_t = map_bits(bits, c)
+    _, x_t = map_bits(bits, c)
     x_f = precode(x_t)
     y = channel.apply_channel_freq(x_f, h, 0.0, None)
     worst = 0.0
@@ -227,6 +227,28 @@ def _suite_rng_streams():
             "integers and standard_normal")
 
 
+def _suite_slicer():
+    gen = _rng(10)
+    z = gen.standard_normal(256) + 1j * gen.standard_normal(256)
+    for name in CONSTELLATION_NAMES:
+        c = constellation(name)
+        # random samples, and the midpoint of every pair of points, where
+        # the lower index must win a tie
+        a, b = np.triu_indices(c.points.size, k=1)
+        sample = np.concatenate([z, (c.points[a] + c.points[b]) / 2])
+        for real_metric in (True, False):
+            diff = sample[:, None] - c.points
+            ref = np.abs(diff.real if real_metric else diff).argmin(axis=1)
+            got = kernels.nearest_index(sample, c.points, real_metric)
+            wrong = np.flatnonzero(got != ref)
+            assert not wrong.size, (
+                f"{name} ({'real' if real_metric else 'complex'} metric): "
+                f"{sample[wrong[0]]:.17g} sliced to point {got[wrong[0]]}, "
+                f"the nearest is {ref[wrong[0]]}")
+    return (f"{len(CONSTELLATION_NAMES)} alphabets, both metrics, random and "
+            "midpoint samples match a brute-force argmin")
+
+
 _FROZEN_GAPS = {
     ("conv-zf-le", 2): 3.0103,
     ("conv-zf-dfe", 1): 2.5068,
@@ -252,6 +274,7 @@ def _suite_limit_table():
 _SUITES = (
     ("dft-roundtrip", _suite_dft_roundtrip),
     ("rng-streams", _suite_rng_streams),
+    ("slicer", _suite_slicer),
     ("levinson-vs-dense", _suite_levinson_vs_dense),
     ("fbf-whitening", _suite_fbf_whitening),
     ("predicted-mse-monotone", _suite_predicted_mse_monotone),

@@ -47,13 +47,7 @@ from . import kernels
 from .analytics import limit_snr, mfb_ber
 from .channel import apply_channel_freq, draw_channel
 from .equalizer import ZF_FLOOR, FeedbackPass, ReceiverSpec, equalize, synthesize
-from .modem import (
-    constellation,
-    count_bit_errors,
-    index_bits,
-    map_bits,
-    precode,
-)
+from .modem import constellation, count_bit_errors, map_bits, precode
 from .numerics import draw_streams, stream_states
 
 __all__ = [
@@ -158,6 +152,10 @@ _MAX_ORDINALS = 1 << 32
 # samples (antennas x block size) per front-end pass: 16 blocks of 512 at
 # one antenna, 128 of 64; bounds the pass's arrays, and so the memory
 BATCH_SAMPLES = 1 << 13
+# most samples (antennas x block size) of one block: a pass holds at least
+# one block, and its arrays, some hundreds of bytes a sample, must fit in
+# memory; the paper's configs (M = 512, n_r <= 2) are far below it
+MAX_BLOCK_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -165,9 +163,10 @@ class SweepConfig:
     """One BER sweep: the alphabet, receivers, channel and SNR grid.
 
     Each (receiver, SNR) cell stops at min_bit_errors bit errors or
-    max_blocks blocks. Integer fields take integers, integral floats and
-    digit strings, real ones numbers and numeric strings; any other type
-    is a ValueError. from_dict drops the retired keys parallel_width and,
+    max_blocks blocks. A block holds at most MAX_BLOCK_SAMPLES samples,
+    antennas x block_size. Integer fields take integers, integral floats
+    and digit strings, real ones numbers and numeric strings; any other
+    type is a ValueError. from_dict drops the retired keys parallel_width and,
     at the fixed ZF floor only, zf_epsilon.
     """
 
@@ -230,6 +229,10 @@ class SweepConfig:
                 f"taps must satisfy 1 <= v <= block_size, got v={self.taps} "
                 f"m={self.block_size}"
             )
+        if self.antennas * self.block_size > MAX_BLOCK_SAMPLES:
+            raise ValueError(
+                f"antennas x block_size = {self.antennas} x {self.block_size} "
+                f"samples is more than the {MAX_BLOCK_SAMPLES} a block may hold")
         if self.min_bit_errors < 100:
             raise ValueError("min_bit_errors below 100 gives meaningless BER points")
         if not 1 <= self.max_blocks <= _MAX_ORDINALS:
@@ -331,7 +334,7 @@ def _pass_rows(config: SweepConfig) -> int:
 
 def _front_end(config: SweepConfig, c, spec: ReceiverSpec, states, snrs):
     """One pass of rows of one receiver, from their draws through
-    equalize: (tx_bits, mse, decided), decided as equalize returns it.
+    equalize: (tx_labels, mse, decided), decided as equalize returns it.
     states holds each row's stream state, from numerics.stream_states."""
     m, n_r, v = config.block_size, config.antennas, config.taps
     sigma_n_sq = np.array([_noise_variance(s) for s in snrs])
@@ -339,16 +342,16 @@ def _front_end(config: SweepConfig, c, spec: ReceiverSpec, states, snrs):
     # of the taps (real, imaginary) and of the noise (real, imaginary)
     tx_bits, normals = draw_streams(states, m * c.bits_per_symbol,
                                     2 * n_r * (v + m))
-    x_t = map_bits(tx_bits, c)
+    tx_labels, x_t = map_bits(tx_bits, c)
     x_f = precode(x_t)
     h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
     filters = synthesize(spec, h, sigma_n_sq)
     y = apply_channel_freq(x_f, h, sigma_n_sq, normals[:, 2 * n_r * v :])
     # a pass's arrays are large: each is dropped once nothing reads it, which
     # keeps the peak memory of a pass near that of the step it is in
-    del normals, h
+    del tx_bits, normals, h
     z, decided = equalize(spec, filters, y, c, x_f)
-    return tx_bits, np.mean(np.abs(z - x_t) ** 2, axis=-1), decided
+    return tx_labels, np.mean(np.abs(z - x_t) ** 2, axis=-1), decided
 
 
 def run_block(trial_index, config: SweepConfig, receiver, snr_db):
@@ -383,20 +386,20 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
         groups.setdefault(spec, []).append(row)
     errors, mse = np.empty(n, np.intp), np.empty(n)
     states = stream_states(config.master_seed, trials)
-    feedback = {}  # feedback length -> (rows, tx_bits, FeedbackPass) of its passes
+    feedback = {}  # feedback length -> (rows, tx_labels, FeedbackPass) of its passes
     step = _pass_rows(config)
     for spec, rows in groups.items():
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step]
-            tx_bits, mse[part], decided = _front_end(
+            tx_labels, mse[part], decided = _front_end(
                 config, c, spec, [states[i] for i in part], [snrs[i] for i in part])
             if isinstance(decided, FeedbackPass):
                 feedback.setdefault(decided.taps.shape[-1], []).append(
-                    (part, tx_bits, decided))
+                    (part, tx_labels, decided))
             else:
-                errors[part] = count_bit_errors(tx_bits, index_bits(decided, c))
+                errors[part] = count_bit_errors(tx_labels, c.labels[decided])
     for length in list(feedback):
-        parts, tx_bits, decided = zip(*feedback.pop(length))
+        parts, tx_labels, decided = zip(*feedback.pop(length))
         # stacking casts real widely linear rows to complex, which leaves
         # their decisions unchanged (see FeedbackPass); the passes' arrays
         # are dropped once stacked, so that only the stacked copy is alive
@@ -405,8 +408,8 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
         del decided
         indices = kernels.dd_feedback(z_t, taps, tail, c.points, c.is_real)
         rows = [row for part in parts for row in part]
-        errors[rows] = count_bit_errors(np.concatenate(tx_bits),
-                                        index_bits(indices, c))
+        errors[rows] = count_bit_errors(np.concatenate(tx_labels),
+                                        c.labels[indices])
     return errors, np.full(n, config.block_size * c.bits_per_symbol), mse
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from scfde import analytics as an
 from scfde.kernels import nearest_index
-from scfde.modem import constellation, count_bit_errors, index_bits, map_bits
+from scfde.modem import constellation, count_bit_errors, map_bits
 
 DB = lambda x: 10 * np.log10(x)
 
@@ -286,8 +286,9 @@ def _slicing_ber(name, snr, gen):
     bits = gen.integers(0, 2, _SYMBOLS * c.bits_per_symbol)
     noise = np.sqrt(0.5 / snr) * (gen.standard_normal(_SYMBOLS)
                                   + 1j * gen.standard_normal(_SYMBOLS))
-    rx = index_bits(nearest_index(map_bits(bits, c) + noise, c.points, c.is_real), c)
-    return count_bit_errors(bits, rx) / bits.size
+    labels, symbols = map_bits(bits, c)
+    rx = c.labels[nearest_index(symbols + noise, c.points, c.is_real)]
+    return count_bit_errors(labels, rx) / bits.size
 
 
 def _within_binomial_bound(p, ber):

@@ -182,6 +182,10 @@ class TestBerSweep:
           for grid in ("1:2", "", "1,x", "1:2:3:4")],
         # the point count is checked before the grid is built
         (["snr=0:1e-5:1"], "snr_db range '0:1e-5:1' has 100001 points"),
+        # a block too large for memory: numpy's allocation error, a
+        # traceback, ended the sweep after it had begun
+        (["nr=1", "m=67108864", "v=1", "max_blocks=1", "snr=10",
+          "receivers=zf-le"], "antennas x block_size = 1 x 67108864"),
     ])
     def test_bad_config_exits_2_before_any_block(self, small_config, override,
                                                   key, monkeypatch, capsys):

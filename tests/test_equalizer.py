@@ -68,7 +68,7 @@ def equalize(name, f, y, x_f, c=BPSK, feedback="genie"):
 def bpsk_block(m, seed):
     """A random BPSK block and its spectrum: (x_t, x_f)."""
     rng = np.random.default_rng(seed)
-    x_t = map_bits(rng.integers(0, 2, m), constellation("bpsk"))
+    _, x_t = map_bits(rng.integers(0, 2, m), constellation("bpsk"))
     return x_t, precode(x_t)
 
 

@@ -6,7 +6,8 @@ against the errors they raise, decision feedback against a noise-free
 block it must decode exactly and against a scalar reference loop under
 noise, at fixed cases and as hypothesis properties over orders, block
 lengths and alphabets; the shared nearest-point rule must slice the same
-way for a block's hard decisions and the feedback pass.
+way for a block's hard decisions and the feedback pass, and its per-axis
+grid decisions must equal a brute-force argmin over the points.
 """
 
 import numpy as np
@@ -27,6 +28,42 @@ ALPHABETS = {
     "qpsk": (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2), False),
     "16qam": (modem.constellation("16qam").points, False),
 }
+# every shipped alphabet and the tests' QPSK, each under both metrics
+SLICED = [(name, modem.constellation(name).points, real_metric)
+          for name in modem.CONSTELLATION_NAMES for real_metric in (True, False)]
+SLICED += [("qpsk", ALPHABETS["qpsk"][0], real_metric)
+           for real_metric in (True, False)]
+SLICED_IDS = [f"{name}-{'real' if real else 'complex'}" for name, _, real in SLICED]
+
+
+def brute_force_index(z, points, real_metric):
+    """argmin_i |z - points[i]| over the last axis, first minimum on ties."""
+    z = np.asarray(z)[..., None]
+    d = np.abs(z.real - points.real) if real_metric else np.abs(z - points)
+    return d.argmin(axis=-1)
+
+
+def per_axis_index(z, points, real_metric):
+    """The lowest index among the points nearest z on every axis, each axis
+    compared apart as |x - level| rounds: the rule of a grid alphabet."""
+    z = np.asarray(z)[..., None]
+    nearest = [np.abs(part(z) - part(points)) for part in
+               ((np.real,) if real_metric else (np.real, np.imag))]
+    on_all = np.logical_and.reduce([d == d.min(axis=-1, keepdims=True)
+                                    for d in nearest])
+    return on_all.argmax(axis=-1)  # first True = lowest index
+
+
+def midpoints(points):
+    """The midpoint of every pair of points, and each nudged by one ulp
+    either way along each axis."""
+    a, b = np.triu_indices(points.size, k=1)
+    mid = (points[a] + points[b]) / 2
+    re, im = mid.real, mid.imag
+    return np.concatenate([mid] + [np.nextafter(re, d) + 1j * im
+                                   for d in (-np.inf, np.inf)]
+                          + [re + 1j * np.nextafter(im, d)
+                             for d in (-np.inf, np.inf)])
 
 
 def _autocov(seed, m=128):
@@ -241,6 +278,100 @@ class TestKernelProperties:
         idx = kernels.dd_feedback(mid, np.zeros(1, complex), c.points[:1],
                                   c.points, c.is_real)
         np.testing.assert_array_equal(c.points[idx], symbols)
+
+    @PROPERTY
+    @given(case=st.sampled_from(SLICED), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.1, 1.0, 4.0, 100.0]))
+    def test_grid_slicer_equals_brute_force(self, case, seed, scale):
+        # random z, and the exact midpoints where the lower index must win.
+        # z is drawn at the scale of the points: within a few ulps of a
+        # cut, brute force's rounded hypot can call a near-tie a tie where
+        # the per-axis rule still takes the nearer point (next test)
+        _, points, real_metric = case
+        gen = RngStream(15, seed).generator()
+        z = scale * (gen.standard_normal(500) + 1j * gen.standard_normal(500))
+        for sample in (z, midpoints(points)):
+            np.testing.assert_array_equal(
+                kernels.nearest_index(sample, points, real_metric),
+                brute_force_index(sample, points, real_metric))
+
+    @pytest.mark.parametrize("name, points, real_metric", SLICED, ids=SLICED_IDS)
+    def test_grid_slicer_decides_each_axis_near_zero(self, name, points,
+                                                     real_metric):
+        # at |z| ~ 1e-15 every sample is within a few ulps of a cut, where
+        # a grid is still sliced per axis; 8-PSK is no grid and keeps the
+        # argmin
+        gen = RngStream(17, 0).generator()
+        z = 1e-15 * (gen.standard_normal(5000) + 1j * gen.standard_normal(5000))
+        got = kernels.nearest_index(z, points, real_metric)
+        grid = real_metric or name != "8psk"
+        reference = per_axis_index if grid else brute_force_index
+        np.testing.assert_array_equal(got, reference(z, points, real_metric))
+        if name == "16qam" and not real_metric:
+            # the one place the rules part: the argmin calls some of these
+            # near-ties ties and takes the lower index instead
+            assert (got != brute_force_index(z, points, real_metric)).any()
+
+    def test_grid_with_unlike_axes_is_sliced_per_axis(self):
+        # 4 real levels by 2 imaginary: the axes cut at different values.
+        # An inexact midpoint lies within an ulp of a cut, where the
+        # argmin's rounded hypot may call the two distances equal, so
+        # midpoints are checked against the per-axis rule alone
+        points = np.array([x + 1j * y for y in (-1, 1)
+                           for x in (-3, -1, 1, 3)]) / np.sqrt(6)
+        gen = RngStream(18, 0).generator()
+        z = gen.standard_normal(2000) + 1j * gen.standard_normal(2000)
+        for real_metric in (True, False):
+            got = kernels.nearest_index(z, points, real_metric)
+            np.testing.assert_array_equal(
+                got, brute_force_index(z, points, real_metric))
+            for sample in (1e-15 * z, midpoints(points)):
+                np.testing.assert_array_equal(
+                    kernels.nearest_index(sample, points, real_metric),
+                    per_axis_index(sample, points, real_metric))
+
+    @pytest.mark.parametrize("name, points, real_metric", SLICED, ids=SLICED_IDS)
+    def test_slicer_keeps_the_shape_of_z(self, name, points, real_metric):
+        z = np.array([[0.3 - 0.9j, -2.0 + 0.1j, 0.0]])
+        got = kernels.nearest_index(z, points, real_metric)
+        assert got.shape == z.shape
+        assert kernels.nearest_index(z[0, 0], points, real_metric) == got[0, 0]
+        np.testing.assert_array_equal(got, brute_force_index(z, points,
+                                                             real_metric))
+
+    def test_one_row_sums_its_taps_as_in_a_batch(self):
+        # numpy sums an (L, 1) array pairwise and an (L, R >= 2) array in
+        # order. Build a row whose two sums of b_t x d(l - t) at position 0
+        # fall on opposite sides of the BPSK threshold, then check that it
+        # decides alike alone and as the middle row of three
+        points, real_metric = ALPHABETS["bpsk"]
+        m, n_taps = 32, 20
+        for seed in range(100):
+            gen = RngStream(16, seed).generator()
+            fbf = gen.standard_normal(n_taps) + 1j * gen.standard_normal(n_taps)
+            tail = points[gen.integers(0, 2, n_taps)]
+            # the pass pairs b_t with the decision t positions back: the
+            # tail's last entry with b_1
+            products = fbf[::-1] * tail
+            in_order = products[0]
+            for p in products[1:]:
+                in_order = in_order + p
+            pairwise = np.add.reduce(products)
+            # one sum leaves 0, the other a negative remainder
+            z0 = min(in_order.real, pairwise.real)
+            want = kernels.nearest_index(z0 - in_order, points, real_metric)
+            if want != kernels.nearest_index(z0 - pairwise, points, real_metric):
+                break
+        else:
+            pytest.fail("no row whose two tap sums decide apart")
+        z_t = np.concatenate([[z0], gen.standard_normal(m - 1)]) + 0j
+        alone = kernels.dd_feedback(z_t, fbf, tail, points, real_metric)
+        assert alone[0] == want
+        others = gen.standard_normal((2, m)) + 0j
+        batch = kernels.dd_feedback(
+            np.stack([others[0], z_t, others[1]]), np.stack([fbf] * 3),
+            np.stack([tail] * 3), points, real_metric)
+        np.testing.assert_array_equal(batch[1], alone)
 
     @PROPERTY
     @given(data=st.data(), order=st.integers(1, 24), rows=st.integers(1, 7))

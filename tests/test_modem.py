@@ -5,9 +5,9 @@ import pytest
 
 from scfde.kernels import nearest_index
 from scfde.modem import (
+    CONSTELLATION_NAMES,
     constellation,
     count_bit_errors,
-    index_bits,
     map_bits,
     precode,
 )
@@ -17,13 +17,13 @@ RNG = np.random.default_rng(99)
 
 def test_bpsk_sign_convention():
     c = constellation("bpsk")
-    np.testing.assert_allclose(map_bits([0], c), [1.0 + 0j])
-    np.testing.assert_allclose(map_bits([1], c), [-1.0 + 0j])
+    np.testing.assert_allclose(map_bits([0], c)[1], [1.0 + 0j])
+    np.testing.assert_allclose(map_bits([1], c)[1], [-1.0 + 0j])
 
 
 def test_16qam_all_zero_bits_hit_corner():
     c = constellation("16qam")
-    (s,) = map_bits([0, 0, 0, 0], c)
+    (s,) = map_bits([0, 0, 0, 0], c)[1]
     corner = 3 / np.sqrt(10)
     assert abs(abs(s.real) - corner) < 1e-12
     assert abs(abs(s.imag) - corner) < 1e-12
@@ -48,16 +48,40 @@ def test_is_real_flag():
 def test_map_demod_round_trip(name):
     c = constellation(name)
     bits = RNG.integers(0, 2, 3 * 4 * c.bits_per_symbol)
-    symbols = map_bits(bits, c)
+    labels, symbols = map_bits(bits, c)
+    assert labels.dtype == np.uint8
+    # a label is its symbol's bits read MSB first
+    weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
+    np.testing.assert_array_equal(labels, bits.reshape(-1, c.bits_per_symbol)
+                                  @ weights)
     idx = nearest_index(symbols, c.points, c.is_real)
     np.testing.assert_allclose(c.points[idx], symbols, atol=1e-12)
-    np.testing.assert_array_equal(index_bits(idx, c), bits)
+    np.testing.assert_array_equal(c.labels[idx], labels)
+
+
+@pytest.mark.parametrize("name", CONSTELLATION_NAMES)
+def test_label_tables_are_inverse(name):
+    c = constellation(name)
+    np.testing.assert_array_equal(c.label_points[c.labels], c.points)
+    weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1)
+    np.testing.assert_array_equal(c.labels, c.bit_labels @ weights)
+
+
+def test_batch_maps_row_by_row():
+    c = constellation("16qam")
+    bits = RNG.integers(0, 2, (3, 8 * c.bits_per_symbol))
+    labels, symbols = map_bits(bits, c)
+    assert labels.shape == symbols.shape == (3, 8)
+    for row in range(3):
+        want_labels, want_symbols = map_bits(bits[row], c)
+        np.testing.assert_array_equal(labels[row], want_labels)
+        np.testing.assert_array_equal(symbols[row], want_symbols)
 
 
 def test_symbol_variance_statistical():
     c = constellation("16qam")
     bits = RNG.integers(0, 2, 4 * 10**6)
-    s = map_bits(bits, c)
+    _, s = map_bits(bits, c)
     assert np.mean(np.abs(s) ** 2) == pytest.approx(1.0, abs=3e-3)
     assert abs(s.mean()) < 3e-3
 
@@ -90,7 +114,7 @@ def test_bpsk_ignores_imaginary_part():
     c = constellation("bpsk")
     idx = nearest_index(np.array([-0.1 + 5j, 0.3 - 2j]), c.points, c.is_real)
     np.testing.assert_allclose(c.points[idx], [-1, 1])
-    np.testing.assert_array_equal(index_bits(idx, c), [1, 0])
+    np.testing.assert_array_equal(c.labels[idx], [1, 0])
 
 
 def test_tie_break_takes_lower_index():
@@ -107,11 +131,34 @@ def test_map_bits_rejects_indivisible():
 
 
 def test_count_bit_errors():
-    assert count_bit_errors([0, 1, 1, 0], [0, 0, 1, 1]) == 2
-    assert count_bit_errors([1] * 8, [0] * 8) == 8
-    assert count_bit_errors([], []) == 0
+    # labels of 4-bit symbols: 0110 against 0011 differ in two bits
+    assert count_bit_errors(np.array([0b0110, 0b1111], np.uint8),
+                            np.array([0b0011, 0b1111], np.uint8)) == 2
+    assert count_bit_errors(np.full(2, 0b1111, np.uint8),
+                            np.zeros(2, np.uint8)) == 8
+    assert count_bit_errors(np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])) == 2
+    assert count_bit_errors(np.zeros(0, np.uint8), np.zeros(0, np.uint8)) == 0
+    # every byte against zero, one byte per row: its popcount
+    every_byte = np.arange(256, dtype=np.uint8)[:, None]
+    np.testing.assert_array_equal(
+        count_bit_errors(every_byte, np.zeros_like(every_byte)),
+        [bin(label).count("1") for label in range(256)])
     with pytest.raises(ValueError):
-        count_bit_errors([0, 1], [0])
+        count_bit_errors(np.zeros(2, np.uint8), np.zeros(1, np.uint8))
+
+
+@pytest.mark.parametrize("name", CONSTELLATION_NAMES)
+def test_label_errors_count_differing_bits(name):
+    # the popcount of tx XOR rx labels is the number of bits in which the
+    # two points' bit labels differ, one count per row of a batch
+    c = constellation(name)
+    tx = RNG.integers(0, c.points.size, (4, 50))
+    rx = RNG.integers(0, c.points.size, (4, 50))
+    errors = count_bit_errors(c.labels[tx], c.labels[rx])
+    np.testing.assert_array_equal(
+        errors, np.count_nonzero(c.bit_labels[tx] != c.bit_labels[rx],
+                                 axis=(-2, -1)))
+    assert count_bit_errors(c.labels[tx[0]], c.labels[rx[0]]) == errors[0]
 
 
 def test_precode_matches_transform():

@@ -21,9 +21,9 @@ def test_all_suites_pass():
 def test_suite_names_are_stable():
     results = run_selftest()
     assert tuple(r.name for r in results) == SUITE_NAMES
-    for expected in ("dft-roundtrip", "rng-streams", "levinson-vs-dense",
-                     "fbf-whitening", "wl-reality", "zf-exactness",
-                     "limit-table"):
+    for expected in ("dft-roundtrip", "rng-streams", "slicer",
+                     "levinson-vs-dense", "fbf-whitening", "wl-reality",
+                     "zf-exactness", "limit-table"):
         assert expected in SUITE_NAMES
 
 
@@ -33,6 +33,7 @@ def test_runs_fast():
     wall = time.monotonic() - start
     assert wall < 60.0
     assert sum(r.elapsed_s for r in results) < 60.0
+    assert {r.name: r for r in results}["slicer"].elapsed_s < 0.1
 
 
 def test_corrupted_constant_fails_named_suite(monkeypatch):
@@ -58,6 +59,22 @@ def test_wrong_seeding_constant_fails_rng_streams(monkeypatch):
     assert not results["rng-streams"].passed
     assert "SeedSequence" in results["rng-streams"].detail
     assert results["dft-roundtrip"].passed
+
+
+def test_midpoint_cuts_fail_slicer(monkeypatch):
+    # cuts at the midpoint of two levels, without the float comparison of
+    # distances and its lower-index tie rule, send a midpoint between two
+    # points to the upper one of its tie
+    monkeypatch.setattr(scfde.kernels, "_cut",
+                        lambda lo, hi, hi_wins_ties: (lo + hi) / 2)
+    scfde.kernels._slicer.cache_clear()
+    try:
+        results = {r.name: r for r in run_selftest()}
+    finally:  # no slicer built from the tampered cuts outlives the test
+        scfde.kernels._slicer.cache_clear()
+    assert not results["slicer"].passed
+    assert "sliced to point" in results["slicer"].detail
+    assert results["rng-streams"].passed
 
 
 def test_crashing_kernel_fails_named_suites(monkeypatch, capsys):

@@ -102,6 +102,15 @@ class TestSweepConfig:
             with pytest.raises(ValueError, match=f"{key!r} must be an integer"):
                 sim.SweepConfig(**{key: value})
 
+    def test_block_samples_are_capped(self):
+        # validation only: a config at the cap is valid, one sample more is
+        # not, and neither allocates a block
+        cap = sim.MAX_BLOCK_SAMPLES
+        assert small_config(antennas=2, block_size=cap // 2).block_size == cap // 2
+        for antennas, block_size in ((1, cap + 1), (2, cap // 2 + 1), (1, 2**26)):
+            with pytest.raises(ValueError, match="antennas x block_size"):
+                small_config(antennas=antennas, block_size=block_size)
+
     def test_grid_points_need_distinct_cell_keys(self):
         # the cell hash reads the SNR to 6 decimals: two points closer than
         # that would draw the same trial indices and streams
