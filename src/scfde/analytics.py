@@ -26,12 +26,13 @@ from typing import Optional
 import numpy as np
 
 from .equalizer import ReceiverSpec
-from .modem import constellation
+from .modem import constellation, count_bit_errors
 from .numerics import RngStream
 
 __all__ = [
     "EULER_GAMMA",
     "LIMIT_RECEIVERS",
+    "MAX_ANTENNAS",
     "GapRow",
     "harmonic",
     "expected_log_chisq",
@@ -49,6 +50,10 @@ EULER_GAMMA = float(np.euler_gamma)
 
 # the four receivers with closed-form limits, in Table order
 LIMIT_RECEIVERS = ("conv-zf-le", "conv-zf-dfe", "wl-zf-le", "wl-zf-dfe")
+
+# the most antennas a sweep admits (its most samples a block, at a block
+# of one sample); limit_snr refuses more before harmonic builds its n terms
+MAX_ANTENNAS = 1 << 20
 
 
 def _whole(name: str, n, least: int) -> int:
@@ -96,9 +101,13 @@ def limit_snr(receiver: str, n_r: int, r: float = 1.0,
     receiver is a name ReceiverSpec.from_name reads. Conventional formulas
     double for real alphabets (the real noise component carries half the
     power); the widely linear ones are real-alphabet quantities already.
-    n_r must be an integer >= 1 (2.0 counts) and r positive and finite.
+    n_r must be an integer in [1, MAX_ANTENNAS] (2.0 counts) and r
+    positive and finite.
     """
     n_r = _whole("n_r", n_r, 1)
+    if n_r > MAX_ANTENNAS:
+        raise ValueError(f"n_r must be at most {MAX_ANTENNAS}, the most antennas "
+                         f"a sweep admits, got {n_r}")
     if not 0 < r < math.inf:
         raise ValueError(f"r must be positive and finite, got {r!r}")
     spec = ReceiverSpec.from_name(receiver)
@@ -195,8 +204,9 @@ def _craig_terms(name: str):
     if c.name == "16qam":
         return (np.array([0.75, 0.5, -0.25]), np.array([0.1, 0.9, 2.5]),
                 np.full(3, np.pi / 2))
-    m, labels = len(c.points), c.bit_labels
-    hamming = [np.mean(np.sum(labels != np.roll(labels, -k, axis=0), axis=1))
+    m = len(c.points)
+    ring = np.argsort(np.angle(c.points) % (2 * np.pi))  # labels by angle
+    hamming = [count_bit_errors(ring, np.roll(ring, -k)) / m
                for k in range(m // 2 + 1)]
     psi = (2 * np.arange(1, m // 2 + 1) - 1) * np.pi / m
     return np.diff(hamming) / c.bits_per_symbol, np.sin(psi) ** 2, np.pi - psi

@@ -137,9 +137,9 @@ def _slicer(points_bytes: bytes, real_metric: bool):
             parts.append(part)
             levels.append(np.array(lv))
             at.append([lv.index(x) for x in coord])
-    # levels -> lowest index of a point there: a complex grid holds one
-    # point at every pair of levels, a real metric may put several on one
-    table = np.full([len(lv) for lv in levels], n, np.intp)
+    # levels -> lowest index of a point there, in dd_feedback's index dtype:
+    # a complex grid has a point per pair of levels, a real metric maybe more
+    table = np.full([len(lv) for lv in levels], n, np.min_scalar_type(n))
     for i in reversed(range(n)):
         table[tuple(level[i] for level in at)] = i
 

@@ -3,21 +3,21 @@
 A block is its time-domain symbols, map_bits' output; precode returns
 their spectrum X(k), which is what the channel and the equalizers read.
 
-A symbol's label is its bits read MSB first, as one uint8. map_bits
-packs drawn bits into labels and reads each label's point from the
-constellation's label-to-point table (label_points); a decided point
-index reads its label from the point-to-label table (labels), so bit
-errors are the popcount of tx_label XOR rx_label and no per-bit array is
-built.
+A symbol's label is its bits read MSB first, as one uint8, and an
+alphabet stores its points in label order, so a point's index is its
+label. map_bits packs drawn bits into labels and takes each label's
+point; a decided point index is the decided label, so bit errors are the
+popcount of tx_label XOR rx_label and no per-bit array is built.
 
 Gray labeling is pinned here because uncoded BER at a given SNR depends
-on it: BPSK maps bit 0 to +1; 8-PSK places points at angles 2pi m/8 with
-the reflected-binary code around the ring; 16-QAM uses the per-axis
-{00,01,11,10} -> {-3,-1,+1,+3} rule, scaled by 1/sqrt(10) so every
-alphabet has unit average energy (sigma_x^2 = 1, SNR = 1/sigma_n^2).
+on it: BPSK maps bit 0 to +1; 8-PSK gives the point at angle 2pi m/8 the
+label m ^ (m >> 1), the reflected-binary code around the ring; 16-QAM
+uses the per-axis {00,01,11,10} -> {-3,-1,+1,+3} rule, scaled by
+1/sqrt(10) so every alphabet has unit average energy (sigma_x^2 = 1,
+SNR = 1/sigma_n^2).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,63 +26,38 @@ from .numerics import dft
 
 @dataclass(frozen=True)
 class Constellation:
+    """An alphabet's points in label order: points[label] is the point
+    whose bits, read MSB first, are label."""
+
     name: str
     points: np.ndarray
-    bit_labels: np.ndarray  # shape (n_points, bits_per_symbol), entries 0/1
-    bits_per_symbol: int
-    is_real: bool
-    # point index -> its label, and label -> its point; every label of
-    # bits_per_symbol bits names one point
-    labels: np.ndarray = field(init=False, repr=False)
-    label_points: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        weights = 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
-        labels = (self.bit_labels @ weights).astype(np.uint8)
-        label_points = np.empty(2**self.bits_per_symbol, complex)
-        label_points[labels] = self.points
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "label_points", label_points)
+    @property
+    def bits_per_symbol(self) -> int:
+        return len(self.points).bit_length() - 1
+
+    @property
+    def is_real(self) -> bool:
+        return not self.points.imag.any()
 
 
 def _bpsk():
-    return Constellation(
-        name="bpsk",
-        points=np.array([1.0 + 0j, -1.0 + 0j]),
-        bit_labels=np.array([[0], [1]], dtype=np.uint8),
-        bits_per_symbol=1,
-        is_real=True,
-    )
+    return Constellation("bpsk", np.array([1.0 + 0j, -1.0 + 0j]))
 
 
 def _psk8():
+    # the point at angle 2pi m/8 has the Gray label m ^ (m >> 1)
     m = np.arange(8)
-    gray = m ^ (m >> 1)
-    labels = ((gray[:, None] >> np.array([2, 1, 0])) & 1).astype(np.uint8)
-    return Constellation(
-        name="8psk",
-        points=np.exp(2j * np.pi * m / 8),
-        bit_labels=labels,
-        bits_per_symbol=3,
-        is_real=False,
-    )
+    points = np.empty(8, complex)
+    points[m ^ (m >> 1)] = np.exp(2j * np.pi * m / 8)
+    return Constellation("8psk", points)
 
 
 def _qam16():
-    level = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
-    points = np.empty(16, dtype=complex)
-    labels = np.empty((16, 4), dtype=np.uint8)
-    for val in range(16):
-        b = [(val >> s) & 1 for s in (3, 2, 1, 0)]
-        labels[val] = b
-        points[val] = (level[(b[0], b[1])] + 1j * level[(b[2], b[3])]) / np.sqrt(10)
-    return Constellation(
-        name="16qam",
-        points=points,
-        bit_labels=labels,
-        bits_per_symbol=4,
-        is_real=False,
-    )
+    # the level of each axis, indexed by its two bits: 00, 01, 10, 11
+    level = np.array([-3.0, -1.0, 3.0, 1.0])
+    points = (level[:, None] + 1j * level).ravel() / np.sqrt(10)
+    return Constellation("16qam", points)
 
 
 _TABLES = {"bpsk": _bpsk(), "8psk": _psk8(), "16qam": _qam16()}
@@ -116,7 +91,7 @@ def map_bits(bits, c: Constellation):
     for k in range(1, c.bits_per_symbol):
         labels <<= 1
         labels |= groups[..., k]
-    return labels, c.label_points.take(labels)
+    return labels, c.points.take(labels)
 
 
 def precode(x_t) -> np.ndarray:
@@ -126,9 +101,9 @@ def precode(x_t) -> np.ndarray:
 
 
 def count_bit_errors(tx_labels, rx_labels):
-    """Bit errors between two arrays of uint8 symbol labels, over the last
-    axis: the popcount of tx XOR rx. An int for one block, one count per
-    block for a batch."""
+    """Bit errors between two arrays of symbol labels (or decided point
+    indices, which are labels), over the last axis: the popcount of tx XOR
+    rx. An int for one block, one count per block for a batch."""
     a = np.asarray(tx_labels)
     b = np.asarray(rx_labels)
     if a.shape != b.shape:

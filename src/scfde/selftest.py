@@ -245,8 +245,19 @@ def _suite_slicer():
                 f"{name} ({'real' if real_metric else 'complex'} metric): "
                 f"{sample[wrong[0]]:.17g} sliced to point {got[wrong[0]]}, "
                 f"the nearest is {ref[wrong[0]]}")
+        # a point's index is its label: every label's noise-free symbol
+        # slices back to that label
+        labels = np.arange(c.points.size)
+        shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
+        sent, symbols = map_bits((labels[:, None] >> shifts & 1).ravel(), c)
+        got = kernels.nearest_index(symbols, c.points, c.is_real)
+        wrong = np.flatnonzero(got != sent)
+        assert not wrong.size, (
+            f"{name}: label {sent[wrong[0]]} mapped to a point that slices to "
+            f"index {got[wrong[0]]}")
     return (f"{len(CONSTELLATION_NAMES)} alphabets, both metrics, random and "
-            "midpoint samples match a brute-force argmin")
+            "midpoint samples match a brute-force argmin; every label's "
+            "symbol slices back to its label")
 
 
 _FROZEN_GAPS = {

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .analytics import limit_snr, mfb_ber
+from .analytics import MAX_ANTENNAS, limit_snr, mfb_ber
 from .channel import apply_channel_freq, draw_channel
 from .equalizer import ZF_FLOOR, FeedbackPass, ReceiverSpec, equalize, synthesize
 from .modem import constellation, count_bit_errors, map_bits, precode
@@ -155,7 +155,7 @@ BATCH_SAMPLES = 1 << 13
 # most samples (antennas x block size) of one block: a pass holds at least
 # one block, and its arrays, some hundreds of bytes a sample, must fit in
 # memory; the paper's configs (M = 512, n_r <= 2) are far below it
-MAX_BLOCK_SAMPLES = 1 << 20
+MAX_BLOCK_SAMPLES = MAX_ANTENNAS  # the most antennas, at M = 1
 
 
 @dataclass(frozen=True)
@@ -360,8 +360,9 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
     trial_index is a 1-d sequence of indices, or one int for a batch of
     one. receiver is one ReceiverSpec for every row or one per index, and
     snr_db one SNR for every row or one per index. Returns (bit_errors,
-    bits, mse), three arrays whose row i is the block of trial index i; a
-    row's values are the same bits whatever batch it runs in.
+    mse), two arrays whose row i is the block of trial index i; a row's
+    values are the same bits whatever batch it runs in. Every row has
+    block_size x bits_per_symbol bits, each of which may be in error.
 
     The rows of each receiver run from their draws through equalize in
     passes of at most BATCH_SAMPLES / (antennas * block size) rows. The
@@ -397,7 +398,7 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
                 feedback.setdefault(decided.taps.shape[-1], []).append(
                     (part, tx_labels, decided))
             else:
-                errors[part] = count_bit_errors(tx_labels, c.labels[decided])
+                errors[part] = count_bit_errors(tx_labels, decided)
     for length in list(feedback):
         parts, tx_labels, decided = zip(*feedback.pop(length))
         # stacking casts real widely linear rows to complex, which leaves
@@ -408,9 +409,8 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
         del decided
         indices = kernels.dd_feedback(z_t, taps, tail, c.points, c.is_real)
         rows = [row for part in parts for row in part]
-        errors[rows] = count_bit_errors(np.concatenate(tx_labels),
-                                        c.labels[indices])
-    return errors, np.full(n, config.block_size * c.bits_per_symbol), mse
+        errors[rows] = count_bit_errors(np.concatenate(tx_labels), indices)
+    return errors, mse
 
 
 def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
@@ -434,7 +434,6 @@ class _Tally:
     base: int
     block_bits: int  # bits of one block, each of which may be in error
     errors: int = 0
-    bits: int = 0
     mses: list = field(default_factory=list)
 
     @property
@@ -499,10 +498,9 @@ def _run_cells(config: SweepConfig, cells, max_blocks: int,
                          for column in run_block(trials, config, specs, snrs))))
         lo = 0
         for t, size in zip(active, sizes):
-            for errors, bits, mse in out[lo : lo + size]:
+            for errors, mse in out[lo : lo + size]:
                 if t.errors < min_errors:
                     t.errors += errors
-                    t.bits += bits
                     t.mses.append(mse)
             lo += size
         active = [t for t in active
@@ -529,12 +527,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
              for snr in config.snr_db]
     rows = []
     for t in _run_cells(config, cells, config.max_blocks, config.min_bit_errors):
+        bits = t.blocks * t.block_bits
         cell = SweepCell(
             receiver=t.spec.name,
             snr_db=float(t.snr_db),
-            bits=t.bits,
+            bits=bits,
             errors=t.errors,
-            ber=t.errors / t.bits,
+            ber=t.errors / bits,
             post_snr_db=_post_snr_db(t.mses, t.spec.criterion),
             analytic_db=_analytic_db(t.spec, config, t.snr_db),
             blocks=t.blocks,

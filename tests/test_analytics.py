@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from scfde import analytics as an
+from scfde import simulator as sim
 from scfde.kernels import nearest_index
 from scfde.modem import constellation, count_bit_errors, map_bits
 
@@ -160,6 +161,15 @@ class TestLimitSnr:
         for name in an.LIMIT_RECEIVERS:
             assert an.limit_snr(name, 2.0) == an.limit_snr(name, 2)
 
+    @pytest.mark.parametrize("name", an.LIMIT_RECEIVERS)
+    def test_antenna_count_is_capped_at_max_antennas(self, name):
+        # the most antennas a sweep admits has a limit; one more is refused
+        # before harmonic builds an array of its terms
+        assert an.MAX_ANTENNAS == sim.MAX_BLOCK_SAMPLES
+        assert an.limit_snr(name, an.MAX_ANTENNAS) > 0
+        with pytest.raises(ValueError, match="n_r must be at most 1048576"):
+            an.limit_snr(name, an.MAX_ANTENNAS + 1)
+
     def test_dfe_limits_take_the_log_moment(self, monkeypatch):
         # the DFE limits are r exp(E[ln X]) with E[ln X] from
         # expected_log_chisq, the function the stats-oracles selftest checks
@@ -287,7 +297,7 @@ def _slicing_ber(name, snr, gen):
     noise = np.sqrt(0.5 / snr) * (gen.standard_normal(_SYMBOLS)
                                   + 1j * gen.standard_normal(_SYMBOLS))
     labels, symbols = map_bits(bits, c)
-    rx = c.labels[nearest_index(symbols + noise, c.points, c.is_real)]
+    rx = nearest_index(symbols + noise, c.points, c.is_real)  # decided labels
     return count_bit_errors(labels, rx) / bits.size
 
 

@@ -44,6 +44,24 @@ class TestLimits:
         assert main(["limits", "--nr", "0"]) == 2
         assert "n_r must be an integer >= 1" in capsys.readouterr().err
 
+    def test_nr_above_max_antennas_exits_2_before_any_array(
+            self, capsys, monkeypatch):
+        # harmonic's arange(1, n + 1) at --nr 1000000000 was 7.45 GiB, and
+        # numpy's memory error reached the user as a traceback
+        arange = np.arange
+
+        def small_arange(*args, **kwargs):
+            assert all(abs(a) <= 2 * scfde.analytics.MAX_ANTENNAS
+                       for a in args if isinstance(a, int)), args
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", small_arange)
+        assert main(["limits", "--nr", "1000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: n_r must be at most 1048576, the most "
+                                "antennas a sweep admits, got 1000000000\n")
+
     @pytest.mark.parametrize("nr", ["x", "1,,2", "2.5"])
     def test_nr_that_is_not_integers_names_the_option(self, capsys, nr):
         # int()'s own message named neither --nr nor the form it takes

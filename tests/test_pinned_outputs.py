@@ -2,8 +2,10 @@
 
 The values below were frozen from a run of the engine; a change to any of
 them is an output change and has to be recorded as one. The sweep covers
-all eight receivers with BPSK and the four conventional ones with 16-QAM,
-each under ideal (genie) and decision feedback, at nr=1, v=4, M=64, L=4.
+all eight receivers with BPSK and the four conventional ones with 16-QAM
+and 8-PSK, each under ideal (genie) and decision feedback, at nr=1, v=4,
+M=64, L=4. 8-PSK is the alphabet whose points are not stored in ring
+order (a point's index is its Gray label), so its rows pin that order.
 A fixed-count 16-QAM decision sweep and a post-SNR run of more than one
 front-end pass pin the cells that cannot stop early, whose batches are
 sized by the blocks they are certain to commit. Counts are pinned exactly
@@ -72,6 +74,22 @@ SWEEP_ROWS = [
     ('16qam', 'decision', 'zf-dfe', 16.0, 1792, 101, 7, 13.477557294327218, 13.493184218651477),
     ('16qam', 'decision', 'mmse-dfe', 10.0, 1024, 117, 4, 8.044645309116385, None),
     ('16qam', 'decision', 'mmse-dfe', 16.0, 3072, 107, 12, 13.094598260494221, None),
+    ('8psk', 'genie', 'zf-le', 8.0, 576, 144, 3, -3.2915843051185227, None),
+    ('8psk', 'genie', 'zf-le', 14.0, 1920, 101, 10, 8.203141917728722, None),
+    ('8psk', 'genie', 'mmse-le', 8.0, 768, 121, 4, 3.863540470534514, None),
+    ('8psk', 'genie', 'mmse-le', 14.0, 1920, 117, 10, 7.5858062755579745, None),
+    ('8psk', 'genie', 'zf-dfe', 8.0, 1152, 122, 6, 5.703855714573358, 5.493184218651478),
+    ('8psk', 'genie', 'zf-dfe', 14.0, 4608, 29, 24, 12.392508530622038, 11.493184218651475),
+    ('8psk', 'genie', 'mmse-dfe', 8.0, 1344, 100, 7, 6.643060933722449, None),
+    ('8psk', 'genie', 'mmse-dfe', 14.0, 4416, 106, 23, 10.73093186707082, None),
+    ('8psk', 'decision', 'zf-le', 8.0, 576, 144, 3, -3.2915843051185227, None),
+    ('8psk', 'decision', 'zf-le', 14.0, 1920, 101, 10, 8.203141917728722, None),
+    ('8psk', 'decision', 'mmse-le', 8.0, 768, 121, 4, 3.863540470534514, None),
+    ('8psk', 'decision', 'mmse-le', 14.0, 1920, 117, 10, 7.5858062755579745, None),
+    ('8psk', 'decision', 'zf-dfe', 8.0, 960, 122, 5, 5.888647546622037, 5.493184218651478),
+    ('8psk', 'decision', 'zf-dfe', 14.0, 4608, 74, 24, 12.392508530622038, 11.493184218651475),
+    ('8psk', 'decision', 'mmse-dfe', 8.0, 1152, 108, 6, 6.764542571149752, None),
+    ('8psk', 'decision', 'mmse-dfe', 14.0, 2880, 114, 15, 10.738278879060042, None),
 ]
 
 # receiver, realizations, post_snr_db, analytic_db, delta_db at nr=2, 10 dB
@@ -111,7 +129,8 @@ def _db(expected):
 
 @pytest.mark.parametrize("alphabet, feedback", [
     ("bpsk", "genie"), ("bpsk", "decision"),
-    ("16qam", "genie"), ("16qam", "decision")])
+    ("16qam", "genie"), ("16qam", "decision"),
+    ("8psk", "genie"), ("8psk", "decision")])
 def test_sweep_rows_pinned(alphabet, feedback):
     expected = [row[2:] for row in SWEEP_ROWS if row[:2] == (alphabet, feedback)]
     cfg = sim.SweepConfig.from_dict(dict(

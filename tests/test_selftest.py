@@ -5,6 +5,7 @@ import time
 import scfde.analytics
 import scfde.kernels
 import scfde.numerics
+import scfde.selftest
 from scfde.cli import main
 from scfde.selftest import SUITE_NAMES, run_selftest
 
@@ -75,6 +76,22 @@ def test_midpoint_cuts_fail_slicer(monkeypatch):
     assert not results["slicer"].passed
     assert "sliced to point" in results["slicer"].detail
     assert results["rng-streams"].passed
+
+
+def test_points_taken_out_of_label_order_fail_slicer(monkeypatch):
+    # a map_bits that reads each label's point through a second Gray code
+    # sends symbols whose decided index is not their label
+    real = scfde.selftest.map_bits
+
+    def gray_map_bits(bits, c):
+        labels, _ = real(bits, c)
+        return labels, c.points.take(labels ^ (labels >> 1))
+
+    monkeypatch.setattr(scfde.selftest, "map_bits", gray_map_bits)
+    results = {r.name: r for r in run_selftest()}
+    assert not results["slicer"].passed
+    assert results["slicer"].detail == (
+        "8psk: label 2 mapped to a point that slices to index 3")
 
 
 def test_crashing_kernel_fails_named_suites(monkeypatch, capsys):

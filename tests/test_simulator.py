@@ -215,15 +215,15 @@ class TestRunBlock:
         cfg = small_config(receivers=["zf-le"])
         spec = ReceiverSpec.from_name("zf-le")
         for trial in range(5):
-            errors, bits, mse = _row(sim.run_block(trial, cfg, spec, 60.0))
-            assert errors == 0 and bits == 64
+            errors, mse = _row(sim.run_block(trial, cfg, spec, 60.0))
+            assert errors == 0
             assert mse < 1e-4
 
     def test_bits_scale_with_constellation(self):
-        cfg = small_config(constellation="16qam")
-        spec = ReceiverSpec.from_name("mmse-le")
-        _, bits, _ = sim.run_block(0, cfg, spec, 20.0)
-        assert bits.tolist() == [64 * 4]
+        # a cell's bits are its blocks of block_size symbols of 4 bits each
+        cfg = small_config(constellation="16qam", max_blocks=3)
+        for row in sim.run_sweep(cfg).rows:
+            assert row.bits == row.blocks * 64 * 4
 
     def test_genie_not_worse_than_decision(self):
         cfg = small_config(block_size=128, taps=8, max_blocks=400)
@@ -241,8 +241,8 @@ class TestRunBlock:
         genie = ReceiverSpec.from_name("zf-dfe", fbf_length=8)
         dd = ReceiverSpec.from_name("zf-dfe", fbf_length=8,
                                     feedback_mode="decision")
-        _, _, mg = sim.run_block(99 << 8, cfg, genie, 2.0)
-        _, _, md = sim.run_block(99 << 8, cfg, dd, 2.0)
+        _, mg = sim.run_block(99 << 8, cfg, genie, 2.0)
+        _, md = sim.run_block(99 << 8, cfg, dd, 2.0)
         assert mg[0] == md[0]
 
     def test_int_index_is_a_batch_of_one(self):
@@ -343,8 +343,8 @@ class TestBatching:
         single = [_row(sim.run_block([t], cfg, spec, snr_db)) for t in trials]
         rows = []
         for lo, hi in zip([0, *cuts], [*cuts, len(trials)]):
-            errors, bits, mse = sim.run_block(trials[lo:hi], cfg, spec, snr_db)
-            rows += zip(errors.tolist(), bits.tolist(), mse.tolist())
+            errors, mse = sim.run_block(trials[lo:hi], cfg, spec, snr_db)
+            rows += zip(errors.tolist(), mse.tolist())
         assert rows == single
 
     def test_decision_batch_filters_once(self, monkeypatch):
@@ -451,8 +451,7 @@ class TestBatching:
         max_blocks = data.draw(st.integers(blocks + 1, blocks + 10**6),
                                label="max_blocks")
         tally = sim._Tally(ReceiverSpec.from_name("zf-le"), 0.0, 0, block_bits,
-                           errors=errors, bits=blocks * block_bits,
-                           mses=[1.0] * blocks)
+                           errors=errors, mses=[1.0] * blocks)
         size = sim._next_batch(tally, budget, max_blocks, min_errors)
         left = max_blocks - blocks
         assert 1 <= size <= min(budget, left)
@@ -578,8 +577,8 @@ class TestBatching:
         snrs = [2.0 + k for k in range(9)]
         single = [_row(sim.run_block(t, cfg, spec, snr))
                   for t, spec, snr in zip(trials, row_specs, snrs)]
-        errors, bits, mse = sim.run_block(trials, cfg, row_specs, snrs)
-        assert list(zip(errors.tolist(), bits.tolist(), mse.tolist())) == single
+        errors, mse = sim.run_block(trials, cfg, row_specs, snrs)
+        assert list(zip(errors.tolist(), mse.tolist())) == single
 
     def test_info_records_are_receiver_major_and_snr_ascending(self, caplog):
         # cells of all receivers run together, but their records and rows
@@ -623,8 +622,8 @@ class TestBatching:
         pass_rows = data.draw(st.integers(1, len(rows)), label="pass rows")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "BATCH_SAMPLES", pass_rows * antennas * m)
-            errors, bits, mse = sim.run_block(trials, cfg, row_specs, snrs)
-        assert list(zip(errors.tolist(), bits.tolist(), mse.tolist())) == single
+            errors, mse = sim.run_block(trials, cfg, row_specs, snrs)
+        assert list(zip(errors.tolist(), mse.tolist())) == single
 
     def test_one_snr_per_trial_index(self):
         cfg = small_config()
@@ -665,10 +664,10 @@ class TestTrialIndexPacking:
         (row,) = sim.run_sweep(cfg).rows
         spec = cfg.receiver_specs()[0]
         base = sim._cell_base(spec.name, 4.0)
-        errors, bits, _ = sim.run_block(
+        errors, _ = sim.run_block(
             [base | k << 8 for k in range(row.blocks)], cfg, spec, 4.0)
         assert row.errors == errors.sum()
-        assert row.bits == bits.sum()
+        assert row.bits == row.blocks * cfg.block_size  # BPSK
 
 
 class TestMeasurePostSnr:
