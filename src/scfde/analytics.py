@@ -52,26 +52,33 @@ EULER_GAMMA = float(np.euler_gamma)
 LIMIT_RECEIVERS = ("conv-zf-le", "conv-zf-dfe", "wl-zf-le", "wl-zf-dfe")
 
 # the most antennas a sweep admits (its most samples a block, at a block
-# of one sample); limit_snr refuses more before harmonic builds its n terms
+# of one sample); limit_snr refuses more, and harmonic and
+# expected_log_chisq refuse more than twice as many terms (the widely
+# linear limits take 2 n_r) before they build an array of them
 MAX_ANTENNAS = 1 << 20
 
 
-def _whole(name: str, n, least: int) -> int:
+def _whole(name: str, n, least: int, most: float = math.inf) -> int:
     """n as an int; ValueError unless it is an integer >= least (an
-    integral float such as 2.0 counts)."""
+    integral float such as 2.0 counts) and <= most."""
     if not float(n).is_integer() or n < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    if n > most:
+        raise ValueError(f"{name} must be at most {most}, got {n!r}")
     return int(n)
 
 
 def harmonic(n: int) -> float:
-    """H_n = sum_{m=1}^{n} 1/m, with H_0 = 0."""
-    return float(np.sum(1.0 / np.arange(1, _whole("n", n, 0) + 1)))
+    """H_n = sum_{m=1}^{n} 1/m, with H_0 = 0, for n <= 2 MAX_ANTENNAS."""
+    n = _whole("n", n, 0, 2 * MAX_ANTENNAS)
+    return float(np.sum(1.0 / np.arange(1, n + 1)))
 
 
 def expected_log_chisq(n_r: int) -> float:
-    """E[ln X] for X a sum of n_r unit-mean exponentials: -gamma + H_{n_r-1}."""
-    return -EULER_GAMMA + harmonic(_whole("n_r", n_r, 1) - 1)
+    """E[ln X] for X a sum of n_r unit-mean exponentials: -gamma + H_{n_r-1},
+    for n_r <= 2 MAX_ANTENNAS."""
+    n_r = _whole("n_r", n_r, 1, 2 * MAX_ANTENNAS)
+    return -EULER_GAMMA + harmonic(n_r - 1)
 
 
 def inverse_chisq_mean(n_r: int) -> float:

@@ -163,8 +163,8 @@ class EqualizerFilters:
 class FeedbackPass(NamedTuple):
     """The inputs of a decision-directed DFE's sequential feedback pass:
     its decisions are kernels.dd_feedback(z_t, taps, tail, c.points,
-    c.is_real). The rows of several passes with as many taps stack into
-    one call (np.concatenate over the first axis) and give the same
+    c.is_real). The rows of several passes with as many taps share one
+    call, held in one array over the first axis, and give the same
     indices row for row, real widely linear rows among complex ones too."""
 
     z_t: np.ndarray
@@ -283,7 +283,10 @@ def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
         # 2 Re(idft) adds the mirrored conjugate of the Hermitian ISI
         # spectrum, i.e. counts it twice
         isi *= 0.5
-    z = _time_block(widely_linear, z_f - isi)
+    # z_f - isi overwrites isi, which nothing reads after it: a batch's
+    # arrays are large
+    z = _time_block(widely_linear, np.subtract(z_f, isi, out=isi))
+    del isi
     if spec.structure == "le" or spec.feedback_mode == "ideal_genie":
         return z, kernels.nearest_index(z, c.points, c.is_real)
     tail = c.points[kernels.nearest_index(

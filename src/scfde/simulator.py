@@ -13,8 +13,9 @@ Blocks run in batches: run_block takes a list of trial indices, with
 one receiver and one SNR for all or one per index, and carries every
 array of the chain with a leading batch axis, so the sequential loops
 run once per batch: Levinson orders once per front-end pass of one
-receiver's rows, decision-feedback positions once per call for the
-decision-directed rows of all receivers. Each row draws from the
+receiver's rows (BATCH_SAMPLES samples, 32 rows at M = 512), decision-
+feedback positions once per call for the decision-directed rows of all
+receivers, up to FLUSH_PASSES passes of them. Each row draws from the
 stream of RngStream(master_seed, trial_index), seeded for all rows of
 the call by one numerics.stream_states hash and drawn per pass by
 numerics.draw_streams, with no Generator per row. A row's results are
@@ -149,9 +150,14 @@ def _real(key, value) -> float:
 
 # trial index fields, see the module docstring
 _MAX_ORDINALS = 1 << 32
-# samples (antennas x block size) per front-end pass: 16 blocks of 512 at
-# one antenna, 128 of 64; bounds the pass's arrays, and so the memory
-BATCH_SAMPLES = 1 << 13
+# samples (antennas x block size) per front-end pass: 32 blocks of 512 at
+# one antenna, 16 at two, 256 of 64; bounds the pass's arrays, and so the
+# memory
+BATCH_SAMPLES = 1 << 14
+# most front-end passes of decision rows of one feedback length held for
+# one feedback call: a call's cost grows far slower than its rows, and
+# this bounds the rows held whatever the number of cells
+FLUSH_PASSES = 16
 # most samples (antennas x block size) of one block: a pass holds at least
 # one block, and its arrays, some hundreds of bytes a sample, must fit in
 # memory; the paper's configs (M = 512, n_r <= 2) are far below it
@@ -342,16 +348,58 @@ def _front_end(config: SweepConfig, c, spec: ReceiverSpec, states, snrs):
     # of the taps (real, imaginary) and of the noise (real, imaginary)
     tx_bits, normals = draw_streams(states, m * c.bits_per_symbol,
                                     2 * n_r * (v + m))
-    tx_labels, x_t = map_bits(tx_bits, c)
-    x_f = precode(x_t)
-    h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
-    filters = synthesize(spec, h, sigma_n_sq)
-    y = apply_channel_freq(x_f, h, sigma_n_sq, normals[:, 2 * n_r * v :])
     # a pass's arrays are large: each is dropped once nothing reads it, which
     # keeps the peak memory of a pass near that of the step it is in
-    del tx_bits, normals, h
+    tx_labels, x_t = map_bits(tx_bits, c)
+    del tx_bits
+    x_f = precode(x_t)
+    del x_t
+    h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
+    y = apply_channel_freq(x_f, h, sigma_n_sq, normals[:, 2 * n_r * v :])
+    del normals
+    filters = synthesize(spec, h, sigma_n_sq)
+    del h
     z, decided = equalize(spec, filters, y, c, x_f)
-    return tx_labels, np.mean(np.abs(z - x_t) ** 2, axis=-1), decided
+    del filters, y, x_f
+    return tx_labels, np.mean(np.abs(z - c.points.take(tx_labels)) ** 2,
+                              axis=-1), decided
+
+
+class _HeldRows:
+    """The decision-directed DFE rows of one feedback length, held from
+    their front-end passes until a kernels.dd_feedback call decides
+    them: at most `size` rows, each written into arrays allocated once
+    as its pass ends, so that a pass's own arrays die with it. Real
+    widely linear rows are held as complex ones, which leaves their
+    decisions unchanged (see FeedbackPass). Decided rows' bit errors go
+    to their rows of `errors`."""
+
+    def __init__(self, size: int, m: int, n_taps: int, c, errors):
+        self.c, self.errors = c, errors
+        self.rows = []  # the run_block row of each held row, in order
+        self.z_t = np.empty((size, m), complex)
+        self.taps = np.empty((size, n_taps), complex)
+        self.tail = np.empty((size, n_taps), complex)
+        self.labels = np.empty((size, m), np.uint8)
+
+    def add(self, part, tx_labels, decided: FeedbackPass):
+        """Hold a pass's rows, deciding the held ones first if they would
+        not fit."""
+        if len(self.rows) + len(part) > len(self.z_t):
+            self.decide()
+        at = slice(len(self.rows), len(self.rows) + len(part))
+        self.z_t[at], self.taps[at], self.tail[at] = decided
+        self.labels[at] = tx_labels
+        self.rows += part
+
+    def decide(self):
+        """Run the feedback pass on the held rows and count their errors."""
+        n, c = len(self.rows), self.c
+        if n:
+            indices = kernels.dd_feedback(self.z_t[:n], self.taps[:n],
+                                          self.tail[:n], c.points, c.is_real)
+            self.errors[self.rows] = count_bit_errors(self.labels[:n], indices)
+            self.rows = []
 
 
 def run_block(trial_index, config: SweepConfig, receiver, snr_db):
@@ -366,9 +414,12 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
 
     The rows of each receiver run from their draws through equalize in
     passes of at most BATCH_SAMPLES / (antennas * block size) rows. The
-    decision-directed DFE rows of all receivers then share one sequential
+    decision-directed DFE rows of all receivers share a sequential
     feedback pass (kernels.dd_feedback) per feedback length, whose cost
-    grows far slower than its rows.
+    grows far slower than its rows: each pass writes its rows into the
+    arrays of that call as it ends, and a call runs once its rows would
+    pass FLUSH_PASSES passes, so the rows held are bounded by that cap,
+    not by the cells of a round.
     """
     trials = ([int(trial_index)] if isinstance(trial_index, numbers.Integral)
               else [int(t) for t in trial_index])
@@ -387,29 +438,28 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
         groups.setdefault(spec, []).append(row)
     errors, mse = np.empty(n, np.intp), np.empty(n)
     states = stream_states(config.master_seed, trials)
-    feedback = {}  # feedback length -> (rows, tx_labels, FeedbackPass) of its passes
     step = _pass_rows(config)
+    # decision rows are counted per feedback length up front, so that each
+    # length's rows are held in arrays of the size they need, at most
+    # FLUSH_PASSES passes
+    counts = {}
+    for spec, rows in groups.items():
+        if (spec.structure, spec.feedback_mode) == ("dfe", "decision_directed"):
+            counts[spec.fbf_length] = counts.get(spec.fbf_length, 0) + len(rows)
+    held = {length: _HeldRows(min(count, FLUSH_PASSES * step),
+                              config.block_size, length, c, errors)
+            for length, count in counts.items()}
     for spec, rows in groups.items():
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step]
             tx_labels, mse[part], decided = _front_end(
                 config, c, spec, [states[i] for i in part], [snrs[i] for i in part])
             if isinstance(decided, FeedbackPass):
-                feedback.setdefault(decided.taps.shape[-1], []).append(
-                    (part, tx_labels, decided))
+                held[spec.fbf_length].add(part, tx_labels, decided)
             else:
                 errors[part] = count_bit_errors(tx_labels, decided)
-    for length in list(feedback):
-        parts, tx_labels, decided = zip(*feedback.pop(length))
-        # stacking casts real widely linear rows to complex, which leaves
-        # their decisions unchanged (see FeedbackPass); the passes' arrays
-        # are dropped once stacked, so that only the stacked copy is alive
-        # through the feedback pass
-        z_t, taps, tail = (np.concatenate(column) for column in zip(*decided))
-        del decided
-        indices = kernels.dd_feedback(z_t, taps, tail, c.points, c.is_real)
-        rows = [row for part in parts for row in part]
-        errors[rows] = count_bit_errors(np.concatenate(tx_labels), indices)
+    for held_rows in held.values():
+        held_rows.decide()
     return errors, mse
 
 

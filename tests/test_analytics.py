@@ -39,6 +39,18 @@ class TestHarmonic:
             an.harmonic(1.5)
         assert an.harmonic(3.0) == an.harmonic(3)
 
+    def test_too_many_terms_refused_before_any_array(self, monkeypatch):
+        # more than twice the most antennas is refused before arange builds
+        # the terms: 10**9 of them would be a 7.45 GiB array
+        def no_terms(*args, **kwargs):
+            raise AssertionError("an array of terms was built")
+
+        monkeypatch.setattr(an.np, "arange", no_terms)
+        with pytest.raises(ValueError, match="n must be at most 2097152"):
+            an.harmonic(10**9)
+        with pytest.raises(ValueError, match="n_r must be at most 2097152"):
+            an.expected_log_chisq(10**9)
+
 
 class TestLogChisq:
     def test_values(self):
@@ -360,6 +372,37 @@ class TestMfbBer:
         assert np.all(curves[-1] > limit)
         # (1 + x/v)^(-n_r v) = e^(-n_r x) (1 + O(n_r x^2 / v))
         np.testing.assert_allclose(an.mfb_ber(name, 2, r, 2**30), limit, rtol=1e-4)
+
+    # Gray-labelled 8-PSK, frozen from the closed form:
+    # (n_r, taps, snr_db) -> BER
+    PSK8_FROZEN = {
+        (1, None, 4.0): 0.14063797458040805,
+        (1, None, 12.0): 0.010399335155910234,
+        (2, None, 4.0): 0.07604766438158199,
+        (2, None, 12.0): 0.0007705093505066045,
+        (1, 20, 4.0): 0.1438357397640347,
+        (1, 20, 12.0): 0.012426850820680117,
+        (2, 20, 4.0): 0.07751992835856004,
+        (2, 20, 12.0): 0.0010436689208454665,
+    }
+
+    def test_8psk_closed_form_is_frozen(self):
+        for (n_r, taps, snr_db), ber in self.PSK8_FROZEN.items():
+            assert an.mfb_ber("8psk", n_r, 10 ** (snr_db / 10), taps) \
+                == pytest.approx(ber, rel=1e-12), (n_r, taps, snr_db)
+
+    def test_8psk_ring_distances(self):
+        # the mean Hamming distance between the labels of points k steps
+        # apart around the ring, k = 0..4: Gray neighbours differ in one
+        # bit; the closed form weighs sector boundary k by its increment
+        c = constellation("8psk")
+        ring = nearest_index(np.exp(2j * np.pi * np.arange(8) / 8), c.points,
+                             False).tolist()
+        distances = [sum(bin(a ^ ring[(m + k) % 8]).count("1")
+                         for m, a in enumerate(ring)) / 8 for k in range(5)]
+        assert distances == [0, 1, 2, 2, 2]
+        weights = an._craig_terms("8psk")[0]
+        np.testing.assert_array_equal(weights, np.diff(distances) / 3)
 
     def test_shape_and_validation(self):
         assert an.mfb_ber("16qam", 1, np.ones((2, 3)), 4).shape == (2, 3)

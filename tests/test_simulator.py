@@ -12,6 +12,7 @@ import itertools
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,16 +365,21 @@ class TestBatching:
         sim.run_block([1 << 8, 2 << 8, 3 << 8], cfg, spec, 8.0)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("overrides", [
-        dict(receivers=["zf-le", "mmse-dfe"], feedback="decision", fbf_len=4,
-             snr_db=[0.0, 4.0, 8.0, 14.0], max_blocks=300),
-        dict(receivers=["zf-le", "wl-mmse-le"], antennas=2, block_size=512,
-             snr_db=[2.0, 6.0], min_bit_errors=300, max_blocks=200),
+    @pytest.mark.parametrize("overrides, samples", [
+        # 128 rows a pass: the widest pass the first sweep's rounds fill
+        pytest.param(dict(receivers=["zf-le", "mmse-dfe"], feedback="decision",
+                          fbf_len=4, snr_db=[0.0, 4.0, 8.0, 14.0],
+                          max_blocks=300), 128 * 64, id="overrides0"),
+        pytest.param(dict(receivers=["zf-le", "wl-mmse-le"], antennas=2,
+                          block_size=512, snr_db=[2.0, 6.0], min_bit_errors=300,
+                          max_blocks=200), sim.BATCH_SAMPLES, id="overrides1"),
     ])
-    def test_batch_sizes_follow_committed_counts(self, monkeypatch, overrides):
+    def test_batch_sizes_follow_committed_counts(self, monkeypatch, overrides,
+                                                 samples):
         # all cells of the sweep share rounds; within a round's run_block
         # call each cell's rows are one run of consecutive ordinals, and a
         # front-end pass holds the rows of one receiver, at most the budget
+        monkeypatch.setattr(sim, "BATCH_SAMPLES", samples)
         cfg = small_config(**overrides)
         budget = sim.BATCH_SAMPLES // (cfg.antennas * cfg.block_size)
         block_bits = cfg.block_size  # BPSK
@@ -462,10 +468,9 @@ class TestBatching:
             assert errors + (size - 1) * block_bits < min_errors
 
     @pytest.mark.parametrize("samples, feedback_rows, pass_rows", [
-        # default budget, 16 rows a pass: no cell can stop early, so each
-        # asks for a full pass from its first round, then for its last 8
-        # blocks
-        (sim.BATCH_SAMPLES, [128, 64], [16] * 6),
+        # default budget, 32 rows a pass: no cell can stop early, so each
+        # asks for all its 24 blocks in the first round
+        pytest.param(sim.BATCH_SAMPLES, [192], [32] * 3, id="default"),
         # 4 rows a pass: rounds of 32 rows, each cell asking for at most
         # one pass
         (4 * 512, [32] * 6, [4] * 24),
@@ -602,7 +607,7 @@ class TestBatching:
         # a batch whose rows have different receivers, feedback modes,
         # feedback lengths and SNRs gives, row for row, the bits of the
         # batch of one at that row's trial index, receiver and SNR, at any
-        # front-end pass size
+        # front-end pass size and any cap on the rows of a feedback call
         cfg = sim.SweepConfig.from_dict(dict(
             constellation="bpsk", receivers=",".join(RECEIVER_NAMES),
             nr=antennas, v=data.draw(st.integers(1, m), label="v"), m=m,
@@ -622,6 +627,9 @@ class TestBatching:
         pass_rows = data.draw(st.integers(1, len(rows)), label="pass rows")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "BATCH_SAMPLES", pass_rows * antennas * m)
+            # held decision rows are decided once they would pass the cap
+            patch.setattr(sim, "FLUSH_PASSES",
+                          data.draw(st.integers(1, 3), label="flush passes"))
             errors, mse = sim.run_block(trials, cfg, row_specs, snrs)
         assert list(zip(errors.tolist(), mse.tolist())) == single
 
@@ -648,6 +656,59 @@ class TestBatching:
             result = sim.run_sweep(cfg)
             outputs.append((sim.result_to_csv(result), sim.result_to_json(result)))
         assert outputs[1:] == outputs[:1] * 2
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees while fn runs; numpy reports its array
+    buffers to it, so for a given numpy the peak is the same on every run."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("alphabet, feedback, kib", [
+        ("bpsk", "genie", 73), ("16qam", "decision", 81)])
+    def test_front_end_pass_peak_per_row(self, alphabet, feedback, kib):
+        # one full front-end pass of M = 512 rows: each batch-sized array is
+        # dropped once nothing reads it, and a decision row is written
+        # into its feedback call's arrays as its pass ends
+        cfg = sim.SweepConfig.from_dict(dict(
+            constellation=alphabet, receivers="mmse-dfe", feedback=feedback,
+            nr=1, v=20, m=512, fbf_len=20, snr=[10.0]))
+        (spec,) = cfg.receiver_specs()
+        rows = sim._pass_rows(cfg)
+        trials = [k << 8 for k in range(rows)]
+        sim.run_block(trials, cfg, spec, 10.0)  # fills the slicer's cache
+        peak = _traced_peak(lambda: sim.run_block(trials, cfg, spec, 10.0))
+        assert peak / rows < kib * 1024
+
+    def test_held_decision_rows_are_bounded(self, monkeypatch):
+        # the rows held for one feedback call stop at FLUSH_PASSES passes,
+        # whatever the number of cells: fixed-count 16-QAM sweeps of 50 and
+        # of 200 cells at M = 512, two rows a pass, peak under one bound,
+        # where holding a round's 400 rows whole would take 7.5 MiB
+        monkeypatch.setattr(sim, "BATCH_SAMPLES", 2 * 512)
+        real, calls = kernels.dd_feedback, []
+
+        def spy(z_t, *args):
+            calls.append(len(z_t))
+            return real(z_t, *args)
+
+        monkeypatch.setattr(kernels, "dd_feedback", spy)
+        for cells in (50, 200):
+            cfg = sim.SweepConfig.from_dict(dict(
+                constellation="16qam", receivers="mmse-dfe", feedback="decision",
+                nr=1, v=20, m=512, fbf_len=20, snr=f"0:0.125:{(cells - 1) / 8}",
+                min_bit_errors=10**9, max_blocks=2))
+            assert len(cfg.snr_db) == cells
+            sim.run_block(0, cfg, cfg.receiver_specs()[0], 0.0)
+            peak = _traced_peak(lambda: sim.run_sweep(cfg))
+            assert peak < 1 << 20, (cells, peak)
+        assert max(calls) == sim.FLUSH_PASSES * 2
 
 
 class TestTrialIndexPacking:
@@ -698,7 +759,8 @@ class TestMeasurePostSnr:
         assert row.post_snr_db == pytest.approx(row.analytic_db, abs=0.3)
 
     @pytest.mark.parametrize("samples, realizations", [
-        (sim.BATCH_SAMPLES, 300), (8 * 64, 48), (8 * 64, 50)])
+        pytest.param(sim.BATCH_SAMPLES, 300, id="default-300"),
+        (8 * 64, 48), (8 * 64, 50)])
     def test_rounds_fill_passes(self, monkeypatch, samples, realizations):
         # a post-SNR cell has no error target, so every row it asks for is
         # committed and it asks for a full pass each round
