@@ -15,11 +15,12 @@ The matched filter bound's BER is closed form for every alphabet
 All SNRs here are linear ratios of the input SNR r = sigma_x^2 /
 sigma_n^2; gaps are in dB against the matched filter bound N_r r
 (doubled for real alphabets, where only the real noise component
-matters).
+matters). Counts and ratios pass numerics.integer and numerics.real, as
+a sweep config's do: an antenna count of 2.0 or "2" is 2, 2.5 or True a
+ValueError.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .equalizer import ReceiverSpec
 from .modem import constellation, count_bit_errors
-from .numerics import RngStream
+from .numerics import RngStream, integer, real
 
 __all__ = [
     "EULER_GAMMA",
@@ -52,38 +53,33 @@ EULER_GAMMA = float(np.euler_gamma)
 LIMIT_RECEIVERS = ("conv-zf-le", "conv-zf-dfe", "wl-zf-le", "wl-zf-dfe")
 
 # the most antennas a sweep admits (its most samples a block, at a block
-# of one sample); limit_snr refuses more, and harmonic and
-# expected_log_chisq refuse more than twice as many terms (the widely
-# linear limits take 2 n_r) before they build an array of them
+# of one sample); the limits and the MFB refuse more, and the chi-square
+# statistics more than twice as many degrees (a widely linear limit's)
 MAX_ANTENNAS = 1 << 20
 
 
-def _whole(name: str, n, least: int, most: float = math.inf) -> int:
-    """n as an int; ValueError unless it is an integer >= least (an
-    integral float such as 2.0 counts) and <= most."""
-    if not float(n).is_integer() or n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
-    if n > most:
-        raise ValueError(f"{name} must be at most {most}, got {n!r}")
-    return int(n)
+def _input_snr(r) -> float:
+    r = real("r", r)
+    if not 0 < r < np.inf:
+        raise ValueError(f"r must be positive and finite, got {r!r}")
+    return r
 
 
 def harmonic(n: int) -> float:
     """H_n = sum_{m=1}^{n} 1/m, with H_0 = 0, for n <= 2 MAX_ANTENNAS."""
-    n = _whole("n", n, 0, 2 * MAX_ANTENNAS)
+    n = integer("n", n, 0, 2 * MAX_ANTENNAS)
     return float(np.sum(1.0 / np.arange(1, n + 1)))
 
 
 def expected_log_chisq(n_r: int) -> float:
     """E[ln X] for X a sum of n_r unit-mean exponentials: -gamma + H_{n_r-1},
     for n_r <= 2 MAX_ANTENNAS."""
-    n_r = _whole("n_r", n_r, 1, 2 * MAX_ANTENNAS)
-    return -EULER_GAMMA + harmonic(n_r - 1)
+    return -EULER_GAMMA + harmonic(integer("n_r", n_r, 1, 2 * MAX_ANTENNAS) - 1)
 
 
 def inverse_chisq_mean(n_r: int) -> float:
     """E[1/S] for S a sum of 2 n_r unit-mean exponentials: 1/(2 n_r - 1)."""
-    return 1.0 / (2 * _whole("n_r", n_r, 1) - 1)
+    return 1.0 / (2 * integer("n_r", n_r, 1, 2 * MAX_ANTENNAS) - 1)
 
 
 def inverse_chisq_mean_var(n_r: int):
@@ -91,10 +87,10 @@ def inverse_chisq_mean_var(n_r: int):
 
     Var[1/S] = 1/(2 (2 n_r - 1)^2 (n_r - 1)), e.g. 1/18 at n_r = 2.
     """
-    mean = inverse_chisq_mean(n_r)
+    n_r = integer("n_r", n_r, 1, 2 * MAX_ANTENNAS)
     if n_r < 2:
         raise ValueError("variance of 1/S is unbounded for n_r = 1")
-    return mean, 1.0 / (2.0 * (2 * n_r - 1) ** 2 * (n_r - 1))
+    return inverse_chisq_mean(n_r), 1.0 / (2.0 * (2 * n_r - 1) ** 2 * (n_r - 1))
 
 
 class _NoFiniteLimit(ValueError):
@@ -108,15 +104,10 @@ def limit_snr(receiver: str, n_r: int, r: float = 1.0,
     receiver is a name ReceiverSpec.from_name reads. Conventional formulas
     double for real alphabets (the real noise component carries half the
     power); the widely linear ones are real-alphabet quantities already.
-    n_r must be an integer in [1, MAX_ANTENNAS] (2.0 counts) and r
-    positive and finite.
+    n_r must be an integer in [1, MAX_ANTENNAS] and r positive and finite;
+    a limit past the largest double is inf.
     """
-    n_r = _whole("n_r", n_r, 1)
-    if n_r > MAX_ANTENNAS:
-        raise ValueError(f"n_r must be at most {MAX_ANTENNAS}, the most antennas "
-                         f"a sweep admits, got {n_r}")
-    if not 0 < r < math.inf:
-        raise ValueError(f"r must be positive and finite, got {r!r}")
+    n_r, r = integer("n_r", n_r, 1, MAX_ANTENNAS), _input_snr(r)
     spec = ReceiverSpec.from_name(receiver)
     if spec.criterion == "mmse":
         raise ValueError(f"{receiver!r} has no closed form; see mmse_dfe_limit_snr_mc")
@@ -129,17 +120,18 @@ def limit_snr(receiver: str, n_r: int, r: float = 1.0,
             )
         return double * (n_r - 1) * r
     if spec.name == "zf-dfe":
-        return double * r * np.exp(expected_log_chisq(n_r))
+        return double * r * float(np.exp(expected_log_chisq(n_r)))
     if spec.name == "wl-zf-le":
         # mean formula; for n_r = 1 the variance is unbounded but the
         # mean (2 n_r - 1) r still holds
         return (2 * n_r - 1) * r
-    return r * np.exp(expected_log_chisq(2 * n_r))
+    return r * float(np.exp(expected_log_chisq(2 * n_r)))
 
 
 def gap_to_mfb_db(receiver: str, n_r: int) -> float:
     """10 log10(MFB / limit_snr) for a real alphabet, where the MFB is
     2 n_r r; the gap does not depend on r."""
+    n_r = integer("n_r", n_r, 1, MAX_ANTENNAS)
     return float(10.0 * np.log10(2 * n_r / limit_snr(receiver, n_r, 1.0, True)))
 
 
@@ -158,20 +150,24 @@ def gap_table(n_r_values=(1, 2), receivers=LIMIT_RECEIVERS) -> tuple:
     """
     rows = []
     for name in receivers:
-        for n_r in n_r_values:
+        for n_r in (integer("n_r", n, 1, MAX_ANTENNAS) for n in n_r_values):
             try:
                 gap = gap_to_mfb_db(name, n_r)
             except _NoFiniteLimit:
                 gap = None
-            rows.append(GapRow(name, int(n_r), gap))
+            rows.append(GapRow(name, n_r, gap))
     return tuple(rows)
 
 
 def mmse_dfe_post_snr_from_gains(gains, r: float) -> float:
-    """e^{mean ln(1 + r g)} - 1 over the supplied channel energy samples."""
+    """e^{mean ln(1 + r g)} - 1 over the supplied channel energy samples;
+    r is positive and finite."""
+    r = _input_snr(r)
     g = np.asarray(gains, dtype=float)
     if g.size == 0 or np.any(g < 0):
         raise ValueError("gains must be a non-empty array of non-negative energies")
+    if r * float(g.max()) == np.inf:
+        raise ValueError(f"r x gains overflows a double at r={r!r}")
     return float(np.expm1(np.mean(np.log1p(r * g))))
 
 
@@ -181,12 +177,12 @@ def mmse_dfe_limit_snr_mc(n_r: int, r: float, samples: int,
 
     ||h(k)||^2 is a sum of n_r unit-mean exponentials, i.e. Gamma(n_r, 1);
     the limit interpolates n_r * r at small r and the ZF-DFE constant
-    r e^{-gamma + H_{n_r-1}} at large r.
+    r e^{-gamma + H_{n_r-1}} at large r. samples is at least 10^4, for a
+    stable log-average, and at most 10^7, some hundreds of MB of arrays.
     """
-    n_r = _whole("n_r", n_r, 1)
-    if samples < 10**4:
-        raise ValueError("need at least 10^4 samples for a stable log-average")
-    gains = stream.generator().gamma(float(n_r), 1.0, int(samples))
+    n_r, r = integer("n_r", n_r, 1, MAX_ANTENNAS), _input_snr(r)
+    samples = integer("samples", samples, 10**4, 10**7)
+    gains = stream.generator().gamma(float(n_r), 1.0, samples)
     return mmse_dfe_post_snr_from_gains(gains, r)
 
 
@@ -226,10 +222,13 @@ def mfb_ber(constellation_name: str, n_r: int, r, taps: Optional[int] = None):
     alphabet's AWGN BER at r E. taps=v averages it over the Gamma(n_r v,
     1/v) energy of n_r antennas of v CN(0, 1/v) taps, so exp(-c r E /
     sin^2 t) becomes (1 + c r / (v sin^2 t))^(-n_r v); taps=None is the
-    v -> inf limit, AWGN at n_r r. Returns an array shaped like r.
+    v -> inf limit, AWGN at n_r r. n_r is at most MAX_ANTENNAS and taps at
+    most 2^53, up to which a double counts them exactly. Returns an array
+    shaped like r.
     """
-    if n_r < 1 or (taps is not None and taps < 1):
-        raise ValueError(f"n_r and taps must be >= 1, got {n_r} and {taps}")
+    n_r = integer("n_r", n_r, 1, MAX_ANTENNAS)
+    if taps is not None:
+        taps = integer("taps", taps, 1, 1 << 53)
     w, c, theta_max = _craig_terms(constellation_name)
     nodes, weights = _gauss_legendre()
     half = theta_max[:, None] / 2  # maps the rule onto [0, theta_j]

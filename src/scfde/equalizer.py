@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .numerics import dft, idft
+from .numerics import dft, idft, integer
 
 __all__ = [
     "RECEIVER_NAMES",
@@ -81,62 +81,60 @@ ZF_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ReceiverSpec:
-    family: str  # conventional | widely-linear
-    criterion: str  # zf | mmse
-    structure: str  # le | dfe
+    """A receiver: its name from RECEIVER_NAMES, which family, criterion and
+    structure are read from; its feedback length, an integer (by
+    numerics.integer) >= 1 for a DFE; and its feedback mode."""
+
+    name: str
     fbf_length: int = 20
     feedback_mode: str = "ideal_genie"
 
     def __post_init__(self):
-        if self.family not in ("conventional", "widely-linear"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.criterion not in ("zf", "mmse"):
-            raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.structure not in ("le", "dfe"):
-            raise ValueError(f"unknown structure {self.structure!r}")
-        if self.structure == "dfe" and self.fbf_length < 1:
-            raise ValueError("dfe needs fbf_length >= 1")
-        if self.feedback_mode not in ("ideal_genie", "decision_directed"):
-            raise ValueError(f"unknown feedback mode {self.feedback_mode!r}")
+        if self.name not in RECEIVER_NAMES:
+            raise ValueError(f"unknown receiver {self.name!r}; "
+                             f"choose from {RECEIVER_NAMES}")
+        if self.feedback_mode not in tuple(_FEEDBACK_MODES):
+            raise ValueError(f"unknown feedback mode {self.feedback_mode!r}; "
+                             "use genie or decision")
+        # interned: every result row stores it, so all rows share one string
+        object.__setattr__(self, "name", sys.intern(self.name))
+        object.__setattr__(self, "feedback_mode", _FEEDBACK_MODES[self.feedback_mode])
+        object.__setattr__(self, "fbf_length", integer(
+            "fbf_length", self.fbf_length, 1 if self.structure == "dfe" else None))
 
     @property
-    def name(self) -> str:
-        base = f"{self.criterion}-{self.structure}"
-        # interned: every result row stores it, so all rows share one string
-        return sys.intern(f"wl-{base}" if self.family == "widely-linear" else base)
+    def family(self) -> str:  # conventional | widely-linear
+        return "widely-linear" if self.name.startswith("wl-") else "conventional"
+
+    @property
+    def criterion(self) -> str:  # zf | mmse
+        return self.name.removeprefix("wl-").split("-")[0]
+
+    @property
+    def structure(self) -> str:  # le | dfe
+        return self.name.rsplit("-", 1)[1]
 
     @classmethod
     def from_name(cls, name: str, fbf_length: int = 20,
                   feedback_mode: str = "genie") -> "ReceiverSpec":
-        key = name.strip().lower()
-        if key.startswith("conv-"):
-            key = key[5:]
-        if key not in RECEIVER_NAMES:
-            raise ValueError(f"unknown receiver {name!r}; choose from {RECEIVER_NAMES}")
-        mode = _FEEDBACK_MODES.get(feedback_mode.strip().lower())
-        if mode is None:
-            raise ValueError(
-                f"unknown feedback mode {feedback_mode!r}; use genie or decision"
-            )
-        family = "widely-linear" if key.startswith("wl-") else "conventional"
-        criterion, structure = key.removeprefix("wl-").rsplit("-", 1)
-        return cls(family, criterion, structure, fbf_length, mode)
+        """The spec of a name and a feedback mode read case-blind, the name
+        with an optional conv- prefix."""
+        return cls(name.strip().lower().removeprefix("conv-"), fbf_length,
+                   feedback_mode.strip().lower())
 
     def check_fbf_length(self, m: int):
         """Reject a DFE whose feedback filter does not fit an M-point block.
 
         The limit is L <= M-1 for conventional receivers and L <= M/2 for
         widely linear ones, whose prediction problem lives on the even
-        half of the spectrum. Linear equalizers have no feedback filter.
+        half of the spectrum (L >= 1 holds for every DFE spec). Linear
+        equalizers have no feedback filter.
         """
-        if self.structure != "dfe":
-            return
         limit, what = ((m // 2, "M/2") if self.family == "widely-linear"
                        else (m - 1, "M-1"))
-        if not 1 <= self.fbf_length <= limit:
+        if self.structure == "dfe" and self.fbf_length > limit:
             raise ValueError(
-                f"fbf_length must satisfy 1 <= L <= {what}, got {self.fbf_length}"
-            )
+                f"fbf_length must satisfy 1 <= L <= {what}, got {self.fbf_length}")
 
 
 @dataclass(frozen=True)
@@ -181,15 +179,17 @@ def _one_plus_b(taps, m) -> np.ndarray:
 
 
 def _prediction_taps(denom, order, widely_linear):
-    """Order-L prediction-error taps for the residual spectrum 1/denom.
+    """Order-L prediction-error taps for the residual spectrum 1/denom,
+    and their prediction error, mean(|1 + b|^2 / denom).
 
     A function of its own so that the full inverse transform, of which
     the recursion reads L+1 lags, is freed on return.
     """
     autocov = idft(1.0 / denom)[..., : order + 1]
     if widely_linear:  # even spectrum: real autocovariance, real taps
-        return kernels.levinson_recursion(autocov.real, order)[0].real
-    return kernels.levinson_recursion(autocov, order)[0]
+        taps, error = kernels.levinson_recursion(autocov.real, order)
+        return taps.real, error
+    return kernels.levinson_recursion(autocov, order)
 
 
 def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilters:
@@ -201,8 +201,10 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilter
     widely linear. ZF receivers regularize by ZF_FLOOR instead, and
     sigma_n_sq then only prices the residual-noise MSE. DFEs put an order-L
     prediction-error FBF behind that front end, real-tap for the widely
-    linear family. A batch of responses gives filters with one row per
-    channel, and sigma_n_sq may then give one noise variance per row.
+    linear family. The design MSE is sigma_n^2 times mean(1/denom) for an
+    LE and times Levinson's prediction error, mean(|1 + b|^2 / denom), for
+    a DFE. A batch of responses gives filters with one row per channel,
+    and sigma_n_sq may then give one noise variance per row.
     """
     sigma_n_sq = np.asarray(sigma_n_sq, dtype=float)
     if spec.criterion == "mmse":
@@ -219,24 +221,23 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilter
     signal = gains + gains[..., -np.arange(m)] if widely_linear else gains  # g(M-k)
     denom = signal + reg
     if spec.structure == "dfe":
-        taps = _prediction_taps(denom, fbf_length, widely_linear)
+        taps, error = _prediction_taps(denom, fbf_length, widely_linear)
         one_plus_b = _one_plus_b(taps, m)
     else:
         taps = np.zeros((*denom.shape[:-1], 0),
                         dtype=float if widely_linear else complex)
         one_plus_b = np.ones(denom.shape, dtype=complex)
+        error = np.mean(1.0 / denom, axis=-1)
     # in place where the operand order allows, since a batch's arrays are
     # large; the order decides the rounding
     fff = np.conj(np.swapaxes(freq_response, -1, -2))
     np.multiply(one_plus_b[..., None], fff, out=fff)
     fff /= denom[..., None]
-    error_gain = np.abs(one_plus_b) ** 2
-    error_gain /= denom
     return EqualizerFilters(
         fff=fff,
         fbf_taps=taps,
         one_plus_b=one_plus_b,
-        predicted_mse=sigma_n_sq * np.mean(error_gain, axis=-1),
+        predicted_mse=sigma_n_sq * error,
     )
 
 

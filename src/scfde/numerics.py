@@ -11,12 +11,43 @@ RngStream(master_seed, trial_index), but a batch of trials does so
 without building a Generator each: stream_states seeds all their
 streams with one array pass of numpy's SeedSequence hash, and
 draw_streams draws each row from one reused PCG64. The Levinson solver
-is kernels.levinson_recursion.
+is kernels.levinson_recursion. integer and real are the number rule
+that every public count and ratio passes.
 """
 
+import contextlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def integer(name, value, least=None, most=None) -> int:
+    """value as an int, if it is an integer, an integral float (JSON 1e3)
+    or a digit string (a command-line override) in [least, most], where
+    those are given; else ValueError naming it `name`, for a bool too:
+    never truncated and never a TypeError."""
+    n = None
+    if not isinstance(value, bool) and (
+            isinstance(value, (str, numbers.Integral))
+            or isinstance(value, float) and value.is_integer()):
+        with contextlib.suppress(ValueError):  # a string that is no integer
+            n = int(value)
+    if n is None or least is not None and n < least:
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    if most is not None and n > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
+    return n
+
+
+def real(name, value) -> float:
+    """value as a float, if it is a number or a numeric string but not a
+    bool; else ValueError naming it `name`."""
+    if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .analytics import MAX_ANTENNAS, limit_snr, mfb_ber
 from .channel import apply_channel_freq, draw_channel
 from .equalizer import ZF_FLOOR, FeedbackPass, ReceiverSpec, equalize, synthesize
 from .modem import constellation, count_bit_errors, map_bits, precode
-from .numerics import draw_streams, stream_states
+from .numerics import draw_streams, integer, real, stream_states
 
 __all__ = [
     "SweepConfig",
@@ -99,8 +99,8 @@ def _parse_snr_grid(value):
             raise ValueError(f"snr_db range {value!r} has {n} points, more than "
                              f"{MAX_SNR_POINTS}")
         return tuple(start + step * k for k in range(max(n, 0)))
-    # object dtype hands bools and nested values to _real unconverted
-    return tuple(_real("snr_db", p)
+    # object dtype hands bools and nested values to real unconverted
+    return tuple(real("config key 'snr_db'", p)
                  for p in np.atleast_1d(np.asarray(value, dtype=object)))
 
 
@@ -118,38 +118,14 @@ def _noise_variance(snr_db) -> float:
     return sigma_n_sq
 
 
-_INTEGER_KEYS = ("fbf_len", "antennas", "taps", "block_size", "min_bit_errors",
-                 "max_blocks", "master_seed")
-
-
-def _integer(key, value) -> int:
-    """value as an int: an integer, an integral float (JSON 1e3) or a digit
-    string (a command-line override). ValueError for anything else, bools
-    and non-integral numbers included, rather than truncating them."""
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif not isinstance(value, bool) and (
-            isinstance(value, numbers.Integral)
-            or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-
-
-def _real(key, value) -> float:
-    """value as a float: a number or a numeric string, but not a bool."""
-    if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except (ValueError, OverflowError):
-            pass
-    raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-
-
 # trial index fields, see the module docstring
 _MAX_ORDINALS = 1 << 32
+# the integer keys and their (least, most) bounds: fewer than 100 errors
+# make a meaningless BER point, and a block's ordinal field has 32 bits
+_INTEGER_KEYS = {"fbf_len": (None, None), "antennas": (1, None),
+                 "taps": (None, None), "block_size": (None, None),
+                 "min_bit_errors": (100, None), "max_blocks": (1, _MAX_ORDINALS),
+                 "master_seed": (0, None)}
 # samples (antennas x block size) per front-end pass: 32 blocks of 512 at
 # one antenna, 16 at two, 256 of 64; bounds the pass's arrays, and so the
 # memory
@@ -170,10 +146,10 @@ class SweepConfig:
 
     Each (receiver, SNR) cell stops at min_bit_errors bit errors or
     max_blocks blocks. A block holds at most MAX_BLOCK_SAMPLES samples,
-    antennas x block_size. Integer fields take integers, integral floats
-    and digit strings, real ones numbers and numeric strings; any other
-    type is a ValueError. from_dict drops the retired keys parallel_width and,
-    at the fixed ZF floor only, zf_epsilon.
+    antennas x block_size. Integer fields pass numerics.integer and the
+    SNRs numerics.real, so any other type is a ValueError. from_dict drops
+    the retired keys parallel_width and, at the fixed ZF floor only,
+    zf_epsilon.
     """
 
     constellation: str = "bpsk"
@@ -189,8 +165,9 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for key in _INTEGER_KEYS:
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        for key, (least, most) in _INTEGER_KEYS.items():
+            object.__setattr__(self, key, integer(
+                f"config key {key!r}", getattr(self, key), least, most))
         for key in ("constellation", "feedback"):
             if not isinstance(getattr(self, key), str):
                 raise ValueError(f"config key {key!r} must be a string, "
@@ -200,10 +177,9 @@ class SweepConfig:
             rx = tuple(p.strip() for p in rx.split(",") if p.strip())
         if not (isinstance(rx, (list, tuple)) and all(isinstance(n, str) for n in rx)):
             raise ValueError(f"config key 'receivers' must be names, got {rx!r}")
-        names = tuple(
-            ReceiverSpec.from_name(name, feedback_mode=self.feedback).name
-            for name in rx
-        )
+        specs = tuple(ReceiverSpec.from_name(name, self.fbf_len, self.feedback)
+                      for name in rx)
+        names = tuple(spec.name for spec in specs)
         if not names:
             raise ValueError("need at least one receiver")
         if len(set(names)) != len(names):
@@ -228,8 +204,6 @@ class SweepConfig:
                     f"snr points {a!r} and {b!r} share the cell key "
                     f"{_snr_key(a)}, which seeds a cell's random streams; "
                     "grid points must differ within 6 decimals")
-        if self.antennas < 1:
-            raise ValueError("antennas must be >= 1")
         if not 1 <= self.taps <= self.block_size:
             raise ValueError(
                 f"taps must satisfy 1 <= v <= block_size, got v={self.taps} "
@@ -239,14 +213,7 @@ class SweepConfig:
             raise ValueError(
                 f"antennas x block_size = {self.antennas} x {self.block_size} "
                 f"samples is more than the {MAX_BLOCK_SAMPLES} a block may hold")
-        if self.min_bit_errors < 100:
-            raise ValueError("min_bit_errors below 100 gives meaningless BER points")
-        if not 1 <= self.max_blocks <= _MAX_ORDINALS:
-            raise ValueError(f"max_blocks must satisfy 1 <= max_blocks <= 2**32, "
-                             f"got {self.max_blocks}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
-        for spec in self.receiver_specs():  # validates fbf_len
+        for spec in specs:
             spec.check_fbf_length(self.block_size)
 
     def receiver_specs(self):
@@ -268,7 +235,7 @@ class SweepConfig:
             # retired keys that older sweep JSON carries: parallel_width sized
             # a deleted thread pool; zf_epsilon loads at its old default, the
             # fixed ZF floor, only, as another value names another receiver
-            if key == "zf_epsilon" and _real(key, value) != ZF_FLOOR:
+            if key == "zf_epsilon" and real(f"config key {key!r}", value) != ZF_FLOOR:
                 raise ValueError(f"config key 'zf_epsilon' is retired: ZF receivers "
                                  f"use the fixed floor {ZF_FLOOR!r}, got {value!r}")
             if key in ("parallel_width", "zf_epsilon"):
@@ -606,10 +573,9 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
     sigma_x^2 / mean(mse), minus one for MMSE receivers, compared
     against the closed-form limit where one exists.
     """
-    realizations = _integer("realizations", realizations)
-    snr_db = _real("snr_db", snr_db)
-    if not 1 <= realizations <= _MAX_ORDINALS:
-        raise ValueError("realizations must satisfy 1 <= realizations <= 2**32")
+    realizations = integer("argument 'realizations'", realizations, 1,
+                           _MAX_ORDINALS)
+    snr_db = real("argument 'snr_db'", snr_db)
     _noise_variance(snr_db)
     cells = [(replace(spec, feedback_mode="ideal_genie"), snr_db)
              for spec in config.receiver_specs()]
@@ -672,6 +638,7 @@ def gap_at_ber(points, reference, target_ber: float,
     ber) sequences; both must bracket the target, or InsufficientRangeError
     names the receiver and the curve and reports the achieved span.
     """
+    target_ber = real("target_ber", target_ber)
     if not 0 < target_ber < 1:
         raise ValueError("target_ber must be in (0, 1)")
     prefix = f"{receiver} " if receiver else ""
@@ -679,7 +646,7 @@ def gap_at_ber(points, reference, target_ber: float,
     ref = _snr_at_target(reference, target_ber, f"{prefix}MFB curve")
     return GapAtBer(
         receiver=receiver,
-        target_ber=float(target_ber),
+        target_ber=target_ber,
         snr_at_target_db=snr,
         mfb_snr_at_target_db=ref,
         gap_db=snr - ref,

@@ -273,6 +273,11 @@ class TestMmseDfeLimitMc:
     def test_degenerate_gains(self):
         assert an.mmse_dfe_post_snr_from_gains(np.ones(100), 7.0) == pytest.approx(7.0)
 
+    def test_gains_must_be_non_negative_energies(self):
+        for gains in ([1.0, -0.5], []):
+            with pytest.raises(ValueError, match="non-negative energies"):
+                an.mmse_dfe_post_snr_from_gains(gains, 1.0)
+
     def test_small_r_matched_filter_regime(self):
         # e^{E ln(1+rX)} - 1 -> r E[X] = n_r r as r -> 0
         got = an.mmse_dfe_limit_snr_mc(1, 1e-3, 10**6)

@@ -1,18 +1,26 @@
 """Command-line front end: subcommands, exit codes, outputs."""
 
+import contextlib
 import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_simulator import CONFIG_KEYS, JSON_VALUES
 
 import scfde.analytics
 from scfde import kernels
+from scfde import simulator as sim
 from scfde.cli import main
+from scfde.equalizer import RECEIVER_NAMES
 
 
 def _lines(text):
@@ -59,8 +67,7 @@ class TestLimits:
         assert main(["limits", "--nr", "1000000000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: n_r must be at most 1048576, the most "
-                                "antennas a sweep admits, got 1000000000\n")
+        assert captured.err == "error: n_r must be at most 1048576, got 1000000000\n"
 
     @pytest.mark.parametrize("nr", ["x", "1,,2", "2.5"])
     def test_nr_that_is_not_integers_names_the_option(self, capsys, nr):
@@ -114,6 +121,15 @@ def small_config(tmp_path):
 
 
 class TestBerSweep:
+    @pytest.mark.parametrize("override", ["max_blocks", "nr:2", ""])
+    def test_override_without_equals_exits_2(self, small_config, capsys,
+                                             override):
+        assert main(["ber-sweep", "--config", str(small_config), override]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: override {override!r} is not of the "
+                                "form key=value\n")
+
     def test_writes_csv_and_overrides_win(self, small_config, tmp_path, capsys):
         out_path = tmp_path / "out.csv"
         code = main(["ber-sweep", "--config", str(small_config),
@@ -544,3 +560,129 @@ def test_block_path_loads_no_quadrature_rule():
         "simulator.run_block(0, cfg, cfg.receiver_specs()[0], 6.0)\n"
         "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'\n"
     )
+
+
+# the CLI fuzz: argv tokens and config JSON values drawn at random, on a
+# config kept small (at most 16 antennas, samples a block and blocks a
+# cell, and a few cells) so that every run is quick. Each key
+# draws one of a few valid values or any JSON value, half the time each,
+# so that runs also get past the config checks
+SIZE_KEYS = {"block_size", "antennas", "taps", "fbf_len", "max_blocks"}
+SMALL = (st.integers(-1, 16) | st.floats(-1, 16) | st.booleans() | st.none()
+         | st.text(max_size=2))
+FUZZ_BASE = {"block_size": 16, "taps": 2, "fbf_len": 2, "max_blocks": 2,
+             "snr_db": [0.0, 10.0], "receivers": ["mmse-dfe"]}
+VALID = {
+    "receivers": st.lists(st.sampled_from(RECEIVER_NAMES), min_size=1,
+                          max_size=3, unique=True),
+    "constellation": st.sampled_from(["bpsk", "16qam", "8psk"]),
+    "feedback": st.sampled_from(["genie", "decision"]),
+    "snr_db": st.sampled_from(["0:5:10", "-5,5", [2.0], [0, 20]]),
+    "min_bit_errors": st.sampled_from([100, 10**9]),
+    "master_seed": st.integers(0, 3),
+    "zf_epsilon": st.just(1e-12),
+    "parallel_width": st.just(2),
+    **{key: st.integers(1, 8) for key in SIZE_KEYS},
+}
+
+
+def _either(valid, junk):
+    return st.booleans().flatmap(lambda ok: valid if ok else junk)
+
+
+def _config_value(key):
+    key = sim._ALIASES.get(key, key)
+    return _either(VALID[key], SMALL if key in SIZE_KEYS else JSON_VALUES)
+
+
+def _override(key):
+    valid = VALID[sim._ALIASES.get(key, key)].map(
+        lambda v: ",".join(map(str, v)) if isinstance(v, list) else str(v))
+    return _either(valid, st.text(max_size=6))
+
+
+CONFIGS = st.lists(st.sampled_from(CONFIG_KEYS).flatmap(
+    lambda k: st.tuples(st.just(k), _config_value(k))), max_size=3)
+OVERRIDES = st.lists(_either(st.sampled_from(CONFIG_KEYS).flatmap(
+    lambda k: _override(k).map(lambda v: f"{k}={v}")), st.text(max_size=6)),
+    max_size=2)
+
+
+def _number_token(*valid):
+    return _either(st.sampled_from(valid), st.text(max_size=6)
+                   | st.integers(-3, 3).map(str)
+                   | st.floats(allow_nan=True).map(repr))
+
+
+ROWS = st.lists(st.fixed_dictionaries({
+    "receiver": st.sampled_from(RECEIVER_NAMES) | JSON_VALUES,
+    "snr_db": st.floats(-10, 30) | JSON_VALUES,
+    "ber": st.floats(0, 1) | JSON_VALUES}), max_size=4)
+
+
+@st.composite
+def _argv(draw, folder):
+    """One command line, with the config or sweep file it reads written
+    into folder."""
+    command = draw(st.sampled_from(["limits", "post-snr", "ber-sweep", "gap",
+                                    "selftest"]))
+    if command == "selftest":
+        return [command]
+    if command == "limits":
+        argv = [command, "--nr", draw(_number_token("1,2", "3"))]
+        receiver = draw(st.none() | st.sampled_from(RECEIVER_NAMES)
+                        | st.text(max_size=6))
+        return argv + ([] if receiver is None else ["--receiver", receiver])
+    config = dict(FUZZ_BASE)
+    for key, value in draw(CONFIGS):  # an alias replaces its key
+        config.pop(sim._ALIASES.get(key, key), None)
+        config[key] = value
+    path = os.path.join(folder, "in.json")
+    if command == "gap":
+        # a falling curve that brackets 1e-2 for each receiver, or any rows
+        names = config["receivers"]
+        curve = [{"receiver": rx, "snr_db": snr, "ber": ber}
+                 for rx in (names if isinstance(names, list) else [])
+                 for snr, ber in ((0.0, 0.2), (10.0, 1e-4))]
+        doc = {"config": config, "rows": draw(_either(st.just(curve), ROWS))}
+        with open(path, "w") as fh:
+            json.dump(draw(_either(st.just(doc), JSON_VALUES)), fh)
+        argv = [command, "--input", path, "--target-ber",
+                draw(_number_token("0.01", "0.5"))]
+        return argv + draw(st.sampled_from([[], ["--per-realization"]]))
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    argv = [command, "--config", path, *draw(OVERRIDES)]
+    if command == "post-snr":
+        return argv + ["--snr", draw(_number_token("10", "-3.5")),
+                       "--realizations", draw(st.integers(-1, 3).map(str)
+                                              | st.text(max_size=3))]
+    output = ["--output", os.path.join(folder, "o.csv")]
+    return argv + draw(st.sampled_from(
+        [[], ["--format", "json"], output, ["--gnuplot-script", "p.gp"],
+         [*output, "--gnuplot-script", os.path.join(folder, "p.gp")]]))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_cli_fuzz_ends_in_an_exit_code_never_a_traceback(data):
+    # a bad input of any kind is exit 2 (3 for a gap target out of range,
+    # 1 for a failed selftest), with its message and no traceback. The MFB
+    # quadrature rule is built once a process, about 0.5 s of which the
+    # first LAPACK call takes, and not within any run's second
+    scfde.analytics._gauss_legendre()
+    with tempfile.TemporaryDirectory() as folder:
+        argv = data.draw(_argv(folder), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        elapsed = time.perf_counter() - start
+    assert code in ((0, 1, 2, 3) if argv == ["selftest"] else (0, 2, 3)), (
+        code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue(), "a failure must say why"
+    assert elapsed < 1.0, (argv, elapsed)

@@ -7,9 +7,11 @@ constants 0.5616 / 1.5265 / 3.512 that the synthesized filters must
 approach over a channel ensemble.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from scfde import equalizer as eq
@@ -19,7 +21,6 @@ from scfde.modem import constellation, map_bits, precode
 from scfde.numerics import RngStream, dft, idft
 
 EGAMMA = 0.5772156649015329
-PROPERTY = settings(deadline=None, derandomize=True)
 BPSK = constellation("bpsk")
 
 
@@ -109,6 +110,37 @@ class TestReceiverSpec:
     def test_dfe_needs_positive_length(self):
         with pytest.raises(ValueError):
             eq.ReceiverSpec.from_name("mmse-dfe", fbf_length=0)
+
+    def test_spec_is_its_name(self):
+        # three fields; family, criterion and structure are read from the name
+        assert [f.name for f in dataclasses.fields(eq.ReceiverSpec)] == [
+            "name", "fbf_length", "feedback_mode"]
+        spec = eq.ReceiverSpec("wl-mmse-dfe", 3, "decision")
+        assert spec.feedback_mode == "decision_directed"
+        assert spec == eq.ReceiverSpec.from_name(" WL-MMSE-DFE", 3, "Decision")
+        assert (spec.family, spec.criterion, spec.structure) == (
+            "widely-linear", "mmse", "dfe")
+        for field in ("family", "criterion", "structure"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, field, "zf")
+        for name in ("conv-zf-le", "mfb", "", None):
+            with pytest.raises(ValueError, match="unknown receiver"):
+                eq.ReceiverSpec(name)
+        for mode in ("oracle", "Genie", None, ["genie"]):
+            with pytest.raises(ValueError, match="unknown feedback mode"):
+                eq.ReceiverSpec("zf-dfe", 3, mode)
+
+    def test_fbf_length_follows_the_number_rule(self):
+        # an integral float or a digit string is a length; a fraction or a
+        # bool is refused when the spec is built, not inside synthesize
+        for length in (3, 3.0, "3"):
+            spec = eq.ReceiverSpec.from_name("mmse-dfe", fbf_length=length)
+            assert spec.fbf_length == 3 and type(spec.fbf_length) is int
+        for length in (2.5, True, None, "x"):
+            with pytest.raises(ValueError, match="fbf_length must be an integer"):
+                eq.ReceiverSpec.from_name("mmse-dfe", fbf_length=length)
+        # a linear equalizer has no feedback filter: any integer length
+        assert eq.ReceiverSpec("zf-le", 0).fbf_length == 0
 
 
 class TestConventionalLe:
@@ -322,7 +354,6 @@ class TestWidelyLinear:
     @given(data=st.data(), n_r=st.integers(1, 3), m=st.integers(4, 96),
            seed=st.integers(0, 2**32 - 1), snr_db=st.floats(-5.0, 30.0),
            criterion=st.sampled_from(["zf", "mmse"]))
-    @PROPERTY
     def test_matches_two_look_oracle(self, data, n_r, m, seed, snr_db, criterion):
         # the paper's construction: filter [w(k), conj(w(M-k))] applied to
         # [y(k), conj(y(M-k))], with w built from the channel and the taps
@@ -455,6 +486,16 @@ class TestDispatcher:
             assert np.iscomplexobj(f.fbf_taps) == (spec.family == "conventional")
             assert f.fff.shape == (64, 2)
             assert f.predicted_mse > 0
+
+    def test_received_block_of_the_wrong_shape(self):
+        h = rayleigh(RngStream(39, 0).generator(), 2, 8, 64)
+        spec = eq.ReceiverSpec.from_name("mmse-le")
+        f = eq.synthesize(spec, h, 0.5)
+        x_f = precode(np.ones(64))
+        for y in (np.ones((1, 64)), np.ones((2, 32)), np.ones((3, 2, 64))):
+            with pytest.raises(ValueError, match=r"received block must have "
+                                                 r"shape \(2, 64\)"):
+                eq.equalize(spec, f, y, BPSK, x_f)
 
     def test_noise_variance_per_row(self):
         # row i of a batch synthesized with one noise variance per row is the

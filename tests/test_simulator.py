@@ -25,8 +25,8 @@ from scfde import simulator as sim
 from scfde.analytics import mfb_ber
 from scfde.equalizer import RECEIVER_NAMES, ReceiverSpec
 
-# the suite is deterministic: every run tries the same examples
-PROPERTY = settings(deadline=None, derandomize=True, max_examples=60)
+# tests/conftest.py makes every property test deterministic
+PROPERTY = settings(max_examples=60)
 
 # any value a JSON config can hold
 JSON_VALUES = st.recursive(
@@ -119,6 +119,24 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="cell key 1.000000"):
             small_config(snr_db=[0.5, 1.0, 1.0000001])
 
+    @pytest.mark.parametrize("grid", ["0:0:4", "4:-1:0", "0:nan:4"])
+    def test_snr_range_needs_a_positive_step(self, grid):
+        with pytest.raises(ValueError, match="positive step"):
+            small_config(snr_db=grid)
+
+    @pytest.mark.parametrize("receivers", ["", " , ", []])
+    def test_at_least_one_receiver(self, receivers):
+        with pytest.raises(ValueError, match="at least one receiver"):
+            small_config(receivers=receivers)
+
+    def test_master_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="'master_seed' must be an integer >= 0"):
+            small_config(master_seed=-1)
+
+    def test_alias_and_key_given_together_clash(self):
+        with pytest.raises(ValueError, match="'antennas' given twice"):
+            sim.SweepConfig.from_dict({"nr": 2, "antennas": 2})
+
     def test_taps_bounded_by_block(self):
         with pytest.raises(ValueError):
             small_config(taps=65)
@@ -161,7 +179,7 @@ class TestSweepConfig:
         cfg = small_config()
         assert sim.SweepConfig.from_dict(cfg.to_dict()) == cfg
 
-    @settings(deadline=None, derandomize=True, max_examples=300)
+    @settings(max_examples=300)
     @given(key=st.sampled_from(CONFIG_KEYS), value=JSON_VALUES)
     def test_any_json_value_builds_or_raises_value_error(self, key, value):
         # a value of the wrong type is a ValueError (exit 2 at the command
@@ -443,7 +461,7 @@ class TestBatching:
             for rx in cfg.receivers for snr in cfg.snr_db)
         assert budget in passes
 
-    @settings(PROPERTY, max_examples=300)
+    @settings(max_examples=300)
     @given(data=st.data(), blocks=st.integers(0, 64) | st.integers(0, 10**4),
            block_bits=st.integers(1, 4096), budget=st.integers(1, 512),
            min_errors=st.just(math.inf) | st.integers(100, 10**5))
@@ -864,3 +882,8 @@ class TestGapAtBer:
     def test_non_bracketing_above(self):
         with pytest.raises(sim.InsufficientRangeError):
             sim.gap_at_ber(self.MFB, self.MFB, 0.5)
+
+    @pytest.mark.parametrize("target", [0, 1, 1.5, -0.1, math.nan, "2"])
+    def test_target_outside_the_unit_interval(self, target):
+        with pytest.raises(ValueError, match=r"target_ber must be in \(0, 1\)"):
+            sim.gap_at_ber(self.MFB, self.MFB, target)
