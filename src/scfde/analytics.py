@@ -20,6 +20,7 @@ a sweep config's do: an antenna count of 2.0 or "2" is 2, 2.5 or True a
 ValueError.
 """
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +36,7 @@ __all__ = [
     "LIMIT_RECEIVERS",
     "MAX_ANTENNAS",
     "GapRow",
+    "NoFiniteLimit",
     "harmonic",
     "expected_log_chisq",
     "inverse_chisq_mean",
@@ -65,6 +67,20 @@ def _input_snr(r) -> float:
     return r
 
 
+def _snrs(r) -> np.ndarray:
+    """r as a float array of linear SNRs >= 0 (inf too): ValueError for a
+    NaN, a negative, a bool or anything that is not a number, as
+    numerics.real reads one."""
+    snrs = None
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if np.asarray(r).dtype != bool:
+            snrs = np.asarray(r, dtype=float)
+    if snrs is None or not (snrs >= 0).all():
+        raise ValueError(f"r must be a number or an array of numbers >= 0, "
+                         f"got {r!r}")
+    return snrs
+
+
 def harmonic(n: int) -> float:
     """H_n = sum_{m=1}^{n} 1/m, with H_0 = 0, for n <= 2 MAX_ANTENNAS."""
     n = integer("n", n, 0, 2 * MAX_ANTENNAS)
@@ -93,7 +109,7 @@ def inverse_chisq_mean_var(n_r: int):
     return inverse_chisq_mean(n_r), 1.0 / (2.0 * (2 * n_r - 1) ** 2 * (n_r - 1))
 
 
-class _NoFiniteLimit(ValueError):
+class NoFiniteLimit(ValueError):
     """The receiver has no finite limiting post-SNR at this n_r."""
 
 
@@ -114,7 +130,7 @@ def limit_snr(receiver: str, n_r: int, r: float = 1.0,
     double = 2.0 if real_modulation else 1.0
     if spec.name == "zf-le":
         if n_r == 1:
-            raise _NoFiniteLimit(
+            raise NoFiniteLimit(
                 "conventional ZF-LE has no finite limit for N_r=1 "
                 "(residual noise 1/||h(k)||^2 has unbounded mean)"
             )
@@ -153,7 +169,7 @@ def gap_table(n_r_values=(1, 2), receivers=LIMIT_RECEIVERS) -> tuple:
         for n_r in (integer("n_r", n, 1, MAX_ANTENNAS) for n in n_r_values):
             try:
                 gap = gap_to_mfb_db(name, n_r)
-            except _NoFiniteLimit:
+            except NoFiniteLimit:
                 gap = None
             rows.append(GapRow(name, n_r, gap))
     return tuple(rows)
@@ -188,10 +204,28 @@ def mmse_dfe_limit_snr_mc(n_r: int, r: float, samples: int,
 
 @functools.cache
 def _gauss_legendre():
-    """(nodes, weights) of the 256-point Gauss-Legendre rule on [-1, 1];
-    reaches the exact BPSK sum to ~1e-13. Built on first use, so that a
-    run that never asks for the MFB does not load numpy.polynomial."""
-    return np.polynomial.legendre.leggauss(256)
+    """(nodes, weights) of the 256-point Gauss-Legendre rule on [-1, 1],
+    nodes ascending; reaches the exact BPSK sum to ~1e-13.
+
+    Newton's method on theta finds the roots x = cos(theta) of P_256 in
+    (0, 1), each P_n(x) from the three-term recurrence, and mirrors them.
+    Tricomi's start is within 2e-4 of a root, so four quadratic steps
+    converge; the fifth evaluation gives the weights 2 / (sin(theta)
+    P_n'(x))^2, which need no 1 - x^2 near the ends. numpy only: no
+    numpy.polynomial import and no LAPACK call.
+    """
+    n = 256
+    theta = np.pi * (np.arange(1, n // 2 + 1) - 0.25) / (n + 0.5)
+    for _ in range(5):
+        x = np.cos(theta)
+        below, p = np.ones_like(x), x  # P_{k-1}, P_k
+        for k in range(1, n):
+            below, p = p, ((2 * k + 1) * x * p - k * below) / (k + 1)
+        # sin(theta) P_n'(x) = -d P_n(cos theta) / d theta
+        slope = n * (below - x * p) / np.sin(theta)
+        theta = theta + p / slope
+    weights = 2.0 / slope**2
+    return np.concatenate([-x, x[::-1]]), np.concatenate([weights, weights[::-1]])
 
 
 def _craig_terms(name: str):
@@ -223,17 +257,19 @@ def mfb_ber(constellation_name: str, n_r: int, r, taps: Optional[int] = None):
     1/v) energy of n_r antennas of v CN(0, 1/v) taps, so exp(-c r E /
     sin^2 t) becomes (1 + c r / (v sin^2 t))^(-n_r v); taps=None is the
     v -> inf limit, AWGN at n_r r. n_r is at most MAX_ANTENNAS and taps at
-    most 2^53, up to which a double counts them exactly. Returns an array
-    shaped like r.
+    most 2^53, up to which a double counts them exactly; r is one or an
+    array of numbers >= 0, and one so large that r E overflows has BER 0.
+    Returns an array shaped like r.
     """
     n_r = integer("n_r", n_r, 1, MAX_ANTENNAS)
     if taps is not None:
         taps = integer("taps", taps, 1, 1 << 53)
+    snrs = _snrs(r)
     w, c, theta_max = _craig_terms(constellation_name)
     nodes, weights = _gauss_legendre()
     half = theta_max[:, None] / 2  # maps the rule onto [0, theta_j]
-    x = np.asarray(r, dtype=float)[..., None, None] * (
-        c[:, None] / np.sin(half * (1.0 + nodes)) ** 2)
-    integrand = (np.exp(-n_r * x) if taps is None
-                 else np.exp(-n_r * taps * np.log1p(x / taps)))
+    with np.errstate(over="ignore"):  # an r past the doubles has BER 0
+        x = snrs[..., None, None] * (c[:, None] / np.sin(half * (1.0 + nodes)) ** 2)
+        integrand = (np.exp(-n_r * x) if taps is None
+                     else np.exp(-n_r * taps * np.log1p(x / taps)))
     return np.sum(w[:, None] * half * weights * integrand, axis=(-2, -1)) / np.pi

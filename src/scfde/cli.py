@@ -19,11 +19,11 @@ import contextlib
 import json
 import logging
 import math
-import numbers
 import os
 import sys
 
 from . import analytics, simulator
+from .numerics import real
 from .selftest import run_selftest
 
 log = logging.getLogger("scfde.cli")
@@ -152,14 +152,17 @@ def cmd_post_snr(args) -> int:
     return 0
 
 
-def _valid_row(row) -> bool:
-    """receiver a string, snr_db finite and ber in [0, 1], both numbers but,
-    as in SweepConfig, not bools."""
-    if not (isinstance(row, dict) and isinstance(row.get("receiver"), str)):
-        return False
-    snr, ber = row.get("snr_db"), row.get("ber")
-    return (all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                for x in (snr, ber)) and math.isfinite(snr) and 0 <= ber <= 1)
+def _sweep_row(row):
+    """(receiver, snr_db, ber) of a sweep JSON row: receiver a string,
+    snr_db finite and ber in [0, 1], each number read by numerics.real as
+    a config's numbers are (a numeric string too, a bool never)."""
+    if isinstance(row, dict) and isinstance(row.get("receiver"), str):
+        with contextlib.suppress(ValueError):
+            snr, ber = (real(key, row.get(key)) for key in ("snr_db", "ber"))
+            if math.isfinite(snr) and 0 <= ber <= 1:
+                return row["receiver"], snr, ber
+    raise ValueError(f"row needs a string receiver, a finite snr_db and a ber "
+                     f"in [0, 1]: {row}")
 
 
 def cmd_gap(args) -> int:
@@ -171,16 +174,12 @@ def cmd_gap(args) -> int:
                          "'config' object and a 'rows' list, as ber-sweep "
                          "--format json writes")
     config = simulator.SweepConfig.from_dict(doc["config"])
-    for row in doc["rows"]:
-        if not _valid_row(row):
-            raise ValueError(f"row needs a string receiver, a finite snr_db and "
-                             f"a ber in [0, 1]: {row}")
+    rows = [_sweep_row(row) for row in doc["rows"]]
     reference = simulator.mfb_reference_curve(
         config, per_realization=args.per_realization)
     gaps = []
     for rx in config.receivers:
-        points = [(row["snr_db"], row["ber"]) for row in doc["rows"]
-                  if row["receiver"] == rx]
+        points = [(snr, ber) for receiver, snr, ber in rows if receiver == rx]
         gaps.append(simulator.gap_at_ber(points, reference, args.target_ber,
                                          receiver=rx))
     sys.stdout.write(simulator.rows_to_csv(simulator.GapAtBer, gaps))

@@ -15,11 +15,19 @@ batch size; einsum and matmul do not promise that.
 The feedback pass puts the rows on the contiguous inner axis, since one
 position is only L taps and one decision per row: it holds its decision
 history as (L + M, rows) and its reversed taps as (L, rows), so a
-position is a few numpy calls, each over contiguous rows. Its tap sum
-reduces the (L, rows) products over their first axis, which numpy does
-in one fixed order, b_L first, for two rows or more; an (L, 1) array it
-would sum pairwise, so a lone row runs as two. The slicer decides per
-axis on grid alphabets (see nearest_index).
+position is five numpy calls, each over contiguous rows: a multiply, a
+reduce and a subtraction give the estimates, then one slicing call and
+one take write the decisions into the history. Its tap sum reduces the
+(L, rows) products over their first axis, which numpy does in one fixed
+order, b_L first, for two rows or more; an (L, 1) array it would sum
+pairwise, so a lone row runs as two. The slicer decides per axis on grid
+alphabets (see nearest_index). Where every float of a row (BPSK's real
+part, 16-QAM's real and imaginary parts) is sliced on the same cuts, the
+pass levels the float view of the estimates and takes the level values
+straight into the history, and reads the indices from the history once
+the loop is done; 8-PSK and a grid whose axes cut apart slice to indices
+and take the points. A real alphabet under the real metric runs in
+float64, as only real parts decide.
 
 Each step is written once and returns only what its caller reads:
 levinson_recursion checks its input and raises ConditioningError itself,
@@ -121,10 +129,9 @@ def _level(cuts, x):
     return cuts.searchsorted(x, "right")
 
 
-@functools.lru_cache(maxsize=16)
-def _slicer(points_bytes: bytes, real_metric: bool):
-    """nearest_index for one alphabet and metric, as a function of z."""
-    points = np.frombuffer(points_bytes, np.complex128)
+def _grid(points, real_metric: bool):
+    """(parts, levels, cuts, table) of a grid alphabet, or None for any
+    other alphabet."""
     n = len(points)
     # the axes on which the points take more than one level, their sorted
     # levels, and each point's level on each, found in plain Python: the
@@ -137,24 +144,40 @@ def _slicer(points_bytes: bytes, real_metric: bool):
             parts.append(part)
             levels.append(np.array(lv))
             at.append([lv.index(x) for x in coord])
-    # levels -> lowest index of a point there, in dd_feedback's index dtype:
-    # a complex grid has a point per pair of levels, a real metric maybe more
+    # levels -> lowest index of a point there; a complex grid has a point
+    # per pair of levels, a real metric maybe more
     table = np.full([len(lv) for lv in levels], n, np.min_scalar_type(n))
     for i in reversed(range(n)):
         table[tuple(level[i] for level in at)] = i
-
-    def argmin(z):
-        d = (np.abs(z[..., None].real - points.real) if real_metric
-             else np.abs(z[..., None] - points))
-        return d.argmin(axis=-1)  # first minimum = lowest index
-
-    cuts = None
-    if parts and (table < n).all() and (real_metric or table.size == n):
-        cuts = _grid_cuts(levels, table)
+    if not parts or (table == n).any() or not (real_metric or table.size == n):
+        return None
+    cuts = _grid_cuts(levels, table)
     if cuts is None:
-        return argmin
-    return lambda z: table[tuple(_level(cut, getattr(z, part))
-                                 for part, cut in zip(parts, cuts))]
+        return None
+    # in dd_feedback's index dtype, now that every entry is a point
+    return tuple(parts), levels, cuts, table.astype(np.min_scalar_type(n - 1))
+
+
+@functools.lru_cache(maxsize=16)
+def _slicer(points_bytes: bytes, real_metric: bool):
+    """nearest_index for one alphabet and metric, as a function of z,
+    which carries the alphabet's _grid as its attribute grid."""
+    points = np.frombuffer(points_bytes, np.complex128)
+    grid = _grid(points, real_metric)
+    if grid is None:
+        def argmin(z):
+            d = (np.abs(z[..., None].real - points.real) if real_metric
+                 else np.abs(z[..., None] - points))
+            return d.argmin(axis=-1)  # first minimum = lowest index
+        decide = argmin
+    else:
+        parts, _, cuts, table = grid
+
+        def decide(z):
+            return table[tuple(_level(cut, getattr(z, part))
+                               for part, cut in zip(parts, cuts))]
+    decide.grid = grid
+    return decide
 
 
 def levinson_recursion(autocov, order):
@@ -212,6 +235,10 @@ def dd_feedback(z_t, fbf, tail, points, real_metric):
     of z_t, fbf and tail are a batch of rows, all advanced one position
     per step; each row equals the 1-d call on that row bit for bit.
 
+    Where points, metric and tail are real, only the real parts of z_t
+    and the finite taps decide, so the pass runs on them in float64 and
+    decides as the complex pass would, bit for bit.
+
     Returns the decided indices into points, shaped like z_t, in the
     narrowest unsigned dtype that holds len(points) - 1.
     """
@@ -225,23 +252,53 @@ def dd_feedback(z_t, fbf, tail, points, real_metric):
         # numpy sums an (L, 1) array pairwise and an (L, R >= 2) one in
         # order, so a lone row runs twice to sum as it does in any batch
         z_t, fbf, tail = (np.concatenate([a, a]) for a in (z_t, fbf, tail))
+    decide = _slicer(points.tobytes(), bool(real_metric))
+    real = real_metric and not points.imag.any() and not tail.imag.any()
+    if real:
+        z_t, fbf, tail, points = z_t.real, fbf.real, tail.real, points.real
     # rows on the inner axis: past[l:l + L] holds the decisions for
     # positions l-L..l-1, the wrapped ones taken from tail, so b_t pairs
     # with past[l + L - t], and the taps are stored reversed to match;
     # past[l + L] holds z_t at position l until its decision overwrites it
-    past = np.empty((n_taps + m, len(z_t)), np.complex128)
+    past = np.empty((n_taps + m, len(z_t)), points.dtype)
     past[:n_taps] = tail.T
     past[n_taps:] = z_t.T
-    reversed_fbf = np.array(fbf[:, ::-1].T, np.complex128, order="C")
+    reversed_fbf = np.array(fbf[:, ::-1].T, points.dtype, order="C")
     products = np.empty_like(reversed_fbf)
-    z_hat = np.empty(len(z_t), np.complex128)
-    idx = np.empty((m, len(z_t)), np.min_scalar_type(len(points) - 1))
-    decide = _slicer(points.tobytes(), bool(real_metric))
+    z_hat = np.empty(len(z_t), points.dtype)
+    # a row of the history is one float, or a real and an imaginary part.
+    # A grid that slices every float of a row on the same levels and cuts
+    # decides on the float view of z_hat and writes the decided levels
+    # into the history, whose indices it reads once the pass is done. Any
+    # other alphabet, a grid whose axes cut apart included, decides
+    # indices through the slicer and keeps them as it goes
+    parts, levels, cuts, table = decide.grid or ((),) * 4
+    if len(parts) == (1 if real else 2) and all(
+            np.array_equal(a, levels[0]) and np.array_equal(c, cuts[0])
+            for a, c in zip(levels, cuts)):
+        step, values, view = functools.partial(_level, cuts[0]), levels[0], np.float64
+        kept = None
+    else:
+        step, values, view = decide, points, past.dtype
+        kept = np.empty((m, len(z_t)), np.min_scalar_type(len(points) - 1))
+    z_view, decided = z_hat.view(view), past[n_taps:].view(view)
     for l in range(m):
         np.multiply(reversed_fbf, past[l : l + n_taps], out=products)
         np.add.reduce(products, axis=0, out=z_hat)
         np.subtract(past[l + n_taps], z_hat, out=z_hat)
-        best = decide(z_hat)
-        idx[l] = best
-        points.take(best, out=past[l + n_taps], mode="clip")
-    return idx[:, :n].T.reshape(*rows, m)
+        decision = step(z_view)
+        # "clip" writes straight into out, which "raise" would buffer
+        values.take(decision, out=decided[l], mode="clip")
+        if kept is not None:
+            kept[l] = decision
+    if kept is None:
+        # each decided float's level is the count of cuts at or below it:
+        # over the whole history one comparison a cut is far faster than
+        # searchsorted, and a decided level is never NaN
+        level = np.zeros(decided.shape, np.min_scalar_type(table.size))
+        for cut in cuts[0]:
+            level += decided >= cut
+        if len(parts) == 2:  # a point's real and imaginary levels
+            level = level[:, 0::2] * len(levels[0]) + level[:, 1::2]
+        kept = table.ravel()[level]  # take would copy level as intp
+    return kept[:, :n].T.reshape(*rows, m)

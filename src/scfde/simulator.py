@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .analytics import MAX_ANTENNAS, limit_snr, mfb_ber
+from .analytics import MAX_ANTENNAS, NoFiniteLimit, limit_snr, mfb_ber
 from .channel import apply_channel_freq, draw_channel
 from .equalizer import ZF_FLOOR, FeedbackPass, ReceiverSpec, equalize, synthesize
 from .modem import constellation, count_bit_errors, map_bits, precode
@@ -431,13 +431,17 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
 
 
 def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
-    # None where limit_snr has no value; conventional outputs are measured
-    # with complex error, so their closed forms are used without the
-    # real-alphabet doubling, and the WL ones are real-alphabet quantities
+    # None for the MMSE receivers, which have no closed form, and where the
+    # limit is not finite: zf-le at n_r = 1, or an input SNR past the
+    # doubles. Conventional outputs are measured with complex error, so
+    # their closed forms are used without the real-alphabet doubling, and
+    # the WL ones are real-alphabet quantities
+    r = 1.0 / _noise_variance(snr_db)
+    if spec.criterion == "mmse" or r == math.inf:
+        return None
     try:
-        value = limit_snr(spec.name, config.antennas,
-                          1.0 / _noise_variance(snr_db), real_modulation=False)
-    except ValueError:
+        value = limit_snr(spec.name, config.antennas, r, real_modulation=False)
+    except NoFiniteLimit:
         return None
     return float(10.0 * np.log10(value))
 

@@ -417,3 +417,29 @@ class TestMfbBer:
                 an.mfb_ber("bpsk", n_r, 1.0, taps)
         with pytest.raises(ValueError):
             an.mfb_ber("qpsk", 1, 1.0)
+
+    @pytest.mark.parametrize("r", [-1.0, math.nan, True, "x", None,
+                                   [1.0, -0.5], [2.0, math.nan], [True, False]])
+    def test_snr_must_be_numbers_at_least_zero(self, r):
+        with pytest.raises(ValueError, match="r must be a number or an array"):
+            an.mfb_ber("bpsk", 1, r)
+
+    @pytest.mark.parametrize("taps", [None, 4])
+    def test_snr_past_the_doubles_has_ber_zero(self, taps):
+        # r E overflows a double without a RuntimeWarning, which pytest
+        # would raise; r = 0 is the alphabet's coin-toss BER
+        ber = an.mfb_ber("16qam", 2, [1e308, math.inf, "10", 0.0], taps)
+        assert ber[0] == ber[1] == 0.0
+        assert ber[2] == an.mfb_ber("16qam", 2, 10.0, taps)
+        assert ber[3] == pytest.approx(0.5, rel=1e-13)
+
+    def test_quadrature_rule_is_exact_to_degree_511(self):
+        # 256 Gauss-Legendre nodes integrate every polynomial of degree
+        # below 512 exactly
+        nodes, weights = an._gauss_legendre()
+        assert nodes.shape == weights.shape == (256,)
+        assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+        np.testing.assert_array_equal(nodes, -nodes[::-1])
+        for k in range(512):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(np.sum(weights * nodes**k) - exact) < 1e-14, k

@@ -430,7 +430,7 @@ class TestGap:
                        id=f"{snr}-{ber}")
           for snr, ber in ((float("nan"), 0.01), (float("inf"), 0.01),
                            (None, 0.01), (4.0, float("nan")), (4.0, 1.5),
-                           (4.0, -0.1), (4.0, "0.01"),
+                           (4.0, -0.1), (4.0, "x"), ("1e999", 0.01),
                            # bools are not numbers, as in SweepConfig
                            (4.0, True), (True, 0.01))],
         pytest.param({"snr_db": 4.0, "ber": 0.01}, id="no-receiver"),
@@ -455,6 +455,31 @@ class TestGap:
         assert ("a string receiver, a finite snr_db and a ber in [0, 1]"
                 in capsys.readouterr().err)
 
+
+    def test_row_numbers_follow_the_config_rule(self, tmp_path, monkeypatch,
+                                                capsys):
+        # a row's snr_db and ber are read as a config's numbers are, so the
+        # numeric string "0.01" is 0.01 and gives the same gap
+        seen = []
+        gap_at_ber = scfde.simulator.gap_at_ber
+
+        def spy(points, *args, **kwargs):
+            seen.append(points)
+            return gap_at_ber(points, *args, **kwargs)
+
+        monkeypatch.setattr("scfde.simulator.gap_at_ber", spy)
+        outputs = []
+        for ber in (0.01, "0.01"):
+            doc = {"config": {"receivers": "zf-le", "nr": 2, "v": 4, "m": 64},
+                   "rows": [{"receiver": "zf-le", "snr_db": 0.0, "ber": 0.2},
+                            {"receiver": "zf-le", "snr_db": "4", "ber": ber},
+                            {"receiver": "zf-le", "snr_db": 8.0, "ber": 0.001}]}
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps(doc))
+            assert main(["gap", "--input", str(path), "--target-ber", "0.02"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert seen[0] == seen[1] == [(0.0, 0.2), (4.0, 0.01), (8.0, 0.001)]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("doc", [
         [], 5, "sweep", None,
@@ -551,13 +576,24 @@ def test_run_path_imports_no_scipy():
 
 
 def test_block_path_loads_no_quadrature_rule():
-    # the MFB's Gauss-Legendre nodes are built on first use, so a run that
-    # only simulates blocks never loads numpy.polynomial
+    # numpy.polynomial (0.16 s of import) is loaded by no path of a run:
+    # not by simulating blocks, nor by the MFB (next test)
     _run_python(
         "import sys, scfde.cli\n"
         "from scfde import simulator\n"
         "cfg = simulator.SweepConfig(receivers='mmse-dfe', block_size=64, taps=4)\n"
         "simulator.run_block(0, cfg, cfg.receiver_specs()[0], 6.0)\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'\n"
+    )
+
+
+def test_mfb_builds_its_rule_without_numpy_polynomial():
+    # the Gauss-Legendre rule is built with numpy alone, so the first MFB
+    # curve of a process makes no LAPACK call either
+    _run_python(
+        "import sys\n"
+        "from scfde import analytics\n"
+        "analytics.mfb_ber('16qam', 2, [1.0, 10.0], 4)\n"
         "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'\n"
     )
 
@@ -667,10 +703,7 @@ def _argv(draw, folder):
 @given(data=st.data())
 def test_cli_fuzz_ends_in_an_exit_code_never_a_traceback(data):
     # a bad input of any kind is exit 2 (3 for a gap target out of range,
-    # 1 for a failed selftest), with its message and no traceback. The MFB
-    # quadrature rule is built once a process, about 0.5 s of which the
-    # first LAPACK call takes, and not within any run's second
-    scfde.analytics._gauss_legendre()
+    # 1 for a failed selftest), with its message and no traceback
     with tempfile.TemporaryDirectory() as folder:
         argv = data.draw(_argv(folder), label="argv")
         out, err = io.StringIO(), io.StringIO()

@@ -21,10 +21,17 @@ from scfde.kernels import ConditioningError
 from scfde.numerics import RngStream, dft, idft
 
 
+# 4 real levels by 2 imaginary: a grid whose axes cut at different values
+UNLIKE_GRID = np.array([x + 1j * y for y in (-1, 1)
+                        for x in (-3, -1, 1, 3)]) / np.sqrt(6)
+# the feedback pass decides BPSK (real) and QPSK and 16-QAM (complex) on
+# the levels of a float view, 8-PSK (argmin) and the unlike grid by index
 ALPHABETS = {
     "bpsk": (modem.constellation("bpsk").points, True),
     "qpsk": (np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2), False),
     "16qam": (modem.constellation("16qam").points, False),
+    "8psk": (modem.constellation("8psk").points, False),
+    "4x2": (UNLIKE_GRID, False),
 }
 # every shipped alphabet and the tests' QPSK, each under both metrics
 SLICED = [(name, modem.constellation(name).points, real_metric)
@@ -243,25 +250,54 @@ class TestKernelProperties:
         assert err == pytest.approx(expect, rel=1e-9)
 
     @given(data=st.data(), alphabet=st.sampled_from(sorted(ALPHABETS)),
-           m=st.integers(2, 80), seed=st.integers(0, 2**32 - 1),
-           noise=st.sampled_from([0.0, 0.4]))
-    def test_feedback_matches_scalar_loop(self, data, alphabet, m, seed, noise):
+           m=st.integers(2, 80), rows=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), noise=st.sampled_from([0.0, 0.4]))
+    def test_feedback_matches_scalar_loop(self, data, alphabet, m, rows, seed,
+                                          noise):
         # L = m-1 reads every wrapped tail symbol. A noise-free block with
         # its true tail must decode exactly; under noise the wrong decisions
-        # must propagate as in the scalar loop (decided points are fed back)
+        # must propagate as in the scalar loop (decided points are fed back).
+        # Each row of a batch has its own taps, block and tail, and decides
+        # as the scalar loop does on that row alone; a lone row is 1-d
         n_taps = data.draw(st.integers(1, m - 1), label="L")
         points, real_metric = ALPHABETS[alphabet]
         gen = RngStream(12, seed).generator()
-        x = points[gen.integers(0, points.size, m)]
-        fbf = 0.3 * (gen.standard_normal(n_taps)
-                     + 1j * gen.standard_normal(n_taps))
-        z_t = (x + sum(b * np.roll(x, t) for t, b in enumerate(fbf, start=1))
-               + noise * (gen.standard_normal(m) + 1j * gen.standard_normal(m)))
-        args = (z_t, fbf, x[m - n_taps:], points, real_metric)
-        idx = kernels.dd_feedback(*args)
-        np.testing.assert_array_equal(idx, reference_feedback(*args))
+        x = points[gen.integers(0, points.size, (rows, m))]
+        fbf = 0.3 * (gen.standard_normal((rows, n_taps))
+                     + 1j * gen.standard_normal((rows, n_taps)))
+        isi = sum(fbf[:, t - 1 : t] * np.roll(x, t, axis=1)
+                  for t in range(1, n_taps + 1))
+        z_t = x + isi + noise * (gen.standard_normal((rows, m))
+                                 + 1j * gen.standard_normal((rows, m)))
+        tail = x[:, m - n_taps:]
+        batch = (z_t, fbf, tail) if rows > 1 else (z_t[0], fbf[0], tail[0])
+        idx = kernels.dd_feedback(*batch, points, real_metric).reshape(rows, m)
+        assert idx.dtype == np.uint8
+        for row in range(rows):
+            np.testing.assert_array_equal(
+                idx[row], reference_feedback(z_t[row], fbf[row], tail[row],
+                                             points, real_metric))
         if noise == 0.0:
             np.testing.assert_array_equal(points[idx], x)
+
+    def test_complex_tail_keeps_the_complex_pass(self):
+        # a real alphabet under the real metric runs in float64 only when
+        # its tail is real too: the imaginary part of a tail symbol moves
+        # the real part of b_t d(l - t) through the imaginary part of b_t
+        points, real_metric = ALPHABETS["bpsk"]
+        m, n_taps = 16, 8
+        moved = 0
+        for seed in range(20):
+            gen = RngStream(21, seed).generator()
+            fbf = gen.standard_normal(n_taps) + 1j * gen.standard_normal(n_taps)
+            tail = points[gen.integers(0, 2, n_taps)] + 1j * gen.standard_normal(n_taps)
+            z_t = gen.standard_normal(m) + 1j * gen.standard_normal(m)
+            idx = kernels.dd_feedback(z_t, fbf, tail, points, real_metric)
+            np.testing.assert_array_equal(
+                idx, reference_feedback(z_t, fbf, tail, points, real_metric))
+            moved += (idx != kernels.dd_feedback(z_t, fbf, tail.real, points,
+                                                 real_metric)).any()
+        assert moved  # the imaginary parts of the tail did decide
 
     @pytest.mark.parametrize("name", modem.CONSTELLATION_NAMES)
     def test_midpoints_slice_alike(self, name):
@@ -312,8 +348,7 @@ class TestKernelProperties:
         # An inexact midpoint lies within an ulp of a cut, where the
         # argmin's rounded hypot may call the two distances equal, so
         # midpoints are checked against the per-axis rule alone
-        points = np.array([x + 1j * y for y in (-1, 1)
-                           for x in (-3, -1, 1, 3)]) / np.sqrt(6)
+        points = UNLIKE_GRID
         gen = RngStream(18, 0).generator()
         z = gen.standard_normal(2000) + 1j * gen.standard_normal(2000)
         for real_metric in (True, False):

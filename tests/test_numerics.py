@@ -228,6 +228,7 @@ ENTRY_POINTS = {
     "gap_table(n_r)": lambda v: an.gap_table((v,)),
     "mfb_ber(n_r)": lambda v: an.mfb_ber("bpsk", v, 10.0),
     "mfb_ber(taps)": lambda v: an.mfb_ber("bpsk", 1, 10.0, v),
+    "mfb_ber(r)": lambda v: an.mfb_ber("bpsk", 1, v),
     "mmse_dfe_post_snr_from_gains(r)":
         lambda v: an.mmse_dfe_post_snr_from_gains([0.5, 2.0], v),
     "mmse_dfe_limit_snr_mc(n_r)":

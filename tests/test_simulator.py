@@ -315,6 +315,29 @@ class TestRunSweep:
         csv_text = sim.result_to_csv(sim.run_sweep(cfg))
         assert csv_text.strip().split("\n")[1].endswith(",")
 
+    def test_analytic_value_asks_no_limit_of_an_mmse_receiver(self, monkeypatch):
+        # an MMSE cell has no closed form, so it never calls limit_snr;
+        # zf-le at n_r = 1 and an input SNR past the doubles have no finite
+        # limit, and any other refusal of limit_snr is not swallowed
+        def no_limit(*args, **kwargs):
+            raise AssertionError("limit_snr called for an MMSE cell")
+
+        monkeypatch.setattr(sim, "limit_snr", no_limit)
+        cfg = small_config()  # n_r = 1
+        for name in ("mmse-le", "mmse-dfe", "wl-mmse-le", "wl-mmse-dfe"):
+            assert sim._analytic_db(ReceiverSpec.from_name(name), cfg, 10.0) is None
+        monkeypatch.undo()
+        assert sim._analytic_db(ReceiverSpec("zf-le"), cfg, 10.0) is None
+        assert sim._analytic_db(ReceiverSpec("zf-dfe"), cfg, 3230.0) is None
+        assert sim._analytic_db(ReceiverSpec("wl-zf-le"), cfg, 10.0) \
+            == pytest.approx(10.0, abs=1e-12)
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(sim, "limit_snr", refuse)
+        with pytest.raises(ValueError, match="refused"):
+            sim._analytic_db(ReceiverSpec("zf-dfe"), cfg, 10.0)
+
     def test_json_embeds_config(self):
         cfg = small_config()
         doc = json.loads(sim.result_to_json(sim.run_sweep(cfg)))
