@@ -11,13 +11,14 @@ draw_channel and apply_channel_freq take their randomness as an array of
 standard normals already drawn (see numerics.gaussian_complex). An array
 with a leading row axis serves a batch: row i of every output comes from
 row i of the draws exactly as an unbatched call with those draws would
-make it. apply_channel_time is the noise-free reference that the
+make it. Both write into a pass workspace where one is given (see
+numerics). apply_channel_time is the noise-free reference that the
 frequency-domain path is checked against.
 """
 
 import numpy as np
 
-from .numerics import gaussian_complex
+from .numerics import gaussian_complex, slot
 
 __all__ = [
     "draw_channel",
@@ -26,19 +27,21 @@ __all__ = [
 ]
 
 
-def draw_channel(normals, n_r: int, v: int, m: int) -> np.ndarray:
+def draw_channel(normals, n_r: int, v: int, m: int, work=None) -> np.ndarray:
     """Frequency response (..., n_r, m) of an i.i.d. Rayleigh channel.
 
     The taps are gaussian_complex(normals, n_r v, 1/v) read as (n_r, v),
     CN(0, 1/v) each; normals holds (..., 2 n_r v) standard normals, one
-    channel per row.
+    channel per row. The taps and the response are written into work's
+    "taps" and "h" where a workspace is given.
     """
     if n_r < 1:
         raise ValueError("need at least one receive antenna")
     if not 1 <= v <= m:
         raise ValueError(f"tap count must satisfy 1 <= v <= block size, got v={v} m={m}")
-    taps = gaussian_complex(normals, n_r * v, 1.0 / v)
-    return np.fft.fft(taps.reshape(*taps.shape[:-1], n_r, v), n=m, axis=-1)
+    taps = gaussian_complex(normals, n_r * v, 1.0 / v, slot(work, "taps"))
+    return np.fft.fft(taps.reshape(*taps.shape[:-1], n_r, v), n=m, axis=-1,
+                      out=slot(work, "h"))
 
 
 def apply_channel_time(x_t: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -57,7 +60,7 @@ def apply_channel_time(x_t: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def apply_channel_freq(x_f: np.ndarray, freq_response: np.ndarray,
-                       sigma_n_sq, normals) -> np.ndarray:
+                       sigma_n_sq, normals, work=None) -> np.ndarray:
     """Apply the channel in the DFT domain: y_r(k) = h_r(k) x(k) + n_r(k).
 
     freq_response is (..., n_r, m). The unnormalized DFT of unit-variance
@@ -65,15 +68,16 @@ def apply_channel_freq(x_f: np.ndarray, freq_response: np.ndarray,
     what is added here from normals, (..., 2 n_r m) standard normals that
     are read only where the variance is positive (None serves a noiseless
     call). For a batched channel x_f has one row per channel and
-    sigma_n_sq may give one variance per row.
+    sigma_n_sq may give one variance per row. The block and its noise are
+    written into work's "y" and "noise" where a workspace is given.
     """
     x_f = np.asarray(x_f, dtype=complex)
     *lead, n_r, m = freq_response.shape
     if x_f.shape != (*lead, m):
         raise ValueError(f"block must have shape {(*lead, m)}, got {x_f.shape}")
-    y = freq_response * x_f[..., None, :]
+    y = np.multiply(freq_response, x_f[..., None, :], out=slot(work, "y"))
     variance = m * np.asarray(sigma_n_sq)
     if np.any(variance > 0):
-        noise = gaussian_complex(normals, n_r * m, variance)
+        noise = gaussian_complex(normals, n_r * m, variance, slot(work, "noise"))
         y += noise.reshape(y.shape)
     return y

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .numerics import dft, idft, integer
+from .numerics import dft, idft, integer, slot
 
 __all__ = [
     "RECEIVER_NAMES",
@@ -170,29 +170,34 @@ class FeedbackPass(NamedTuple):
     tail: np.ndarray
 
 
-def _one_plus_b(taps, m) -> np.ndarray:
+def _one_plus_b(taps, m, work=None) -> np.ndarray:
     taps = np.asarray(taps)
-    poly = np.zeros((*taps.shape[:-1], m), dtype=complex)
+    poly = (np.empty((*taps.shape[:-1], m), complex) if work is None
+            else work["poly"])
+    poly[...] = 0.0
     poly[..., 0] = 1.0
     poly[..., 1 : taps.shape[-1] + 1] = taps
-    return dft(poly)
+    return dft(poly, slot(work, "one_plus_b"))
 
 
-def _prediction_taps(denom, order, widely_linear):
+def _prediction_taps(denom, order, widely_linear, work=None):
     """Order-L prediction-error taps for the residual spectrum 1/denom,
     and their prediction error, mean(|1 + b|^2 / denom).
 
     A function of its own so that the full inverse transform, of which
-    the recursion reads L+1 lags, is freed on return.
+    the recursion reads L+1 lags, is freed on return. The reciprocal is
+    taken in float and cast to complex, as idft would cast it.
     """
-    autocov = idft(1.0 / denom)[..., : order + 1]
+    recip = np.divide(1.0, denom, out=slot(work, "recip"))
+    autocov = idft(recip, slot(work, "autocov"))[..., : order + 1]
     if widely_linear:  # even spectrum: real autocovariance, real taps
         taps, error = kernels.levinson_recursion(autocov.real, order)
         return taps.real, error
     return kernels.levinson_recursion(autocov, order)
 
 
-def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilters:
+def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq,
+               work=None) -> EqualizerFilters:
     """Filters of the receiver `spec` for the channel freq_response, (n_r, M).
 
     Alphabets have unit energy (sigma_x^2 = 1), so the input SNR is
@@ -205,6 +210,12 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilter
     LE and times Levinson's prediction error, mean(|1 + b|^2 / denom), for
     a DFE. A batch of responses gives filters with one row per channel,
     and sigma_n_sq may then give one noise variance per row.
+
+    Where a pass workspace is given (see numerics), the filters and the
+    steps' arrays are written into its buffers: "fff", which may be the
+    memory of freq_response, overwritten once the energies are read,
+    "one_plus_b", and the scratch "energy", "gains", "mirror", "denom",
+    "inverse", "recip", "autocov" and "poly".
     """
     sigma_n_sq = np.asarray(sigma_n_sq, dtype=float)
     if spec.criterion == "mmse":
@@ -217,20 +228,26 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilter
     spec.check_fbf_length(m)
     widely_linear = spec.family == "widely-linear"
     fbf_length = spec.fbf_length
-    gains = np.sum(np.abs(freq_response) ** 2, axis=-2)
-    signal = gains + gains[..., -np.arange(m)] if widely_linear else gains  # g(M-k)
-    denom = signal + reg
+    # each step writes over its own input where nothing reads it again
+    energy = np.abs(freq_response, out=slot(work, "energy"))
+    gains = np.sum(np.square(energy, out=energy), axis=-2, out=slot(work, "gains"))
+    if widely_linear:  # S(k) = g(k) + g(M-k)
+        gains = np.add(gains, np.take(gains, -np.arange(m), axis=-1,
+                                      out=slot(work, "mirror"), mode="wrap"),
+                       out=slot(work, "denom"))
+    denom = np.add(gains, reg, out=slot(work, "denom"))
     if spec.structure == "dfe":
-        taps, error = _prediction_taps(denom, fbf_length, widely_linear)
-        one_plus_b = _one_plus_b(taps, m)
+        taps, error = _prediction_taps(denom, fbf_length, widely_linear, work)
+        one_plus_b = _one_plus_b(taps, m, work)
     else:
         taps = np.zeros((*denom.shape[:-1], 0),
                         dtype=float if widely_linear else complex)
-        one_plus_b = np.ones(denom.shape, dtype=complex)
-        error = np.mean(1.0 / denom, axis=-1)
-    # in place where the operand order allows, since a batch's arrays are
-    # large; the order decides the rounding
-    fff = np.conj(np.swapaxes(freq_response, -1, -2))
+        one_plus_b = (np.empty(denom.shape, complex) if work is None
+                      else work["one_plus_b"])
+        one_plus_b[...] = 1.0
+        error = np.mean(np.divide(1.0, denom, out=slot(work, "inverse")), axis=-1)
+    # in place where the operand order allows; the order decides the rounding
+    fff = np.conjugate(np.swapaxes(freq_response, -1, -2), out=slot(work, "fff"))
     np.multiply(one_plus_b[..., None], fff, out=fff)
     fff /= denom[..., None]
     return EqualizerFilters(
@@ -241,24 +258,28 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq) -> EqualizerFilter
     )
 
 
-def _filtered_spectrum(filters: EqualizerFilters, received_freq) -> np.ndarray:
+def _filtered_spectrum(filters: EqualizerFilters, received_freq,
+                       work=None) -> np.ndarray:
     y = np.asarray(received_freq, dtype=complex)
     *rows, m, n_r = filters.fff.shape
     if y.shape != (*rows, n_r, m):
         raise ValueError(f"received block must have shape {(*rows, n_r, m)}, "
                          f"got {y.shape}")
-    return np.sum(filters.fff * np.swapaxes(y, -1, -2), axis=-1)
+    product = np.multiply(filters.fff, np.swapaxes(y, -1, -2),
+                          out=slot(work, "product"))
+    return np.sum(product, axis=-1, out=slot(work, "z_f"))
 
 
-def _time_block(widely_linear: bool, spectrum) -> np.ndarray:
+def _time_block(widely_linear: bool, spectrum, out=None, real_out=None):
     """Time-domain block of a filtered spectrum: idft, and for the widely
-    linear family 2 Re(idft), which adds the conjugate mirrored look."""
-    z = idft(spectrum)
-    return 2.0 * z.real if widely_linear else z
+    linear family 2 Re(idft), which adds the conjugate mirrored look;
+    into out and real_out where given."""
+    z = idft(spectrum, out)
+    return np.multiply(2.0, z.real, out=real_out) if widely_linear else z
 
 
 def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
-             precoded):
+             precoded, work=None):
     """Equalize received blocks with the filters spec synthesized.
 
     precoded is the spectrum X(k) of the transmitted symbols. The
@@ -272,32 +293,42 @@ def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
     linear equalizer z_f / (1 + b), and that pass is returned as its
     inputs for the caller to run.
 
+    Where a pass workspace is given (see numerics), the arrays are
+    written into its buffers "product" (which may be the memory of
+    received_freq), "z_f", "isi", "z", "z_real", "quotient", "linear",
+    "linear_real", "z_t" and "z_t_real"; z and the FeedbackPass's z_t are
+    among them.
+
     Returns (z, decided): decided is the decisions as indices into
     c.points, or a FeedbackPass for a decision-directed DFE.
     """
     widely_linear = spec.family == "widely-linear"
     if widely_linear and not c.is_real:
         raise ValueError("widely linear receivers require a real constellation")
-    z_f = _filtered_spectrum(filters, received_freq)
-    isi = (filters.one_plus_b - 1.0) * precoded
+    z_f = _filtered_spectrum(filters, received_freq, work)
+    isi = np.subtract(filters.one_plus_b, 1.0, out=slot(work, "isi"))
+    np.multiply(isi, precoded, out=isi)
     if widely_linear:
         # 2 Re(idft) adds the mirrored conjugate of the Hermitian ISI
         # spectrum, i.e. counts it twice
         isi *= 0.5
-    # z_f - isi overwrites isi, which nothing reads after it: a batch's
-    # arrays are large
-    z = _time_block(widely_linear, np.subtract(z_f, isi, out=isi))
-    del isi
+    # z_f - isi overwrites isi, which nothing reads after it
+    z = _time_block(widely_linear, np.subtract(z_f, isi, out=isi),
+                    slot(work, "z"), slot(work, "z_real"))
     if spec.structure == "le" or spec.feedback_mode == "ideal_genie":
         return z, kernels.nearest_index(z, c.points, c.is_real)
     tail = c.points[kernels.nearest_index(
-        _linear_tail(widely_linear, filters, z_f), c.points, c.is_real)]
-    return z, FeedbackPass(_time_block(widely_linear, z_f), filters.fbf_taps,
-                           tail)
+        _linear_tail(widely_linear, filters, z_f, work), c.points, c.is_real)]
+    return z, FeedbackPass(_time_block(widely_linear, z_f, slot(work, "z_t"),
+                                       slot(work, "z_t_real")),
+                           filters.fbf_taps, tail)
 
 
-def _linear_tail(widely_linear, filters: EqualizerFilters, z_f) -> np.ndarray:
+def _linear_tail(widely_linear, filters: EqualizerFilters, z_f,
+                 work=None) -> np.ndarray:
     """Last L outputs of the companion linear equalizer, as a copy, so that
     the rest of its block is freed on return."""
     start = z_f.shape[-1] - filters.fbf_taps.shape[-1]
-    return _time_block(widely_linear, z_f / filters.one_plus_b)[..., start:].copy()
+    quotient = np.divide(z_f, filters.one_plus_b, out=slot(work, "quotient"))
+    return _time_block(widely_linear, quotient, slot(work, "linear"),
+                       slot(work, "linear_real"))[..., start:].copy()

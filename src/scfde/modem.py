@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import dft
+from .numerics import dft, slot
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,12 @@ def constellation(name: str) -> Constellation:
         ) from None
 
 
-def map_bits(bits, c: Constellation):
+def map_bits(bits, c: Constellation, work=None):
     """Map 0/1 sequences onto constellation symbols, MSB first per symbol.
 
     The last axis holds one block's bits; leading axes are a batch.
-    Returns (labels, symbols): each symbol's uint8 label and its point.
+    Returns (labels, symbols): each symbol's uint8 label and its point,
+    written into work's "labels" and "x_t" where a workspace is given.
     """
     b = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
     if b.shape[-1] % c.bits_per_symbol:
@@ -87,17 +88,20 @@ def map_bits(bits, c: Constellation):
             f"{c.bits_per_symbol}"
         )
     groups = b.reshape(*b.shape[:-1], -1, c.bits_per_symbol)
-    labels = groups[..., 0].copy()
+    labels = np.positive(groups[..., 0], out=slot(work, "labels"))  # a copy
     for k in range(1, c.bits_per_symbol):
         labels <<= 1
         labels |= groups[..., k]
-    return labels, c.points.take(labels)
+    # "clip" writes straight into out, which "raise" would buffer; labels
+    # are always in range
+    return labels, c.points.take(labels, out=slot(work, "x_t"), mode="clip")
 
 
-def precode(x_t) -> np.ndarray:
+def precode(x_t, out=None) -> np.ndarray:
     """Spectrum of symbol blocks (last axis): the forward transform that
-    spreads each symbol over every subcarrier (single-carrier precoding)."""
-    return dft(x_t)
+    spreads each symbol over every subcarrier (single-carrier precoding),
+    into out where given."""
+    return dft(x_t, out)
 
 
 def count_bit_errors(tx_labels, rx_labels):
@@ -108,10 +112,5 @@ def count_bit_errors(tx_labels, rx_labels):
     b = np.asarray(rx_labels)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    # popcount of each byte, counted in bit pairs, then nibbles, then the
-    # byte, all in uint8 (np.bitwise_count needs numpy 2)
-    x = (a ^ b).astype(np.uint8)
-    x -= (x >> 1) & 0x55
-    x = (x & 0x33) + ((x >> 2) & 0x33)
-    errors = ((x + (x >> 4)) & 0x0F).sum(axis=-1)
+    errors = np.bitwise_count(a ^ b).sum(axis=-1)
     return int(errors) if a.ndim == 1 else errors

@@ -13,6 +13,12 @@ streams with one array pass of numpy's SeedSequence hash, and
 draw_streams draws each row from one reused PCG64. The Levinson solver
 is kernels.levinson_recursion. integer and real are the number rule
 that every public count and ratio passes.
+
+The writers of a front-end pass take one optional out-style argument:
+an array for a function of one result, or for a function of several
+arrays a workspace, a mapping of buffer name to array (see simulator's
+pass workspace). None allocates, and slot(work, name) reads a buffer
+as numpy's out= does, so each line is the same with or without one.
 """
 
 import contextlib
@@ -168,18 +174,28 @@ def stream_states(master_seed, stream_indices):
     return states
 
 
-def draw_streams(states, n_bits, n_normals):
+def slot(work, name):
+    """work[name], or None where there is no workspace, which an out=
+    argument reads as "allocate"."""
+    return None if work is None else work[name]
+
+
+def draw_streams(states, n_bits, n_normals, work=None):
     """Row i: n_bits bits, then n_normals standard normals, drawn from the
     PCG64 (state, inc) states[i] exactly as Generator.integers(0, 2,
     n_bits) and then standard_normal(n_normals) draw them. Returns
-    (bits as uint8, normals), each with one row per state.
+    (bits as uint8, normals), each with one row per state, written into
+    work's "raw" (the drawn 64-bit words), "bits" and "normals" where a
+    workspace is given.
 
     One PCG64 and its Generator serve every row.
     """
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
-    raw = np.empty((len(states), -(-n_bits // 2)), np.uint64)
-    normals = np.empty((len(states), n_normals))
+    shape = (len(states), -(-n_bits // 2))
+    raw = np.empty(shape, np.uint64) if work is None else work["raw"]
+    normals = (np.empty((len(states), n_normals)) if work is None
+               else work["normals"])
     for row, (state, inc) in enumerate(states):
         bit_gen.state = {"bit_generator": "PCG64",
                          "state": {"state": state, "inc": inc},
@@ -189,8 +205,9 @@ def draw_streams(states, n_bits, n_normals):
     # integers(0, 2) reads 32-bit halves, low half first, and by Lemire's
     # method keeps the top bit of each; an odd count leaves the last high
     # half unread, as the normals start from a whole 64-bit word
-    bits = raw.astype("<u8", copy=False).view("<u4")[:, :n_bits] >> 31
-    return bits.astype(np.uint8), normals
+    bits = np.right_shift(raw.astype("<u8", copy=False).view("<u4")[:, :n_bits],
+                          31, out=slot(work, "bits"), casting="unsafe")
+    return bits.astype(np.uint8, copy=False), normals
 
 
 def _as_blocks(x, name):
@@ -200,23 +217,24 @@ def _as_blocks(x, name):
     return arr.astype(np.complex128, copy=False)
 
 
-def dft(x):
+def dft(x, out=None):
     """Forward M-point transform over the last axis,
-    X(k) = sum_l x(l) e^{-j2pi kl/M}."""
-    return np.fft.fft(_as_blocks(x, "x"))
+    X(k) = sum_l x(l) e^{-j2pi kl/M}, into out where given."""
+    return np.fft.fft(_as_blocks(x, "x"), out=out)
 
 
-def idft(x):
-    """Inverse transform over the last axis, with the 1/M normalization."""
-    return np.fft.ifft(_as_blocks(x, "X"))
+def idft(x, out=None):
+    """Inverse transform over the last axis, with the 1/M normalization,
+    into out where given."""
+    return np.fft.ifft(_as_blocks(x, "X"), out=out)
 
 
-def gaussian_complex(normals, n, variance):
+def gaussian_complex(normals, n, variance, out=None):
     """n i.i.d. circularly symmetric complex Gaussians, total variance per sample.
 
     normals is an array (..., 2n) of standard normals, n real parts then n
     imaginary parts, one row per batch row. variance is a scalar or one
-    value per row.
+    value per row. The samples are written into out where given.
     """
     variance = np.asarray(variance, dtype=float)
     if np.any(variance <= 0):
@@ -229,7 +247,8 @@ def gaussian_complex(normals, n, variance):
     # scaled straight into the parts of one complex array: a batch's draws
     # are large, and temporaries of that size cost page faults
     scale = np.sqrt(variance / 2.0)[..., None]
-    out = np.empty((*normals.shape[:-1], n), complex)
+    if out is None:
+        out = np.empty((*normals.shape[:-1], n), complex)
     np.multiply(normals[..., :n], scale, out=out.real)
     np.multiply(normals[..., n:], scale, out=out.imag)
     return out

@@ -29,6 +29,18 @@ block-by-block loop and the rows past that block are discarded. Since
 batch sizes come from committed counts and constants only, a rerun of
 the same config reproduces every output byte.
 
+A front-end pass allocates no array of its size. Every writer of the
+chain fills the pass workspace of its thread: a few pass-sized buffers
+(BATCH_SAMPLES samples of the config, about 1.5 MiB at 32 x 512
+rows) made with np.empty once and kept across passes, receivers and
+run_block calls, with their named views built once per pass shape; a
+short pass uses the leading rows, and an intermediate shares a buffer
+with those that nothing reads any more. The decision rows held for
+feedback take their arrays from it too. So a pass faults no fresh page
+in, where glibc returned a freed pass's memory to the system each
+time. Each thread has its own workspace, and the bytes written are
+those of the allocating writers (work=None), so no output changes.
+
 Post-SNR is always measured on the ideal-feedback path (decision errors
 would corrupt the error statistic); decision-directed runs report their
 BER from the decision path but share the genie MSE measurement.
@@ -39,6 +51,7 @@ import json
 import logging
 import math
 import numbers
+import threading
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
@@ -305,49 +318,157 @@ def _pass_rows(config: SweepConfig) -> int:
     return max(1, BATCH_SAMPLES // (config.antennas * config.block_size))
 
 
+def _row_sizes(m, r, v, bits) -> dict:
+    """The buffers of a pass workspace, with the elements a row takes in
+    each and their dtype, for block size m, r antennas, v taps and `bits`
+    bits per symbol: the labels, the normals and five complex buffers."""
+    return {"labels": (m, np.uint8), "normals": (2 * r * (v + m), np.float64),
+            **{f"c{k}": (r * m, np.complex128) for k in range(5)}}
+
+
+# the names the writers of a pass read from the workspace, per complex
+# buffer, in the order a pass writes them: each is written once nothing
+# reads those before it (see _front_end). "_real" names and "error" are
+# real views; "fff" and "product" are the memory of "h" and "y"; the
+# drawn words ("raw") and bits come before all of them, in the buffers
+# of "autocov" and "y"
+_COMPLEX_NAMES = (
+    ("x_t", "taps", "noise", "recip", "poly", "z_f", "z_t_real"),
+    ("x_f", "quotient", "linear_real", "expected"),
+    ("h", "fff", "isi", "z_real", "error"),
+    ("y", "product", "z"),
+    ("autocov", "one_plus_b", "linear", "z_t"),
+)
+# the most pass shapes whose views a workspace keeps
+_MAX_SHAPES = 64
+
+
+def _carve(buffers, rows, m, r, v, bits) -> dict:
+    """The named views of a pass of `rows` rows, each from the leading
+    elements of its buffer."""
+    def view(buffer, shape, dtype=None, offset=0):
+        flat = buffers[buffer] if dtype is None else buffers[buffer].view(dtype)
+        return flat[offset : offset + math.prod(shape)].reshape(shape)
+
+    block, antennas = (rows, m), (rows, r, m)
+    sizes = _row_sizes(m, r, v, bits)
+    views = {name: view(name, (rows, sizes[name][0]))
+             for name in ("labels", "normals")}
+    for k, names in enumerate(_COMPLEX_NAMES):
+        for name in names:
+            real = name.endswith("_real") or name == "error"
+            views[name] = view(f"c{k}", block, np.float64 if real else None)
+    views.update(
+        # synthesize's real arrays, once the normals are drawn from:
+        # "gains" and "denom" past the energies, "mirror" and "inverse"
+        # over them
+        energy=view("normals", antennas),
+        gains=view("normals", block, offset=rows * r * m),
+        mirror=view("normals", block),
+        raw=view("c4", (rows, -(-m * bits // 2)), np.uint64),
+        bits=view("c3", (rows, m * bits), np.uint8),
+        taps=view("c0", (rows, r * v)),
+        noise=view("c0", (rows, r * m)),
+        h=view("c2", antennas),
+        y=view("c3", antennas))
+    views.update(denom=views["gains"], inverse=views["mirror"],
+                 fff=views["h"].swapaxes(-1, -2),
+                 product=views["y"].swapaxes(-1, -2))
+    return views
+
+
+class _Workspace(threading.local):
+    """The pass workspace of a thread: the buffers every front-end pass
+    writes its arrays into, their named views for each pass shape, and
+    the buffers of the decision rows run_block holds for feedback."""
+
+    def __init__(self):
+        self.buffers = {}
+        self.views = {}  # (rows, m, antennas, taps, bits) -> names -> views
+
+    def _fit(self, name, need, dtype) -> bool:
+        """Make buffer `name` hold need elements: anew where it holds
+        fewer or more than four times as many. True where it is new."""
+        held = self.buffers.get(name)
+        if held is not None and need <= len(held) <= 4 * need:
+            return False
+        self.buffers[name] = np.empty(need, dtype)
+        return True
+
+    def __call__(self, config: SweepConfig, bits: int, rows: int) -> dict:
+        """The named views of a front-end pass of `rows` rows."""
+        key = (rows, config.block_size, config.antennas, config.taps, bits)
+        views = self.views.get(key)
+        if views is None:
+            # each buffer holds a full pass of the config
+            full = _pass_rows(config)
+            made = [self._fit(name, full * per_row, dtype)
+                    for name, (per_row, dtype) in _row_sizes(*key[1:]).items()]
+            if any(made) or len(self.views) >= _MAX_SHAPES:
+                self.views.clear()
+            views = self.views[key] = _carve(self.buffers, *key)
+        return views
+
+    def held(self, group: int, config: SweepConfig, rows: int, n_taps: int):
+        """(z_t, taps, tail, labels) for `rows` held decision rows of
+        feedback group `group` of a run_block call, from buffers that
+        hold FLUSH_PASSES full passes."""
+        full = FLUSH_PASSES * _pass_rows(config)
+        arrays = []
+        for name, width, dtype in (("z_t", config.block_size, complex),
+                                   ("taps", n_taps, complex),
+                                   ("tail", n_taps, complex),
+                                   ("labels", config.block_size, np.uint8)):
+            name = f"held{group}.{name}"
+            self._fit(name, full * width, dtype)
+            arrays.append(self.buffers[name][: rows * width].reshape(rows, width))
+        return arrays
+
+
+_workspace = _Workspace()
+
+
 def _front_end(config: SweepConfig, c, spec: ReceiverSpec, states, snrs):
     """One pass of rows of one receiver, from their draws through
     equalize: (tx_labels, mse, decided), decided as equalize returns it.
-    states holds each row's stream state, from numerics.stream_states."""
+    states holds each row's stream state, from numerics.stream_states.
+
+    Every array of the pass is written into the thread's pass workspace,
+    so tx_labels and a FeedbackPass's z_t hold until the next pass."""
     m, n_r, v = config.block_size, config.antennas, config.taps
+    work = _workspace(config, c.bits_per_symbol, len(states))
     sigma_n_sq = np.array([_noise_variance(s) for s in snrs])
     # one stream per row: its bits, then one call for the standard normals
     # of the taps (real, imaginary) and of the noise (real, imaginary)
     tx_bits, normals = draw_streams(states, m * c.bits_per_symbol,
-                                    2 * n_r * (v + m))
-    # a pass's arrays are large: each is dropped once nothing reads it, which
-    # keeps the peak memory of a pass near that of the step it is in
-    tx_labels, x_t = map_bits(tx_bits, c)
-    del tx_bits
-    x_f = precode(x_t)
-    del x_t
-    h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
-    y = apply_channel_freq(x_f, h, sigma_n_sq, normals[:, 2 * n_r * v :])
-    del normals
-    filters = synthesize(spec, h, sigma_n_sq)
-    del h
-    z, decided = equalize(spec, filters, y, c, x_f)
-    del filters, y, x_f
-    return tx_labels, np.mean(np.abs(z - c.points.take(tx_labels)) ** 2,
-                              axis=-1), decided
+                                    2 * n_r * (v + m), work=work)
+    tx_labels, x_t = map_bits(tx_bits, c, work=work)
+    x_f = precode(x_t, out=work["x_f"])
+    h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m, work=work)
+    y = apply_channel_freq(x_f, h, sigma_n_sq, normals[:, 2 * n_r * v :],
+                           work=work)
+    filters = synthesize(spec, h, sigma_n_sq, work=work)
+    z, decided = equalize(spec, filters, y, c, x_f, work=work)
+    # "clip" writes straight into out, which "raise" would buffer
+    expected = c.points.take(tx_labels, out=work["expected"], mode="clip")
+    error = np.abs(np.subtract(z, expected, out=expected), out=work["error"])
+    return tx_labels, np.mean(np.square(error, out=error), axis=-1), decided
 
 
 class _HeldRows:
     """The decision-directed DFE rows of one feedback length, held from
     their front-end passes until a kernels.dd_feedback call decides
-    them: at most `size` rows, each written into arrays allocated once
-    as its pass ends, so that a pass's own arrays die with it. Real
+    them: at most as many rows as `arrays` (z_t, taps, tail, labels,
+    from the thread's workspace) hold, each written into them as its
+    pass ends, before the next pass writes over the workspace. Real
     widely linear rows are held as complex ones, which leaves their
     decisions unchanged (see FeedbackPass). Decided rows' bit errors go
     to their rows of `errors`."""
 
-    def __init__(self, size: int, m: int, n_taps: int, c, errors):
+    def __init__(self, arrays, c, errors):
         self.c, self.errors = c, errors
         self.rows = []  # the run_block row of each held row, in order
-        self.z_t = np.empty((size, m), complex)
-        self.taps = np.empty((size, n_taps), complex)
-        self.tail = np.empty((size, n_taps), complex)
-        self.labels = np.empty((size, m), np.uint8)
+        self.z_t, self.taps, self.tail, self.labels = arrays
 
     def add(self, part, tx_labels, decided: FeedbackPass):
         """Hold a pass's rows, deciding the held ones first if they would
@@ -413,9 +534,9 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
     for spec, rows in groups.items():
         if (spec.structure, spec.feedback_mode) == ("dfe", "decision_directed"):
             counts[spec.fbf_length] = counts.get(spec.fbf_length, 0) + len(rows)
-    held = {length: _HeldRows(min(count, FLUSH_PASSES * step),
-                              config.block_size, length, c, errors)
-            for length, count in counts.items()}
+    held = {length: _HeldRows(_workspace.held(
+                group, config, min(count, FLUSH_PASSES * step), length), c, errors)
+            for group, (length, count) in enumerate(counts.items())}
     for spec, rows in groups.items():
         for lo in range(0, len(rows), step):
             part = rows[lo : lo + step]

@@ -382,6 +382,33 @@ class TestKernelProperties:
         np.testing.assert_array_equal(got, brute_force_index(z, points,
                                                              real_metric))
 
+    @pytest.mark.parametrize("points", [modem.constellation("16qam").points,
+                                        UNLIKE_GRID, np.arange(-7.0, 8.0, 2.0)],
+                             ids=["16qam", "4x2", "8-pam"])
+    def test_bulk_levels_count_as_searchsorted_does(self, points):
+        # a bulk slice counts the cuts above each sample of an axis of more
+        # than one cut: on random samples, on every cut and one ulp either
+        # side of it, and on NaN and +-inf it gives the levels, and the
+        # points, of the per-position rule, a searchsorted there
+        decide = kernels._slicer(np.asarray(points, complex).tobytes(), False)
+        parts, _, cuts, table = decide.grid
+        every = np.concatenate(cuts)
+        gen = RngStream(20, 0).generator()
+        x = np.concatenate([2 * gen.standard_normal(1000), every,
+                            np.nextafter(every, -np.inf),
+                            np.nextafter(every, np.inf),
+                            [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+        counted = [axis for axis in cuts if len(axis) > 1]
+        assert counted
+        for axis in counted:
+            np.testing.assert_array_equal(kernels._bulk_level(axis, x),
+                                          axis.searchsorted(x, "right"))
+        z = np.empty(len(x), complex)
+        z.real, z.imag = x, gen.permutation(x)
+        one_by_one = table[tuple(kernels._level(cut, getattr(z, part))
+                                 for part, cut in zip(parts, cuts))]
+        np.testing.assert_array_equal(decide(z), one_by_one)
+
     def test_one_row_sums_its_taps_as_in_a_batch(self):
         # numpy sums an (L, 1) array pairwise and an (L, R >= 2) array in
         # order. Build a row whose two sums of b_t x d(l - t) at position 0

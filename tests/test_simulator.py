@@ -12,6 +12,10 @@ import itertools
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -432,9 +436,9 @@ class TestBatching:
             calls.append(index)
             return real(index, *args)
 
-        def synthesize_spy(spec, freq_response, sigma_n_sq):
+        def synthesize_spy(spec, freq_response, sigma_n_sq, **kwargs):
             passes.append(len(freq_response))
-            return real_synthesize(spec, freq_response, sigma_n_sq)
+            return real_synthesize(spec, freq_response, sigma_n_sq, **kwargs)
 
         monkeypatch.setattr(sim, "run_block", spy)
         monkeypatch.setattr(sim, "synthesize", synthesize_spy)
@@ -534,9 +538,9 @@ class TestBatching:
             feedback.append(len(z_t))
             return real_feedback(z_t, *args)
 
-        def synthesize_spy(spec, freq_response, sigma_n_sq):
+        def synthesize_spy(spec, freq_response, sigma_n_sq, **kwargs):
             passes.append((spec.name, len(freq_response)))
-            return real_synthesize(spec, freq_response, sigma_n_sq)
+            return real_synthesize(spec, freq_response, sigma_n_sq, **kwargs)
 
         monkeypatch.setattr(kernels, "dd_feedback", feedback_spy)
         monkeypatch.setattr(sim, "synthesize", synthesize_spy)
@@ -574,9 +578,9 @@ class TestBatching:
             events.append(("block", None, len(index)))
             return real_block(index, *args)
 
-        def synthesize_spy(spec, freq_response, sigma_n_sq):
+        def synthesize_spy(spec, freq_response, sigma_n_sq, **kwargs):
             events.append(("pass", spec, len(freq_response)))
-            return real_synthesize(spec, freq_response, sigma_n_sq)
+            return real_synthesize(spec, freq_response, sigma_n_sq, **kwargs)
 
         def feedback_spy(z_t, taps, *args):
             events.append(("feedback", taps.shape[-1], len(z_t)))
@@ -750,6 +754,225 @@ class TestMemory:
             peak = _traced_peak(lambda: sim.run_sweep(cfg))
             assert peak < 1 << 20, (cells, peak)
         assert max(calls) == sim.FLUSH_PASSES * 2
+
+
+def _workspace_cases():
+    """(config, receiver per row, trial indices) of one run_block call
+    for each pass-workspace shape: M 64 and 512, n_r 1 and 2, BPSK, 16-QAM
+    and 8-PSK, each with three rows of every receiver the alphabet
+    allows, in genie and in decision feedback."""
+    cases = []
+    for alphabet, m, n_r in itertools.product(("bpsk", "16qam", "8psk"),
+                                              (64, 512), (1, 2)):
+        names = [n for n in RECEIVER_NAMES
+                 if alphabet == "bpsk" or not n.startswith("wl-")]
+        cfg = sim.SweepConfig.from_dict(dict(
+            constellation=alphabet, receivers=",".join(names), nr=n_r, v=8,
+            m=m, fbf_len=8, master_seed=3))
+        specs = [dataclasses.replace(spec, feedback_mode=mode)
+                 for spec in cfg.receiver_specs()
+                 for mode in ("ideal_genie", "decision_directed")
+                 for _ in range(3)]
+        cases.append((cfg, specs, [k << 8 for k in range(len(specs))]))
+    return cases
+
+
+def _block_bytes(cfg, specs, trials):
+    return tuple(a.tobytes() for a in sim.run_block(trials, cfg, specs, 10.0))
+
+
+def _in_thread(fn, *args):
+    """fn(*args) run in a new thread, whose pass workspace is new."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn(*args)))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+class TestWorkspace:
+    def test_results_do_not_depend_on_earlier_shapes(self):
+        # every front-end pass writes into one workspace per thread, kept
+        # across passes and calls: a call's bytes are those of a new
+        # thread's first call, before and after calls of every other shape
+        cases = _workspace_cases()
+        fresh = [_in_thread(_block_bytes, *case) for case in cases]
+        for order in (range(len(cases)), reversed(range(len(cases)))):
+            for k in order:
+                assert _block_bytes(*cases[k]) == fresh[k], k
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_a_pass_writes_the_bytes_of_the_allocating_chain(self, case):
+        # every writer gives the same bytes into the workspace's shared
+        # buffers as into arrays of its own (work=None), pass after pass
+        cfg, specs, trials = _workspace_cases()[case]
+        c = modem.constellation(cfg.constellation)
+        m, n_r, v = cfg.block_size, cfg.antennas, cfg.taps
+        states = numerics.stream_states(cfg.master_seed, trials)
+        for spec in dict.fromkeys(specs):
+            rows = states[: sim._pass_rows(cfg)]
+            snrs = [10.0 - k for k in range(len(rows))]
+            got_labels, got_mse, got_decided = sim._front_end(cfg, c, spec,
+                                                              rows, snrs)
+            sigma_n_sq = np.array([sim._noise_variance(s) for s in snrs])
+            bits, normals = numerics.draw_streams(
+                rows, m * c.bits_per_symbol, 2 * n_r * (v + m))
+            labels, x_t = modem.map_bits(bits, c)
+            x_f = modem.precode(x_t)
+            h = channel.draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
+            y = channel.apply_channel_freq(x_f, h, sigma_n_sq,
+                                           normals[:, 2 * n_r * v :])
+            z, decided = eq.equalize(spec, eq.synthesize(spec, h, sigma_n_sq),
+                                     y, c, x_f)
+            mse = np.mean(np.abs(z - c.points[labels]) ** 2, axis=-1)
+            pairs = [(got_labels, labels), (got_mse, mse)]
+            if isinstance(decided, eq.FeedbackPass):
+                pairs += zip(got_decided, decided)
+            else:
+                pairs.append((got_decided, decided))
+            for a, b in pairs:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), spec
+
+    def test_returned_results_keep_their_values(self, monkeypatch):
+        # two rows a pass, so that the decision rows of each pass are held
+        # while later passes of both receivers write over the workspace;
+        # returned errors and MSEs stay as they were after later calls
+        monkeypatch.setattr(sim, "BATCH_SAMPLES", 2 * 64)
+        cfg = small_config(receivers=["mmse-dfe", "wl-zf-dfe", "zf-le"],
+                           feedback="decision", fbf_len=4)
+        specs = [cfg.receiver_specs()[k % 3] for k in range(12)]
+        trials = [k << 8 for k in range(12)]
+        errors, mse = sim.run_block(trials, cfg, specs, 2.0)
+        kept = errors.copy(), mse.copy()
+        single = [_row(sim.run_block(t, cfg, spec, 2.0))
+                  for t, spec in zip(trials, specs)]
+        assert list(zip(errors.tolist(), mse.tolist())) == single
+        for cfg_, specs_, trials_ in _workspace_cases()[:4]:
+            sim.run_block(trials_, cfg_, specs_, 10.0)
+        sim.run_block(trials[::-1], cfg, specs, 2.0)
+        assert errors.tobytes() == kept[0].tobytes()
+        assert mse.tobytes() == kept[1].tobytes()
+
+    def test_threads_give_the_sequential_bytes(self):
+        # each thread writes into its own workspace, so threads running
+        # different shapes at once, more threads than this machine's two
+        # CPUs and switching often, give the bytes of sequential runs
+        cases = [_workspace_cases()[k] for k in (2, 5, 8, 11)]
+        expected = [_block_bytes(*case) for case in cases]
+        got = [[] for _ in cases]
+        start = threading.Barrier(len(cases))
+
+        def run(k):
+            start.wait(timeout=60)
+            for _ in range(3):
+                got[k].append(_block_bytes(*cases[k]))
+
+        threads = [threading.Thread(target=run, args=(k,))
+                   for k in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[e] * 3 for e in expected]
+
+    def test_passes_fault_no_pages_in(self):
+        # the workspace outlives its passes, so after a warm-up call the
+        # passes of a call fault almost no page in: 10 calls of 64 M = 512
+        # BPSK genie rows of each receiver of a pair (40 passes) took about
+        # 18k minor faults a pair when every pass allocated its own arrays
+        resource = pytest.importorskip("resource")
+        if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
+            pytest.skip("getrusage reports no minor faults here")
+        code = (
+            "import resource\n"
+            "from scfde import simulator as sim\n"
+            "for pair in ('mmse-dfe,zf-le', 'wl-mmse-dfe,wl-zf-le'):\n"
+            "    cfg = sim.SweepConfig.from_dict(dict(receivers=pair, nr=1, v=20,\n"
+            "                                         m=512, fbf_len=20))\n"
+            "    specs = [s for s in cfg.receiver_specs() for _ in range(64)]\n"
+            "    sim.run_block(range(128), cfg, specs, 6.0)\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    for k in range(1, 11):\n"
+            "        sim.run_block(range(128 * k, 128 * k + 128), cfg, specs, 6.0)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = os.path.dirname(os.path.dirname(sim.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        faults = [int(line) for line in done.stdout.split()]
+        assert len(faults) == 2 and max(faults) < 1000, faults
+
+
+def _q(x):
+    """The Gaussian tail probability Q(x), elementwise."""
+    return 0.5 * np.vectorize(math.erfc)(np.asarray(x) / math.sqrt(2.0))
+
+
+def _expected_bit_errors(cfg, spec, snr_db, trials):
+    """Each genie block's expected bit errors, given its channel and
+    symbols, drawn as run_block draws them.
+
+    With ideal feedback the slicer input is z0, equalize's output on the
+    noise-free block, plus Gaussian noise of variance s^2 = sigma_n^2
+    mean_k ||fff(k)||^2: complex circular for a conventional receiver,
+    real of variance 2 s^2 after a widely linear one's 2 Re(.). So a
+    symbol's errors are Q terms: one per BPSK symbol, and for Gray
+    16-QAM a sign bit and an inner/outer bit at 2/sqrt(10) per axis.
+    """
+    c = modem.constellation(cfg.constellation)
+    m, n_r, v = cfg.block_size, cfg.antennas, cfg.taps
+    states = numerics.stream_states(cfg.master_seed, trials)
+    bits, normals = numerics.draw_streams(states, m * c.bits_per_symbol,
+                                          2 * n_r * (v + m))
+    _, x_t = modem.map_bits(bits, c)
+    x_f = modem.precode(x_t)
+    h = channel.draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
+    sigma_n_sq = 10.0 ** (-snr_db / 10.0)
+    filters = eq.synthesize(spec, h, sigma_n_sq)
+    z0, _ = eq.equalize(spec, filters, channel.apply_channel_freq(
+        x_f, h, 0.0, None), c, x_f)
+    s_sq = sigma_n_sq * np.mean(np.sum(np.abs(filters.fff) ** 2, axis=-1),
+                                axis=-1)
+    sd = np.sqrt(2.0 * s_sq if spec.family == "widely-linear"
+                 else s_sq / 2.0)[:, None]
+    if c.name == "bpsk":
+        return _q(x_t.real * z0.real / sd).sum(axis=-1)
+    inner = 2.0 / math.sqrt(10.0)
+    expected = 0.0
+    for a, u in ((x_t.real, z0.real), (x_t.imag, z0.imag)):
+        outside = _q((inner - u) / sd) + _q((inner + u) / sd)
+        expected = expected + _q(np.sign(a) * u / sd) + np.where(
+            np.abs(a) < inner, outside, 1.0 - outside)
+    return expected.sum(axis=-1)
+
+
+class TestGenieBerOracle:
+    @pytest.mark.parametrize("name, alphabet, snr_db", [
+        *[(name, "bpsk", 6.0) for name in RECEIVER_NAMES],
+        *[(name, "16qam", 16.0) for name in RECEIVER_NAMES
+          if not name.startswith("wl-")]])
+    def test_counted_errors_match_the_exact_expectation(self, name, alphabet,
+                                                        snr_db):
+        # per-block differences d = counted - expected: their mean is within
+        # 4 standard errors of 0 (errors within a block are correlated, so
+        # a Poisson bound over bits would be too tight)
+        cfg = sim.SweepConfig.from_dict(dict(
+            constellation=alphabet, receivers=name, nr=1, v=8, m=64,
+            fbf_len=8, master_seed=21))
+        (spec,) = cfg.receiver_specs()
+        trials = [k << 8 for k in range(300)]
+        counted, _ = sim.run_block(trials, cfg, spec, snr_db)
+        d = counted - _expected_bit_errors(cfg, spec, snr_db, trials)
+        assert counted.sum() > 100
+        assert abs(d.mean()) <= 4 * d.std(ddof=1) / math.sqrt(len(d))
 
 
 class TestTrialIndexPacking:
