@@ -40,8 +40,13 @@ def draw_channel(normals, n_r: int, v: int, m: int, work=None) -> np.ndarray:
     if not 1 <= v <= m:
         raise ValueError(f"tap count must satisfy 1 <= v <= block size, got v={v} m={m}")
     taps = gaussian_complex(normals, n_r * v, 1.0 / v, slot(work, "taps"))
-    return np.fft.fft(taps.reshape(*taps.shape[:-1], n_r, v), n=m, axis=-1,
-                      out=slot(work, "h"))
+    # the transform runs in place over the zero-padded taps: the bytes of
+    # np.fft.fft(taps, n=m), without its padded copy
+    h = (np.empty((*taps.shape[:-1], n_r, m), complex) if work is None
+         else work["h"])
+    h[..., :v] = taps.reshape(*taps.shape[:-1], n_r, v)
+    h[..., v:] = 0.0
+    return np.fft.fft(h, axis=-1, out=h)
 
 
 def apply_channel_time(x_t: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -68,15 +73,18 @@ def apply_channel_freq(x_f: np.ndarray, freq_response: np.ndarray,
     what is added here from normals, (..., 2 n_r m) standard normals that
     are read only where the variance is positive (None serves a noiseless
     call). For a batched channel x_f has one row per channel and
-    sigma_n_sq may give one variance per row. The block and its noise are
-    written into work's "y" and "noise" where a workspace is given.
+    sigma_n_sq may give one variance per row; each is finite and >= 0.
+    The block and its noise are written into work's "y" and "noise" where
+    a workspace is given.
     """
     x_f = np.asarray(x_f, dtype=complex)
     *lead, n_r, m = freq_response.shape
     if x_f.shape != (*lead, m):
         raise ValueError(f"block must have shape {(*lead, m)}, got {x_f.shape}")
+    variance = m * np.asarray(sigma_n_sq, dtype=float)
+    if not ((variance >= 0) & (variance < np.inf)).all():  # NaN fails too
+        raise ValueError(f"sigma_n_sq must be finite and >= 0, got {sigma_n_sq}")
     y = np.multiply(freq_response, x_f[..., None, :], out=slot(work, "y"))
-    variance = m * np.asarray(sigma_n_sq)
     if np.any(variance > 0):
         noise = gaussian_complex(normals, n_r * m, variance, slot(work, "noise"))
         y += noise.reshape(y.shape)

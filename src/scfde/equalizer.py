@@ -170,26 +170,30 @@ class FeedbackPass(NamedTuple):
     tail: np.ndarray
 
 
-def _one_plus_b(taps, m, work=None) -> np.ndarray:
+def _one_plus_b(taps, m, out=None) -> np.ndarray:
+    """Spectrum of the prediction-error filter 1 + b, transformed in place
+    over its taps, zero-padded to m, in out where given."""
     taps = np.asarray(taps)
-    poly = (np.empty((*taps.shape[:-1], m), complex) if work is None
-            else work["poly"])
+    poly = np.empty((*taps.shape[:-1], m), complex) if out is None else out
     poly[...] = 0.0
     poly[..., 0] = 1.0
     poly[..., 1 : taps.shape[-1] + 1] = taps
-    return dft(poly, slot(work, "one_plus_b"))
+    return dft(poly, poly)
 
 
-def _prediction_taps(denom, order, widely_linear, work=None):
+def _prediction_taps(denom, order, widely_linear, out=None):
     """Order-L prediction-error taps for the residual spectrum 1/denom,
     and their prediction error, mean(|1 + b|^2 / denom).
 
-    A function of its own so that the full inverse transform, of which
-    the recursion reads L+1 lags, is freed on return. The reciprocal is
-    taken in float and cast to complex, as idft would cast it.
+    The reciprocal is written into the real part of a complex array,
+    out where given, with a zero imaginary part, and its inverse
+    transform, of which the recursion reads L+1 lags, runs in place: the
+    bytes of idft(1/denom), without its cast to complex.
     """
-    recip = np.divide(1.0, denom, out=slot(work, "recip"))
-    autocov = idft(recip, slot(work, "autocov"))[..., : order + 1]
+    recip = np.empty(denom.shape, complex) if out is None else out
+    np.divide(1.0, denom, out=recip.real)
+    recip.imag = 0.0
+    autocov = idft(recip, recip)[..., : order + 1]
     if widely_linear:  # even spectrum: real autocovariance, real taps
         taps, error = kernels.levinson_recursion(autocov.real, order)
         return taps.real, error
@@ -209,17 +213,20 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq,
     linear family. The design MSE is sigma_n^2 times mean(1/denom) for an
     LE and times Levinson's prediction error, mean(|1 + b|^2 / denom), for
     a DFE. A batch of responses gives filters with one row per channel,
-    and sigma_n_sq may then give one noise variance per row.
+    and sigma_n_sq may then give one noise variance per row. A variance
+    is finite, and positive for an MMSE receiver; ZF synthesis takes 0.
 
     Where a pass workspace is given (see numerics), the filters and the
     steps' arrays are written into its buffers: "fff", which may be the
     memory of freq_response, overwritten once the energies are read,
-    "one_plus_b", and the scratch "energy", "gains", "mirror", "denom",
-    "inverse", "recip", "autocov" and "poly".
+    "one_plus_b", a DFE's "autocov", which may share its memory, and the
+    scratch "energy", "gains", "mirror", "denom" and "inverse".
     """
     sigma_n_sq = np.asarray(sigma_n_sq, dtype=float)
+    if not ((sigma_n_sq >= 0) & (sigma_n_sq < np.inf)).all():  # NaN fails too
+        raise ValueError(f"sigma_n_sq must be finite and >= 0, got {sigma_n_sq}")
     if spec.criterion == "mmse":
-        if np.any(sigma_n_sq <= 0):
+        if np.any(sigma_n_sq == 0):
             raise ValueError("MMSE synthesis needs sigma_n_sq > 0; use the ZF variant")
         reg = sigma_n_sq[..., None]
     else:
@@ -237,8 +244,9 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq,
                        out=slot(work, "denom"))
     denom = np.add(gains, reg, out=slot(work, "denom"))
     if spec.structure == "dfe":
-        taps, error = _prediction_taps(denom, fbf_length, widely_linear, work)
-        one_plus_b = _one_plus_b(taps, m, work)
+        taps, error = _prediction_taps(denom, fbf_length, widely_linear,
+                                       slot(work, "autocov"))
+        one_plus_b = _one_plus_b(taps, m, slot(work, "one_plus_b"))
     else:
         taps = np.zeros((*denom.shape[:-1], 0),
                         dtype=float if widely_linear else complex)
@@ -297,7 +305,9 @@ def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
     written into its buffers "product" (which may be the memory of
     received_freq), "z_f", "isi", "z", "z_real", "quotient", "linear",
     "linear_real", "z_t" and "z_t_real"; z and the FeedbackPass's z_t are
-    among them.
+    among them. "linear" may be the memory of "quotient" and "z_t" that
+    of "z_f": an inverse transform runs in place where its input is not
+    read again.
 
     Returns (z, decided): decided is the decisions as indices into
     c.points, or a FeedbackPass for a decision-directed DFE.
@@ -326,8 +336,8 @@ def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
 
 def _linear_tail(widely_linear, filters: EqualizerFilters, z_f,
                  work=None) -> np.ndarray:
-    """Last L outputs of the companion linear equalizer, as a copy, so that
-    the rest of its block is freed on return."""
+    """Last L outputs of the companion linear equalizer, as a copy, as its
+    block is scratch: in a pass workspace, later steps write over it."""
     start = z_f.shape[-1] - filters.fbf_taps.shape[-1]
     quotient = np.divide(z_f, filters.one_plus_b, out=slot(work, "quotient"))
     return _time_block(widely_linear, quotient, slot(work, "linear"),

@@ -209,8 +209,11 @@ def levinson_recursion(autocov, order):
     row bit for bit.
 
     Raises ValueError for a negative order, fewer than order + 1 lags or
-    a q(0) that is not real and positive, and ConditioningError as soon
-    as a row's prediction error falls to <= 0 (not positive definite).
+    a q(0) that is not real and positive, and ConditioningError at the
+    first order where a row's prediction error is <= 0 or NaN (not
+    positive definite). The errors of all orders are kept and checked
+    once the loop is done: a row that fails only fills its later orders
+    with infinities and NaNs, and every other row is computed as alone.
     """
     q = np.asarray(autocov)
     if order < 0:
@@ -221,22 +224,27 @@ def levinson_recursion(autocov, order):
     q = q[..., : order + 1].astype(np.complex128)
     q0 = q[..., 0]
     if np.any(np.abs(q0.imag) > 1e-10 * np.maximum(np.abs(q0.real), 1e-300)) \
-            or np.any(q0.real <= 0):
+            or not np.all(q0.real > 0):
         raise ValueError("autocov(0) must be real and positive")
     taps = np.zeros((*q.shape[:-1], order), np.complex128)
-    err = q0.real.copy()
-    for i in range(1, order + 1):
-        past = taps[..., : i - 1]
-        k = -(q[..., i] + np.add.reduce(past * q[..., i - 1 : 0 : -1], axis=-1)) / err
-        past += k[..., None] * np.conj(past[..., ::-1])
-        taps[..., i - 1] = k
-        err = err * (1.0 - np.abs(k) ** 2)
-        if (err <= 0.0).any():
-            raise ConditioningError(
-                f"prediction error {np.min(err):.3e} at order {i}; "
-                "autocovariance is not positive definite"
-            )
-    return taps, (float(err) if q.ndim == 1 else err)
+    errors = np.empty((order + 1, *q.shape[:-1]))  # order i's in errors[i]
+    errors[0] = q0.real
+    with np.errstate(all="ignore"):
+        for i in range(1, order + 1):
+            past = taps[..., : i - 1]
+            k = -(q[..., i] + np.add.reduce(past * q[..., i - 1 : 0 : -1],
+                                            axis=-1)) / errors[i - 1]
+            past += k[..., None] * np.conj(past[..., ::-1])
+            taps[..., i - 1] = k
+            np.multiply(errors[i - 1], 1.0 - np.abs(k) ** 2, out=errors[i, ...])
+    failed = ~(errors[1:] > 0.0)  # NaN fails too
+    if failed.any():
+        i = 1 + int(failed.reshape(order, -1).any(axis=1).argmax())
+        raise ConditioningError(
+            f"prediction error {np.min(errors[i]):.3e} at order {i}; "
+            "autocovariance is not positive definite"
+        )
+    return taps, (float(errors[order]) if q.ndim == 1 else errors[order])
 
 
 def dd_feedback(z_t, fbf, tail, points, real_metric):

@@ -233,12 +233,12 @@ def gaussian_complex(normals, n, variance, out=None):
     """n i.i.d. circularly symmetric complex Gaussians, total variance per sample.
 
     normals is an array (..., 2n) of standard normals, n real parts then n
-    imaginary parts, one row per batch row. variance is a scalar or one
-    value per row. The samples are written into out where given.
+    imaginary parts, one row per batch row. variance is a positive finite
+    scalar or one per row. The samples are written into out where given.
     """
     variance = np.asarray(variance, dtype=float)
-    if np.any(variance <= 0):
-        raise ValueError("variance must be positive")
+    if not ((variance > 0) & (variance < np.inf)).all():  # NaN fails too
+        raise ValueError(f"variance must be positive and finite, got {variance}")
     if not isinstance(normals, np.ndarray) or normals.shape[-1:] != (2 * n,):
         got = (normals.shape if isinstance(normals, np.ndarray)
                else type(normals).__name__)

@@ -13,7 +13,7 @@ Blocks run in batches: run_block takes a list of trial indices, with
 one receiver and one SNR for all or one per index, and carries every
 array of the chain with a leading batch axis, so the sequential loops
 run once per batch: Levinson orders once per front-end pass of one
-receiver's rows (BATCH_SAMPLES samples, 32 rows at M = 512), decision-
+receiver's rows (BATCH_SAMPLES samples, 64 rows at M = 512), decision-
 feedback positions once per call for the decision-directed rows of all
 receivers, up to FLUSH_PASSES passes of them. Each row draws from the
 stream of RngStream(master_seed, trial_index), seeded for all rows of
@@ -31,11 +31,12 @@ the same config reproduces every output byte.
 
 A front-end pass allocates no array of its size. Every writer of the
 chain fills the pass workspace of its thread: a few pass-sized buffers
-(BATCH_SAMPLES samples of the config, about 1.5 MiB at 32 x 512
+(BATCH_SAMPLES samples of the config, about 2.6 MiB at 64 x 512
 rows) made with np.empty once and kept across passes, receivers and
 run_block calls, with their named views built once per pass shape; a
-short pass uses the leading rows, and an intermediate shares a buffer
-with those that nothing reads any more. The decision rows held for
+short pass uses the leading rows, an intermediate shares a buffer
+with those that nothing reads any more, and a transform runs in place
+where nothing reads its input again. The decision rows held for
 feedback take their arrays from it too. So a pass faults no fresh page
 in, where glibc returned a freed pass's memory to the system each
 time. Each thread has its own workspace, and the bytes written are
@@ -139,14 +140,14 @@ _INTEGER_KEYS = {"fbf_len": (None, None), "antennas": (1, None),
                  "taps": (None, None), "block_size": (None, None),
                  "min_bit_errors": (100, None), "max_blocks": (1, _MAX_ORDINALS),
                  "master_seed": (0, None)}
-# samples (antennas x block size) per front-end pass: 32 blocks of 512 at
-# one antenna, 16 at two, 256 of 64; bounds the pass's arrays, and so the
+# samples (antennas x block size) per front-end pass: 64 blocks of 512 at
+# one antenna, 32 at two, 512 of 64; bounds the pass's arrays, and so the
 # memory
-BATCH_SAMPLES = 1 << 14
+BATCH_SAMPLES = 1 << 15
 # most front-end passes of decision rows of one feedback length held for
 # one feedback call: a call's cost grows far slower than its rows, and
-# this bounds the rows held whatever the number of cells
-FLUSH_PASSES = 16
+# this bounds the rows held whatever the number of cells (2^18 samples)
+FLUSH_PASSES = 8
 # most samples (antennas x block size) of one block: a pass holds at least
 # one block, and its arrays, some hundreds of bytes a sample, must fit in
 # memory; the paper's configs (M = 512, n_r <= 2) are far below it
@@ -321,23 +322,26 @@ def _pass_rows(config: SweepConfig) -> int:
 def _row_sizes(m, r, v, bits) -> dict:
     """The buffers of a pass workspace, with the elements a row takes in
     each and their dtype, for block size m, r antennas, v taps and `bits`
-    bits per symbol: the labels, the normals and five complex buffers."""
+    bits per symbol: the labels, the normals, the channel taps and four
+    complex buffers."""
     return {"labels": (m, np.uint8), "normals": (2 * r * (v + m), np.float64),
-            **{f"c{k}": (r * m, np.complex128) for k in range(5)}}
+            "taps": (r * v, np.complex128),
+            **{f"c{k}": (r * m, np.complex128) for k in range(4)}}
 
 
-# the names the writers of a pass read from the workspace, per complex
-# buffer, in the order a pass writes them: each is written once nothing
-# reads those before it (see _front_end). "_real" names and "error" are
-# real views; "fff" and "product" are the memory of "h" and "y"; the
-# drawn words ("raw") and bits come before all of them, in the buffers
-# of "autocov" and "y"
-_COMPLEX_NAMES = (
-    ("x_t", "taps", "noise", "recip", "poly", "z_f", "z_t_real"),
-    ("x_f", "quotient", "linear_real", "expected"),
-    ("h", "fff", "isi", "z_real", "error"),
-    ("y", "product", "z"),
-    ("autocov", "one_plus_b", "linear", "z_t"),
+# the (rows, M) blocks the writers of a pass read from the workspace, per
+# complex buffer, in the order a pass writes them: each is written once
+# nothing reads those before it (see _front_end). Transforms run in place
+# where their input is not read again, so "x_f" is "x_t", "fff" is "h",
+# "product" is "y", "one_plus_b" is "autocov", "linear" is "quotient"
+# and "z_t" is "z_f". The drawn words ("raw") and bits come first, in the
+# buffers of "autocov" and "y", and the noise, added to "y" as soon as it
+# is drawn, in that of "autocov"
+_BLOCK_NAMES = (
+    ("x_t", "z"),
+    ("z_f", "z_t"),
+    ("isi", "expected"),
+    ("autocov", "one_plus_b", "quotient", "linear"),
 )
 # the most pass shapes whose views a workspace keeps
 _MAX_SHAPES = 64
@@ -353,25 +357,27 @@ def _carve(buffers, rows, m, r, v, bits) -> dict:
     block, antennas = (rows, m), (rows, r, m)
     sizes = _row_sizes(m, r, v, bits)
     views = {name: view(name, (rows, sizes[name][0]))
-             for name in ("labels", "normals")}
-    for k, names in enumerate(_COMPLEX_NAMES):
-        for name in names:
-            real = name.endswith("_real") or name == "error"
-            views[name] = view(f"c{k}", block, np.float64 if real else None)
+             for name in ("labels", "normals", "taps")}
+    for k, names in enumerate(_BLOCK_NAMES):
+        views.update(dict.fromkeys(names, view(f"c{k}", block)))
     views.update(
+        raw=view("c3", (rows, -(-m * bits // 2)), np.uint64),
+        bits=view("c2", (rows, m * bits), np.uint8),
+        h=view("c1", antennas),
+        y=view("c2", antennas),
+        noise=view("c3", (rows, r * m)),
         # synthesize's real arrays, once the normals are drawn from:
         # "gains" and "denom" past the energies, "mirror" and "inverse"
-        # over them
+        # over them; then equalize's real blocks, two to the buffer:
+        # "error" over "z_real" once that is read, "z_t_real" over
+        # "linear_real" once its tail is copied
         energy=view("normals", antennas),
         gains=view("normals", block, offset=rows * r * m),
         mirror=view("normals", block),
-        raw=view("c4", (rows, -(-m * bits // 2)), np.uint64),
-        bits=view("c3", (rows, m * bits), np.uint8),
-        taps=view("c0", (rows, r * v)),
-        noise=view("c0", (rows, r * m)),
-        h=view("c2", antennas),
-        y=view("c3", antennas))
+        z_real=view("normals", block),
+        linear_real=view("normals", block, offset=rows * m))
     views.update(denom=views["gains"], inverse=views["mirror"],
+                 error=views["z_real"], z_t_real=views["linear_real"],
                  fff=views["h"].swapaxes(-1, -2),
                  product=views["y"].swapaxes(-1, -2))
     return views
@@ -443,7 +449,7 @@ def _front_end(config: SweepConfig, c, spec: ReceiverSpec, states, snrs):
     tx_bits, normals = draw_streams(states, m * c.bits_per_symbol,
                                     2 * n_r * (v + m), work=work)
     tx_labels, x_t = map_bits(tx_bits, c, work=work)
-    x_f = precode(x_t, out=work["x_f"])
+    x_f = precode(x_t, out=x_t)
     h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m, work=work)
     y = apply_channel_freq(x_f, h, sigma_n_sq, normals[:, 2 * n_r * v :],
                            work=work)

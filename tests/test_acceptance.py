@@ -189,12 +189,15 @@ def test_criterion_9_parallel_determinism(capsys, monkeypatch):
         snr=[6.0, 10.0], min_bit_errors=200, max_blocks=300, master_seed=9))
     samples = cfg.antennas * cfg.block_size
     outputs = []
-    for budget in (samples, 3 * samples, sim.BATCH_SAMPLES, sim.BATCH_SAMPLES):
+    # 1 << 14, the former default pass, gives the default's bytes too
+    budgets = (samples, 3 * samples, 1 << 14, sim.BATCH_SAMPLES, sim.BATCH_SAMPLES)
+    for budget in budgets:
         with monkeypatch.context() as patch:
             patch.setattr(sim, "BATCH_SAMPLES", budget)
             result = sim.run_sweep(cfg)
         outputs.append((sim.result_to_csv(result), sim.result_to_json(result)))
     ok = all(out == outputs[0] for out in outputs[1:])
     _report(capsys, "9 parallel determinism", ok,
-            f"CSV and JSON bytes identical at 1/3/{sim.BATCH_SAMPLES // samples} "
+            f"CSV and JSON bytes identical at "
+            f"{'/'.join(str(b // samples) for b in budgets[:-1])} "
             f"blocks per pass and rerun ({len(outputs[0][0])} CSV bytes)")

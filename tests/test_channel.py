@@ -167,3 +167,34 @@ def test_rows_of_drawn_normals_equal_single_draws():
         np.testing.assert_array_equal(h[k], one)
         np.testing.assert_array_equal(
             y[k], apply_channel_freq(x_f[k], one, sigma[k], normals[k, 2 * n_r * v :]))
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1, [0.1, np.nan]])
+def test_a_variance_that_is_no_finite_number_is_refused(sigma):
+    # NaN failed "> 0" and gave the noiseless block; 0 stays noiseless
+    h = draw_channel(np.ones((2, 6)), 1, 3, 16)
+    normals = np.ones((2, 32))
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        apply_channel_freq(np.ones((2, 16)), h, sigma, normals)
+    assert apply_channel_freq(np.ones((2, 16)), h, 0.0, None).tobytes() == h.tobytes()
+
+
+def test_workspace_writes_the_allocating_bytes():
+    # the response is transformed in place over the zero-padded taps: the
+    # bytes of a zero-padded FFT, and the block's those of y + noise
+    n_r, v, m = 2, 3, 16
+    normals = np.stack([_normals(10, k, 2 * n_r * (v + m)) for k in range(4)])
+    sigma = np.array([0.1, 0.2, 0.4, 0.8])
+    x_f = dft(np.exp(2j * np.pi * np.arange(4 * m).reshape(4, m) / 7))
+    work = {"taps": np.empty((4, n_r * v), complex),
+            "h": np.full((4, n_r, m), np.nan, complex),
+            "y": np.empty((4, n_r, m), complex),
+            "noise": np.empty((4, n_r * m), complex)}
+    h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m, work=work)
+    assert h is work["h"]
+    assert h.tobytes() == np.fft.fft(_taps(normals[:, : 2 * n_r * v], n_r, v),
+                                     n=m, axis=-1).tobytes()
+    y = apply_channel_freq(x_f, h, sigma, normals[:, 2 * n_r * v :], work=work)
+    noise = gaussian_complex(normals[:, 2 * n_r * v :], n_r * m, m * sigma)
+    assert y is work["y"]
+    assert y.tobytes() == (h * x_f[:, None, :] + noise.reshape(y.shape)).tobytes()

@@ -199,6 +199,20 @@ class TestConventionalLe:
         with pytest.raises(ValueError):
             synth("mmse-le", flat_channel(16), 0.0)
 
+    @pytest.mark.parametrize("name", ["mmse-le", "zf-le", "mmse-dfe", "wl-zf-dfe"])
+    @pytest.mark.parametrize("sigma_n_sq", [np.nan, np.inf, -0.1])
+    def test_a_variance_that_is_no_finite_number_is_refused(self, name,
+                                                           sigma_n_sq):
+        # NaN passed the MMSE test "<= 0" and gave NaN filters; ZF
+        # synthesis still takes 0
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            synth(name, flat_channel(16), sigma_n_sq, 4)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            synth(name, np.stack([flat_channel(16)] * 2),
+                  np.array([0.1, sigma_n_sq]), 4)
+        if name.split("-")[-2] == "zf":
+            assert synth(name, flat_channel(16), 0.0, 4).predicted_mse == 0.0
+
     def test_singular_channel(self):
         # two-tap [1, -1] has an exact null at k=0; the fixed ZF floor keeps
         # every ZF receiver finite on it, alone or inside a batch

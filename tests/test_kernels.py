@@ -181,6 +181,24 @@ class TestLevinson:
         with pytest.raises(ConditioningError, match="not positive definite"):
             kernels.levinson_recursion([1.0, 1.5], 1)  # |q(1)| > q(0)
 
+    def test_first_failing_order_of_a_batch_is_reported(self):
+        # errors are checked once the loop is done: the order reported is
+        # the first at which any row fails, with the least error there,
+        # and a NaN error fails too; no RuntimeWarning escapes the loop
+        good = idft(np.linspace(0.5, 2.0, 32))[:6]
+        late = np.array([1.0, 0.0, 0.0, 1.5, 0.0, 0.0], complex)  # order 3
+        early = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], complex)  # order 1
+        with pytest.raises(ConditioningError, match=r"-1\.250e\+00 at order 3;"):
+            kernels.levinson_recursion(np.stack([good, late, good]), 5)
+        with pytest.raises(ConditioningError, match=r"at order 1;"):
+            kernels.levinson_recursion(np.stack([late, good, early]), 5)
+        nan = good.copy()
+        nan[2] = np.nan
+        with pytest.raises(ConditioningError, match=r"nan at order 2;"):
+            kernels.levinson_recursion(np.stack([good, nan]), 5)
+        with pytest.raises(ValueError, match="real and positive"):
+            kernels.levinson_recursion([np.nan, 0.5], 1)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             kernels.levinson_recursion([1.0, 0.5], 3)  # too short

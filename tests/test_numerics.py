@@ -140,6 +140,13 @@ class TestRngAndGaussian:
         with pytest.raises(ValueError, match="positive"):
             gaussian_complex(np.zeros((2, 8)), 4, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("variance", [math.nan, math.inf, -1.0,
+                                          np.array([1.0, math.nan])])
+    def test_variance_that_is_no_positive_finite_number(self, variance):
+        # NaN passed a "<= 0" test and gave NaN samples
+        with pytest.raises(ValueError, match="positive and finite"):
+            gaussian_complex(np.ones((2, 8)), 4, variance)
+
 
 class TestStreamDraws:
     @settings(max_examples=100)

@@ -513,9 +513,10 @@ class TestBatching:
             assert errors + (size - 1) * block_bits < min_errors
 
     @pytest.mark.parametrize("samples, feedback_rows, pass_rows", [
-        # default budget, 32 rows a pass: no cell can stop early, so each
-        # asks for all its 24 blocks in the first round
-        pytest.param(sim.BATCH_SAMPLES, [192], [32] * 3, id="default"),
+        # default budget: no cell can stop early, so each asks for all its
+        # 24 blocks in the first round, and a receiver's 96 rows run in
+        # passes of sim._pass_rows rows (None)
+        pytest.param(sim.BATCH_SAMPLES, [192], None, id="default"),
         # 4 rows a pass: rounds of 32 rows, each cell asking for at most
         # one pass
         (4 * 512, [32] * 6, [4] * 24),
@@ -531,6 +532,9 @@ class TestBatching:
             constellation="16qam", receivers="zf-dfe,mmse-dfe",
             feedback="decision", nr=1, v=20, m=512, fbf_len=20,
             snr=[16.5, 19.0, 21.5, 23.5], min_bit_errors=10**9, max_blocks=24))
+        if pass_rows is None:
+            step = sim._pass_rows(cfg)
+            pass_rows = [min(step, 96 - lo) for lo in range(0, 96, step)]
         real_feedback, real_synthesize = kernels.dd_feedback, sim.synthesize
         feedback, passes = [], []
 
@@ -716,11 +720,13 @@ def _traced_peak(fn) -> int:
 
 class TestMemory:
     @pytest.mark.parametrize("alphabet, feedback, kib", [
-        ("bpsk", "genie", 73), ("16qam", "decision", 81)])
+        ("bpsk", "genie", 6), ("16qam", "decision", 13)])
     def test_front_end_pass_peak_per_row(self, alphabet, feedback, kib):
-        # one full front-end pass of M = 512 rows: each batch-sized array is
-        # dropped once nothing reads it, and a decision row is written
-        # into its feedback call's arrays as its pass ends
+        # one full front-end pass of M = 512 rows, once the workspace is
+        # made: its arrays are written into the workspace and a decision
+        # row into its feedback call's arrays, so what a pass allocates is
+        # the slicer's, the feedback pass's and the counts' (5.0 and 12.0
+        # KiB a row); a pass-sized temporary, 4 or 8 KiB a row, fails
         cfg = sim.SweepConfig.from_dict(dict(
             constellation=alphabet, receivers="mmse-dfe", feedback=feedback,
             nr=1, v=20, m=512, fbf_len=20, snr=[10.0]))
@@ -730,6 +736,23 @@ class TestMemory:
         sim.run_block(trials, cfg, spec, 10.0)  # fills the slicer's cache
         peak = _traced_peak(lambda: sim.run_block(trials, cfg, spec, 10.0))
         assert peak / rows < kib * 1024
+
+    def test_pass_workspace_bytes(self):
+        # a full pass of 64 M = 512 rows at one antenna writes into four
+        # complex buffers, the normals, the labels and the channel taps:
+        # about 2.6 MiB, made once per thread
+        cfg = sim.SweepConfig.from_dict(dict(receivers="mmse-dfe,wl-mmse-dfe",
+                                             nr=1, v=20, m=512, fbf_len=20))
+        rows = sim._pass_rows(cfg)
+        assert rows == 64
+
+        def workspace_bytes():
+            sim.run_block(range(2 * rows), cfg,
+                          [s for s in cfg.receiver_specs() for _ in range(rows)],
+                          6.0)
+            return sum(b.nbytes for b in sim._workspace.buffers.values())
+
+        assert _in_thread(workspace_bytes) <= 2.7 * 2**20
 
     def test_held_decision_rows_are_bounded(self, monkeypatch):
         # the rows held for one feedback call stop at FLUSH_PASSES passes,
@@ -883,9 +906,10 @@ class TestWorkspace:
 
     def test_passes_fault_no_pages_in(self):
         # the workspace outlives its passes, so after a warm-up call the
-        # passes of a call fault almost no page in: 10 calls of 64 M = 512
-        # BPSK genie rows of each receiver of a pair (40 passes) took about
-        # 18k minor faults a pair when every pass allocated its own arrays
+        # passes of a call fault almost no page in: 10 calls of 128 M = 512
+        # BPSK genie rows of each receiver of a pair (at least two passes
+        # each) took about 18k minor faults a pair at 64 rows when every
+        # pass allocated its own arrays
         resource = pytest.importorskip("resource")
         if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
             pytest.skip("getrusage reports no minor faults here")
@@ -895,11 +919,12 @@ class TestWorkspace:
             "for pair in ('mmse-dfe,zf-le', 'wl-mmse-dfe,wl-zf-le'):\n"
             "    cfg = sim.SweepConfig.from_dict(dict(receivers=pair, nr=1, v=20,\n"
             "                                         m=512, fbf_len=20))\n"
-            "    specs = [s for s in cfg.receiver_specs() for _ in range(64)]\n"
-            "    sim.run_block(range(128), cfg, specs, 6.0)\n"
+            "    specs = [s for s in cfg.receiver_specs() for _ in range(128)]\n"
+            "    assert 128 >= 2 * sim._pass_rows(cfg)\n"
+            "    sim.run_block(range(256), cfg, specs, 6.0)\n"
             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "    for k in range(1, 11):\n"
-            "        sim.run_block(range(128 * k, 128 * k + 128), cfg, specs, 6.0)\n"
+            "        sim.run_block(range(256 * k, 256 * k + 256), cfg, specs, 6.0)\n"
             "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
         src = os.path.dirname(os.path.dirname(sim.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
