@@ -5,9 +5,9 @@ orders large enough for per-block spectral averages to self-average),
 the zero-forcing receivers reach SNRs that no longer depend on the
 channel: the LE variants through E[1/chi-square] and the DFE variants
 through exp(E[ln chi-square]), with the widely linear family seeing
-twice the degrees of freedom. This module implements those ZF closed
-forms; the MMSE-DFE limit is a Monte Carlo estimate of the same
-log-average here.
+twice the degrees of freedom. The MMSE limits take the same averages
+of 1 + r S, for the channel energy S, each as one integral of its
+moment generating function.
 
 The matched filter bound's BER is closed form for every alphabet
 (Craig's form and the Gamma energy's moment generating function).
@@ -22,6 +22,7 @@ ValueError.
 
 import contextlib
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .equalizer import ReceiverSpec
 from .modem import constellation, count_bit_errors
-from .numerics import RngStream, integer, real
+from .numerics import integer, real
 
 __all__ = [
     "EULER_GAMMA",
@@ -45,26 +46,17 @@ __all__ = [
     "gap_to_mfb_db",
     "gap_table",
     "mfb_ber",
-    "mmse_dfe_post_snr_from_gains",
-    "mmse_dfe_limit_snr_mc",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# the four receivers with closed-form limits, in Table order
+# the gap table's receivers, whose gap does not depend on r, in Table order
 LIMIT_RECEIVERS = ("conv-zf-le", "conv-zf-dfe", "wl-zf-le", "wl-zf-dfe")
 
 # the most antennas a sweep admits (its most samples a block, at a block
 # of one sample); the limits and the MFB refuse more, and the chi-square
 # statistics more than twice as many degrees (a widely linear limit's)
 MAX_ANTENNAS = 1 << 20
-
-
-def _input_snr(r) -> float:
-    r = real("r", r)
-    if not 0 < r < np.inf:
-        raise ValueError(f"r must be positive and finite, got {r!r}")
-    return r
 
 
 def _snrs(r) -> np.ndarray:
@@ -115,39 +107,76 @@ class NoFiniteLimit(ValueError):
 
 def limit_snr(receiver: str, n_r: int, r: float = 1.0,
               real_modulation: bool = False) -> float:
-    """Channel-independent limiting post-SNR of a ZF receiver at input SNR r.
+    """Channel-independent limiting post-SNR of a receiver at input SNR r.
 
-    receiver is a name ReceiverSpec.from_name reads. Conventional formulas
-    double for real alphabets (the real noise component carries half the
-    power); the widely linear ones are real-alphabet quantities already.
-    n_r must be an integer in [1, MAX_ANTENNAS] and r positive and finite;
-    a limit past the largest double is inf.
+    receiver is a name ReceiverSpec.from_name reads. Conventional ZF
+    formulas double for real alphabets (the real noise component carries
+    half the power), conventional MMSE ones refuse them (the real part of
+    their error is not circular); the widely linear ones are real-alphabet
+    quantities already. n_r must be an integer in [1, MAX_ANTENNAS] and r
+    positive and finite; a limit past the largest double is inf.
     """
-    n_r, r = integer("n_r", n_r, 1, MAX_ANTENNAS), _input_snr(r)
+    n_r, r = integer("n_r", n_r, 1, MAX_ANTENNAS), real("r", r)
+    if not 0 < r < np.inf:
+        raise ValueError(f"r must be positive and finite, got {r!r}")
     spec = ReceiverSpec.from_name(receiver)
+    wl = spec.family == "widely-linear"
     if spec.criterion == "mmse":
-        raise ValueError(f"{receiver!r} has no closed form; see mmse_dfe_limit_snr_mc")
-    double = 2.0 if real_modulation else 1.0
-    if spec.name == "zf-le":
-        if n_r == 1:
-            raise NoFiniteLimit(
-                "conventional ZF-LE has no finite limit for N_r=1 "
-                "(residual noise 1/||h(k)||^2 has unbounded mean)"
-            )
-        return double * (n_r - 1) * r
-    if spec.name == "zf-dfe":
-        return double * r * float(np.exp(expected_log_chisq(n_r)))
-    if spec.name == "wl-zf-le":
-        # mean formula; for n_r = 1 the variance is unbounded but the
-        # mean (2 n_r - 1) r still holds
-        return (2 * n_r - 1) * r
-    return r * float(np.exp(expected_log_chisq(2 * n_r)))
+        if real_modulation and not wl:
+            raise ValueError(f"{receiver!r} has no real-alphabet limit: the real "
+                             "part of its error is not circular")
+        return _mmse_limit(spec.structure, wl, n_r, r)
+    # S ~ Gamma(n, 1): ZF-DFE is r exp(E[ln S]), ZF-LE r / E[1/S] = (n - 1) r,
+    # which for WL at n_r = 1 holds as a mean of unbounded variance
+    n, double = (2 * n_r, 1.0) if wl else (n_r, 2.0 if real_modulation else 1.0)
+    if spec.structure == "dfe":
+        return double * r * float(np.exp(expected_log_chisq(n)))
+    if n == 1:
+        raise NoFiniteLimit("conventional ZF-LE has no finite limit for N_r=1 "
+                            "(residual noise 1/||h(k)||^2 has unbounded mean)")
+    return double * (n - 1) * r
+
+
+@functools.lru_cache(maxsize=256)  # a sweep asks once a row
+def _mmse_limit(structure: str, wl: bool, n_r: int, r: float) -> float:
+    """exp(E[ln(1 + r S)]) - 1 for an MMSE-DFE, its unbiased SNR (Cioffi,
+    Dudevoir, Eyuboglu & Forney 1995), and 1/E[1/(1 + r S)] - 1 for an
+    MMSE-LE, with S ~ Gamma(n_r, 1), or Gamma(2 n_r, 1) widely linear."""
+    log_mean, signal, noise = _energy_moments(1.0, float(wl), n_r, r)
+    if structure == "le":
+        return signal / noise  # a float quotient past the doubles is inf
+    with np.errstate(over="ignore"):
+        return float(np.expm1(log_mean))
+
+
+def _energy_moments(a: float, b: float, n: int, r: float):
+    """(E[ln(1 + r S)], E[r S/(1 + r S)], E[1/(1 + r S)]) at r > 0 for an
+    energy S with E[e^{-s S}] = M(s) = (1 + a s)^-n (1 + b s)^-n.
+
+    By Frullani, they are the integrals over t > 0 of e^{-t} (1 - M(r t))
+    / t, e^{-t} (1 - M(r t)) and e^{-t} M(r t): in x = ln t, a trapezoid
+    rule of step 1/4 from x = 6.62, where e^{-t} underflows, down to t =
+    e^{-37} / max(1, r n (a + b)), below which the first two integrands
+    are under 1e-16 of their integrals; 1e-12 relative in all.
+    """
+    span = 43.62 + max(0.0, math.log(r) + math.log(n * (a + b)))
+    t = np.exp(6.62 - 0.25 * np.arange(math.ceil(4 * span) + 1))
+    with np.errstate(over="ignore"):  # an r t past the doubles has M = 0
+        log_m = -n * sum(np.log1p(c * r * t) for c in (a, b) if c)
+    weight = 0.25 * np.exp(-t)
+    miss = -np.expm1(log_m)  # 1 - M(r t), with no digits lost at a small r
+    return (float(weight @ miss), float((weight * t) @ miss),
+            float((weight * t) @ np.exp(log_m)))
 
 
 def gap_to_mfb_db(receiver: str, n_r: int) -> float:
-    """10 log10(MFB / limit_snr) for a real alphabet, where the MFB is
-    2 n_r r; the gap does not depend on r."""
+    """10 log10(MFB / limit_snr) of a ZF receiver for a real alphabet,
+    where the MFB is 2 n_r r; the gap does not depend on r. An MMSE
+    receiver's does, and is refused."""
     n_r = integer("n_r", n_r, 1, MAX_ANTENNAS)
+    if ReceiverSpec.from_name(receiver).criterion == "mmse":
+        raise ValueError(f"{receiver!r} has a gap to the MFB that depends on "
+                         "the SNR; see post-snr for its limit")
     return float(10.0 * np.log10(2 * n_r / limit_snr(receiver, n_r, 1.0, True)))
 
 
@@ -162,7 +191,7 @@ def gap_table(n_r_values=(1, 2), receivers=LIMIT_RECEIVERS) -> tuple:
     """Gap to the MFB of each receiver at each antenna count, as GapRows.
 
     A cell without a finite limit has gap_db None; any other ValueError
-    (a receiver without a closed form, a bad n_r) propagates.
+    (an MMSE receiver, a bad n_r) propagates.
     """
     rows = []
     for name in receivers:
@@ -173,33 +202,6 @@ def gap_table(n_r_values=(1, 2), receivers=LIMIT_RECEIVERS) -> tuple:
                 gap = None
             rows.append(GapRow(name, n_r, gap))
     return tuple(rows)
-
-
-def mmse_dfe_post_snr_from_gains(gains, r: float) -> float:
-    """e^{mean ln(1 + r g)} - 1 over the supplied channel energy samples;
-    r is positive and finite."""
-    r = _input_snr(r)
-    g = np.asarray(gains, dtype=float)
-    if g.size == 0 or np.any(g < 0):
-        raise ValueError("gains must be a non-empty array of non-negative energies")
-    if r * float(g.max()) == np.inf:
-        raise ValueError(f"r x gains overflows a double at r={r!r}")
-    return float(np.expm1(np.mean(np.log1p(r * g))))
-
-
-def mmse_dfe_limit_snr_mc(n_r: int, r: float, samples: int,
-                          stream: RngStream = RngStream(0, 0)) -> float:
-    """Monte Carlo limiting post-SNR of the unbiased MMSE-DFE.
-
-    ||h(k)||^2 is a sum of n_r unit-mean exponentials, i.e. Gamma(n_r, 1);
-    the limit interpolates n_r * r at small r and the ZF-DFE constant
-    r e^{-gamma + H_{n_r-1}} at large r. samples is at least 10^4, for a
-    stable log-average, and at most 10^7, some hundreds of MB of arrays.
-    """
-    n_r, r = integer("n_r", n_r, 1, MAX_ANTENNAS), _input_snr(r)
-    samples = integer("samples", samples, 10**4, 10**7)
-    gains = stream.generator().gamma(float(n_r), 1.0, samples)
-    return mmse_dfe_post_snr_from_gains(gains, r)
 
 
 @functools.cache

@@ -80,8 +80,7 @@ def cmd_limits(args) -> int:
     except ValueError:
         raise ValueError(f"--nr must be comma-separated integers such as 1,2, "
                          f"got {args.nr!r}") from None
-    receivers = ((args.receiver,) if args.receiver
-                 else analytics.LIMIT_RECEIVERS)
+    receivers = (args.receiver,) if args.receiver else analytics.LIMIT_RECEIVERS
     rows = analytics.gap_table(n_r_values, receivers)
     if all(row.gap_db is None for row in rows):
         raise ValueError(

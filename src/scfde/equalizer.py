@@ -181,18 +181,16 @@ def _one_plus_b(taps, m, out=None) -> np.ndarray:
     return dft(poly, poly)
 
 
-def _prediction_taps(denom, order, widely_linear, out=None):
-    """Order-L prediction-error taps for the residual spectrum 1/denom,
-    and their prediction error, mean(|1 + b|^2 / denom).
+def _prediction_taps(inverse, order, widely_linear, out=None):
+    """Order-L prediction-error taps for the residual spectrum inverse =
+    1/denom, and their prediction error, mean(|1 + b|^2 inverse).
 
-    The reciprocal is written into the real part of a complex array,
-    out where given, with a zero imaginary part, and its inverse
-    transform, of which the recursion reads L+1 lags, runs in place: the
-    bytes of idft(1/denom), without its cast to complex.
+    The spectrum is copied into a complex array, out where given, and its
+    inverse transform, of which the recursion reads L+1 lags, runs in
+    place: the bytes of idft(inverse), with no temporary of its cast.
     """
-    recip = np.empty(denom.shape, complex) if out is None else out
-    np.divide(1.0, denom, out=recip.real)
-    recip.imag = 0.0
+    recip = np.empty(inverse.shape, complex) if out is None else out
+    recip[...] = inverse
     autocov = idft(recip, recip)[..., : order + 1]
     if widely_linear:  # even spectrum: real autocovariance, real taps
         taps, error = kernels.levinson_recursion(autocov.real, order)
@@ -243,8 +241,9 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq,
                                       out=slot(work, "mirror"), mode="wrap"),
                        out=slot(work, "denom"))
     denom = np.add(gains, reg, out=slot(work, "denom"))
+    inverse = np.divide(1.0, denom, out=slot(work, "inverse"))
     if spec.structure == "dfe":
-        taps, error = _prediction_taps(denom, fbf_length, widely_linear,
+        taps, error = _prediction_taps(inverse, fbf_length, widely_linear,
                                        slot(work, "autocov"))
         one_plus_b = _one_plus_b(taps, m, slot(work, "one_plus_b"))
     else:
@@ -253,11 +252,12 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq,
         one_plus_b = (np.empty(denom.shape, complex) if work is None
                       else work["one_plus_b"])
         one_plus_b[...] = 1.0
-        error = np.mean(np.divide(1.0, denom, out=slot(work, "inverse")), axis=-1)
-    # in place where the operand order allows; the order decides the rounding
+        error = np.mean(inverse, axis=-1)
+    # in place where the operand order allows; the order decides the
+    # rounding (numpy divides by a real as it multiplies by its reciprocal)
     fff = np.conjugate(np.swapaxes(freq_response, -1, -2), out=slot(work, "fff"))
     np.multiply(one_plus_b[..., None], fff, out=fff)
-    fff /= denom[..., None]
+    fff *= inverse[..., None]
     return EqualizerFilters(
         fff=fff,
         fbf_taps=taps,

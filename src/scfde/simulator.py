@@ -558,13 +558,11 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
 
 
 def _analytic_db(spec: ReceiverSpec, config: SweepConfig, snr_db: float):
-    # None for the MMSE receivers, which have no closed form, and where the
-    # limit is not finite: zf-le at n_r = 1, or an input SNR past the
-    # doubles. Conventional outputs are measured with complex error, so
-    # their closed forms are used without the real-alphabet doubling, and
-    # the WL ones are real-alphabet quantities
+    # None where the limit is not finite: zf-le at n_r = 1, or an input
+    # SNR past the doubles. Outputs are measured with complex error, so no
+    # limit takes the real-alphabet doubling (WL ones never do)
     r = 1.0 / _noise_variance(snr_db)
-    if spec.criterion == "mmse" or r == math.inf:
+    if r == math.inf:
         return None
     try:
         value = limit_snr(spec.name, config.antennas, r, real_modulation=False)

@@ -103,6 +103,20 @@ def test_criterion_3_wl_zf_dfe_limit(capsys):
             f"(delta {row.delta_db:+.3f}, tol 0.3)")
 
 
+def test_mmse_limits_at_criterion_2_settings(capsys):
+    # the four MMSE receivers against exp(E[ln(1 + r S)]) - 1 and
+    # 1/E[1/(1 + r S)] - 1, measured together over 1000 realizations
+    cfg = sim.SweepConfig.from_dict(dict(
+        receivers="mmse-le,mmse-dfe,wl-mmse-le,wl-mmse-dfe", nr=1, v=20,
+        m=512, snr=[_POST_SNR_DB], feedback="genie", fbf_len=20,
+        master_seed=1))
+    rows = sim.measure_post_snr(cfg, _POST_SNR_DB, 1000)
+    ok = all(abs(r.delta_db) <= 0.3 for r in rows)
+    _report(capsys, "MMSE limits", ok,
+            ", ".join(f"{r.receiver} {r.delta_db:+.3f}" for r in rows)
+            + " dB from the closed forms (tol 0.3)")
+
+
 def test_criterion_4_zf_le_limits(capsys):
     conv = _measure_post("zf-le", nr=2)
     wl = _measure_post("wl-zf-le", nr=2)

@@ -7,7 +7,9 @@ quadrature + Monte Carlo) before the module was written:
   e^{-beta + 11/6} = 3.5117611663394754
 """
 
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -148,16 +150,23 @@ class TestLimitSnr:
     def test_wl_zf_le_single_antenna_mean_formula(self):
         assert an.limit_snr("wl-zf-le", 1) == 1.0
 
-    def test_mmse_has_no_closed_form(self):
-        with pytest.raises(ValueError, match="closed form|Monte Carlo"):
-            an.limit_snr("mmse-dfe", 2)
+    def test_conventional_mmse_has_no_real_alphabet_form(self):
+        # the real part of a conventional MMSE error is not circular, so
+        # doubling would not be exact; the WL limits are real-alphabet ones
+        for name in ("mmse-le", "mmse-dfe"):
+            with pytest.raises(ValueError, match="no real-alphabet limit"):
+                an.limit_snr(name, 2, real_modulation=True)
+        for name in ("wl-mmse-le", "wl-mmse-dfe"):
+            assert an.limit_snr(name, 2, real_modulation=True) \
+                == an.limit_snr(name, 2)
 
     def test_names_are_read_as_receiver_specs(self):
         # one grammar: conv- aliases and case as ReceiverSpec.from_name reads
         # them; "mfb" is no receiver
         assert an.limit_snr("CONV-ZF-DFE", 2) == an.limit_snr("zf-dfe", 2)
-        with pytest.raises(ValueError, match="no closed form"):
-            an.limit_snr("conv-mmse-le", 2)
+        assert an.limit_snr("CONV-MMSE-LE", 2) == an.limit_snr("mmse-le", 2)
+        with pytest.raises(ValueError, match="'conv-mmse-le' has no real-alphabet"):
+            an.limit_snr("conv-mmse-le", 2, real_modulation=True)
         with pytest.raises(ValueError, match="unknown receiver 'mfb'"):
             an.limit_snr("mfb", 2)
 
@@ -263,44 +272,116 @@ class TestGapTable:
             an.gap_table(n_r_values)
 
     @pytest.mark.parametrize("receiver, match", [
-        ("mmse-dfe", "no closed form"), ("bogus", "unknown receiver")])
+        ("mmse-dfe", "depends on the SNR; see post-snr"),
+        ("bogus", "unknown receiver")])
     def test_only_an_infinite_limit_is_na(self, receiver, match):
         with pytest.raises(ValueError, match=match):
             an.gap_table((2,), (receiver,))
 
 
-class TestMmseDfeLimitMc:
-    def test_degenerate_gains(self):
-        assert an.mmse_dfe_post_snr_from_gains(np.ones(100), 7.0) == pytest.approx(7.0)
+MMSE_RECEIVERS = ("mmse-le", "mmse-dfe", "wl-mmse-le", "wl-mmse-dfe")
 
-    def test_gains_must_be_non_negative_energies(self):
-        for gains in ([1.0, -0.5], []):
-            with pytest.raises(ValueError, match="non-negative energies"):
-                an.mmse_dfe_post_snr_from_gains(gains, 1.0)
+# the Euler-Mascheroni constant to 60 digits
+_GAMMA_60 = decimal.Decimal(
+    "0.577215664901532860606512090082402431042159335939923598805767")
 
-    def test_small_r_matched_filter_regime(self):
-        # e^{E ln(1+rX)} - 1 -> r E[X] = n_r r as r -> 0
-        got = an.mmse_dfe_limit_snr_mc(1, 1e-3, 10**6)
-        assert got == pytest.approx(1e-3, rel=0.02)
 
-    def test_large_r_zf_dfe_regime(self):
-        got = an.mmse_dfe_limit_snr_mc(1, 1e4, 10**6)
-        assert got / (1e4 * 0.5614594835668851) == pytest.approx(1.0, rel=0.01)
+def _exp_e1_series(z: float) -> float:
+    """e^z E_1(z) by A&S 5.1.11, E_1(z) = -gamma - ln z - sum_k (-z)^k /
+    (k k!), in 60 digits, of which the terms cancel 17 at z = 20."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        z = decimal.Decimal(z)
+        series, term, k = decimal.Decimal(0), decimal.Decimal(1), 0
+        while k < 2 or abs(term) > decimal.Decimal(10) ** -60:
+            k += 1
+            term *= -z / k
+            series += term / k
+        return float(z.exp() * (-_GAMMA_60 - z.ln() - series))
 
-    def test_reproducible(self):
-        from scfde.numerics import RngStream
 
-        a = an.mmse_dfe_limit_snr_mc(2, 5.0, 10**4, stream=RngStream(9, 1))
-        b = an.mmse_dfe_limit_snr_mc(2, 5.0, 10**4, stream=RngStream(9, 1))
-        assert a == b
+def _exp_e1_fraction(z: float) -> float:
+    """e^z E_1(z) by A&S 5.1.22's continued fraction, 1/(z + 1/(1 + 1/(z +
+    2/(1 + 2/(z + ...))))), which converges fast for z > 1."""
+    tail = z
+    for k in range(200, 0, -1):
+        tail = z + k / (1 + k / tail)
+    return 1 / tail
 
-    def test_sample_floor(self):
-        with pytest.raises(ValueError):
-            an.mmse_dfe_limit_snr_mc(1, 1.0, 999)
 
-    def test_monotone_in_r(self):
-        vals = [an.mmse_dfe_limit_snr_mc(1, r, 10**5) for r in (0.5, 1.0, 2.0)]
-        assert vals[0] < vals[1] < vals[2]
+def _exp_e1(z: float) -> float:
+    """e^z E_1(z) = E[ln(1 + S/z)] = z E[1/(z + S)] for S ~ Exp(1), with no
+    scipy: the series up to z = 20, the continued fraction past it."""
+    return _exp_e1_series(z) if z <= 20 else _exp_e1_fraction(z)
+
+
+class TestMmseLimits:
+    # S is the channel energy: Gamma(n_r, 1) conventional, Gamma(2 n_r, 1)
+    # widely linear; the limits are exp(E[ln(1 + r S)]) - 1 for a DFE and
+    # 1/E[1/(1 + r S)] - 1 for an LE
+
+    def test_small_r_tends_to_the_mean_energy(self):
+        # both tend to r E[S] = n r, less O(r^2)
+        for name in MMSE_RECEIVERS:
+            for n_r in (1, 2, 5):
+                n = 2 * n_r if name.startswith("wl-") else n_r
+                assert an.limit_snr(name, n_r, 1e-9) == pytest.approx(
+                    n * 1e-9, rel=1e-8)
+
+    def test_large_r_tends_to_the_zf_forms(self):
+        # MMSE-DFE to the ZF-DFE form, MMSE-LE to (n - 1) r for n >= 2
+        r = 1e12
+        for n_r in (1, 2, 5):
+            for mmse, zf in (("mmse-dfe", "zf-dfe"), ("wl-mmse-dfe", "wl-zf-dfe"),
+                             ("wl-mmse-le", "wl-zf-le")):
+                assert an.limit_snr(mmse, n_r, r) == pytest.approx(
+                    an.limit_snr(zf, n_r, r), rel=1e-9)
+            if n_r >= 2:
+                assert an.limit_snr("mmse-le", n_r, r) == pytest.approx(
+                    (n_r - 1) * r, rel=1e-9)
+
+    def test_exponential_integral_references_agree(self):
+        assert _exp_e1_series(1.0) == pytest.approx(0.59634736232319407434,
+                                                    rel=1e-15)
+        for z in (2.0, 5.0, 10.0, 20.0):
+            assert _exp_e1_series(z) == pytest.approx(_exp_e1_fraction(z),
+                                                      rel=1e-14)
+
+    @pytest.mark.parametrize("r", np.logspace(-3, 6, 19))
+    def test_one_antenna_matches_the_exponential_integral(self, r):
+        # at n = 1, E[ln(1 + r S)] = r E[1/(1 + r S)] = e^{1/r} E_1(1/r)
+        f = _exp_e1(1 / r)
+        log_mean, signal, noise = an._energy_moments(1.0, 0.0, 1, r)
+        assert log_mean == pytest.approx(f, rel=1e-12)
+        assert r * noise == pytest.approx(f, rel=1e-12)
+        assert signal == pytest.approx(1 - f / r, rel=1e-12, abs=1e-15)
+        assert an.limit_snr("mmse-dfe", 1, r) == pytest.approx(math.expm1(f),
+                                                               rel=1e-12)
+        if r >= 1:  # below, r / f - 1 cancels in the reference
+            assert an.limit_snr("mmse-le", 1, r) == pytest.approx(r / f - 1,
+                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("n_r", range(1, 9))
+    @pytest.mark.parametrize("b", [0.0, 1.0])  # conventional, widely linear
+    def test_integral_reproduces_the_zf_moments(self, n_r, b):
+        # at a large r, E[ln(1 + r S)] - ln r -> E[ln S] and r E[1/(1 + r S)]
+        # -> E[1/S], the harmonic forms of the ZF limits
+        n, r = round(n_r * (1 + b)), 1e20
+        log_mean, _, noise = an._energy_moments(1.0, b, n_r, r)
+        assert log_mean - math.log(r) == pytest.approx(
+            an.expected_log_chisq(n), abs=1e-12)
+        if n > 1:
+            assert r * noise == pytest.approx(1 / (n - 1), rel=1e-12)
+
+    @pytest.mark.parametrize("name", MMSE_RECEIVERS)
+    @pytest.mark.parametrize("n_r", [1, 2, an.MAX_ANTENNAS])
+    def test_finite_and_monotone_up_to_the_largest_double(self, name, n_r):
+        # a RuntimeWarning is an error here (pyproject); a limit past the
+        # largest double is inf
+        rs = [5e-324, 1e-300, 1e-9, 1.0, 1e9, 1e300, sys.float_info.max]
+        values = [an.limit_snr(name, n_r, r) for r in rs]
+        assert all(0 <= a <= b for a, b in zip(values, values[1:])), values
+        assert all(math.isfinite(v) for v in values[:-1]), values
 
 
 _SYMBOLS = 100_000

@@ -78,7 +78,8 @@ class TestLimits:
                        f"1,2, got {nr!r}\n")
 
     @pytest.mark.parametrize("receiver, message", [
-        ("mmse-dfe", "no closed form"), ("bogus", "unknown receiver"),
+        ("mmse-dfe", "depends on the SNR; see post-snr"),
+        ("bogus", "unknown receiver"),
         # no receiver; it printed two rows of 0.0, the MFB's gap to itself
         ("mfb", "unknown receiver 'mfb'")])
     def test_receiver_without_closed_form_exits_2(self, capsys, receiver,
@@ -525,6 +526,20 @@ class TestPostSnr:
         assert float(fields[4]) == pytest.approx(10.0)  # (N_r-1) r at 10 dB
         assert abs(float(fields[3]) - 10.0) < 1.5
 
+    def test_mmse_rows_report_their_limit(self, capsys):
+        assert main(["post-snr", "--snr", "10", "--realizations", "20",
+                     "receivers=mmse-le,mmse-dfe,wl-mmse-le,wl-mmse-dfe",
+                     "nr=2", "v=4", "m=64"]) == 0
+        header, *data = _lines(capsys.readouterr().out)
+        assert header.split(",")[4:] == ["analytic_db", "delta_db"]
+        assert [row.split(",")[0] for row in data] == [
+            "mmse-le", "mmse-dfe", "wl-mmse-le", "wl-mmse-dfe"]
+        for row in data:
+            name, _, _, post, analytic, delta = row.split(",")
+            assert float(analytic) == 10 * np.log10(
+                scfde.analytics.limit_snr(name, 2, 10.0))
+            assert float(delta) == float(post) - float(analytic)
+
     def test_rejects_bad_override(self, capsys):
         assert main(["post-snr", "--snr", "10", "bogus=1"]) == 2
 
@@ -584,6 +599,24 @@ def test_block_path_loads_no_quadrature_rule():
         "cfg = simulator.SweepConfig(receivers='mmse-dfe', block_size=64, taps=4)\n"
         "simulator.run_block(0, cfg, cfg.receiver_specs()[0], 6.0)\n"
         "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial loaded'\n"
+    )
+
+
+def test_limits_of_all_receivers_are_quick_and_numpy_only():
+    # the MMSE limits are one numpy integral each: no scipy, no
+    # numpy.polynomial, and all eight limits in a fresh process take
+    # milliseconds, not a Monte Carlo run
+    _run_python(
+        "import sys, time\n"
+        "from scfde import analytics\n"
+        "from scfde.equalizer import RECEIVER_NAMES\n"
+        "start = time.perf_counter()\n"
+        "for name in RECEIVER_NAMES:\n"
+        "    analytics.limit_snr(name, 2, 100.0)\n"
+        "took = time.perf_counter() - start\n"
+        "assert took < 0.01, f'eight limits took {took:.4f} s'\n"
+        "for module in ('scipy', 'numpy.polynomial'):\n"
+        "    assert module not in sys.modules, f'{module} was imported'\n"
     )
 
 

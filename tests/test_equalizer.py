@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from scfde import equalizer as eq
 from scfde import kernels
+from scfde import simulator as sim
 from scfde.channel import apply_channel_freq, draw_channel
 from scfde.modem import constellation, map_bits, precode
 from scfde.numerics import RngStream, dft, idft
@@ -526,6 +527,31 @@ class TestDispatcher:
                                   (f.one_plus_b[k], one.one_plus_b),
                                   (f.predicted_mse[k], one.predicted_mse)):
                     np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n_r", [1, 2])
+    @pytest.mark.parametrize("name", eq.RECEIVER_NAMES)
+    def test_feed_forward_filter_bytes(self, name, n_r):
+        # fff is (1 + b) conj(h) divided by the regularized energy byte for
+        # byte, written into a pass workspace or not: numpy divides a complex
+        # number by a real one as it multiplies by the rounded reciprocal
+        m, v, rows = 512, 8, 5
+        cfg = sim.SweepConfig(receivers=name, antennas=n_r, taps=v, block_size=m,
+                              fbf_len=8)
+        h = np.stack([rayleigh(RngStream(41, k).generator(), n_r, v, m)
+                      for k in range(rows)])
+        sigma = np.geomspace(0.01, 2.0, rows)
+        spec = eq.ReceiverSpec(name, 8)
+        energy = np.sum(np.abs(h) ** 2, axis=-2)
+        if spec.family == "widely-linear":
+            energy = energy + energy[..., -np.arange(m) % m]
+        denom = energy + (sigma[:, None] if spec.criterion == "mmse" else eq.ZF_FLOOR)
+        work = sim._Workspace()(cfg, 1, rows)
+        for response, space in ((h.copy(), None), (work["h"], work)):
+            response[...] = h
+            f = eq.synthesize(spec, response, sigma, space)
+            want = (f.one_plus_b[..., None] * np.conj(np.swapaxes(h, -1, -2))
+                    / denom[..., None])
+            assert f.fff.tobytes() == want.tobytes()
 
     def test_matches_direct_call(self):
         # ZF-DFE built by hand: taps from a dense solve on the guarded

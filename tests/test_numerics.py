@@ -212,15 +212,6 @@ class TestNumberRule:
                 real("r", bad)
 
 
-class _FewGains:
-    """A stream for mmse_dfe_limit_snr_mc that draws 64 gains, however
-    many samples it is asked for, so that a valid count costs nothing."""
-
-    def generator(self):
-        gen = np.random.default_rng(0)
-        return mock.Mock(gamma=lambda shape, scale, size: gen.gamma(shape, scale, 64))
-
-
 _CURVE = [(0.0, 1.0), (10.0, 0.0)]  # brackets every target in (0, 1)
 
 # every public entry point's counts and ratios, each as a call of one value
@@ -231,19 +222,13 @@ ENTRY_POINTS = {
     "inverse_chisq_mean_var(n_r)": an.inverse_chisq_mean_var,
     "limit_snr(n_r)": lambda v: an.limit_snr("wl-zf-dfe", v),
     "limit_snr(r)": lambda v: an.limit_snr("zf-dfe", 2, v),
+    "limit_snr(mmse n_r)": lambda v: an.limit_snr("wl-mmse-le", v, 10.0),
+    "limit_snr(mmse r)": lambda v: an.limit_snr("mmse-dfe", 2, v),
     "gap_to_mfb_db(n_r)": lambda v: an.gap_to_mfb_db("zf-dfe", v),
     "gap_table(n_r)": lambda v: an.gap_table((v,)),
     "mfb_ber(n_r)": lambda v: an.mfb_ber("bpsk", v, 10.0),
     "mfb_ber(taps)": lambda v: an.mfb_ber("bpsk", 1, 10.0, v),
     "mfb_ber(r)": lambda v: an.mfb_ber("bpsk", 1, v),
-    "mmse_dfe_post_snr_from_gains(r)":
-        lambda v: an.mmse_dfe_post_snr_from_gains([0.5, 2.0], v),
-    "mmse_dfe_limit_snr_mc(n_r)":
-        lambda v: an.mmse_dfe_limit_snr_mc(v, 10.0, 10**4, _FewGains()),
-    "mmse_dfe_limit_snr_mc(r)":
-        lambda v: an.mmse_dfe_limit_snr_mc(1, v, 10**4, _FewGains()),
-    "mmse_dfe_limit_snr_mc(samples)":
-        lambda v: an.mmse_dfe_limit_snr_mc(1, 10.0, v, _FewGains()),
     "gap_at_ber(target_ber)": lambda v: sim.gap_at_ber(_CURVE, _CURVE, v),
     "ReceiverSpec(fbf_length)": lambda v: ReceiverSpec("mmse-dfe", v),
     "from_name(fbf_length)":

@@ -28,80 +28,80 @@ _COMMON = dict(nr=1, v=4, m=64, fbf_len=4, min_bit_errors=100, max_blocks=24,
 SWEEP_ROWS = [
     ('bpsk', 'genie', 'zf-le', 2.0, 576, 109, 9, -4.841036161474817, None),
     ('bpsk', 'genie', 'zf-le', 6.0, 896, 103, 14, -3.3476980178924665, None),
-    ('bpsk', 'genie', 'mmse-le', 2.0, 1344, 103, 21, -0.10945708063378423, None),
-    ('bpsk', 'genie', 'mmse-le', 6.0, 1536, 39, 24, 3.290798544590115, None),
+    ('bpsk', 'genie', 'mmse-le', 2.0, 1344, 103, 21, -0.10945708063378423, -0.11417774733090866),
+    ('bpsk', 'genie', 'mmse-le', 6.0, 1536, 39, 24, 3.290798544590115, 2.957828372296039),
     ('bpsk', 'genie', 'zf-dfe', 2.0, 1408, 106, 22, -0.1809568423036896, -0.5068157813485228),
     ('bpsk', 'genie', 'zf-dfe', 6.0, 1536, 53, 24, 2.6467910019484666, 3.4931842186514777),
-    ('bpsk', 'genie', 'mmse-dfe', 2.0, 1536, 95, 24, 1.4286837398744934, None),
-    ('bpsk', 'genie', 'mmse-dfe', 6.0, 1536, 22, 24, 4.572938083922544, None),
+    ('bpsk', 'genie', 'mmse-dfe', 2.0, 1536, 95, 24, 1.4286837398744934, 0.9058302752471961),
+    ('bpsk', 'genie', 'mmse-dfe', 6.0, 1536, 22, 24, 4.572938083922544, 4.48768094702525),
     ('bpsk', 'genie', 'wl-zf-le', 2.0, 1152, 101, 18, 2.4653764692116114, 1.9999999999999998),
     ('bpsk', 'genie', 'wl-zf-le', 6.0, 1536, 78, 24, 2.6055665442781066, 6.0),
-    ('bpsk', 'genie', 'wl-mmse-le', 2.0, 1280, 111, 20, 2.973469407812863, None),
-    ('bpsk', 'genie', 'wl-mmse-le', 6.0, 1536, 30, 24, 6.406166758925744, None),
+    ('bpsk', 'genie', 'wl-mmse-le', 2.0, 1280, 111, 20, 2.973469407812863, 3.447863824177242),
+    ('bpsk', 'genie', 'wl-mmse-le', 6.0, 1536, 30, 24, 6.406166758925744, 6.986053167473588),
     ('bpsk', 'genie', 'wl-zf-dfe', 2.0, 1344, 105, 21, 3.0171284721771885, 3.836129037683996),
     ('bpsk', 'genie', 'wl-zf-dfe', 6.0, 1536, 35, 24, 6.54901784848937, 7.836129037683996),
-    ('bpsk', 'genie', 'wl-mmse-dfe', 2.0, 1536, 73, 24, 4.34433397579924, None),
-    ('bpsk', 'genie', 'wl-mmse-dfe', 6.0, 1536, 23, 24, 7.679214007124976, None),
+    ('bpsk', 'genie', 'wl-mmse-dfe', 2.0, 1536, 73, 24, 4.34433397579924, 4.241808370575849),
+    ('bpsk', 'genie', 'wl-mmse-dfe', 6.0, 1536, 23, 24, 7.679214007124976, 8.062957109310785),
     ('bpsk', 'decision', 'zf-le', 2.0, 576, 109, 9, -4.841036161474817, None),
     ('bpsk', 'decision', 'zf-le', 6.0, 896, 103, 14, -3.3476980178924665, None),
-    ('bpsk', 'decision', 'mmse-le', 2.0, 1344, 103, 21, -0.10945708063378423, None),
-    ('bpsk', 'decision', 'mmse-le', 6.0, 1536, 39, 24, 3.290798544590115, None),
+    ('bpsk', 'decision', 'mmse-le', 2.0, 1344, 103, 21, -0.10945708063378423, -0.11417774733090866),
+    ('bpsk', 'decision', 'mmse-le', 6.0, 1536, 39, 24, 3.290798544590115, 2.957828372296039),
     ('bpsk', 'decision', 'zf-dfe', 2.0, 1152, 105, 18, -0.15565414275125372, -0.5068157813485228),
     ('bpsk', 'decision', 'zf-dfe', 6.0, 1536, 62, 24, 2.6467910019484666, 3.4931842186514777),
-    ('bpsk', 'decision', 'mmse-dfe', 2.0, 1536, 98, 24, 1.4286837398744934, None),
-    ('bpsk', 'decision', 'mmse-dfe', 6.0, 1536, 29, 24, 4.572938083922544, None),
+    ('bpsk', 'decision', 'mmse-dfe', 2.0, 1536, 98, 24, 1.4286837398744934, 0.9058302752471961),
+    ('bpsk', 'decision', 'mmse-dfe', 6.0, 1536, 29, 24, 4.572938083922544, 4.48768094702525),
     ('bpsk', 'decision', 'wl-zf-le', 2.0, 1152, 101, 18, 2.4653764692116114, 1.9999999999999998),
     ('bpsk', 'decision', 'wl-zf-le', 6.0, 1536, 78, 24, 2.6055665442781066, 6.0),
-    ('bpsk', 'decision', 'wl-mmse-le', 2.0, 1280, 111, 20, 2.973469407812863, None),
-    ('bpsk', 'decision', 'wl-mmse-le', 6.0, 1536, 30, 24, 6.406166758925744, None),
+    ('bpsk', 'decision', 'wl-mmse-le', 2.0, 1280, 111, 20, 2.973469407812863, 3.447863824177242),
+    ('bpsk', 'decision', 'wl-mmse-le', 6.0, 1536, 30, 24, 6.406166758925744, 6.986053167473588),
     ('bpsk', 'decision', 'wl-zf-dfe', 2.0, 1216, 108, 19, 3.004002226659386, 3.836129037683996),
     ('bpsk', 'decision', 'wl-zf-dfe', 6.0, 1536, 45, 24, 6.54901784848937, 7.836129037683996),
-    ('bpsk', 'decision', 'wl-mmse-dfe', 2.0, 1536, 83, 24, 4.34433397579924, None),
-    ('bpsk', 'decision', 'wl-mmse-dfe', 6.0, 1536, 33, 24, 7.679214007124976, None),
+    ('bpsk', 'decision', 'wl-mmse-dfe', 2.0, 1536, 83, 24, 4.34433397579924, 4.241808370575849),
+    ('bpsk', 'decision', 'wl-mmse-dfe', 6.0, 1536, 33, 24, 7.679214007124976, 8.062957109310785),
     ('16qam', 'genie', 'zf-le', 10.0, 768, 122, 3, 5.8420541897060465, None),
     ('16qam', 'genie', 'zf-le', 16.0, 1024, 167, 4, -0.48388910175315797, None),
-    ('16qam', 'genie', 'mmse-le', 10.0, 512, 100, 2, 4.3852504806009165, None),
-    ('16qam', 'genie', 'mmse-le', 16.0, 1280, 121, 5, 8.484892810597724, None),
+    ('16qam', 'genie', 'mmse-le', 10.0, 512, 100, 2, 4.3852504806009165, 5.980963605678556),
+    ('16qam', 'genie', 'mmse-le', 16.0, 1280, 121, 5, 8.484892810597724, 10.567567809198202),
     ('16qam', 'genie', 'zf-dfe', 10.0, 1024, 103, 4, 7.648762610500237, 7.493184218651478),
     ('16qam', 'genie', 'zf-dfe', 16.0, 5376, 106, 21, 13.057705235737062, 13.493184218651477),
-    ('16qam', 'genie', 'mmse-dfe', 10.0, 1280, 114, 5, 8.264513119973609, None),
-    ('16qam', 'genie', 'mmse-dfe', 16.0, 5632, 101, 22, 13.02240265652735, None),
+    ('16qam', 'genie', 'mmse-dfe', 10.0, 1280, 114, 5, 8.264513119973609, 8.127828272380594),
+    ('16qam', 'genie', 'mmse-dfe', 16.0, 5632, 101, 22, 13.02240265652735, 13.768957820552536),
     ('16qam', 'decision', 'zf-le', 10.0, 768, 122, 3, 5.8420541897060465, None),
     ('16qam', 'decision', 'zf-le', 16.0, 1024, 167, 4, -0.48388910175315797, None),
-    ('16qam', 'decision', 'mmse-le', 10.0, 512, 100, 2, 4.3852504806009165, None),
-    ('16qam', 'decision', 'mmse-le', 16.0, 1280, 121, 5, 8.484892810597724, None),
+    ('16qam', 'decision', 'mmse-le', 10.0, 512, 100, 2, 4.3852504806009165, 5.980963605678556),
+    ('16qam', 'decision', 'mmse-le', 16.0, 1280, 121, 5, 8.484892810597724, 10.567567809198202),
     ('16qam', 'decision', 'zf-dfe', 10.0, 512, 104, 2, 7.486907193404505, 7.493184218651478),
     ('16qam', 'decision', 'zf-dfe', 16.0, 1792, 101, 7, 13.477557294327218, 13.493184218651477),
-    ('16qam', 'decision', 'mmse-dfe', 10.0, 1024, 117, 4, 8.044645309116385, None),
-    ('16qam', 'decision', 'mmse-dfe', 16.0, 3072, 107, 12, 13.094598260494221, None),
+    ('16qam', 'decision', 'mmse-dfe', 10.0, 1024, 117, 4, 8.044645309116385, 8.127828272380594),
+    ('16qam', 'decision', 'mmse-dfe', 16.0, 3072, 107, 12, 13.094598260494221, 13.768957820552536),
     ('8psk', 'genie', 'zf-le', 8.0, 576, 144, 3, -3.2915843051185227, None),
     ('8psk', 'genie', 'zf-le', 14.0, 1920, 101, 10, 8.203141917728722, None),
-    ('8psk', 'genie', 'mmse-le', 8.0, 768, 121, 4, 3.863540470534514, None),
-    ('8psk', 'genie', 'mmse-le', 14.0, 1920, 117, 10, 7.5858062755579745, None),
+    ('8psk', 'genie', 'mmse-le', 8.0, 768, 121, 4, 3.863540470534514, 4.470639739880442),
+    ('8psk', 'genie', 'mmse-le', 14.0, 1920, 117, 10, 7.5858062755579745, 9.024045540947743),
     ('8psk', 'genie', 'zf-dfe', 8.0, 1152, 122, 6, 5.703855714573358, 5.493184218651478),
     ('8psk', 'genie', 'zf-dfe', 14.0, 4608, 29, 24, 12.392508530622038, 11.493184218651475),
-    ('8psk', 'genie', 'mmse-dfe', 8.0, 1344, 100, 7, 6.643060933722449, None),
-    ('8psk', 'genie', 'mmse-dfe', 14.0, 4416, 106, 23, 10.73093186707082, None),
+    ('8psk', 'genie', 'mmse-dfe', 8.0, 1344, 100, 7, 6.643060933722449, 6.29703452817027),
+    ('8psk', 'genie', 'mmse-dfe', 14.0, 4416, 106, 23, 10.73093186707082, 11.864205803981498),
     ('8psk', 'decision', 'zf-le', 8.0, 576, 144, 3, -3.2915843051185227, None),
     ('8psk', 'decision', 'zf-le', 14.0, 1920, 101, 10, 8.203141917728722, None),
-    ('8psk', 'decision', 'mmse-le', 8.0, 768, 121, 4, 3.863540470534514, None),
-    ('8psk', 'decision', 'mmse-le', 14.0, 1920, 117, 10, 7.5858062755579745, None),
+    ('8psk', 'decision', 'mmse-le', 8.0, 768, 121, 4, 3.863540470534514, 4.470639739880442),
+    ('8psk', 'decision', 'mmse-le', 14.0, 1920, 117, 10, 7.5858062755579745, 9.024045540947743),
     ('8psk', 'decision', 'zf-dfe', 8.0, 960, 122, 5, 5.888647546622037, 5.493184218651478),
     ('8psk', 'decision', 'zf-dfe', 14.0, 4608, 74, 24, 12.392508530622038, 11.493184218651475),
-    ('8psk', 'decision', 'mmse-dfe', 8.0, 1152, 108, 6, 6.764542571149752, None),
-    ('8psk', 'decision', 'mmse-dfe', 14.0, 2880, 114, 15, 10.738278879060042, None),
+    ('8psk', 'decision', 'mmse-dfe', 8.0, 1152, 108, 6, 6.764542571149752, 6.29703452817027),
+    ('8psk', 'decision', 'mmse-dfe', 14.0, 2880, 114, 15, 10.738278879060042, 11.864205803981498),
 ]
 
 # receiver, realizations, post_snr_db, analytic_db, delta_db at nr=2, 10 dB
 POST_ROWS = [
     ('zf-le', 40, 9.778339659283894, 10.0, -0.22166034071610596),
-    ('mmse-le', 40, 11.090180497667987, None, None),
+    ('mmse-le', 40, 11.090180497667987, 10.615625817279144, 0.4745546803888434),
     ('zf-dfe', 40, 11.451502532400156, 11.836129037683996, -0.38462650528384046),
-    ('mmse-dfe', 40, 11.07474617053283, None, None),
+    ('mmse-dfe', 40, 11.07474617053283, 11.948692177852296, -0.873946007319466),
     ('wl-zf-le', 40, 14.662514266872622, 14.771212547196624, -0.10869828032400264),
-    ('wl-mmse-le', 40, 14.301061732704367, None, None),
+    ('wl-mmse-le', 40, 14.301061732704367, 14.835414007022077, -0.53435227431771),
     ('wl-zf-dfe', 40, 14.91473099380572, 15.455249720211093, -0.5405187264053719),
-    ('wl-mmse-dfe', 40, 15.478494095226754, None, None),
+    ('wl-mmse-dfe', 40, 15.478494095226754, 15.475207328740254, 0.00328676648650017),
 ]
 
 # receiver, snr_db, bits, errors, blocks, post_snr_db, analytic_db of a
@@ -109,8 +109,8 @@ POST_ROWS = [
 FIXED_COUNT_ROWS = [
     ('zf-dfe', 16.0, 38400, 2169, 150, 12.65236232792155, 13.493184218651477),
     ('zf-dfe', 22.0, 38400, 227, 150, 19.15917154207839, 19.49318421865148),
-    ('mmse-dfe', 16.0, 38400, 1748, 150, 12.943045004080174, None),
-    ('mmse-dfe', 22.0, 38400, 121, 150, 18.981093897214567, None),
+    ('mmse-dfe', 16.0, 38400, 1748, 150, 12.943045004080174, 13.768957820552536),
+    ('mmse-dfe', 22.0, 38400, 121, 150, 18.981093897214567, 19.59670282584113),
 ]
 
 # receiver, realizations, post_snr_db, analytic_db, delta_db at nr=1, 6 dB,
@@ -118,7 +118,7 @@ FIXED_COUNT_ROWS = [
 LONG_POST_ROWS = [
     ('zf-le', 300, -4.350650488879266, None, None),
     ('wl-zf-dfe', 300, 7.158218335068936, 7.836129037683996, -0.6779107026150601),
-    ('mmse-dfe', 300, 3.9782057504170765, None, None),
+    ('mmse-dfe', 300, 3.9782057504170765, 4.48768094702525, -0.5094751966081739),
 ]
 
 

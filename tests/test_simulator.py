@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfde import channel, kernels, modem, numerics
+from scfde import analytics, channel, kernels, modem, numerics
 from scfde import equalizer as eq
 from scfde import simulator as sim
 from scfde.analytics import mfb_ber
@@ -314,22 +314,30 @@ class TestRunSweep:
         float(first[5])  # post_snr_db parses
         float(first[6])  # zf rows carry the analytic limit
 
-    def test_analytic_column_blank_for_mmse(self):
+    def test_analytic_column_holds_the_mmse_limit(self):
         cfg = small_config()
         csv_text = sim.result_to_csv(sim.run_sweep(cfg))
-        assert csv_text.strip().split("\n")[1].endswith(",")
+        first = csv_text.strip().split("\n")[1].split(",")
+        assert first[:2] == ["mmse-le", "4.0"]
+        assert float(first[6]) == 10 * np.log10(
+            analytics.limit_snr("mmse-le", 1, 1 / sim._noise_variance(4.0)))
 
-    def test_analytic_value_asks_no_limit_of_an_mmse_receiver(self, monkeypatch):
-        # an MMSE cell has no closed form, so it never calls limit_snr;
-        # zf-le at n_r = 1 and an input SNR past the doubles have no finite
-        # limit, and any other refusal of limit_snr is not swallowed
-        def no_limit(*args, **kwargs):
-            raise AssertionError("limit_snr called for an MMSE cell")
-
-        monkeypatch.setattr(sim, "limit_snr", no_limit)
+    def test_analytic_value_of_an_mmse_cell_is_kept(self, monkeypatch):
+        # an MMSE cell's limit is one integral, evaluated once per (receiver,
+        # n_r, SNR): a second call evaluates none; zf-le at n_r = 1 and an
+        # input SNR past the doubles have no finite limit, and any other
+        # refusal of limit_snr is not swallowed
+        calls, moments = [], analytics._energy_moments
+        monkeypatch.setattr(analytics, "_energy_moments",
+                            lambda *args: calls.append(args) or moments(*args))
+        analytics._mmse_limit.cache_clear()
         cfg = small_config()  # n_r = 1
         for name in ("mmse-le", "mmse-dfe", "wl-mmse-le", "wl-mmse-dfe"):
-            assert sim._analytic_db(ReceiverSpec.from_name(name), cfg, 10.0) is None
+            spec = ReceiverSpec.from_name(name)
+            first = sim._analytic_db(spec, cfg, 10.0)
+            assert sim._analytic_db(spec, cfg, 10.0) == first == 10 * np.log10(
+                analytics.limit_snr(name, 1, 10.0))
+        assert len(calls) == 4
         monkeypatch.undo()
         assert sim._analytic_db(ReceiverSpec("zf-le"), cfg, 10.0) is None
         assert sim._analytic_db(ReceiverSpec("zf-dfe"), cfg, 3230.0) is None
@@ -736,6 +744,25 @@ class TestMemory:
         sim.run_block(trials, cfg, spec, 10.0)  # fills the slicer's cache
         peak = _traced_peak(lambda: sim.run_block(trials, cfg, spec, 10.0))
         assert peak / rows < kib * 1024
+
+    def test_decision_front_end_pass_peak_per_row(self):
+        # a decision pass peaks in dd_feedback's history (12.0 KiB a row),
+        # under which a front-end temporary would hide, so the front end
+        # is bounded on its own: its slicers' 4.7 KiB a row pass, a
+        # pass-sized complex temporary, 8 KiB a row, fails (the float
+        # reciprocal spectrum handed to idft to cast, for one)
+        cfg = sim.SweepConfig.from_dict(dict(
+            constellation="16qam", receivers="mmse-dfe", feedback="decision",
+            nr=1, v=20, m=512, fbf_len=20, snr=[10.0]))
+        (spec,) = cfg.receiver_specs()
+        rows = sim._pass_rows(cfg)
+        trials = [k << 8 for k in range(rows)]
+        states = numerics.stream_states(cfg.master_seed, trials)
+        c = modem.constellation(cfg.constellation)
+        sim.run_block(trials, cfg, spec, 10.0)  # makes the workspace
+        peak = _traced_peak(
+            lambda: sim._front_end(cfg, c, spec, states, [10.0] * rows))
+        assert peak / rows < 6 * 1024
 
     def test_pass_workspace_bytes(self):
         # a full pass of 64 M = 512 rows at one antenna writes into four
