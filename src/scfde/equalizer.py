@@ -219,6 +219,11 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq,
     memory of freq_response, overwritten once the energies are read,
     "one_plus_b", a DFE's "autocov", which may share its memory, and the
     scratch "energy", "gains", "mirror", "denom" and "inverse".
+
+    Steps whose result is known are skipped: at one antenna the energy
+    is squared straight into the gains, with no sum over antennas, and
+    an LE's filter is not multiplied by its 1 + b = 1. On finite inputs
+    the bytes are those of the steps.
     """
     sigma_n_sq = np.asarray(sigma_n_sq, dtype=float)
     if not ((sigma_n_sq >= 0) & (sigma_n_sq < np.inf)).all():  # NaN fails too
@@ -234,8 +239,13 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq,
     widely_linear = spec.family == "widely-linear"
     fbf_length = spec.fbf_length
     # each step writes over its own input where nothing reads it again
-    energy = np.abs(freq_response, out=slot(work, "energy"))
-    gains = np.sum(np.square(energy, out=energy), axis=-2, out=slot(work, "gains"))
+    if freq_response.shape[-2] == 1:  # one antenna: its energy is the gain
+        gains = np.abs(freq_response[..., 0, :], out=slot(work, "gains"))
+        np.square(gains, out=gains)
+    else:
+        energy = np.abs(freq_response, out=slot(work, "energy"))
+        gains = np.sum(np.square(energy, out=energy), axis=-2,
+                       out=slot(work, "gains"))
     if widely_linear:  # S(k) = g(k) + g(M-k)
         gains = np.add(gains, np.take(gains, -np.arange(m), axis=-1,
                                       out=slot(work, "mirror"), mode="wrap"),
@@ -256,7 +266,8 @@ def synthesize(spec: ReceiverSpec, freq_response, sigma_n_sq,
     # in place where the operand order allows; the order decides the
     # rounding (numpy divides by a real as it multiplies by its reciprocal)
     fff = np.conjugate(np.swapaxes(freq_response, -1, -2), out=slot(work, "fff"))
-    np.multiply(one_plus_b[..., None], fff, out=fff)
+    if spec.structure == "dfe":  # an LE's 1 + b is 1, a product of no effect
+        np.multiply(one_plus_b[..., None], fff, out=fff)
     fff *= inverse[..., None]
     return EqualizerFilters(
         fff=fff,
@@ -273,6 +284,8 @@ def _filtered_spectrum(filters: EqualizerFilters, received_freq,
     if y.shape != (*rows, n_r, m):
         raise ValueError(f"received block must have shape {(*rows, n_r, m)}, "
                          f"got {y.shape}")
+    if n_r == 1:  # one antenna: its product is the sum
+        return np.multiply(filters.fff[..., 0], y[..., 0, :], out=slot(work, "z_f"))
     product = np.multiply(filters.fff, np.swapaxes(y, -1, -2),
                           out=slot(work, "product"))
     return np.sum(product, axis=-1, out=slot(work, "z_f"))
@@ -305,9 +318,12 @@ def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
     written into its buffers "product" (which may be the memory of
     received_freq), "z_f", "isi", "z", "z_real", "quotient", "linear",
     "linear_real", "z_t" and "z_t_real"; z and the FeedbackPass's z_t are
-    among them. "linear" may be the memory of "quotient" and "z_t" that
-    of "z_f": an inverse transform runs in place where its input is not
-    read again.
+    among them. "z" may be the memory of "isi", "linear" that of
+    "quotient" and "z_t" that of "z_f": an inverse transform runs in
+    place where its input is not read again. A linear equalizer has no
+    ISI to remove, so it forms no "isi" and does not read precoded; at
+    one antenna z_f is the one product, formed without "product". On
+    finite inputs the bytes are those of the full steps.
 
     Returns (z, decided): decided is the decisions as indices into
     c.points, or a FeedbackPass for a decision-directed DFE.
@@ -316,15 +332,18 @@ def equalize(spec: ReceiverSpec, filters: EqualizerFilters, received_freq, c,
     if widely_linear and not c.is_real:
         raise ValueError("widely linear receivers require a real constellation")
     z_f = _filtered_spectrum(filters, received_freq, work)
-    isi = np.subtract(filters.one_plus_b, 1.0, out=slot(work, "isi"))
-    np.multiply(isi, precoded, out=isi)
-    if widely_linear:
-        # 2 Re(idft) adds the mirrored conjugate of the Hermitian ISI
-        # spectrum, i.e. counts it twice
-        isi *= 0.5
-    # z_f - isi overwrites isi, which nothing reads after it
-    z = _time_block(widely_linear, np.subtract(z_f, isi, out=isi),
-                    slot(work, "z"), slot(work, "z_real"))
+    if spec.structure == "le":  # b = 0: there is no ISI to remove
+        ideal = z_f
+    else:
+        isi = np.subtract(filters.one_plus_b, 1.0, out=slot(work, "isi"))
+        np.multiply(isi, precoded, out=isi)
+        if widely_linear:
+            # 2 Re(idft) adds the mirrored conjugate of the Hermitian ISI
+            # spectrum, i.e. counts it twice
+            isi *= 0.5
+        # z_f - isi overwrites isi, which nothing reads after it
+        ideal = np.subtract(z_f, isi, out=isi)
+    z = _time_block(widely_linear, ideal, slot(work, "z"), slot(work, "z_real"))
     if spec.structure == "le" or spec.feedback_mode == "ideal_genie":
         return z, kernels.nearest_index(z, c.points, c.is_real)
     tail = c.points[kernels.nearest_index(

@@ -63,7 +63,11 @@ def nearest_index(z, points, real_metric):
     levels (16-QAM), or for a real metric the real levels alone (BPSK).
     An axis of two levels takes one comparison, an axis of more one
     comparison a cut, counting the cuts above each sample, and a
-    level-to-index table gives the point. The cut between two neighbouring
+    level-to-index table gives the point. Where the grid is two points
+    on one axis (BPSK), the comparison is the index, or its negation
+    where the upper level is point 0, with no gather through the table;
+    NaN, below every cut as >= puts it, takes the lower level's point
+    either way. The cut between two neighbouring
     levels is the least double at which the rounded distance to the upper
     level is smaller, or equal where the upper level has the lower index,
     so an exact midpoint goes to the lower point index. Where the two
@@ -186,10 +190,22 @@ def _slicer(points_bytes: bytes, real_metric: bool):
         decide = argmin
     else:
         parts, _, cuts, table = grid
+        if table.shape == (2,) and sorted(table.tolist()) == [0, 1]:
+            # two points on one axis (BPSK): a point's index is the level
+            # or, where the upper level has index 0, its negation, so one
+            # comparison and no table gather decide
+            ((cut,),), flip = cuts, bool(table[1] == 0)
 
-        def decide(z):
-            return table[tuple(_bulk_level(cut, getattr(z, part))
-                               for part, cut in zip(parts, cuts))]
+            def two_level(z):
+                level = np.greater_equal(getattr(z, parts[0]), cut)
+                if flip:
+                    level ^= True  # in place, or a new scalar for a 0-d z
+                return level.view(table.dtype)
+            decide = two_level
+        else:
+            def decide(z):
+                return table[tuple(_bulk_level(cut, getattr(z, part))
+                                   for part, cut in zip(parts, cuts))]
     decide.grid = grid
     return decide
 

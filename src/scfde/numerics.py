@@ -10,9 +10,9 @@ normals. Every trial draws them from the stream of its own
 RngStream(master_seed, trial_index), but a batch of trials does so
 without building a Generator each: stream_states seeds all their
 streams with one array pass of numpy's SeedSequence hash, and
-draw_streams draws each row from one reused PCG64. The Levinson solver
-is kernels.levinson_recursion. integer and real are the number rule
-that every public count and ratio passes.
+draw_streams draws each row from the one PCG64 of its thread. The
+Levinson solver is kernels.levinson_recursion. integer and real are the
+number rule that every public count and ratio passes.
 
 The writers of a front-end pass take one optional out-style argument:
 an array for a function of one result, or for a function of several
@@ -22,7 +22,9 @@ as numpy's out= does, so each line is the same with or without one.
 """
 
 import contextlib
+import functools
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,15 +98,18 @@ def _words(n):
     return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
+@functools.lru_cache(maxsize=32)
 def _hashmix_constants(init, mult, calls):
-    """The (xor, multiply) constants of successive hashmix calls, as uint32
-    columns: each call multiplies the running constant by mult. They are
-    worked out in masked Python ints, as numpy scalars warn on the
-    wrap-around that arrays do silently."""
+    """The (xor, multiply) constants of successive hashmix calls, as
+    read-only uint32 columns, worked out once per count: each call
+    multiplies the running constant by mult. They are worked out in
+    masked Python ints, as numpy scalars warn on the wrap-around that
+    arrays do silently."""
     consts = [init]
     for _ in range(calls):
         consts.append(consts[-1] * mult & _MASK32)
     consts = np.array(consts, np.uint32)[:, None]
+    consts.flags.writeable = False
     return consts[:-1], consts[1:]
 
 
@@ -180,6 +185,21 @@ def slot(work, name):
     return None if work is None else work[name]
 
 
+class _Streams(threading.local):
+    """A thread's PCG64, its Generator and the state mapping that moves
+    the PCG64 to a row's stream, made once and set anew for each row."""
+
+    def __init__(self):
+        self.bit_gen = np.random.PCG64(0)
+        self.gen = np.random.Generator(self.bit_gen)
+        self.mapping = {"bit_generator": "PCG64",
+                        "state": {"state": 0, "inc": 0},
+                        "has_uint32": 0, "uinteger": 0}
+
+
+_streams = _Streams()
+
+
 def draw_streams(states, n_bits, n_normals, work=None):
     """Row i: n_bits bits, then n_normals standard normals, drawn from the
     PCG64 (state, inc) states[i] exactly as Generator.integers(0, 2,
@@ -188,18 +208,19 @@ def draw_streams(states, n_bits, n_normals, work=None):
     work's "raw" (the drawn 64-bit words), "bits" and "normals" where a
     workspace is given.
 
-    One PCG64 and its Generator serve every row.
+    The thread's one PCG64 and its Generator serve every row: setting
+    the state (with no buffered 32-bit half) is all that moves them from
+    one stream to the next.
     """
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
+    bit_gen, gen, mapping = _streams.bit_gen, _streams.gen, _streams.mapping
+    seed = mapping["state"]
     shape = (len(states), -(-n_bits // 2))
     raw = np.empty(shape, np.uint64) if work is None else work["raw"]
     normals = (np.empty((len(states), n_normals)) if work is None
                else work["normals"])
     for row, (state, inc) in enumerate(states):
-        bit_gen.state = {"bit_generator": "PCG64",
-                         "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
+        seed["state"], seed["inc"] = state, inc
+        bit_gen.state = mapping
         raw[row] = bit_gen.random_raw(raw.shape[1])
         gen.standard_normal(out=normals[row])
     # integers(0, 2) reads 32-bit halves, low half first, and by Lemire's

@@ -7,7 +7,10 @@ trial is a pure function of (master_seed, trial_index); a trial index
 packs a hash of the (receiver, SNR) cell into bits 40 and up and the
 block ordinal into bits 8-39, so that any cell can be reproduced in
 isolation. Bits 0-7 are always zero; they are kept so that every cell
-draws the same random streams as sweeps written before.
+draws the same random streams as sweeps written before. A post-SNR run
+hashes one name for all its receivers and the SNR instead, so its rows
+are keyed by SNR and ordinal: every receiver measures the same
+realizations.
 
 Blocks run in batches: run_block takes a list of trial indices, with
 one receiver and one SNR for all or one per index, and carries every
@@ -18,25 +21,29 @@ feedback positions once per call for the decision-directed rows of all
 receivers, up to FLUSH_PASSES passes of them. Each row draws from the
 stream of RngStream(master_seed, trial_index), seeded for all rows of
 the call by one numerics.stream_states hash and drawn per pass by
-numerics.draw_streams, with no Generator per row. A row's results are
-the same bits whatever batch it runs in. All (receiver, SNR) cells of
-a sweep share their batches (see _run_cells): each round, every cell
-still running asks for rows from its committed counts only, and the
-rows of all cells make one run_block call, each receiver's in the
-fewest passes. A cell commits its rows in ordinal order and evaluates
-the stopping rule after every row, so it stops at the same block as a
-block-by-block loop and the rows past that block are discarded. Since
-batch sizes come from committed counts and constants only, a rerun of
-the same config reproduces every output byte.
+numerics.draw_streams, with no Generator per row. Receivers whose rows
+name the same trial indices at the same SNRs, in the same order, form
+a family, whose passes seed, draw, map, precode and run the channel
+once for all of them before each receiver synthesizes and equalizes.
+A row's results are the same bits whatever batch or family it runs
+in. All (receiver, SNR) cells of a sweep share their batches (see
+_run_cells): each round, every cell still running asks for rows from
+its committed counts only, and the rows of all cells make one
+run_block call, each receiver's in the fewest passes. A cell commits
+its rows in ordinal order and evaluates the stopping rule after every
+row, so it stops at the same block as a block-by-block loop and the
+rows past that block are discarded. Since batch sizes come from
+committed counts and constants only, a rerun of the same config
+reproduces every output byte.
 
 A front-end pass allocates no array of its size. Every writer of the
 chain fills the pass workspace of its thread: a few pass-sized buffers
-(BATCH_SAMPLES samples of the config, about 2.6 MiB at 64 x 512
-rows) made with np.empty once and kept across passes, receivers and
-run_block calls, with their named views built once per pass shape; a
-short pass uses the leading rows, an intermediate shares a buffer
-with those that nothing reads any more, and a transform runs in place
-where nothing reads its input again. The decision rows held for
+(BATCH_SAMPLES samples of the config, about 2.6 MiB at 64 x 512 rows,
+and 1 MiB more once a family has run) made with np.empty once and kept
+across passes, receivers and run_block calls, with their named views
+built once per pass shape; a short pass uses the leading rows, an
+intermediate shares a buffer with those that nothing reads any more,
+and a transform runs in place where nothing reads its input again. The decision rows held for
 feedback take their arrays from it too. So a pass faults no fresh page
 in, where glibc returned a freed pass's memory to the system each
 time. Each thread has its own workspace, and the bytes written are
@@ -48,6 +55,7 @@ BER from the decision path but share the genie MSE measurement.
 """
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -314,42 +322,53 @@ def _cell_base(receiver_name: str, snr_db: float) -> int:
     return int.from_bytes(digest[:4], "big") << 40
 
 
+# the name measure_post_snr keys its cells by, no receiver's
+_POST_CELLS = "post-snr"
+
+
 def _pass_rows(config: SweepConfig) -> int:
     """Rows of one front-end pass: BATCH_SAMPLES over antennas x block size."""
     return max(1, BATCH_SAMPLES // (config.antennas * config.block_size))
 
 
-def _row_sizes(m, r, v, bits) -> dict:
+def _row_sizes(m, r, v, bits, kept=False) -> dict:
     """The buffers of a pass workspace, with the elements a row takes in
     each and their dtype, for block size m, r antennas, v taps and `bits`
     bits per symbol: the labels, the normals, the channel taps and four
-    complex buffers."""
-    return {"labels": (m, np.uint8), "normals": (2 * r * (v + m), np.float64),
-            "taps": (r * v, np.complex128),
-            **{f"c{k}": (r * m, np.complex128) for k in range(4)}}
+    complex buffers, and for a pass of a family of receivers the two that
+    keep its channels and received blocks."""
+    sizes = {"labels": (m, np.uint8), "normals": (2 * r * (v + m), np.float64),
+             "taps": (r * v, np.complex128),
+             **{f"c{k}": (r * m, np.complex128) for k in range(4)}}
+    if kept:
+        sizes.update(k1=(r * m, np.complex128), k2=(r * m, np.complex128))
+    return sizes
 
 
 # the (rows, M) blocks the writers of a pass read from the workspace, per
 # complex buffer, in the order a pass writes them: each is written once
 # nothing reads those before it (see _front_end). Transforms run in place
 # where their input is not read again, so "x_f" is "x_t", "fff" is "h",
-# "product" is "y", "one_plus_b" is "autocov", "linear" is "quotient"
-# and "z_t" is "z_f". The drawn words ("raw") and bits come first, in the
-# buffers of "autocov" and "y", and the noise, added to "y" as soon as it
-# is drawn, in that of "autocov"
+# "product" is "y", "one_plus_b" is "autocov", "linear" is "quotient",
+# "z" is "isi" and "z_t" is "z_f". The drawn words ("raw") and bits come
+# first, in c3 and c2, and the noise, added to "y" as soon as it is
+# drawn, in c3. No receiver writes over "x_t"; a pass of a family of
+# receivers keeps "h" and "y" in buffers of their own, k1 and k2, so
+# that every receiver reads all three as the first did
 _BLOCK_NAMES = (
-    ("x_t", "z"),
+    ("x_t",),
     ("z_f", "z_t"),
-    ("isi", "expected"),
-    ("autocov", "one_plus_b", "quotient", "linear"),
+    ("isi", "z"),
+    ("autocov", "one_plus_b", "quotient", "linear", "expected"),
 )
 # the most pass shapes whose views a workspace keeps
 _MAX_SHAPES = 64
 
 
-def _carve(buffers, rows, m, r, v, bits) -> dict:
+def _carve(buffers, rows, m, r, v, bits, kept) -> dict:
     """The named views of a pass of `rows` rows, each from the leading
-    elements of its buffer."""
+    elements of its buffer; where kept, "h" and "y" are those of the
+    buffers that keep them."""
     def view(buffer, shape, dtype=None, offset=0):
         flat = buffers[buffer] if dtype is None else buffers[buffer].view(dtype)
         return flat[offset : offset + math.prod(shape)].reshape(shape)
@@ -363,8 +382,8 @@ def _carve(buffers, rows, m, r, v, bits) -> dict:
     views.update(
         raw=view("c3", (rows, -(-m * bits // 2)), np.uint64),
         bits=view("c2", (rows, m * bits), np.uint8),
-        h=view("c1", antennas),
-        y=view("c2", antennas),
+        h=view("k1" if kept else "c1", antennas),
+        y=view("k2" if kept else "c2", antennas),
         noise=view("c3", (rows, r * m)),
         # synthesize's real arrays, once the normals are drawn from:
         # "gains" and "denom" past the energies, "mirror" and "inverse"
@@ -378,8 +397,8 @@ def _carve(buffers, rows, m, r, v, bits) -> dict:
         linear_real=view("normals", block, offset=rows * m))
     views.update(denom=views["gains"], inverse=views["mirror"],
                  error=views["z_real"], z_t_real=views["linear_real"],
-                 fff=views["h"].swapaxes(-1, -2),
-                 product=views["y"].swapaxes(-1, -2))
+                 fff=view("c1", antennas).swapaxes(-1, -2),
+                 product=view("c2", antennas).swapaxes(-1, -2))
     return views
 
 
@@ -390,7 +409,8 @@ class _Workspace(threading.local):
 
     def __init__(self):
         self.buffers = {}
-        self.views = {}  # (rows, m, antennas, taps, bits) -> names -> views
+        # (rows, m, antennas, taps, bits, kept) -> names -> views
+        self.views = {}
 
     def _fit(self, name, need, dtype) -> bool:
         """Make buffer `name` hold need elements: anew where it holds
@@ -401,9 +421,13 @@ class _Workspace(threading.local):
         self.buffers[name] = np.empty(need, dtype)
         return True
 
-    def __call__(self, config: SweepConfig, bits: int, rows: int) -> dict:
-        """The named views of a front-end pass of `rows` rows."""
-        key = (rows, config.block_size, config.antennas, config.taps, bits)
+    def __call__(self, config: SweepConfig, bits: int, rows: int,
+                 kept: bool = False) -> dict:
+        """The named views of a front-end pass of `rows` rows, with the
+        pass's channels and received blocks kept apart where kept (a pass
+        of a family of receivers)."""
+        key = (rows, config.block_size, config.antennas, config.taps, bits,
+               kept)
         views = self.views.get(key)
         if views is None:
             # each buffer holds a full pass of the config
@@ -434,16 +458,21 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-def _front_end(config: SweepConfig, c, spec: ReceiverSpec, states, snrs):
-    """One pass of rows of one receiver, from their draws through
-    equalize: (tx_labels, mse, decided), decided as equalize returns it.
-    states holds each row's stream state, from numerics.stream_states.
+def _front_end(config: SweepConfig, c, family, states, sigma_n_sq):
+    """One pass of rows of a family of receivers, from their draws
+    through equalize: the draws, symbols, channels and received blocks
+    of the rows once, then each receiver's synthesis, equalization and
+    MSE in turn. Yields (tx_labels, mse, decided) per receiver of the
+    family, in order, decided as equalize returns it. states holds each
+    row's stream state, from numerics.stream_states, and sigma_n_sq its
+    noise variance.
 
     Every array of the pass is written into the thread's pass workspace,
-    so tx_labels and a FeedbackPass's z_t hold until the next pass."""
+    so tx_labels holds until the next pass and a FeedbackPass's z_t until
+    the next receiver or pass; a pass of more than one receiver keeps
+    what they all read (see _BLOCK_NAMES)."""
     m, n_r, v = config.block_size, config.antennas, config.taps
-    work = _workspace(config, c.bits_per_symbol, len(states))
-    sigma_n_sq = np.array([_noise_variance(s) for s in snrs])
+    work = _workspace(config, c.bits_per_symbol, len(states), len(family) > 1)
     # one stream per row: its bits, then one call for the standard normals
     # of the taps (real, imaginary) and of the noise (real, imaginary)
     tx_bits, normals = draw_streams(states, m * c.bits_per_symbol,
@@ -453,12 +482,13 @@ def _front_end(config: SweepConfig, c, spec: ReceiverSpec, states, snrs):
     h = draw_channel(normals[:, : 2 * n_r * v], n_r, v, m, work=work)
     y = apply_channel_freq(x_f, h, sigma_n_sq, normals[:, 2 * n_r * v :],
                            work=work)
-    filters = synthesize(spec, h, sigma_n_sq, work=work)
-    z, decided = equalize(spec, filters, y, c, x_f, work=work)
-    # "clip" writes straight into out, which "raise" would buffer
-    expected = c.points.take(tx_labels, out=work["expected"], mode="clip")
-    error = np.abs(np.subtract(z, expected, out=expected), out=work["error"])
-    return tx_labels, np.mean(np.square(error, out=error), axis=-1), decided
+    for spec in family:
+        filters = synthesize(spec, h, sigma_n_sq, work=work)
+        z, decided = equalize(spec, filters, y, c, x_f, work=work)
+        # "clip" writes straight into out, which "raise" would buffer
+        expected = c.points.take(tx_labels, out=work["expected"], mode="clip")
+        error = np.abs(np.subtract(z, expected, out=expected), out=work["error"])
+        yield tx_labels, np.mean(np.square(error, out=error), axis=-1), decided
 
 
 class _HeldRows:
@@ -507,7 +537,10 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
     block_size x bits_per_symbol bits, each of which may be in error.
 
     The rows of each receiver run from their draws through equalize in
-    passes of at most BATCH_SAMPLES / (antennas * block size) rows. The
+    passes of at most BATCH_SAMPLES / (antennas * block size) rows.
+    Receivers whose rows name the same trial indices at the same SNRs,
+    in the same order, share each pass's draws, symbols, channels and
+    received blocks (a family; see _front_end). The
     decision-directed DFE rows of all receivers share a sequential
     feedback pass (kernels.dd_feedback) per feedback length, whose cost
     grows far slower than its rows: each pass writes its rows into the
@@ -526,12 +559,22 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
     if len(specs) != n:
         raise ValueError(f"need one receiver per trial index: {len(specs)} "
                          f"receivers for {n} indices")
+    variances = {snr: _noise_variance(snr) for snr in dict.fromkeys(snrs)}
     c = constellation(config.constellation)
     groups = {}  # receiver -> its rows, in order
-    for row, spec in enumerate(specs):
-        groups.setdefault(spec, []).append(row)
+    spec = None
+    for row, each in enumerate(specs):
+        if each is not spec:  # a run of one receiver is hashed once
+            spec, rows = each, groups.setdefault(each, [])
+        rows.append(row)
+    families = {}  # the trials and SNRs of a receiver's rows -> receivers
+    for spec, rows in groups.items():
+        key = (tuple(trials[i] for i in rows), tuple(snrs[i] for i in rows))
+        families.setdefault(key, []).append(spec)
     errors, mse = np.empty(n, np.intp), np.empty(n)
-    states = stream_states(config.master_seed, trials)
+    sigma_n_sq = np.array([variances[snr] for snr in snrs])
+    states = iter(stream_states(config.master_seed, [
+        trials[i] for family in families.values() for i in groups[family[0]]]))
     step = _pass_rows(config)
     # decision rows are counted per feedback length up front, so that each
     # length's rows are held in arrays of the size they need, at most
@@ -543,15 +586,20 @@ def run_block(trial_index, config: SweepConfig, receiver, snr_db):
     held = {length: _HeldRows(_workspace.held(
                 group, config, min(count, FLUSH_PASSES * step), length), c, errors)
             for group, (length, count) in enumerate(counts.items())}
-    for spec, rows in groups.items():
-        for lo in range(0, len(rows), step):
-            part = rows[lo : lo + step]
-            tx_labels, mse[part], decided = _front_end(
-                config, c, spec, [states[i] for i in part], [snrs[i] for i in part])
-            if isinstance(decided, FeedbackPass):
-                held[spec.fbf_length].add(part, tx_labels, decided)
-            else:
-                errors[part] = count_bit_errors(tx_labels, decided)
+    for family in families.values():
+        lead = groups[family[0]]
+        for lo in range(0, len(lead), step):
+            at = lead[lo : lo + step]
+            passes = _front_end(config, c, family,
+                                list(itertools.islice(states, len(at))),
+                                sigma_n_sq[at])
+            for spec, (tx_labels, mse_part, decided) in zip(family, passes):
+                part = groups[spec][lo : lo + step]
+                mse[part] = mse_part
+                if isinstance(decided, FeedbackPass):
+                    held[spec.fbf_length].add(part, tx_labels, decided)
+                else:
+                    errors[part] = count_bit_errors(tx_labels, decided)
     for held_rows in held.values():
         held_rows.decide()
     return errors, mse
@@ -613,7 +661,7 @@ def _next_batch(tally: _Tally, budget: int, max_blocks: int, min_errors) -> int:
 
 
 def _run_cells(config: SweepConfig, cells, max_blocks: int,
-               min_errors=math.inf) -> list:
+               min_errors=math.inf, name=None) -> list:
     """Run the (receiver spec, SNR) cells together; a _Tally each, in order.
 
     Each round, every active cell asks for its next batch (_next_batch,
@@ -624,13 +672,15 @@ def _run_cells(config: SweepConfig, cells, max_blocks: int,
     rows in ordinal order and stops at min_errors bit errors or
     max_blocks blocks, whichever comes first, discarding the rest of its
     rows. A cell's trial indices are
-    _cell_base(spec.name, snr) | ordinal << 8.
+    _cell_base(name, snr) | ordinal << 8, with the receiver's name where
+    no name is given, so that cells keyed by one name and SNR run the
+    same blocks: in run_block their receivers form a family.
     """
     assert max_blocks <= _MAX_ORDINALS, "ordinal would overwrite the cell hash"
     budget = _pass_rows(config)
     block_bits = (config.block_size
                   * constellation(config.constellation).bits_per_symbol)
-    tallies = [_Tally(spec, snr, _cell_base(spec.name, snr), block_bits)
+    tallies = [_Tally(spec, snr, _cell_base(name or spec.name, snr), block_bits)
                for spec, snr in cells]
     active = tallies
     while active:
@@ -698,7 +748,11 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
                      realizations: int) -> tuple:
     """Genie-path empirical post-SNR over a fixed number of realizations.
 
-    The receivers' cells run together (see _run_cells). Aggregation is
+    The receivers' cells run together (see _run_cells), keyed by the SNR
+    and the ordinal alone, so every receiver measures the same
+    realizations (bits, channel and noise) and the rows are paired:
+    a receiver's row is the same whichever receivers run with it, and
+    each realization is drawn once for all of them. Aggregation is
     sigma_x^2 / mean(mse), minus one for MMSE receivers, compared
     against the closed-form limit where one exists.
     """
@@ -709,7 +763,7 @@ def measure_post_snr(config: SweepConfig, snr_db: float,
     cells = [(replace(spec, feedback_mode="ideal_genie"), snr_db)
              for spec in config.receiver_specs()]
     rows = []
-    for t in _run_cells(config, cells, realizations):
+    for t in _run_cells(config, cells, realizations, name=_POST_CELLS):
         post_db = _post_snr_db(t.mses, t.spec.criterion)
         analytic = _analytic_db(t.spec, config, snr_db)
         rows.append(

@@ -400,6 +400,46 @@ class TestKernelProperties:
         np.testing.assert_array_equal(got, brute_force_index(z, points,
                                                              real_metric))
 
+    @pytest.mark.parametrize("real_metric", [True, False])
+    @pytest.mark.parametrize("points", [np.array([1.0 + 0j, -1.0]),
+                                        np.array([-1.0 + 0j, 1.0])],
+                             ids=["bpsk", "bpsk-reversed"])
+    def test_two_level_slice_equals_the_table(self, points, real_metric):
+        # a two-point axis is sliced by one comparison, negated where the
+        # upper level has index 0, with no gather through the level-to-
+        # index table; it gives the table's indices, dtype and shape on
+        # +-0, +-inf, NaN (level 0, as greater_equal puts it), the cut and
+        # its neighbouring doubles, random samples and a 0-d z
+        decide = kernels._slicer(points.tobytes(), real_metric)
+        assert decide.__name__ == "two_level"
+        parts, _, cuts, table = decide.grid
+        (cut,) = cuts[0]
+        gen = RngStream(21, 0).generator()
+        x = np.concatenate([gen.standard_normal(200),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan, cut,
+                             np.nextafter(cut, -np.inf), np.nextafter(cut, np.inf)]])
+        z = np.empty(len(x), complex)
+        z.real, z.imag = x, gen.permutation(x)
+        for sample in (z, z.reshape(4, -1), x.astype(complex)):
+            want = table[kernels._level(cuts[0], getattr(sample, parts[0]))]
+            got = decide(sample)
+            assert got.dtype == want.dtype and got.shape == sample.shape
+            np.testing.assert_array_equal(got, want)
+        for one in z:
+            zero_d = np.asarray(one)
+            want = table[kernels._level(cuts[0], zero_d.real)]
+            got = kernels.nearest_index(zero_d, points, real_metric)
+            assert (np.shape(got), got.dtype, got) == ((), want.dtype, want)
+
+    def test_two_level_slice_is_for_index_pairs_only(self):
+        # a real metric on QPSK has two levels whose lowest indices are 2
+        # and 0, so its slice keeps the table
+        points = ALPHABETS["qpsk"][0]
+        assert kernels._slicer(points.tobytes(), True).__name__ == "decide"
+        z = np.array([0.5, -0.5, 0.0, -0.0, np.nan]) + 0j
+        np.testing.assert_array_equal(kernels.nearest_index(z, points, True),
+                                      [0, 2, 0, 0, 2])
+
     @pytest.mark.parametrize("points", [modem.constellation("16qam").points,
                                         UNLIKE_GRID, np.arange(-7.0, 8.0, 2.0)],
                              ids=["16qam", "4x2", "8-pam"])

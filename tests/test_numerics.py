@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from test_simulator import JSON_VALUES
 
 from scfde import analytics as an
+from scfde import numerics
 from scfde import simulator as sim
 from scfde.equalizer import ReceiverSpec
 from scfde.numerics import (
@@ -181,6 +182,16 @@ class TestStreamDraws:
         for seed, indices in ((-1, [0]), (0, [1, -1])):
             with pytest.raises(ValueError, match="non-negative"):
                 stream_states(seed, indices)
+
+    def test_hashmix_constants_are_worked_out_once_read_only(self):
+        # every stream_states call of one entropy length shares the same
+        # constant arrays, so none of them may be written
+        first = numerics._hashmix_constants(numerics._INIT_A, numerics._MULT_A, 8)
+        again = numerics._hashmix_constants(numerics._INIT_A, numerics._MULT_A, 8)
+        assert all(a is b for a, b in zip(first, again))
+        for consts in first:
+            with pytest.raises(ValueError, match="read-only"):
+                consts[0] = 0
 
 
 class TestNumberRule:

@@ -690,6 +690,62 @@ class TestBatching:
             errors, mse = sim.run_block(trials, cfg, row_specs, snrs)
         assert list(zip(errors.tolist(), mse.tolist())) == single
 
+    @pytest.mark.parametrize("antennas", [1, 2])
+    @pytest.mark.parametrize("pass_rows", [3, None])
+    def test_a_family_gives_the_bytes_of_separate_calls(self, monkeypatch,
+                                                        antennas, pass_rows):
+        # receivers whose rows name the same trials at the same SNRs, in
+        # the same order, are one family: each pass draws its rows once
+        # and runs every receiver on them. All eight receivers, in genie
+        # and decision feedback, and one more with other feedback taps,
+        # give row for row the bytes of their own calls, also where
+        # passes of three rows split the family and every receiver's
+        # rows are spread over the call. A receiver whose SNRs or trial
+        # order differ runs alone
+        cfg = small_config(receivers=",".join(RECEIVER_NAMES), fbf_len=4,
+                           antennas=antennas, block_size=32)
+        if pass_rows:
+            monkeypatch.setattr(sim, "BATCH_SAMPLES",
+                                pass_rows * antennas * cfg.block_size)
+        trials = [(7 * k + 3) << 8 for k in range(7)]
+        snrs = [2.0 + k for k in range(7)]
+        family = [dataclasses.replace(spec, feedback_mode=mode)
+                  for spec in cfg.receiver_specs()
+                  for mode in ("ideal_genie", "decision_directed")]
+        zf, dfe = ReceiverSpec.from_name("zf-le"), ReceiverSpec.from_name(
+            "mmse-dfe", fbf_length=2, feedback_mode="decision")
+        wl = ReceiverSpec.from_name("wl-zf-dfe", fbf_length=3)
+        rows = [(spec, trials, snrs) for spec in family]
+        rows += [(zf, trials, snrs[::-1]), (dfe, trials[::-1], snrs),
+                 (wl, trials, snrs)]
+        flat = [(spec, spec_trials[k], spec_snrs[k]) for k in range(7)
+                for spec, spec_trials, spec_snrs in rows]
+        single = {}
+        for spec, spec_trials, spec_snrs in rows:
+            errors, mse = sim.run_block(spec_trials, cfg, spec, spec_snrs)
+            single[spec] = list(zip(errors.tolist(), mse.tolist()))
+        real, families, drawn = sim._front_end, [], []
+
+        def spy(config, c, members, states, sigma_n_sq):
+            families.append(list(members))
+            drawn.append(len(states))
+            return real(config, c, members, states, sigma_n_sq)
+
+        monkeypatch.setattr(sim, "_front_end", spy)
+        specs, row_trials, row_snrs = (list(column) for column in zip(*flat))
+        errors, mse = sim.run_block(row_trials, cfg, specs, row_snrs)
+        got = {}
+        for spec, e, m in zip(specs, errors.tolist(), mse.tolist()):
+            got.setdefault(spec, []).append((e, m))
+        assert got == single
+        step = pass_rows or sim._pass_rows(cfg)
+        passes = -(-7 // step)
+        assert sorted(map(len, families)) == [1] * 2 * passes + [
+            len(family) + 1] * passes
+        assert sum(drawn) == 3 * 7
+        assert all(members == family + [wl] for members in families
+                   if len(members) > 1)
+
     def test_one_snr_per_trial_index(self):
         cfg = small_config()
         (spec,) = cfg.receiver_specs()
@@ -713,6 +769,13 @@ class TestBatching:
             result = sim.run_sweep(cfg)
             outputs.append((sim.result_to_csv(result), sim.result_to_json(result)))
         assert outputs[1:] == outputs[:1] * 2
+
+
+def _run_front_end(*args):
+    """Every receiver's results of one sim._front_end pass, taken as
+    run_block takes them, each before the next receiver runs."""
+    for _ in sim._front_end(*args):
+        pass
 
 
 def _traced_peak(fn) -> int:
@@ -760,26 +823,54 @@ class TestMemory:
         states = numerics.stream_states(cfg.master_seed, trials)
         c = modem.constellation(cfg.constellation)
         sim.run_block(trials, cfg, spec, 10.0)  # makes the workspace
-        peak = _traced_peak(
-            lambda: sim._front_end(cfg, c, spec, states, [10.0] * rows))
+        peak = _traced_peak(lambda: _run_front_end(
+            cfg, c, [spec], states, np.full(rows, sim._noise_variance(10.0))))
+        assert peak / rows < 6 * 1024
+
+    @pytest.mark.parametrize("receivers, antennas", [
+        ("zf-dfe,wl-zf-dfe", 1), ("zf-le,wl-zf-le", 2)])
+    def test_family_front_end_pass_peak_per_row(self, receivers, antennas):
+        # one full pass of the two receivers of a post-SNR run of the
+        # benchmark: their shared channels and received blocks stay in the
+        # workspace's kept buffers, so what the pass allocates is each
+        # receiver's slicer's and MSE's (5.4 and 5.1 KiB a row); a copy of
+        # the symbols, channels or received blocks for the second
+        # receiver, 8 KiB a row or more, fails
+        cfg = sim.SweepConfig.from_dict(dict(
+            receivers=receivers, nr=antennas, v=20, m=512, fbf_len=20))
+        specs = list(cfg.receiver_specs())
+        rows = sim._pass_rows(cfg)
+        trials = [k << 8 for k in range(rows)]
+        states = numerics.stream_states(cfg.master_seed, trials)
+        c = modem.constellation(cfg.constellation)
+        # makes the workspace, kept buffers included
+        sim.run_block(trials * 2, cfg, [s for s in specs for _ in trials], 10.0)
+        peak = _traced_peak(lambda: _run_front_end(
+            cfg, c, specs, states, np.full(rows, sim._noise_variance(10.0))))
         assert peak / rows < 6 * 1024
 
     def test_pass_workspace_bytes(self):
         # a full pass of 64 M = 512 rows at one antenna writes into four
         # complex buffers, the normals, the labels and the channel taps:
-        # about 2.6 MiB, made once per thread
+        # about 2.6 MiB, made once per thread. A pass of a family of
+        # receivers keeps its channels and received blocks in two more
+        # complex buffers, made at its first such pass: 3.6 MiB in all
         cfg = sim.SweepConfig.from_dict(dict(receivers="mmse-dfe,wl-mmse-dfe",
                                              nr=1, v=20, m=512, fbf_len=20))
         rows = sim._pass_rows(cfg)
         assert rows == 64
+        specs = [s for s in cfg.receiver_specs() for _ in range(rows)]
 
         def workspace_bytes():
-            sim.run_block(range(2 * rows), cfg,
-                          [s for s in cfg.receiver_specs() for _ in range(rows)],
-                          6.0)
-            return sum(b.nbytes for b in sim._workspace.buffers.values())
+            sizes = []
+            for trials in (range(2 * rows), list(range(rows)) * 2):
+                sim.run_block(trials, cfg, specs, 6.0)
+                sizes.append(sum(b.nbytes for b in sim._workspace.buffers.values()))
+            return sizes
 
-        assert _in_thread(workspace_bytes) <= 2.7 * 2**20
+        alone, family = _in_thread(workspace_bytes)
+        assert alone <= 2.7 * 2**20
+        assert family - alone == 2 * rows * cfg.block_size * 16
 
     def test_held_decision_rows_are_bounded(self, monkeypatch):
         # the rows held for one feedback call stop at FLUSH_PASSES passes,
@@ -854,34 +945,38 @@ class TestWorkspace:
     @pytest.mark.parametrize("case", range(12))
     def test_a_pass_writes_the_bytes_of_the_allocating_chain(self, case):
         # every writer gives the same bytes into the workspace's shared
-        # buffers as into arrays of its own (work=None), pass after pass
+        # buffers as into arrays of its own (work=None), pass after pass,
+        # for each receiver alone and as a member of a family of all of
+        # them, whose pass keeps the blocks every member reads
         cfg, specs, trials = _workspace_cases()[case]
         c = modem.constellation(cfg.constellation)
         m, n_r, v = cfg.block_size, cfg.antennas, cfg.taps
-        states = numerics.stream_states(cfg.master_seed, trials)
-        for spec in dict.fromkeys(specs):
-            rows = states[: sim._pass_rows(cfg)]
-            snrs = [10.0 - k for k in range(len(rows))]
-            got_labels, got_mse, got_decided = sim._front_end(cfg, c, spec,
-                                                              rows, snrs)
-            sigma_n_sq = np.array([sim._noise_variance(s) for s in snrs])
-            bits, normals = numerics.draw_streams(
-                rows, m * c.bits_per_symbol, 2 * n_r * (v + m))
-            labels, x_t = modem.map_bits(bits, c)
-            x_f = modem.precode(x_t)
-            h = channel.draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
-            y = channel.apply_channel_freq(x_f, h, sigma_n_sq,
-                                           normals[:, 2 * n_r * v :])
-            z, decided = eq.equalize(spec, eq.synthesize(spec, h, sigma_n_sq),
-                                     y, c, x_f)
-            mse = np.mean(np.abs(z - c.points[labels]) ** 2, axis=-1)
-            pairs = [(got_labels, labels), (got_mse, mse)]
-            if isinstance(decided, eq.FeedbackPass):
-                pairs += zip(got_decided, decided)
-            else:
-                pairs.append((got_decided, decided))
-            for a, b in pairs:
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), spec
+        rows = numerics.stream_states(cfg.master_seed, trials)[
+            : sim._pass_rows(cfg)]
+        sigma_n_sq = np.array([sim._noise_variance(10.0 - k)
+                               for k in range(len(rows))])
+        bits, normals = numerics.draw_streams(
+            rows, m * c.bits_per_symbol, 2 * n_r * (v + m))
+        labels, x_t = modem.map_bits(bits, c)
+        x_f = modem.precode(x_t)
+        h = channel.draw_channel(normals[:, : 2 * n_r * v], n_r, v, m)
+        y = channel.apply_channel_freq(x_f, h, sigma_n_sq,
+                                       normals[:, 2 * n_r * v :])
+        family = list(dict.fromkeys(specs))
+        for members in [[spec] for spec in family] + [family]:
+            passes = sim._front_end(cfg, c, members, rows, sigma_n_sq)
+            for spec, (got_labels, got_mse, got_decided) in zip(members, passes):
+                z, decided = eq.equalize(spec, eq.synthesize(spec, h, sigma_n_sq),
+                                         y, c, x_f)
+                mse = np.mean(np.abs(z - c.points[labels]) ** 2, axis=-1)
+                pairs = [(got_labels, labels), (got_mse, mse)]
+                if isinstance(decided, eq.FeedbackPass):
+                    pairs += zip(got_decided, decided)
+                else:
+                    pairs.append((got_decided, decided))
+                for a, b in pairs:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                        spec, len(members))
 
     def test_returned_results_keep_their_values(self, monkeypatch):
         # two rows a pass, so that the decision rows of each pass are held
@@ -1094,6 +1189,48 @@ class TestMeasurePostSnr:
         assert len(calls) == -(-realizations // pass_rows)
         assert sum(calls) == len(rows) * realizations
         assert [row.realizations for row in rows] == [realizations] * 2
+
+    def test_receivers_measure_the_same_realizations(self, monkeypatch):
+        # post-SNR cells are keyed by the SNR and the ordinal alone: in
+        # every run_block call each receiver's rows name the same trial
+        # indices, so each realization is drawn once for all receivers,
+        # a receiver's row is the same whichever receivers run with it,
+        # and its realizations are run_block's at those indices
+        monkeypatch.setattr(sim, "BATCH_SAMPLES", 8 * 64)
+        cfg = small_config(receivers=["zf-le", "mmse-dfe", "wl-zf-dfe"],
+                           fbf_len=4)
+        real_block, real_draw = sim.run_block, sim.draw_streams
+        calls, drawn = [], []
+
+        def block_spy(index, config, receiver, snr_db):
+            calls.append((list(index), list(receiver)))
+            return real_block(index, config, receiver, snr_db)
+
+        def draw_spy(states, *args, **kwargs):
+            drawn.append(len(states))
+            return real_draw(states, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "run_block", block_spy)
+        monkeypatch.setattr(sim, "draw_streams", draw_spy)
+        rows = sim.measure_post_snr(cfg, 8.0, 20)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        for index, receivers in calls:
+            named = {}
+            for t, spec in zip(index, receivers):
+                named.setdefault(spec.name, []).append(t)
+            assert list(named) == list(cfg.receivers)
+            assert all(t == named["zf-le"] for t in named.values())
+        assert sum(drawn) == 20
+        base = sim._cell_base(sim._POST_CELLS, 8.0)
+        for name, row in zip(cfg.receivers, rows):
+            assert sim.measure_post_snr(
+                small_config(receivers=[name], fbf_len=4), 8.0, 20) == (row,)
+            spec = ReceiverSpec.from_name(name, fbf_length=4)
+            _, mse = sim.run_block([base | k << 8 for k in range(20)], cfg,
+                                   spec, 8.0)
+            assert row.post_snr_db == sim._post_snr_db(mse.tolist(),
+                                                       spec.criterion)
 
     def test_deterministic(self):
         cfg = small_config(receivers=["zf-le"], antennas=2)
