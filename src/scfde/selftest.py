@@ -1,11 +1,15 @@
 """Fast invariant suite runnable at install time or from the CLI.
 
-Each suite exercises one load-bearing numerical contract with small
-problem sizes and a fixed seed, so the whole battery finishes in
-seconds. Suites re-derive their references independently (dense solves,
-Monte Carlo, frozen decimals) rather than trusting the code under test,
-which is what lets a corrupted constant or a broken kernel surface here
-as a named failure.
+Each suite checks one load-bearing numerical contract against a
+reference that lies outside the package: numpy's FFT accuracy, numpy's
+SeedSequence and Generator draws, numpy's argmin, a direct circular
+convolution, a LAPACK dense solve, frozen decimals. So a suite can fail
+on an installed numpy or platform that differs from the one the
+package was tested on, and names what broke. Properties that the
+package's own code defines (ZF recovery, FBF whitening, real widely
+linear outputs, the chi-square moments) are checked once, by the test
+suite, not here. Small problem sizes and fixed seeds keep the battery
+well under a second.
 """
 
 import time
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytics, channel, equalizer, kernels, numerics
-from .modem import CONSTELLATION_NAMES, constellation, map_bits, precode
+from . import analytics, channel, kernels, numerics
+from .modem import CONSTELLATION_NAMES, constellation, map_bits
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_selftest"]
 
@@ -28,25 +32,7 @@ class SuiteResult:
 
 
 def _rng(tag: int):
-    return numerics.RngStream(2026, tag).generator()
-
-
-def _random_channel(gen, n_r=1, v=8, m=256):
-    return channel.draw_channel(gen.standard_normal(2 * n_r * v), n_r, v, m)
-
-
-def _synth(name, h, sigma_n_sq, fbf_length=20):
-    spec = equalizer.ReceiverSpec.from_name(name, fbf_length=fbf_length)
-    return equalizer.synthesize(spec, h, sigma_n_sq)
-
-
-def _equalized(name, h, sigma_n_sq, y, c, x_f, fbf_length=20,
-               feedback="genie"):
-    """The output z of equalize for the receiver called name."""
-    spec = equalizer.ReceiverSpec.from_name(name, fbf_length=fbf_length,
-                                            feedback_mode=feedback)
-    filt = equalizer.synthesize(spec, h, sigma_n_sq)
-    return equalizer.equalize(spec, filt, y, c, x_f)[0]
+    return np.random.default_rng((2026, tag))
 
 
 def _suite_dft_roundtrip():
@@ -77,7 +63,8 @@ def _suite_levinson_vs_dense():
     gen = _rng(2)
     worst = 0.0
     for n_r, order in ((1, 4), (2, 8), (1, 16)):
-        gains = np.sum(np.abs(_random_channel(gen, n_r=n_r)) ** 2, axis=0)
+        h = channel.draw_channel(gen.standard_normal(2 * n_r * 8), n_r, 8, 256)
+        gains = np.sum(np.abs(h) ** 2, axis=0)
         q = numerics.idft(1.0 / (gains + 0.1))
         # the widely linear autocovariance: real, from the even spectrum
         qr = numerics.idft(1.0 / (gains + gains[-np.arange(gains.size)] + 0.1)).real
@@ -90,74 +77,6 @@ def _suite_levinson_vs_dense():
         assert not np.any(taps.imag), "real autocovariance gave complex taps"
     assert worst < 1e-8, f"Levinson vs dense solve differ by {worst:.3e}"
     return f"complex+real orders 4/8/16, worst residual {worst:.1e}"
-
-
-def _suite_fbf_whitening():
-    gen = _rng(3)
-    h = _random_channel(gen, n_r=1, v=8, m=256)
-    filt = _synth("mmse-dfe", h, 0.05, fbf_length=20)
-    denom = np.abs(h[0]) ** 2 + 0.05
-    spectrum = np.abs(equalizer._one_plus_b(filt.fbf_taps, h.shape[-1])) ** 2 / denom
-    lags = numerics.idft(spectrum)
-    rel = np.max(np.abs(lags[1:21])) / abs(lags[0])
-    assert rel < 1e-6, f"residual lag energy {rel:.3e} of lag 0"
-    return f"prediction residual lags 1..20 at {rel:.1e} of lag 0"
-
-
-def _suite_predicted_mse_monotone():
-    gen = _rng(4)
-    h = _random_channel(gen, n_r=1, v=8, m=128)
-    last = None
-    for length in (1, 2, 4, 8, 16, 32):
-        filt = _synth("mmse-dfe", h, 0.1, fbf_length=length)
-        if last is not None:
-            assert filt.predicted_mse <= last + 1e-12, (
-                f"mse rose from {last:.6e} to {filt.predicted_mse:.6e} "
-                f"at L={length}"
-            )
-        last = filt.predicted_mse
-    return "predicted mse non-increasing over L=1..32"
-
-
-def _suite_wl_reality():
-    gen = _rng(5)
-    c = constellation("bpsk")
-    h = _random_channel(gen, n_r=2, v=6, m=128)
-    bits = gen.integers(0, 2, 128)
-    x_f = precode(map_bits(bits, c)[1])
-    y = channel.apply_channel_freq(x_f, h, 0.05, gen.standard_normal(2 * h.size))
-    outputs = [_equalized(name, h, 0.05, y, c, x_f, 12, feedback)
-               for name in ("wl-mmse-le", "wl-mmse-dfe")
-               for feedback in ("genie", "decision")]
-    worst = max(float(np.max(np.abs(np.imag(z)))) for z in outputs)
-    assert worst == 0.0, f"widely linear output has imag part {worst:.3e}"
-    return "LE and DFE outputs exactly real in both feedback modes"
-
-
-def _suite_zf_exactness():
-    gen = _rng(6)
-    c = constellation("bpsk")
-    h = _random_channel(gen, n_r=1, v=8, m=128)
-    bits = gen.integers(0, 2, 128)
-    _, x_t = map_bits(bits, c)
-    x_f = precode(x_t)
-    y = channel.apply_channel_freq(x_f, h, 0.0, None)
-    worst = 0.0
-    for name in ("zf-le", "wl-zf-le"):
-        z = _equalized(name, h, 0.0, y, c, x_f)
-        worst = max(worst, float(np.max(np.abs(z - x_t))))
-    assert worst < 1e-9, f"noiseless ZF residual {worst:.3e}"
-    return f"noiseless recovery residual {worst:.1e}"
-
-
-def _suite_mmse_zf_limit():
-    gen = _rng(7)
-    h = _random_channel(gen, n_r=2, v=6, m=128)
-    zf = _synth("zf-le", h, 0.0)
-    mmse = _synth("mmse-le", h, 1e-10)
-    err = float(np.max(np.abs(zf.fff - mmse.fff)))
-    assert err < 1e-4, f"MMSE at sigma_n^2=1e-10 differs from ZF by {err:.3e}"
-    return f"filters agree to {err:.1e} at sigma_n^2=1e-10"
 
 
 def _suite_time_freq_equivalence():
@@ -173,31 +92,6 @@ def _suite_time_freq_equivalence():
     scale = np.max(np.abs(y_f))
     assert err < 1e-10 * scale, f"time/freq paths differ by {err:.3e}"
     return f"circular convolution matches per-bin product to {err:.1e}"
-
-
-def _suite_stats_oracles():
-    gen = _rng(9)
-    n = 200_000
-    for n_r in (1, 2):
-        draws = gen.gamma(n_r, 1.0, n)  # ||h||^2 with unit-variance entries
-        logs = np.log(draws)
-        pred = analytics.expected_log_chisq(n_r)
-        err = abs(np.mean(logs) - pred)
-        bound = 5.0 * np.std(logs) / np.sqrt(n)
-        assert err < bound, (
-            f"E[ln chi2] n_r={n_r}: MC {np.mean(logs):.5f} vs {pred:.5f}"
-        )
-    n_r = 2
-    draws = gen.gamma(2 * n_r, 1.0, n)  # WL combined gain, 2 n_r exponentials
-    inv = 1.0 / draws
-    mean, var = analytics.inverse_chisq_mean_var(n_r)
-    err = abs(np.mean(inv) - mean)
-    bound = 5.0 * np.std(inv) / np.sqrt(n)
-    assert err < bound, f"E[1/chi2]: MC {np.mean(inv):.5f} vs {mean:.5f}"
-    assert abs(np.var(inv) - var) < 0.05 * var, (
-        f"Var[1/chi2]: MC {np.var(inv):.5f} vs {var:.5f}"
-    )
-    return "log and inverse chi-square moments inside Monte Carlo bounds"
 
 
 # (master seed, trial indices) of one stream_states call each: rows of 2 to
@@ -287,13 +181,7 @@ _SUITES = (
     ("rng-streams", _suite_rng_streams),
     ("slicer", _suite_slicer),
     ("levinson-vs-dense", _suite_levinson_vs_dense),
-    ("fbf-whitening", _suite_fbf_whitening),
-    ("predicted-mse-monotone", _suite_predicted_mse_monotone),
-    ("wl-reality", _suite_wl_reality),
-    ("zf-exactness", _suite_zf_exactness),
-    ("mmse-zf-limit", _suite_mmse_zf_limit),
     ("time-freq-equivalence", _suite_time_freq_equivalence),
-    ("stats-oracles", _suite_stats_oracles),
     ("limit-table", _suite_limit_table),
 )
 

@@ -117,9 +117,9 @@ def _parse_snr_grid(value):
             raise ValueError("snr range needs a positive step and finite ends")
         ratio = (stop - start) / step  # inf where the step underflows the span
         n = math.floor(ratio + 1e-9) + 1 if math.isfinite(ratio) else ratio
-        if n > MAX_SNR_POINTS:
-            raise ValueError(f"snr_db range {value!r} has {n} points, more than "
-                             f"{MAX_SNR_POINTS}")
+        if n > MAX_SNR_POINTS:  # a tiny step gives n hundreds of digits
+            raise ValueError(f"snr_db range {value!r} has {n:.6g} points, more "
+                             f"than {MAX_SNR_POINTS}")
         return tuple(start + step * k for k in range(max(n, 0)))
     # object dtype hands bools and nested values to real unconverted
     return tuple(real("config key 'snr_db'", p)

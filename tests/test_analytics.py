@@ -193,7 +193,7 @@ class TestLimitSnr:
 
     def test_dfe_limits_take_the_log_moment(self, monkeypatch):
         # the DFE limits are r exp(E[ln X]) with E[ln X] from
-        # expected_log_chisq, the function the stats-oracles selftest checks
+        # expected_log_chisq, the function TestLogChisq checks
         monkeypatch.setattr(an, "expected_log_chisq", lambda n: float(n))
         assert an.limit_snr("zf-dfe", 3) == pytest.approx(math.exp(3))
         assert an.limit_snr("wl-zf-dfe", 3) == pytest.approx(math.exp(6))

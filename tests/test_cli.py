@@ -217,6 +217,9 @@ class TestBerSweep:
           for grid in ("1:2", "", "1,x", "1:2:3:4")],
         # the point count is checked before the grid is built
         (["snr=0:1e-5:1"], "snr_db range '0:1e-5:1' has 100001 points"),
+        # a count of about 300 digits is printed in 6 significant digits
+        (["snr=0:1e-300:1"], "snr_db range '0:1e-300:1' has 1e+300 points, "
+                             "more than 10000\n"),
         # a block too large for memory: numpy's allocation error, a
         # traceback, ended the sweep after it had begun
         (["nr=1", "m=67108864", "v=1", "max_blocks=1", "snr=10",

@@ -2,7 +2,10 @@
 
 import time
 
+import numpy as np
+
 import scfde.analytics
+import scfde.channel
 import scfde.kernels
 import scfde.numerics
 import scfde.selftest
@@ -22,10 +25,9 @@ def test_all_suites_pass():
 def test_suite_names_are_stable():
     results = run_selftest()
     assert tuple(r.name for r in results) == SUITE_NAMES
-    for expected in ("dft-roundtrip", "rng-streams", "slicer",
-                     "levinson-vs-dense", "fbf-whitening", "wl-reality",
-                     "zf-exactness", "limit-table"):
-        assert expected in SUITE_NAMES
+    assert SUITE_NAMES == ("dft-roundtrip", "rng-streams", "slicer",
+                           "levinson-vs-dense", "time-freq-equivalence",
+                           "limit-table")
 
 
 def test_runs_fast():
@@ -60,6 +62,30 @@ def test_wrong_seeding_constant_fails_rng_streams(monkeypatch):
     assert not results["rng-streams"].passed
     assert "SeedSequence" in results["rng-streams"].detail
     assert results["dft-roundtrip"].passed
+
+
+def test_unscaled_idft_fails_dft_roundtrip(monkeypatch):
+    # an idft without its 1/M returns M times the block it inverts
+    monkeypatch.setattr(scfde.numerics, "idft",
+                        lambda x, out=None: np.fft.ifft(x, norm="forward"))
+    results = {r.name: r for r in run_selftest()}
+    assert not results["dft-roundtrip"].passed
+    assert "round-trip residual" in results["dft-roundtrip"].detail
+    failed = {name for name, r in results.items() if not r.passed}
+    assert failed == {"dft-roundtrip"}
+
+
+def test_conjugated_channel_fails_time_freq_equivalence(monkeypatch):
+    # a frequency response that is not the transform of the documented
+    # taps no longer matches the direct circular convolution
+    real = scfde.channel.draw_channel
+    monkeypatch.setattr(scfde.channel, "draw_channel",
+                        lambda *args, **kwargs: real(*args, **kwargs).conj())
+    results = {r.name: r for r in run_selftest()}
+    assert not results["time-freq-equivalence"].passed
+    assert "time/freq paths differ" in results["time-freq-equivalence"].detail
+    failed = {name for name, r in results.items() if not r.passed}
+    assert failed == {"time-freq-equivalence"}
 
 
 def test_midpoint_cuts_fail_slicer(monkeypatch):
@@ -102,9 +128,9 @@ def test_crashing_kernel_fails_named_suites(monkeypatch, capsys):
 
     monkeypatch.setattr(scfde.kernels, "levinson_recursion", broken)
     results = {r.name: r for r in run_selftest()}
-    for name in ("levinson-vs-dense", "fbf-whitening", "predicted-mse-monotone"):
-        assert not results[name].passed
-        assert results[name].detail == "IndexError: tap index out of range"
+    assert not results["levinson-vs-dense"].passed
+    assert results["levinson-vs-dense"].detail == (
+        "IndexError: tap index out of range")
     assert results["dft-roundtrip"].passed
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
